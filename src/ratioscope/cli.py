@@ -278,7 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("bench", help="run the benchmark sweep")
-    p.add_argument("--methods", default=",".join(harness.METHODS[:-1]))
+    p.add_argument(
+        "--methods", default=",".join(harness.DEFAULT_BENCH_METHODS),
+        help="comma-separated subset of " + ",".join(harness.METHODS)
+        + " (default: harness.DEFAULT_BENCH_METHODS, %(default)s)",
+    )
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--dims", default="10")
     p.add_argument("--seed", type=int, default=0)
@@ -309,8 +313,12 @@ def _apply_config(parser, argv):
     if "--config" not in argv:
         return
     idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        raise UsageError("--config needs a JSON file path")
     with open(argv[idx + 1], encoding="utf-8") as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise UsageError(f"config file {argv[idx + 1]} must hold a JSON object")
     for action in parser._subparsers._group_actions:
         for sp in action.choices.values():
             sp.set_defaults(**{
@@ -328,7 +336,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (UsageError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

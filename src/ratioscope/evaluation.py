@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .data import LABEL_INLIER, LABEL_OUTLIER
 from .errors import SingleClass, TooFewSamples
@@ -39,7 +39,11 @@ def auc(scores: ScoreSet) -> float:
     scores under the higher-is-more-inlier orientation.
     """
     inl, out = _split_scores(scores)
-    ranks = stats.rankdata(np.concatenate([inl, out]))
+    _, inverse, counts = np.unique(
+        np.concatenate([inl, out]), return_inverse=True, return_counts=True
+    )
+    # midrank of a tie group: its last rank minus half its extra members
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     r_inl = np.sum(ranks[: len(inl)])
     n1, n0 = len(inl), len(out)
     return float((r_inl - n1 * (n1 + 1) / 2.0) / (n1 * n0))

@@ -76,11 +76,3 @@ def knn_graph(data: np.ndarray, K: int, sigma2: float) -> SimilarityGraph:
     w.eliminate_zeros()
     return SimilarityGraph(weights=w.tocsr(), k_neighbors=K, sigma2=float(sigma2))
 
-
-def dump_graph_csv(path, graph: SimilarityGraph) -> None:
-    """Debug dump of (i, j, r_ij) triples for the nonzero weights."""
-    coo = graph.weights.tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("i,j,r_ij\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i},{j},{v!r}\n")

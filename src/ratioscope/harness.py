@@ -29,6 +29,8 @@ from .scores import ScoreSet, ratio_score, save_scores_csv
 from .synth import SynthSpec, generate
 
 METHODS = ("llr", "kde", "lof", "osvm", "l1lr", "kliep", "ulsif", "rulsif")
+# what `ratioscope bench` runs when --methods is not given
+DEFAULT_BENCH_METHODS = ("llr", "kde", "lof", "osvm", "l1lr", "kliep", "ulsif")
 
 THREADS_ENV = "RATIO_SCOPE_THREADS"
 

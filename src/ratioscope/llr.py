@@ -13,22 +13,23 @@ objective; eps defaults to 1e-10 and eps=0 recovers the exact norms.
 
 The outer loop freezes the reweighting matrices Cg (a graph Laplacian
 over samples) and Ce (entrywise positive), minimizes the resulting
-smooth convex surrogate with nonlinear conjugate gradients, and
-repeats.  The surrogate plus the anchor constant from
-``majorization_constant`` is tangent to J at the anchor and dominates
-it everywhere, which yields the monotone-descent guarantee.
+smooth convex surrogate by truncated Newton (Newton-CG), and repeats.
+The surrogate plus the anchor constant from ``majorization_constant``
+is tangent to J at the anchor and dominates it everywhere, which
+yields the monotone-descent guarantee.
+
+Every fused-term quantity comes from one signed incidence matrix B0
+over the graph's edges i < j: the edge distances are the row norms of
+B0 W^T, and Cg = B0^T diag(a) B0 for edge weights a.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import line_search, minimize
-from scipy.optimize._linesearch import LineSearchWarning
 from scipy.special import expit
 
 from .data import Dataset, PooledDataset, StandardizationStats, pool
@@ -117,13 +118,43 @@ def _smooth_l1(W: np.ndarray, epsilon: float) -> np.ndarray:
     return np.sum(np.sqrt(W * W + epsilon), axis=0)
 
 
-def _edge_dists(W: np.ndarray, graph: SimilarityGraph, epsilon: float):
-    """(rows, cols, r, s) over nonzero graph entries, s the smoothed
-    column distance sqrt(||w_i - w_j||^2 + eps)."""
-    coo = graph.weights.tocoo()
-    diff = W[:, coo.row] - W[:, coo.col]
-    s = np.sqrt(np.sum(diff * diff, axis=0) + epsilon)
-    return coo.row, coo.col, coo.data, s
+def _edges(M: sp.spmatrix):
+    """(B0, v) over the nonzeros i < j of the symmetric m x m matrix M:
+    the E x m signed incidence matrix B0, +1 at i and -1 at j, and the
+    entries v = M_ij.  Every ordered-pair sum over a symmetric graph is
+    twice the sum over these edges."""
+    upper = sp.triu(M, k=1, format="coo")
+    E = upper.nnz
+    B0 = sp.csr_matrix(
+        (np.tile([1.0, -1.0], E), np.column_stack([upper.row, upper.col]).ravel(),
+         np.arange(0, 2 * E + 1, 2)),
+        shape=(E, M.shape[0]),
+    )
+    return B0, upper.data
+
+
+def _edge_sq_dists(Wv: np.ndarray, B0: sp.csr_matrix) -> np.ndarray:
+    """Squared column distances ||w_i - w_j||^2 per edge."""
+    diff = B0 @ Wv.T
+    return np.einsum("ek,ek->e", diff, diff)
+
+
+def _edge_dists(Wv: np.ndarray, B0: sp.csr_matrix, epsilon: float) -> np.ndarray:
+    """Smoothed column distances sqrt(||w_i - w_j||^2 + eps) per edge."""
+    return np.sqrt(_edge_sq_dists(Wv, B0) + epsilon)
+
+
+def _objective(Wv, pooled, r, s, hp, epsilon) -> float:
+    value = _logistic_loss(Wv, pooled)
+    if hp.lambda1 > 0:
+        value += hp.lambda1 * 2.0 * float(np.dot(r, s))
+    if hp.lambda2 > 0:
+        if epsilon > 0:
+            l1 = _smooth_l1(Wv, epsilon)
+        else:
+            l1 = np.sum(np.abs(Wv), axis=0)
+        value += hp.lambda2 * float(np.sum(l1 * l1))
+    return value
 
 
 def objective_J(
@@ -137,17 +168,16 @@ def objective_J(
     Wv = W.values
     _check_dims(Wv, pooled)
     eps = hp.epsilon if epsilon is None else epsilon
-    value = _logistic_loss(Wv, pooled)
+    s = r = None
     if hp.lambda1 > 0:
-        _, _, r, s = _edge_dists(Wv, graph, eps)
-        value += hp.lambda1 * float(np.dot(r, s))
-    if hp.lambda2 > 0:
-        if eps > 0:
-            l1 = _smooth_l1(Wv, eps)
-        else:
-            l1 = np.sum(np.abs(Wv), axis=0)
-        value += hp.lambda2 * float(np.sum(l1 * l1))
-    return value
+        B0, r = _edges(graph.weights)
+        s = _edge_dists(Wv, B0, eps)
+    return _objective(Wv, pooled, r, s, hp, eps)
+
+
+def _laplacian(B0: sp.csr_matrix, a: np.ndarray) -> sp.csr_matrix:
+    """B^T B with B = diag(sqrt(a)) B0: the graph Laplacian with edge weights a."""
+    return (B0.T @ (sp.diags(a) @ B0)).tocsr()
 
 
 def majorizer_Cg(
@@ -156,12 +186,8 @@ def majorizer_Cg(
     """Reweighted graph Laplacian with edge weights r_ij / s_ij."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    rows, cols, r, s = _edge_dists(W.values, graph, epsilon)
-    a = r / s
-    m = graph.m
-    A = sp.csr_matrix((a, (rows, cols)), shape=(m, m))
-    deg = np.asarray(A.sum(axis=1)).ravel()
-    return (sp.diags(deg) - A).tocsr()
+    B0, r = _edges(graph.weights)
+    return _laplacian(B0, r / _edge_dists(W.values, B0, epsilon))
 
 
 def majorizer_Ce(W: WeightMatrix, epsilon: float) -> np.ndarray:
@@ -182,8 +208,9 @@ def majorization_constant(
     """Anchor constant c_t with J(W) <= surrogate(W) + c_t everywhere
     and equality at the anchor.
 
-    Fused part: the ordered-pair sum of r_ij s_ij is bounded by
-    tr(W Cg W^T) plus (1/2) sum_ordered r_ij (s_ij^t + eps / s_ij^t).
+    Fused part: the ordered-pair sum of r_ij s_ij, twice the sum over
+    edges i < j, is bounded by tr(W Cg W^T) plus
+    sum_{i<j} r_ij (s_ij^t + eps / s_ij^t).
     Exclusive part: Cauchy-Schwarz leaves the cross term
     lambda2 * eps * sum_j ||w_j||_{1,eps} sum_k 1/sqrt(w_kj^2 + eps).
     """
@@ -193,8 +220,9 @@ def majorization_constant(
     Wv = W_anchor.values
     c = 0.0
     if hp.lambda1 > 0:
-        _, _, r, s = _edge_dists(Wv, graph, eps)
-        c += hp.lambda1 * 0.5 * float(np.dot(r, s + eps / s))
+        B0, r = _edges(graph.weights)
+        s = _edge_dists(Wv, B0, eps)
+        c += hp.lambda1 * float(np.dot(r, s + eps / s))
     if hp.lambda2 > 0:
         smooth = np.sqrt(Wv * Wv + eps)
         c += hp.lambda2 * eps * float(np.sum(smooth.sum(axis=0) * np.sum(1.0 / smooth, axis=0)))
@@ -208,16 +236,16 @@ def surrogate_Jtilde(
     pooled: PooledDataset,
     hp: LlrHyperparams,
 ) -> float:
+    """Surrogate value.  The fused term tr(W Cg W^T) = ||B W^T||_F^2,
+    B = diag(sqrt(a)) B0, is summed edgewise as a_ij ||w_i - w_j||^2:
+    the column differences are taken before any weighting, so large,
+    nearly fused columns lose no digits to cancellation."""
     Wv = W.values
     _check_dims(Wv, pooled)
-    return _surrogate_value(Wv, Cg, Ce, pooled, hp)
-
-
-def _surrogate_value(Wv, Cg, Ce, pooled, hp) -> float:
     value = _logistic_loss(Wv, pooled)
     if hp.lambda1 > 0:
-        WCg = (Cg.T @ Wv.T).T
-        value += hp.lambda1 * float(np.sum(Wv * WCg))
+        B0, off_diag = _edges(Cg)  # -a_ij
+        value -= hp.lambda1 * float(np.dot(off_diag, _edge_sq_dists(Wv, B0)))
     if hp.lambda2 > 0:
         value += hp.lambda2 * float(np.sum(Ce * Wv * Wv))
     return value
@@ -232,10 +260,6 @@ def grad_Jtilde(
 ) -> np.ndarray:
     Wv = W.values
     _check_dims(Wv, pooled)
-    return _surrogate_grad(Wv, Cg, Ce, pooled, hp)
-
-
-def _surrogate_grad(Wv, Cg, Ce, pooled, hp) -> np.ndarray:
     X = pooled.features
     y = pooled.labels
     z = y * np.einsum("ki,ki->i", Wv, X)
@@ -247,19 +271,6 @@ def _surrogate_grad(Wv, Cg, Ce, pooled, hp) -> np.ndarray:
     return g
 
 
-def _inner_preconditioner(Cg, Ce, pooled, hp) -> np.ndarray:
-    """Diagonal curvature estimate of the surrogate: logistic curvature
-    bound 1/4 x^2 plus the quadratic penalty diagonals.  The exclusive
-    weights span many orders of magnitude (up to ~1/sqrt(eps) for
-    near-zero coordinates), which cripples unpreconditioned CG."""
-    diag = 0.25 * pooled.features**2
-    if hp.lambda1 > 0:
-        diag = diag + 2.0 * hp.lambda1 * Cg.diagonal()[None, :]
-    if hp.lambda2 > 0:
-        diag = diag + 2.0 * hp.lambda2 * Ce
-    return np.maximum(diag, 1e-12)
-
-
 def solve_inner(
     pooled: PooledDataset,
     Cg: sp.spmatrix,
@@ -267,83 +278,113 @@ def solve_inner(
     hp: LlrHyperparams,
     W0: WeightMatrix,
 ) -> WeightMatrix:
-    """Minimize the surrogate with preconditioned Polak-Ribiere+
-    conjugate gradients, never increasing the surrogate value.
+    """Minimize the surrogate by truncated Newton (Newton-CG), never
+    increasing the surrogate value.
 
-    Steps use a strong-Wolfe line search (CG needs accurate steps to
-    keep directions conjugate) with Armijo backtracking as a fallback.
-    Stops when ||grad||_F <= inner_grad_tol * (1 + |Jtilde|) or after
-    inner_max_iters iterations; if the iteration cap is hit first the
-    iterate is polished with monotone L-BFGS, which copes better with
-    the near-singular curvature of extreme regularization regimes.
+    Each Newton step solves H p = -g by preconditioned conjugate
+    gradients to the Eisenstat-Walker residual ||r|| <= eta ||g||,
+    eta = min(0.5, sqrt(||g||)).  H is the exact surrogate Hessian,
+    applied matrix-free:
+
+        H v = c_i (x_i.v_i) x_i + 2 lambda1 v Cg + 2 lambda2 Ce * v,
+
+    with c_i = s_i (1 - s_i) the logistic curvature.  The preconditioner
+    is the per-sample block diag(2 lambda1 Cg_ii + 2 lambda2 Ce_i) +
+    c_i x_i x_i^T, inverted in O(d) by Sherman-Morrison.  Armijo
+    backtracking sets the step length; it tests the surrogate change
+    along p, computed as one expression rather than as a difference of
+    two surrogate values, so rounding of the values cannot stall it.
+
+    Stops when ||grad||_F <= inner_grad_tol * (1 + |Jtilde|), checked
+    before the first step (an optimal W0 comes back unchanged), or
+    after inner_max_iters Newton steps; inner_max_iters also caps the
+    CG steps within each Newton step.
     """
-    shape = W0.values.shape
-    _check_dims(W0.values, pooled)
+    f = surrogate_Jtilde(W0, Cg, Ce, pooled, hp)
+    # samples along the rows: (m x d) arrays keep sparse products contiguous
+    X = np.ascontiguousarray(pooled.features.T)
+    y = pooled.labels
+    Ce = np.ascontiguousarray(Ce.T)
+    lam1, lam2 = hp.lambda1, hp.lambda2
+    block = np.zeros_like(X)
+    if lam1 > 0:
+        block += 2.0 * lam1 * Cg.diagonal()[:, None]
+    if lam2 > 0:
+        block += 2.0 * lam2 * Ce
+    Dinv = 1.0 / np.maximum(block, 1e-12)
 
-    def f_flat(x):
-        return _surrogate_value(x.reshape(shape), Cg, Ce, pooled, hp)
+    def penalty_hessp(V):
+        """Hessian of the quadratic penalties times V, also their gradient at V."""
+        out = 2.0 * lam2 * Ce * V if lam2 > 0 else np.zeros_like(V)
+        if lam1 > 0:
+            out += 2.0 * lam1 * (Cg @ V)
+        return out
 
-    def g_flat(x):
-        return _surrogate_grad(x.reshape(shape), Cg, Ce, pooled, hp).ravel()
-
-    M = _inner_preconditioner(Cg, Ce, pooled, hp).ravel()
-    x = np.array(W0.values, dtype=float).ravel()
-    f = f_flat(x)
-    g = g_flat(x)
-    y = g / M
-    p = -y
-    gy = float(g @ y)
-    armijo = 1e-4
-
+    W = np.array(W0.values.T, order="C")
     for _ in range(hp.inner_max_iters):
-        if np.linalg.norm(g) <= hp.inner_grad_tol * (1.0 + abs(f)):
+        z = y * np.einsum("ik,ik->i", X, W)
+        sig = expit(-z)
+        g_pen = penalty_hessp(W)
+        g = (-y * sig)[:, None] * X + g_pen
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= hp.inner_grad_tol * (1.0 + abs(f)):
             break
-        slope = float(g @ p)
-        if slope >= 0:  # restart on a non-descent direction
-            p = -y
-            slope = -gy
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LineSearchWarning)
-            alpha, _, _, f_new, _, g_new = line_search(
-                f_flat, g_flat, x, p, gfk=g, old_fval=f, c2=0.1
-            )
-        if alpha is None or not f_new <= f:
-            alpha, g_new = 1.0, None
+        c = sig * (1.0 - sig)
+        U = Dinv * X
+        coef = c / (1.0 + c * np.einsum("ik,ik->i", X, U))
+
+        def precond(R):
+            return Dinv * R - U * (coef * np.einsum("ik,ik->i", U, R))[:, None]
+
+        # truncated preconditioned CG on H p = -g, from p = 0
+        tol = min(0.5, np.sqrt(gnorm)) * gnorm
+        p = np.zeros_like(W)
+        r = -g
+        q = precond(r)
+        rq = float(np.vdot(r, q))
+        for _ in range(hp.inner_max_iters):
+            Hq = (c * np.einsum("ik,ik->i", X, q))[:, None] * X + penalty_hessp(q)
+            qHq = float(np.vdot(q, Hq))
+            if not qHq > 0:
+                break
+            alpha = rq / qHq
+            p += alpha * q
+            r -= alpha * Hq
+            if np.linalg.norm(r) <= tol:
+                break
+            pr = precond(r)
+            rpr = float(np.vdot(r, pr))
+            q = pr + (rpr / rq) * q
+            rq = rpr
+        if not p.any():
+            p = precond(-g)
+
+        # Armijo backtracking on the surrogate change along p,
+        #   sum_i log1p(sigma(-z_i) expm1(-t dz_i)) + t lin + t^2 quad,
+        # the penalties being quadratic with gradient g_pen at W
+        slope = float(np.vdot(g, p))
+        if not slope < 0:
+            raise LineSearchFailure("Newton direction is not a descent direction")
+        dz = y * np.einsum("ik,ik->i", X, p)
+        lin = float(np.vdot(g_pen, p))
+        quad = 0.5 * float(np.vdot(p, penalty_hessp(p)))
+        step = 1.0
+        with np.errstate(over="ignore"):
             while True:
-                f_new = f_flat(x + alpha * p)
-                if f_new <= f + armijo * alpha * slope:
+                change = (float(np.sum(np.log1p(sig * np.expm1(-step * dz))))
+                          + step * lin + step * step * quad)
+                if change <= 1e-4 * step * slope:
                     break
-                alpha *= 0.5
-                if alpha < 1e-20:
+                step *= 0.5
+                if step < 1e-20:
                     raise LineSearchFailure(
                         "no decreasing step at machine precision "
                         "(ill-conditioned surrogate)"
                     )
-        x = x + alpha * p
-        if g_new is None:
-            g_new = g_flat(x)
-        y_new = g_new / M
-        gy_new = float(g_new @ y_new)
-        beta = max(0.0, float(y_new @ (g_new - g)) / gy)
-        p = -y_new + beta * p
-        f, g, y, gy = f_new, g_new, y_new, gy_new
+        W += step * p
+        f += change
 
-    if np.linalg.norm(g) > hp.inner_grad_tol * (1.0 + abs(f)):
-        res = minimize(
-            f_flat,
-            x,
-            jac=g_flat,
-            method="L-BFGS-B",
-            options={
-                "maxiter": hp.inner_max_iters,
-                "ftol": 1e-16,
-                "gtol": hp.inner_grad_tol / np.sqrt(x.size),
-            },
-        )
-        if res.fun <= f:
-            x = res.x
-
-    return WeightMatrix(values=x.reshape(shape))
+    return WeightMatrix(values=np.ascontiguousarray(W.T))
 
 
 def resolve_sigma2(pooled: PooledDataset, hp: LlrHyperparams) -> float:
@@ -366,15 +407,21 @@ def fit_pooled(
     """Run the outer reweighting loop on already-pooled data."""
     if graph is None:
         graph = build_graph(pooled, hp)
+    eps = hp.epsilon
+    B0, r = _edges(graph.weights)
     W = WeightMatrix(values=np.zeros_like(pooled.features))
-    trace = [objective_J(W, pooled, graph, hp)]
+    # one edge-distance gather per outer iteration: s at the end of
+    # iteration t gives both J there and Cg at the start of t + 1
+    s = _edge_dists(W.values, B0, eps)
+    trace = [_objective(W.values, pooled, r, s, hp, eps)]
     converged = False
     iterations = 0
     for _ in range(hp.outer_max_iters):
-        Cg = majorizer_Cg(W, graph, hp.epsilon)
-        Ce = majorizer_Ce(W, hp.epsilon)
+        Cg = _laplacian(B0, r / s)
+        Ce = majorizer_Ce(W, eps)
         W = solve_inner(pooled, Cg, Ce, hp, W)
-        J = objective_J(W, pooled, graph, hp)
+        s = _edge_dists(W.values, B0, eps)
+        J = _objective(W.values, pooled, r, s, hp, eps)
         prev = trace[-1]
         if J > prev + 1e-8 * (1.0 + abs(prev)):
             raise NonDecrease(

@@ -3,11 +3,13 @@ and cross-command consistency (score -> eval round trips)."""
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from ratioscope import cli
+from ratioscope import cli, harness
 from ratioscope.evaluation import auc
 from ratioscope.scores import load_scores_csv
 
@@ -284,6 +286,12 @@ class TestBench:
         ])
         assert code == cli.EXIT_OK
 
+    def test_default_methods_named_in_help(self, capsys):
+        args = cli.build_parser().parse_args(["bench"])
+        assert args.methods.split(",") == list(harness.DEFAULT_BENCH_METHODS)
+        assert cli.main(["bench", "--help"]) == cli.EXIT_OK
+        assert "harness.DEFAULT_BENCH_METHODS" in capsys.readouterr().out
+
 
 class TestConfig:
     def test_config_sets_defaults(self, tmp_path):
@@ -307,6 +315,18 @@ class TestConfig:
             "--config", str(tmp_path / "none.json"), "synth", "--out-dir", str(tmp_path),
         ]) == cli.EXIT_USAGE
 
+    def test_config_without_value_exit2(self, capsys):
+        # used to crash with an IndexError traceback
+        assert cli.main(["--config"]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_config_not_an_object_exit2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert cli.main(["--config", str(cfg), "synth", "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestTopLevel:
     def test_no_command_exit2(self):
@@ -314,3 +334,15 @@ class TestTopLevel:
 
     def test_help_exit0(self):
         assert cli.main(["--help"]) == cli.EXIT_OK
+
+    def test_import_skips_scipy_optimize_and_stats(self):
+        # each costs every command about half a second of start-up
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); "
+            "import ratioscope.cli, ratioscope.harness; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"

@@ -189,6 +189,31 @@ class TestSurrogate:
             assert mid <= ends + 1e-10
 
 
+    def test_fused_term_exact_for_large_fused_columns(self):
+        # columns near 100 that differ by ~1e-3 and Laplacian weights near
+        # 5e3: tr(W Cg W^T) loses ~1e-6 to cancellation here, the edge sum
+        # does not
+        rng = np.random.default_rng(18)
+        pooled, graph = random_instance(rng, d=4, n_inlier=15, n_test=8)
+        base = 100.0 + rng.normal(size=(pooled.d, 1))
+        anchor = WeightMatrix(values=base + 1e-4 * rng.normal(size=pooled.features.shape))
+        Cg = majorizer_Cg(anchor, graph, epsilon=1e-10)
+        dense = Cg.toarray()
+        assert 1e3 <= -dense.min() <= 1e5
+        W = WeightMatrix(values=base + 1e-3 * rng.normal(size=pooled.features.shape))
+        Ce = np.ones_like(W.values)
+        fused_hp = LlrHyperparams(lambda1=1.0, lambda2=0.0)
+        none_hp = LlrHyperparams(lambda1=0.0, lambda2=0.0)
+        fused = (surrogate_Jtilde(W, Cg, Ce, pooled, fused_hp)
+                 - surrogate_Jtilde(W, Cg, Ce, pooled, none_hp))
+        Wv = W.values
+        brute = sum(
+            -dense[i, j] * float(np.sum((Wv[:, i] - Wv[:, j]) ** 2))
+            for i in range(pooled.m) for j in range(i + 1, pooled.m)
+        )
+        assert fused == pytest.approx(brute, abs=1e-10)
+
+
 class TestGrad:
     def test_zero_weights_no_regularization(self):
         rng = np.random.default_rng(8)
@@ -275,6 +300,43 @@ class TestSolveInner:
         oracle = minimize_scalar(f, bounds=(-10.0, 10.0), method="bounded",
                                  options={"xatol": 1e-12})
         assert W.values[0, 0] == pytest.approx(oracle.x, abs=1e-6)
+
+    def test_matches_lbfgs_oracle(self):
+        rng = np.random.default_rng(16)
+        hp = LlrHyperparams(lambda1=0.5, lambda2=0.5, inner_grad_tol=1e-10)
+        for _ in range(4):
+            pooled, graph = random_instance(rng)
+            anchor = WeightMatrix(values=rng.normal(size=pooled.features.shape))
+            Cg = majorizer_Cg(anchor, graph, hp.epsilon)
+            Ce = majorizer_Ce(anchor, hp.epsilon)
+            W = solve_inner(pooled, Cg, Ce, hp, zero_weights(pooled))
+            shape = pooled.features.shape
+
+            def f(x):
+                return surrogate_Jtilde(WeightMatrix(values=x.reshape(shape)), Cg, Ce, pooled, hp)
+
+            def g(x):
+                return grad_Jtilde(WeightMatrix(values=x.reshape(shape)), Cg, Ce, pooled, hp).ravel()
+
+            oracle = minimize(f, np.zeros(pooled.features.size), jac=g, method="L-BFGS-B",
+                              options={"maxiter": 20000, "ftol": 1e-16, "gtol": 1e-11})
+            assert f(W.values.ravel()) <= oracle.fun + 1e-10
+            assert np.max(np.abs(W.values.ravel() - oracle.x)) <= 1e-6
+
+    def test_one_newton_step_never_increases(self):
+        rng = np.random.default_rng(17)
+        for lam1, lam2 in [(0.1, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (1.0, 1.0)]:
+            hp = LlrHyperparams(lambda1=lam1, lambda2=lam2, inner_max_iters=1)
+            for _ in range(5):
+                pooled, graph = random_instance(rng)
+                anchor = WeightMatrix(values=rng.normal(size=pooled.features.shape))
+                Cg = majorizer_Cg(anchor, graph, hp.epsilon)
+                Ce = majorizer_Ce(anchor, hp.epsilon)
+                W0 = WeightMatrix(values=anchor.values + rng.normal(size=anchor.values.shape))
+                W = solve_inner(pooled, Cg, Ce, hp, W0)
+                assert not np.array_equal(W.values, W0.values)
+                assert (surrogate_Jtilde(W, Cg, Ce, pooled, hp)
+                        <= surrogate_Jtilde(W0, Cg, Ce, pooled, hp))
 
 
 class TestFit:

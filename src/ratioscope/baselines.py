@@ -38,6 +38,8 @@ class KernelModel:
     alphas: np.ndarray
     sigma2: float
     kind: str
+    converged: bool = True
+    iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -118,21 +120,42 @@ def lof_score(reference: Dataset, query: Dataset, K: int) -> ScoreSet:
 # ---------------------------------------------------------------------------
 # One-class SVM
 
-def project_box_simplex(v: np.ndarray, c: float) -> np.ndarray:
-    """Euclidean projection onto {0 <= a <= c, sum(a) = 1} by bisection."""
+def box_simplex_threshold(v: np.ndarray, c: float) -> float:
+    """Threshold theta with sum(clip(v - theta, 0, c)) = 1, exactly.
+
+    f(theta) = sum(clip(v - theta, 0, c)) is piecewise linear and
+    nonincreasing with breakpoints v_i and v_i - c (Wang & Lu 2015,
+    "Projection onto the capped simplex").  f is evaluated at every
+    breakpoint from prefix sums of the sorted v; on the segment where it
+    crosses 1 the free entries (theta < v_i < theta + c) are fixed and
+    theta = (sum_free v_i + c * n_capped - 1) / n_free.  O(n log n).
+    """
     n = len(v)
     if c * n < 1.0 - 1e-12:
         raise InfeasibleNu("box cap too small for the simplex constraint")
-    lo = np.min(v) - c - 1.0
-    hi = np.max(v)
-    for _ in range(200):
-        theta = 0.5 * (lo + hi)
-        total = np.sum(np.clip(v - theta, 0.0, c))
-        if total > 1.0:
-            lo = theta
-        else:
-            hi = theta
-    return np.clip(v - 0.5 * (lo + hi), 0.0, c)
+    s = np.sort(v)
+    s_c = s - c
+    prefix = np.concatenate(([0.0], np.cumsum(s)))
+    bps = np.sort(np.concatenate((s_c, s)))
+    # at theta = bp: entries up to n_zero are 0, entries from n_low on are c
+    n_zero = np.searchsorted(s, bps, side="right")
+    n_low = np.searchsorted(s_c, bps, side="left")
+    f = prefix[n_low] - prefix[n_zero] - (n_low - n_zero) * bps + c * (n - n_low)
+    # f(bps[-1]) = 0, so some breakpoint has f < 1; take the first.  Both
+    # ends of a segment without free entries compute f identically, so f
+    # cannot cross 1 there: (bps[k], bps[k + 1]) has free entries, hi > lo.
+    k = int(np.argmax(f < 1.0)) - 1
+    if k < 0:
+        # c * n = 1 up to rounding: the box meets the simplex at a = c
+        return float(s[0] - 2.0 * c)
+    lo = int(np.searchsorted(s, bps[k], side="right"))
+    hi = int(np.searchsorted(s_c, bps[k], side="right"))
+    return float((np.sum(s[lo:hi]) + c * (n - hi) - 1.0) / (hi - lo))
+
+
+def project_box_simplex(v: np.ndarray, c: float) -> np.ndarray:
+    """Euclidean projection onto {0 <= a <= c, sum(a) = 1}."""
+    return np.clip(v - box_simplex_threshold(v, c), 0.0, c)
 
 
 def osvm_fit(
@@ -142,7 +165,11 @@ def osvm_fit(
     max_iters: int = 5000,
     kkt_tol: float = 1e-6,
 ) -> KernelModel:
-    """Solve the one-class SVM dual by projected gradient descent."""
+    """Solve the one-class SVM dual by projected gradient descent.
+
+    Stops when a step moves no alpha by more than kkt_tol * step;
+    ``converged`` is False when it stops at max_iters instead.
+    """
     if not 0 < nu <= 1:
         raise InfeasibleNu(f"nu must lie in (0, 1], got {nu}")
     n = samples.m
@@ -158,14 +185,19 @@ def osvm_fit(
     L = float(np.linalg.eigvalsh(K)[-1])
     step = 1.0 / max(L, 1e-12)
     alpha = project_box_simplex(np.full(n, 1.0 / n), c)
-    for _ in range(max_iters):
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
         g = K @ alpha
         alpha_new = project_box_simplex(alpha - step * g, c)
-        if np.max(np.abs(alpha_new - alpha)) <= kkt_tol * step:
-            alpha = alpha_new
-            break
+        converged = bool(np.max(np.abs(alpha_new - alpha)) <= kkt_tol * step)
         alpha = alpha_new
-    return KernelModel(centers=X, alphas=alpha, sigma2=sigma**2, kind="osvm")
+        if converged:
+            break
+    return KernelModel(
+        centers=X, alphas=alpha, sigma2=sigma**2, kind="osvm",
+        converged=converged, iterations=iterations,
+    )
 
 
 def osvm_score(model: KernelModel, query: Dataset) -> ScoreSet:
@@ -296,7 +328,9 @@ def kliep_fit_with_trace(
     eta = 1.0
     n_nu = inliers.m
     de_mean = phi_de.mean(axis=0)
-    for _ in range(max_iters):
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
         # gradient of the renormalized objective
         # sum log(phi_nu a) - n log(mean(phi_de a))
         g = phi_nu.T @ (1.0 / (phi_nu @ alpha)) - n_nu * de_mean / float(
@@ -318,8 +352,12 @@ def kliep_fit_with_trace(
                 break
             eta *= 0.5
         if not improved:
+            converged = True
             break
-    model = KernelModel(centers=centers, alphas=alpha, sigma2=sigma2, kind="kliep")
+    model = KernelModel(
+        centers=centers, alphas=alpha, sigma2=sigma2, kind="kliep",
+        converged=converged, iterations=iterations,
+    )
     return model, trace
 
 

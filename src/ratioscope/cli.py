@@ -241,12 +241,20 @@ def _add_llr_flags(p):
                    help="append a constant-1 feature (excluded from explanations)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _config_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    parser.add_argument("--config", help="JSON file of flag defaults")
+    return parser
+
+
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The full CLI parser; ``defaults`` (dest -> value) override the
+    built-in defaults of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="ratioscope",
         description="Inlier-based outlier detection with per-sample feature attribution",
+        parents=[_config_parser()],
     )
-    parser.add_argument("--config", help="JSON file of flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate synthetic inlier/test CSVs")
@@ -305,35 +313,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
+    for p in sub.choices.values():
+        p.set_defaults(**(defaults or {}))
     return parser
 
 
-def _apply_config(parser, argv):
-    """Pre-parse --config and install its values as subparser defaults."""
-    if "--config" not in argv:
-        return
-    idx = argv.index("--config")
-    if idx + 1 == len(argv):
-        raise UsageError("--config needs a JSON file path")
-    with open(argv[idx + 1], encoding="utf-8") as fh:
+def _read_config(argv) -> dict:
+    """First pass: find --config (--config PATH or --config=PATH) and
+    return its JSON object with flag names turned into dests."""
+    try:
+        known, _ = _config_parser().parse_known_args(argv)
+    except argparse.ArgumentError as exc:
+        raise UsageError(str(exc)) from None
+    if known.config is None:
+        return {}
+    with open(known.config, encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
-        raise UsageError(f"config file {argv[idx + 1]} must hold a JSON object")
-    for action in parser._subparsers._group_actions:
-        for sp in action.choices.values():
-            sp.set_defaults(**{
-                k.replace("-", "_"): v
-                for k, v in config.items()
-                if any(k.replace("-", "_") == a.dest for a in sp._actions)
-            })
+        raise UsageError(f"config file {known.config} must hold a JSON object")
+    return {k.replace("-", "_"): v for k, v in config.items()}
+
+
+def _parse(argv):
+    config = _read_config(argv)
+    args = build_parser().parse_args(argv)
+    # second pass: config values become defaults of the chosen command's
+    # own flags, so that explicit flags still win
+    own = {
+        k: v for k, v in config.items()
+        if k in vars(args) and k not in ("command", "config", "func")
+    }
+    return build_parser(own).parse_args(argv) if own else args
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except (UsageError, OSError, json.JSONDecodeError) as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooFewSamples
+from .errors import DimensionMismatch, InvalidLabel, TooFewSamples
 
 SCALE_FLOOR = 1e-8
 
@@ -175,23 +175,31 @@ def apply_standardizer(data: Dataset, stats: StandardizationStats) -> Dataset:
 def load_csv(path, id_prefix: str = "") -> tuple[Dataset, list[str] | None]:
     """Load a dataset from CSV (header row of feature names, one sample
     per row).  A trailing column named "label" with values
-    {inlier, outlier} is split off and returned separately (or None).
+    {inlier, outlier} is split off and returned separately (or None);
+    any other label value raises InvalidLabel.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+        # keep each row's line number in the file for error messages
+        rows = [(reader.line_num, row) for row in reader if row]
     if len(rows) < 2:
         raise TooFewSamples(f"{path}: need a header row and at least one sample")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     has_label = header and header[-1] == "label"
     names = header[:-1] if has_label else header
     values = []
     labels: list[str] | None = [] if has_label else None
-    for r, row in enumerate(rows[1:]):
+    for line, row in rows[1:]:
         if len(row) != len(header):
-            raise DimensionMismatch(f"{path}: row {r + 2} has {len(row)} fields, expected {len(header)}")
+            raise DimensionMismatch(f"{path}: row {line} has {len(row)} fields, expected {len(header)}")
         if has_label:
-            labels.append(row[-1].strip())
+            label = row[-1].strip()
+            if label not in (LABEL_INLIER, LABEL_OUTLIER):
+                raise InvalidLabel(
+                    f"{path}: row {line} has label {label!r}, "
+                    f"expected {LABEL_INLIER!r} or {LABEL_OUTLIER!r}"
+                )
+            labels.append(label)
             row = row[:-1]
         values.append([float(v) for v in row])
     features = np.asarray(values, dtype=float).T

@@ -13,6 +13,10 @@ class TooFewSamples(RatioscopeError):
     """An operation needs more samples than were provided."""
 
 
+class InvalidLabel(RatioscopeError):
+    """A label column holds a value other than inlier/outlier."""
+
+
 class DegenerateData(RatioscopeError):
     """Data is degenerate (e.g. all points coincide)."""
 

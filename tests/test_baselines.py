@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from scipy.optimize import bisect, minimize
@@ -5,6 +7,7 @@ from scipy.optimize import bisect, minimize
 from conftest import make_dataset
 from ratioscope.baselines import (
     KernelModel,
+    box_simplex_threshold,
     gauss_design,
     kde_fit_score,
     kernel_model_score,
@@ -21,10 +24,14 @@ from ratioscope.baselines import (
     project_box_simplex,
     rulsif_fit,
 )
+from ratioscope import baselines
 from ratioscope.data import PooledDataset, pool
 from ratioscope.errors import InfeasibleNu, InvalidK, SingularSystem
+from ratioscope.graph import median_heuristic
+from ratioscope.harness import standardized_trial
 from ratioscope.llr import WeightMatrix
 from ratioscope.scores import ratio_score
+from ratioscope.synth import SynthSpec, generate
 
 
 class TestKde:
@@ -125,6 +132,36 @@ class TestLof:
             lof_score(ref, ref, K=3)
 
 
+def bisection_projection(v, c):
+    """The 200-step bisection the exact projection replaced, kept as an oracle."""
+    lo = np.min(v) - c - 1.0
+    hi = np.max(v)
+    for _ in range(200):
+        theta = 0.5 * (lo + hi)
+        total = np.sum(np.clip(v - theta, 0.0, c))
+        if total > 1.0:
+            lo = theta
+        else:
+            hi = theta
+    return np.clip(v - 0.5 * (lo + hi), 0.0, c)
+
+
+def assert_matches_oracle(v, c):
+    a = project_box_simplex(v, c)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(v))))
+    assert np.max(np.abs(a - bisection_projection(v, c))) <= tol
+    return a
+
+
+def sweep_osvm_data(d):
+    """The pooled, standardized data the bench's OSVM fits on SynthSpec trial 0."""
+    inliers, test, _ = generate(SynthSpec(d=d, seed=0), trial=0)
+    inliers, test = standardized_trial(inliers, test, True)
+    pooled = pool(inliers, test)
+    merged = make_dataset(pooled.features)
+    return merged, median_heuristic(pooled.features)
+
+
 class TestProjection:
     def test_feasibility(self):
         rng = np.random.default_rng(3)
@@ -143,6 +180,68 @@ class TestProjection:
         with pytest.raises(InfeasibleNu):
             project_box_simplex(np.ones(3), 0.1)
 
+    def test_matches_bisection_oracle(self):
+        rng = np.random.default_rng(20)
+        for _ in range(400):
+            n = int(rng.integers(1, 401))
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            c = 1.0 / (n * rng.uniform(0.01, 1.0)) if rng.random() < 0.8 else rng.uniform(1.0, 3.0)
+            assert_matches_oracle(scale * rng.normal(size=n), c)
+
+    def test_single_entry(self):
+        for v in (-5.0, 0.0, 0.3, 1e3):
+            a = assert_matches_oracle(np.array([v]), 1.5)
+            assert a == pytest.approx([1.0], abs=1e-12 * max(1.0, abs(v)))
+
+    def test_box_meets_simplex_in_one_point(self):
+        rng = np.random.default_rng(21)
+        for n in (2, 4, 5, 8, 10):
+            # c * n = 1 exactly, and just below it within the feasibility slack
+            for c in (1.0 / n, (1.0 - 1e-13) / n):
+                assert 1.0 - 1e-12 <= c * n <= 1.0
+                a = assert_matches_oracle(rng.normal(size=n), c)
+                assert a == pytest.approx(np.full(n, c), abs=1e-12)
+
+    def test_plain_simplex(self):
+        # c >= 1 never binds: the plain simplex projection, sort-based
+        rng = np.random.default_rng(22)
+        for c in (1.0, 2.5):
+            v = rng.normal(size=30)
+            u = np.sort(v)[::-1]
+            css = np.cumsum(u) - 1.0
+            rho = np.nonzero(u - css / np.arange(1, 31) > 0)[0][-1]
+            expected = np.maximum(v - css[rho] / (rho + 1), 0.0)
+            a = assert_matches_oracle(v, c)
+            assert a == pytest.approx(expected, abs=1e-12)
+
+    def test_ties(self):
+        v = np.array([1.0, 1.0, 1.0, 0.0, 0.0, -2.0, 1.0, 0.0])
+        for c in (0.125, 0.2, 0.3, 0.5, 1.0):
+            a = assert_matches_oracle(v, c)
+            for value in np.unique(v):
+                assert np.ptp(a[v == value]) == 0.0
+
+    def test_all_equal(self):
+        for n, c in ((7, 0.2), (7, 1.0 / 7.0), (50, 0.5)):
+            a = assert_matches_oracle(np.full(n, 3.0), c)
+            assert a == pytest.approx(np.full(n, 1.0 / n), abs=1e-12)
+
+    def test_optimality_conditions(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            c = 1.0 / (n * rng.uniform(0.05, 1.0))
+            v = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            theta = box_simplex_threshold(v, c)
+            a = project_box_simplex(v, c)
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(v))))
+            zero, capped = v <= theta, v >= theta + c
+            free = ~(zero | capped)
+            assert np.all(a[zero] == 0.0)
+            assert np.all(np.abs(a[capped] - c) <= tol)
+            assert np.all(np.abs(a[free] - (v[free] - theta)) <= tol)
+            assert abs(a.sum() - 1.0) <= 1e-12 * n
+
 
 class TestOsvm:
     def test_nu_one_uniform(self):
@@ -150,10 +249,12 @@ class TestOsvm:
         data = make_dataset(rng.normal(size=(2, 7)))
         model = osvm_fit(data, nu=1.0, sigma=1.0)
         assert np.array_equal(model.alphas, np.full(7, 1.0 / 7.0))
+        assert model.converged
 
     def test_single_sample(self):
         model = osvm_fit(make_dataset([[0.3]]), nu=0.5, sigma=1.0)
         assert model.alphas == pytest.approx([1.0], abs=1e-12)
+        assert model.converged and model.iterations == 1
 
     def test_feasibility_and_uniform_bound(self):
         rng = np.random.default_rng(5)
@@ -198,6 +299,22 @@ class TestOsvm:
             )
             best = min(best, res.fun)
         assert osvm_dual_objective(model) == pytest.approx(best, abs=1e-6)
+
+    def test_sweep_fit_stops_unconverged_at_cap(self):
+        data, sigma = sweep_osvm_data(10)
+        model = osvm_fit(data, nu=0.1, sigma=sigma)
+        max_iters = inspect.signature(osvm_fit).parameters["max_iters"].default
+        assert not model.converged
+        assert model.iterations == max_iters
+
+    def test_sweep_fit_matches_bisection_oracle(self, monkeypatch):
+        data, sigma = sweep_osvm_data(10)
+        model = osvm_fit(data, nu=0.1, sigma=sigma)
+        # osvm_fit looks the projection up by its module-level name
+        monkeypatch.setattr(baselines, "project_box_simplex", bisection_projection)
+        oracle = osvm_fit(data, nu=0.1, sigma=sigma)
+        assert oracle.iterations == model.iterations
+        assert np.max(np.abs(model.alphas - oracle.alphas)) <= 1e-12
 
     def test_bad_nu(self):
         data = make_dataset([[0.0, 1.0]])
@@ -343,6 +460,15 @@ class TestKliep:
         _, trace = kliep_fit_with_trace(inl, test, tau=1.2, seed=1)
         assert len(trace) >= 2
         assert all(b >= a for a, b in zip(trace, trace[1:]))
+
+    def test_convergence_flags(self):
+        rng = np.random.default_rng(15)
+        inl = make_dataset(rng.normal(size=(2, 30)), "a")
+        test = make_dataset(rng.normal(size=(2, 25)) + 0.5, "b")
+        model = kliep_fit(inl, test, tau=1.2, seed=1)
+        assert model.converged and 1 <= model.iterations < 2000
+        capped = kliep_fit(inl, test, tau=1.2, max_iters=2, seed=1)
+        assert not capped.converged and capped.iterations == 2
 
     def test_bad_tau(self):
         data = make_dataset([[0.0, 1.0]])

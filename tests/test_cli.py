@@ -85,6 +85,22 @@ class TestFit:
     def test_bad_flag_exit2(self):
         assert cli.main(["fit", "--inliers", "x.csv"]) == cli.EXIT_USAGE
 
+    def test_unknown_label_exit2(self, workspace, tmp_path, capsys):
+        # a label of "Outlier" used to count as neither class
+        lines = read_lines(workspace / "test.csv")
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",Outlier"
+        bad = tmp_path / "test.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = cli.main([
+            "fit", "--inliers", str(workspace / "inliers.csv"), "--test", str(bad),
+            "--out", str(tmp_path / "m.json"),
+        ])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(bad) in err[0] and "row 4" in err[0] and "'Outlier'" in err[0]
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestScore:
     def test_tau_zero_flags_nothing(self, workspace, tmp_path):
@@ -300,6 +316,21 @@ class TestConfig:
         out = tmp_path / "data"
         assert cli.main(["--config", str(cfg), "synth", "--out-dir", str(out)]) == cli.EXIT_OK
         assert len(read_lines(out / "inliers.csv")) == 26
+
+    def test_config_equals_form(self, tmp_path):
+        # --config=PATH used to exit 0 and ignore the file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n-inlier": 25, "d": 4}))
+        out = tmp_path / "data"
+        assert cli.main([f"--config={cfg}", "synth", "--out-dir", str(out)]) == cli.EXIT_OK
+        assert len(read_lines(out / "inliers.csv")) == 26
+
+    def test_config_leaves_other_commands_flags_alone(self, tmp_path):
+        # a key that only another command defines is not added to this one
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n-inlier": 25, "trials": 3}))
+        args = cli._parse(["--config", str(cfg), "synth"])
+        assert args.n_inlier == 25 and not hasattr(args, "trials")
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -9,7 +9,7 @@ from ratioscope.data import (
     pool,
     save_csv,
 )
-from ratioscope.errors import DimensionMismatch, TooFewSamples
+from ratioscope.errors import DimensionMismatch, InvalidLabel, TooFewSamples
 
 
 def make_dataset(features, prefix="s"):
@@ -143,6 +143,22 @@ class TestCsv:
         assert np.array_equal(loaded.features, data.features)
         assert loaded.feature_names == data.feature_names
         assert labels == ["inlier", "inlier", "outlier", "inlier"]
+
+    def test_unknown_label_names_file_row_and_value(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("f0,label\n1.0,inlier\n2.0, outlier \n3.0,Outlier\n")
+        with pytest.raises(InvalidLabel, match=r"d\.csv: row 4 has label 'Outlier'"):
+            load_csv(path)
+
+    def test_error_row_counts_blank_lines(self, tmp_path):
+        # rows are numbered as lines of the file, blank lines included
+        path = tmp_path / "d.csv"
+        path.write_text("f0,label\n\n1.0,inlier\n\n2.0,Outlier\n3.0\n")
+        with pytest.raises(InvalidLabel, match="row 5 has label"):
+            load_csv(path)
+        path.write_text("f0,label\n\n1.0,inlier\n\n3.0\n")
+        with pytest.raises(DimensionMismatch, match="row 5 has 1 fields"):
+            load_csv(path)
 
     def test_no_label_column(self, tmp_path):
         data = make_dataset([[1.0, 2.0]])

@@ -202,9 +202,7 @@ def osvm_fit(
 
 def osvm_score(model: KernelModel, query: Dataset) -> ScoreSet:
     """Decision value sum_k alpha_k K(x_k, x); no offset (ranking only)."""
-    phi = gauss_design(query.features, model.centers, model.sigma2)
-    scores = np.maximum(phi @ model.alphas, SCORE_FLOOR)
-    return ScoreSet(sample_ids=query.sample_ids, scores=scores)
+    return kernel_model_score(model, query)
 
 
 def osvm_dual_objective(model: KernelModel) -> float:
@@ -413,12 +411,9 @@ def rulsif_fit(
     return KernelModel(centers=centers, alphas=alpha, sigma2=sigma2, kind=kind)
 
 
-def kernel_model_score(
-    model: KernelModel, query: Dataset, clamp_nonneg: bool = True
-) -> ScoreSet:
-    """Evaluate sum_l alpha_l kernel(x, c_l) at the query points."""
+def kernel_model_score(model: KernelModel, query: Dataset) -> ScoreSet:
+    """Evaluate sum_l alpha_l kernel(x, c_l) at the query points,
+    floored at SCORE_FLOOR."""
     phi = gauss_design(query.features, model.centers, model.sigma2)
-    scores = phi @ model.alphas
-    floor = SCORE_FLOOR if clamp_nonneg else 1e-300
-    scores = np.maximum(scores, floor)
+    scores = np.maximum(phi @ model.alphas, SCORE_FLOOR)
     return ScoreSet(sample_ids=query.sample_ids, scores=scores)

@@ -22,7 +22,7 @@ from .data import (
     pool,
     save_csv,
 )
-from .errors import RatioscopeError
+from .errors import RatioscopeError, SolverFailure
 from .evaluation import auc, roc_curve
 from .scores import (
     detect,
@@ -41,7 +41,7 @@ EXIT_USAGE = 2
 CONST_FEATURE = "__const__"
 
 
-class UsageError(Exception):
+class UsageError(RatioscopeError):
     pass
 
 
@@ -69,14 +69,11 @@ def _load_pair(args):
 
 
 def _hyperparams(args) -> llr.LlrHyperparams:
-    sigma2 = args.sigma2
-    if isinstance(sigma2, str) and sigma2 != llr.SIGMA2_AUTO:
-        sigma2 = float(sigma2)
     return llr.LlrHyperparams(
         lambda1=args.lambda1,
         lambda2=args.lambda2,
         k_neighbors=args.k,
-        sigma2=sigma2,
+        sigma2=args.sigma2,
         epsilon=args.epsilon,
         outer_max_iters=args.max_outer,
         outer_rel_tol=args.tol,
@@ -103,10 +100,8 @@ def cmd_fit(args) -> int:
     inliers, test, _, stats = _load_pair(args)
     hp = _hyperparams(args)
     pooled = pool(inliers, test)
-    sigma2 = llr.resolve_sigma2(pooled, hp)
-    graph = llr.build_graph(pooled, llr.with_sigma2(hp, sigma2))
-    result = llr.fit_pooled(pooled, hp, graph=graph)
-    llr.save_model(args.out, result, pooled, hp, sigma2, stats)
+    result = llr.fit_pooled(pooled, hp)
+    llr.save_model(args.out, result, pooled, hp, stats)
     print(
         f"final objective {result.objective_trace[-1]:.6f} "
         f"after {result.iterations} iterations "
@@ -228,17 +223,21 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def auto_or_float(text: str) -> float | str:
+    """argparse type of --sigma2; its ValueError becomes a usage error."""
+    return text if text == llr.SIGMA2_AUTO else float(text)
+
+
 def _add_llr_flags(p):
-    p.add_argument("--lambda1", type=float, default=0.1)
-    p.add_argument("--lambda2", type=float, default=1.0)
-    p.add_argument("--k", type=int, default=7)
-    p.add_argument("--sigma2", default=llr.SIGMA2_AUTO)
-    p.add_argument("--epsilon", type=float, default=1e-10)
-    p.add_argument("--max-outer", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
+    """Flags shared by fit and bench; defaults from llr.LlrHyperparams."""
+    hp = llr.LlrHyperparams
+    p.add_argument("--lambda1", type=float, default=hp.lambda1)
+    p.add_argument("--lambda2", type=float, default=hp.lambda2)
+    p.add_argument("--k", type=int, default=hp.k_neighbors)
+    p.add_argument("--epsilon", type=float, default=hp.epsilon)
+    p.add_argument("--max-outer", type=int, default=hp.outer_max_iters)
+    p.add_argument("--tol", type=float, default=hp.outer_rel_tol)
     p.add_argument("--no-standardize", action="store_true")
-    p.add_argument("--intercept", action="store_true",
-                   help="append a constant-1 feature (excluded from explanations)")
 
 
 def _config_parser() -> argparse.ArgumentParser:
@@ -272,6 +271,9 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--out", default="model.json")
     _add_llr_flags(p)
+    p.add_argument("--sigma2", type=auto_or_float, default=llr.LlrHyperparams.sigma2)
+    p.add_argument("--intercept", action="store_true",
+                   help="append a constant-1 feature (excluded from explanations)")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("score", help="score samples with a fitted model")
@@ -300,11 +302,11 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
                    help="CSV with label column; resplit per trial instead of synthetic data")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--dump-scores", default=None)
-    p.add_argument("--lof-k", type=int, default=10)
-    p.add_argument("--osvm-nu", type=float, default=0.1)
-    p.add_argument("--l1lr-lambda", type=float, default=0.1)
-    p.add_argument("--ulsif-nu", type=float, default=0.1)
-    p.add_argument("--rulsif-beta", type=float, default=0.5)
+    p.add_argument("--lof-k", type=int, default=harness.DEFAULT_PARAMS["lof_k"])
+    p.add_argument("--osvm-nu", type=float, default=harness.DEFAULT_PARAMS["osvm_nu"])
+    p.add_argument("--l1lr-lambda", type=float, default=harness.DEFAULT_PARAMS["l1lr_lambda"])
+    p.add_argument("--ulsif-nu", type=float, default=harness.DEFAULT_PARAMS["ulsif_nu"])
+    p.add_argument("--rulsif-beta", type=float, default=harness.DEFAULT_PARAMS["rulsif_beta"])
     _add_llr_flags(p)
     p.set_defaults(func=cmd_bench)
 
@@ -319,10 +321,14 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
 
 def _read_config(argv) -> dict:
-    """First pass: find --config (--config PATH or --config=PATH) and
-    return its JSON object with flag names turned into dests."""
+    """First pass: find --config (--config PATH or --config=PATH) before
+    the command and return its JSON object with flag names turned into
+    dests.  After the command, --config is left to the full parser,
+    which rejects it."""
+    parser = _config_parser()
+    parser.add_argument("command_and_flags", nargs=argparse.REMAINDER)
     try:
-        known, _ = _config_parser().parse_known_args(argv)
+        known, _ = parser.parse_known_args(argv)
     except argparse.ArgumentError as exc:
         raise UsageError(str(exc)) from None
     if known.config is None:
@@ -350,24 +356,14 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parse(argv)
+        return args.func(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    except (UsageError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.func(args)
-    except (UsageError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RatioscopeError as exc:
-        # construction/validation errors are input problems; solver
-        # assertions are computational failures
-        from .errors import LineSearchFailure, NonDecrease, SingularSystem
-
-        if isinstance(exc, (LineSearchFailure, NonDecrease, SingularSystem)):
-            print(f"solver failure: {exc}", file=sys.stderr)
-            return EXIT_FAILURE
+    except SolverFailure as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    # UsageError is a RatioscopeError; JSONDecodeError is a ValueError
+    except (RatioscopeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

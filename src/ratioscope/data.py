@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidLabel, TooFewSamples
+from .errors import DimensionMismatch, InvalidLabel, MalformedCsv, TooFewSamples
 
 SCALE_FLOOR = 1e-8
 
@@ -172,6 +172,16 @@ def apply_standardizer(data: Dataset, stats: StandardizationStats) -> Dataset:
     )
 
 
+def parse_float(path, line: int, column: str, text: str) -> float:
+    """``float(text)``, or MalformedCsv naming the file, line and column."""
+    try:
+        return float(text)
+    except ValueError:
+        raise MalformedCsv(
+            f"{path}: line {line}, column {column!r}: {text!r} is not a number"
+        ) from None
+
+
 def load_csv(path, id_prefix: str = "") -> tuple[Dataset, list[str] | None]:
     """Load a dataset from CSV (header row of feature names, one sample
     per row).  A trailing column named "label" with values
@@ -201,7 +211,11 @@ def load_csv(path, id_prefix: str = "") -> tuple[Dataset, list[str] | None]:
                 )
             labels.append(label)
             row = row[:-1]
-        values.append([float(v) for v in row])
+        try:
+            values.append([float(v) for v in row])
+        except ValueError:
+            # parse again cell by cell to name the bad one
+            values.append([parse_float(path, line, n, v) for n, v in zip(names, row)])
     features = np.asarray(values, dtype=float).T
     ids = tuple(f"{id_prefix}s{i}" for i in range(features.shape[1]))
     return Dataset(features=features, feature_names=tuple(names), sample_ids=ids), labels

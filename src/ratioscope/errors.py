@@ -17,6 +17,10 @@ class InvalidLabel(RatioscopeError):
     """A label column holds a value other than inlier/outlier."""
 
 
+class MalformedCsv(RatioscopeError):
+    """A CSV file has a bad header, a row of the wrong length or a bad value."""
+
+
 class DegenerateData(RatioscopeError):
     """Data is degenerate (e.g. all points coincide)."""
 
@@ -25,11 +29,15 @@ class InvalidK(RatioscopeError):
     """Neighbor count is out of range for the sample count."""
 
 
-class LineSearchFailure(RatioscopeError):
+class SolverFailure(RatioscopeError):
+    """A numerical solver failed; the CLI exits 1 rather than 2."""
+
+
+class LineSearchFailure(SolverFailure):
     """No decreasing step exists at machine precision."""
 
 
-class NonDecrease(RatioscopeError):
+class NonDecrease(SolverFailure):
     """Internal assertion: objective trace increased beyond slack."""
 
 
@@ -53,7 +61,7 @@ class InfeasibleNu(RatioscopeError):
     """One-class SVM nu makes the dual infeasible."""
 
 
-class SingularSystem(RatioscopeError):
+class SingularSystem(SolverFailure):
     """Unregularized linear system is rank-deficient."""
 
 

@@ -74,32 +74,21 @@ def roc_auc(points: np.ndarray) -> float:
     return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
 
 
-def welch_ttest(a, b, paired: bool = False) -> float:
-    """Two-sided p-value; Welch-Satterthwaite df by default, paired
-    Student's t on differences when ``paired`` is set."""
+def welch_ttest(a, b) -> float:
+    """Two-sided p-value of Welch's t-test (Welch-Satterthwaite df)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if len(a) < 2 or len(b) < 2:
         raise TooFewSamples("t-test needs at least 2 values per sample")
-    if paired:
-        if len(a) != len(b):
-            raise TooFewSamples("paired t-test needs equal-length samples")
-        diff = a - b
-        vd = diff.var(ddof=1)
-        if vd == 0:
-            return 1.0 if diff.mean() == 0 else 0.0
-        t = diff.mean() / np.sqrt(vd / len(diff))
-        df = len(diff) - 1
-    else:
-        va = a.var(ddof=1)
-        vb = b.var(ddof=1)
-        if va == 0 and vb == 0:
-            return 1.0 if a.mean() == b.mean() else 0.0
-        se2 = va / len(a) + vb / len(b)
-        t = (a.mean() - b.mean()) / np.sqrt(se2)
-        df = se2**2 / (
-            (va / len(a)) ** 2 / (len(a) - 1) + (vb / len(b)) ** 2 / (len(b) - 1)
-        )
+    va = a.var(ddof=1)
+    vb = b.var(ddof=1)
+    if va == 0 and vb == 0:
+        return 1.0 if a.mean() == b.mean() else 0.0
+    se2 = va / len(a) + vb / len(b)
+    t = (a.mean() - b.mean()) / np.sqrt(se2)
+    df = se2**2 / (
+        (va / len(a)) ** 2 / (len(a) - 1) + (vb / len(b)) ** 2 / (len(b) - 1)
+    )
     # two-sided tail via the regularized incomplete beta
     return float(special.betainc(df / 2.0, 0.5, df / (df + t * t)))
 

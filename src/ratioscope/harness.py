@@ -34,13 +34,11 @@ DEFAULT_BENCH_METHODS = ("llr", "kde", "lof", "osvm", "l1lr", "kliep", "ulsif")
 
 THREADS_ENV = "RATIO_SCOPE_THREADS"
 
+# bench params passed to llr.LlrHyperparams under the same names
+LLR_PARAMS = ("lambda1", "lambda2", "k_neighbors", "epsilon", "outer_max_iters", "outer_rel_tol")
+
 DEFAULT_PARAMS = {
-    "lambda1": 0.1,
-    "lambda2": 1.0,
-    "k_neighbors": 7,
-    "epsilon": 1e-10,
-    "outer_max_iters": 100,
-    "outer_rel_tol": 1e-6,
+    **{name: getattr(llr.LlrHyperparams, name) for name in LLR_PARAMS},
     "lof_k": 10,
     "osvm_nu": 0.1,
     "l1lr_lambda": 0.1,
@@ -66,17 +64,10 @@ def run_method(
     """Run one detector and return test-sample scores with labels."""
     pooled = pool(inliers, test)
     if method == "llr":
-        hp = llr.LlrHyperparams(
-            lambda1=params["lambda1"],
-            lambda2=params["lambda2"],
-            k_neighbors=min(params["k_neighbors"], pooled.m - 1),
-            epsilon=params["epsilon"],
-            outer_max_iters=params["outer_max_iters"],
-            outer_rel_tol=params["outer_rel_tol"],
-        )
+        # build_graph caps k_neighbors at m - 1
+        hp = llr.LlrHyperparams(**{name: params[name] for name in LLR_PARAMS})
         result = llr.fit_pooled(pooled, hp)
-        base = ratio_score(result.weights, pooled, which="test")
-        return ScoreSet(base.sample_ids, base.scores, tuple(labels))
+        return ratio_score(result.weights, pooled, which="test", labels=labels)
     if method == "kde":
         sigma = median_heuristic(inliers.features)
         s = baselines.kde_fit_score(inliers, test, sigma)
@@ -97,14 +88,14 @@ def run_method(
     elif method == "kliep":
         tau = median_heuristic(pooled.features)
         model = baselines.kliep_fit(inliers, test, tau, seed=seed)
-        s = baselines.kernel_model_score(model, test, clamp_nonneg=True)
+        s = baselines.kernel_model_score(model, test)
     elif method in ("ulsif", "rulsif"):
         sigma = median_heuristic(pooled.features)
         beta = 1.0 if method == "ulsif" else params["rulsif_beta"]
         model = baselines.rulsif_fit(
             inliers, test, beta, params["ulsif_nu"], sigma, seed=seed
         )
-        s = baselines.kernel_model_score(model, test, clamp_nonneg=True)
+        s = baselines.kernel_model_score(model, test)
     else:
         raise ValueError(f"unknown method {method!r}")
     return ScoreSet(s.sample_ids, s.scores, tuple(labels))
@@ -207,16 +198,8 @@ def run_bench(
                 out[method] = (None, None)
         return dim, trial, out
 
-    n_threads = default_thread_count(threads)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool_:
-            for dim, trial, out in pool_.map(lambda t: run_one(*t), tasks):
-                for method, (value, s) in out.items():
-                    results[(dim, trial, method)] = value
-                    _maybe_dump(dump_scores_dir, dim, trial, method, s)
-    else:
-        for dim, trial in tasks:
-            dim, trial, out = run_one(dim, trial)
+    with ThreadPoolExecutor(max_workers=default_thread_count(threads)) as pool_:
+        for dim, trial, out in pool_.map(lambda t: run_one(*t), tasks):
             for method, (value, s) in out.items():
                 results[(dim, trial, method)] = value
                 _maybe_dump(dump_scores_dir, dim, trial, method, s)

@@ -26,7 +26,7 @@ B0 W^T, and Cg = B0^T diag(a) B0 for edge weights a.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -387,14 +387,13 @@ def solve_inner(
     return WeightMatrix(values=np.ascontiguousarray(W.T))
 
 
-def resolve_sigma2(pooled: PooledDataset, hp: LlrHyperparams) -> float:
-    if hp.sigma2 == SIGMA2_AUTO:
-        return median_heuristic(pooled.features) ** 2
-    return float(hp.sigma2)
-
-
 def build_graph(pooled: PooledDataset, hp: LlrHyperparams) -> SimilarityGraph:
-    sigma2 = resolve_sigma2(pooled, hp)
+    """kNN graph with bandwidth hp.sigma2, or the squared median
+    pairwise distance when it is "auto"; the graph records the value."""
+    if hp.sigma2 == SIGMA2_AUTO:
+        sigma2 = median_heuristic(pooled.features) ** 2
+    else:
+        sigma2 = float(hp.sigma2)
     K = min(hp.k_neighbors, pooled.m - 1)
     return knn_graph(pooled.features, K, sigma2)
 
@@ -451,9 +450,9 @@ def save_model(
     result: FitResult,
     pooled: PooledDataset,
     hp: LlrHyperparams,
-    sigma2: float,
     stats: StandardizationStats | None,
 ) -> None:
+    """Write the fitted weights with the bandwidth the fit's graph used."""
     doc = {
         "feature_names": list(pooled.feature_names),
         "n_inlier": pooled.n_inlier,
@@ -461,7 +460,7 @@ def save_model(
         "lambda1": hp.lambda1,
         "lambda2": hp.lambda2,
         "k_neighbors": hp.k_neighbors,
-        "sigma2": sigma2,
+        "sigma2": result.graph.sigma2,
         "epsilon": hp.epsilon,
         "weights": [float(v) for v in result.weights.values.ravel(order="C")],
         "objective_trace": list(result.objective_trace),
@@ -487,7 +486,3 @@ def load_model(path) -> dict:
             scale=np.asarray(std["scale"], dtype=float),
         )
     return doc
-
-
-def with_sigma2(hp: LlrHyperparams, sigma2: float) -> LlrHyperparams:
-    return replace(hp, sigma2=sigma2)

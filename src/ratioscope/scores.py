@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LABEL_INLIER, LABEL_OUTLIER, PooledDataset
-from .errors import DimensionMismatch, NegativeThreshold, UnknownSample
+from .data import LABEL_INLIER, LABEL_OUTLIER, PooledDataset, parse_float
+from .errors import DimensionMismatch, MalformedCsv, NegativeThreshold, UnknownSample
 from .llr import WeightMatrix
 
 EXP_CLAMP = 500.0
@@ -132,15 +132,27 @@ def save_scores_csv(path, scores: ScoreSet, decisions=None) -> None:
 
 
 def load_scores_csv(path) -> tuple[ScoreSet, tuple[str, ...] | None]:
-    """Read a scores CSV back; returns (ScoreSet, decisions or None)."""
+    """Read a scores CSV back; returns (ScoreSet, decisions or None).
+    Malformed input raises an error naming the file and line."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    header = rows[0]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
+    if not rows:
+        raise MalformedCsv(f"{path}: empty file, expected a header row")
+    header = rows[0][1]
     cols = {name: k for k, name in enumerate(header)}
+    for name in ("sample_id", "score"):
+        if name not in cols:
+            raise MalformedCsv(f"{path}: line {rows[0][0]}: header has no {name!r} column")
     ids, scores, labels, decisions = [], [], [], []
-    for row in rows[1:]:
+    for line, row in rows[1:]:
+        if len(row) != len(header):
+            raise MalformedCsv(f"{path}: line {line} has {len(row)} fields, expected {len(header)}")
         ids.append(row[cols["sample_id"]])
-        scores.append(float(row[cols["score"]]))
+        score = parse_float(path, line, "score", row[cols["score"]])
+        if not (np.isfinite(score) and score > 0):
+            raise MalformedCsv(f"{path}: line {line}: score {score!r} is not positive and finite")
+        scores.append(score)
         if "label" in cols:
             labels.append(row[cols["label"]])
         if "decision" in cols:

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from ratioscope import cli, harness
+from ratioscope import cli, harness, llr
 from ratioscope.evaluation import auc
 from ratioscope.scores import load_scores_csv
 
@@ -100,6 +100,46 @@ class TestFit:
         assert len(err) == 1 and err[0].startswith("error:")
         assert str(bad) in err[0] and "row 4" in err[0] and "'Outlier'" in err[0]
         assert not (tmp_path / "m.json").exists()
+
+    def test_non_numeric_cell_exit2(self, workspace, tmp_path, capsys):
+        # used to print only "could not convert string to float: 'abc'"
+        lines = read_lines(workspace / "test.csv")
+        cells = lines[2].split(",")
+        cells[1] = "abc"
+        lines[2] = ",".join(cells)
+        bad = tmp_path / "test.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = cli.main([
+            "fit", "--inliers", str(workspace / "inliers.csv"), "--test", str(bad),
+            "--out", str(tmp_path / "m.json"),
+        ])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        column = lines[0].split(",")[1]
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(bad) in err[0] and "line 3" in err[0]
+        assert repr(column) in err[0] and "'abc'" in err[0]
+
+    def test_out_is_directory_exit2(self, workspace, tmp_path, capsys):
+        # IsADirectoryError used to end in a traceback with exit 1
+        code = cli.main([
+            "fit", "--inliers", str(workspace / "inliers.csv"),
+            "--test", str(workspace / "test.csv"), "--out", str(tmp_path),
+            "--max-outer", "1",
+        ])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_flag_defaults_are_the_hyperparams_defaults(self):
+        args = cli.build_parser().parse_args(["fit", "--inliers", "a", "--test", "b"])
+        assert cli._hyperparams(args) == llr.LlrHyperparams()
+
+    def test_sigma2_parsed_by_argparse(self):
+        args = cli.build_parser().parse_args(
+            ["fit", "--inliers", "a", "--test", "b", "--sigma2", "2"])
+        assert args.sigma2 == 2.0
+        assert cli.main(["fit", "--inliers", "a", "--test", "b", "--sigma2", "abc"]) == cli.EXIT_USAGE
 
 
 class TestScore:
@@ -203,6 +243,27 @@ class TestEval:
             fh.write("sample_id,score\ns0,1.0\n")
         assert cli.main(["eval", "--scores", str(path)]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("text, where", [
+        ("sample_id,label\ns0,inlier\n", "line 1"),  # no score column
+        ("", "empty file"),
+        ("sample_id,score,label\ns0,1.0,inlier\ns1,2.0\n", "line 3"),  # short row
+        ("sample_id,score,label\ns0,abc,inlier\n", "line 2"),
+        ("sample_id,score,label\ns0,-1.0,inlier\n", "line 2"),
+    ])
+    def test_malformed_scores_exit2(self, tmp_path, capsys, text, where):
+        # the first three used to end in a KeyError/IndexError traceback
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        assert cli.main(["eval", "--scores", str(path)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(path) in err[0] and where in err[0]
+
+    def test_scores_is_directory_exit2(self, tmp_path, capsys):
+        assert cli.main(["eval", "--scores", str(tmp_path)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_matches_library_auc(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         rows = [(float(v), lab) for v, lab in zip(
@@ -239,6 +300,26 @@ class TestBench:
         _, b = self._run(tmp_path, "b.json", ("--threads", "1"))
         _, c = self._run(tmp_path, "c.json", ("--threads", "8"))
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+    def test_default_params_reach_run_bench(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def fake_run_bench(dims, trials, methods, seed, params, **_):
+            seen.update(params)
+            return {"per_dim": []}, [], 0
+
+        monkeypatch.setattr(harness, "run_bench", fake_run_bench)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["bench"]) == cli.EXIT_OK
+        assert seen == harness.DEFAULT_PARAMS
+
+    @pytest.mark.parametrize("flag", [["--sigma2", "2"], ["--intercept"]])
+    def test_fit_only_flags_exit2(self, tmp_path, flag):
+        # both used to be accepted and ignored
+        code = cli.main(["bench", "--methods", "kde", "--dims", "4", "--trials", "1",
+                         "--out", str(tmp_path / "r.json"), *flag])
+        assert code == cli.EXIT_USAGE
+        assert not (tmp_path / "r.json").exists()
 
     def test_unknown_method_exit2(self, tmp_path):
         code = cli.main([
@@ -351,6 +432,16 @@ class TestConfig:
         assert cli.main(["--config"]) == cli.EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_config_after_command_is_unrecognized(self, tmp_path, capsys, exists):
+        # a missing file used to report "No such file" instead
+        cfg = tmp_path / "cfg.json"
+        if exists:
+            cfg.write_text(json.dumps({"n-inlier": 25}))
+        code = cli.main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_USAGE
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
     def test_config_not_an_object_exit2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

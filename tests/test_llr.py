@@ -441,7 +441,6 @@ class TestFit:
 
     def test_model_roundtrip(self, tmp_path):
         from ratioscope.data import fit_standardizer
-        from ratioscope.llr import resolve_sigma2
 
         inliers, test, _ = generate(
             SynthSpec(d=3, n_inlier=15, n_test_inlier=8, n_test_outlier=2, seed=2)
@@ -451,8 +450,9 @@ class TestFit:
         result = fit_pooled(pooled, hp)
         stats = fit_standardizer(inliers)
         path = tmp_path / "model.json"
-        save_model(path, result, pooled, hp, resolve_sigma2(pooled, hp), stats)
+        save_model(path, result, pooled, hp, stats)
         doc = load_model(path)
+        assert doc["sigma2"] == result.graph.sigma2
         assert doc["feature_names"] == list(pooled.feature_names)
         assert doc["n_inlier"] == pooled.n_inlier
         assert doc["n_test"] == pooled.n_test

@@ -28,6 +28,7 @@ from .scores import EXP_CLAMP, ScoreSet
 SCORE_FLOOR = 1e-12
 DIST_FLOOR = 1e-12
 DEFAULT_BASIS = 100
+_OSVM_KKT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,6 @@ class KernelModel:
     centers: np.ndarray
     alphas: np.ndarray
     sigma2: float
-    kind: str
     converged: bool = True
     iterations: int = 0
 
@@ -159,15 +159,15 @@ def project_box_simplex(v: np.ndarray, c: float) -> np.ndarray:
 
 
 def osvm_fit(
-    samples: Dataset,
+    samples: Dataset | PooledDataset,
     nu: float,
     sigma: float,
     max_iters: int = 5000,
-    kkt_tol: float = 1e-6,
 ) -> KernelModel:
-    """Solve the one-class SVM dual by projected gradient descent.
+    """Solve the one-class SVM dual by projected gradient descent; the
+    model's kernel_model_score is the decision value without offset.
 
-    Stops when a step moves no alpha by more than kkt_tol * step;
+    Stops when a step moves no alpha by more than _OSVM_KKT_TOL * step;
     ``converged`` is False when it stops at max_iters instead.
     """
     if not 0 < nu <= 1:
@@ -181,7 +181,7 @@ def osvm_fit(
     if abs(c * n - 1.0) < 1e-15:
         # nu = 1: the box meets the simplex at the single point alpha = 1/n
         alpha = np.full(n, c)
-        return KernelModel(centers=X, alphas=alpha, sigma2=sigma**2, kind="osvm")
+        return KernelModel(centers=X, alphas=alpha, sigma2=sigma**2)
     L = float(np.linalg.eigvalsh(K)[-1])
     step = 1.0 / max(L, 1e-12)
     alpha = project_box_simplex(np.full(n, 1.0 / n), c)
@@ -190,19 +190,14 @@ def osvm_fit(
     for iterations in range(1, max_iters + 1):
         g = K @ alpha
         alpha_new = project_box_simplex(alpha - step * g, c)
-        converged = bool(np.max(np.abs(alpha_new - alpha)) <= kkt_tol * step)
+        converged = bool(np.max(np.abs(alpha_new - alpha)) <= _OSVM_KKT_TOL * step)
         alpha = alpha_new
         if converged:
             break
     return KernelModel(
-        centers=X, alphas=alpha, sigma2=sigma**2, kind="osvm",
+        centers=X, alphas=alpha, sigma2=sigma**2,
         converged=converged, iterations=iterations,
     )
-
-
-def osvm_score(model: KernelModel, query: Dataset) -> ScoreSet:
-    """Decision value sum_k alpha_k K(x_k, x); no offset (ranking only)."""
-    return kernel_model_score(model, query)
 
 
 def osvm_dual_objective(model: KernelModel) -> float:
@@ -285,22 +280,9 @@ def kliep_fit(
 
     Log-likelihood runs over the numerator (inlier) samples; the mean
     of the model over the denominator (test) samples is renormalized to
-    1 after every step, and alpha stays entrywise nonnegative.  Use
-    kliep_fit_with_trace to also get the ascent objective trace.
+    1 after every step, and alpha stays entrywise nonnegative.  Every
+    accepted step keeps or raises the log-likelihood.
     """
-    model, _ = kliep_fit_with_trace(inliers, test, tau, max_iters, tol, b, seed)
-    return model
-
-
-def kliep_fit_with_trace(
-    inliers: Dataset,
-    test: Dataset,
-    tau: float,
-    max_iters: int = 2000,
-    tol: float = 1e-7,
-    b: int = DEFAULT_BASIS,
-    seed: int = 0,
-):
     if tau <= 0:
         raise ValueError("tau must be positive")
     centers = _subsample_centers(inliers.features, min(b, inliers.m), seed)
@@ -322,7 +304,6 @@ def kliep_fit_with_trace(
 
     alpha = normalize(np.ones(centers.shape[1]))
     f = objective(alpha)
-    trace = [f]
     eta = 1.0
     n_nu = inliers.m
     de_mean = phi_de.mean(axis=0)
@@ -345,18 +326,16 @@ def kliep_fit_with_trace(
             if f_cand >= f:
                 improved = f_cand > f + tol * (1.0 + abs(f))
                 alpha, f = cand, f_cand
-                trace.append(f)
                 eta *= 1.5
                 break
             eta *= 0.5
         if not improved:
             converged = True
             break
-    model = KernelModel(
-        centers=centers, alphas=alpha, sigma2=sigma2, kind="kliep",
+    return KernelModel(
+        centers=centers, alphas=alpha, sigma2=sigma2,
         converged=converged, iterations=iterations,
     )
-    return model, trace
 
 
 def kliep_constraint_value(model: KernelModel, test: Dataset) -> float:
@@ -403,12 +382,8 @@ def rulsif_fit(
         ) from exc
     residual = np.linalg.norm(A @ alpha - h)
     if residual > 1e-8 * max(np.linalg.norm(h), 1e-300):
-        alpha = np.linalg.solve(A, h)
-        residual = np.linalg.norm(A @ alpha - h)
-        if residual > 1e-8 * max(np.linalg.norm(h), 1e-300):
-            raise SingularSystem("linear solve failed to reach residual tolerance")
-    kind = "ulsif" if beta == 1.0 else "rulsif"
-    return KernelModel(centers=centers, alphas=alpha, sigma2=sigma2, kind=kind)
+        raise SingularSystem("linear solve failed to reach residual tolerance")
+    return KernelModel(centers=centers, alphas=alpha, sigma2=sigma2)
 
 
 def kernel_model_score(model: KernelModel, query: Dataset) -> ScoreSet:

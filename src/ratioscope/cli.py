@@ -54,30 +54,34 @@ def _augment_intercept(data: Dataset) -> Dataset:
     )
 
 
-def _load_pair(args):
+def _load_pair(args, intercept: bool):
+    """The --inliers and --test CSVs, with the constant feature if ``intercept``."""
     inliers, _ = load_csv(args.inliers, id_prefix="in-")
     test, test_labels = load_csv(args.test, id_prefix="te-")
-    if args.intercept:
-        inliers = _augment_intercept(inliers)
-        test = _augment_intercept(test)
-    stats = None
-    if not args.no_standardize:
-        stats = fit_standardizer(inliers)
-        inliers = apply_standardizer(inliers, stats)
-        test = apply_standardizer(test, stats)
-    return inliers, test, test_labels, stats
+    if intercept:
+        inliers, test = _augment_intercept(inliers), _augment_intercept(test)
+    return inliers, test, test_labels
+
+
+def _standardized(inliers: Dataset, test: Dataset, stats):
+    if stats is None:
+        return inliers, test
+    return apply_standardizer(inliers, stats), apply_standardizer(test, stats)
+
+
+# the parameters whose flag dest is not the parameter's own name
+_FLAG_DEST = {"k_neighbors": "k", "outer_max_iters": "max_outer", "outer_rel_tol": "tol"}
+# every bench parameter but "standardize" has a flag (--no-standardize inverts it)
+_BENCH_FLAG_PARAMS = tuple(name for name in harness.DEFAULT_PARAMS if name != "standardize")
+
+
+def _params(args, names) -> dict:
+    """Parameter name -> parsed flag value for each of ``names``."""
+    return {name: getattr(args, _FLAG_DEST.get(name, name)) for name in names}
 
 
 def _hyperparams(args) -> llr.LlrHyperparams:
-    return llr.LlrHyperparams(
-        lambda1=args.lambda1,
-        lambda2=args.lambda2,
-        k_neighbors=args.k,
-        sigma2=args.sigma2,
-        epsilon=args.epsilon,
-        outer_max_iters=args.max_outer,
-        outer_rel_tol=args.tol,
-    )
+    return llr.LlrHyperparams(sigma2=args.sigma2, **_params(args, harness.LLR_PARAMS))
 
 
 def cmd_synth(args) -> int:
@@ -97,9 +101,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    inliers, test, _, stats = _load_pair(args)
+    inliers, test, _ = _load_pair(args, args.intercept)
+    stats = None if args.no_standardize else fit_standardizer(inliers)
     hp = _hyperparams(args)
-    pooled = pool(inliers, test)
+    pooled = pool(*_standardized(inliers, test, stats))
     result = llr.fit_pooled(pooled, hp)
     llr.save_model(args.out, result, pooled, hp, stats)
     print(
@@ -112,21 +117,14 @@ def cmd_fit(args) -> int:
 
 def cmd_score(args) -> int:
     model = llr.load_model(args.model)
-    inliers, _ = load_csv(args.inliers, id_prefix="in-")
-    test, test_labels = load_csv(args.test, id_prefix="te-")
-    if model["feature_names"] and model["feature_names"][-1] == CONST_FEATURE:
-        inliers = _augment_intercept(inliers)
-        test = _augment_intercept(test)
+    intercept = model["feature_names"][-1:] == [CONST_FEATURE]
+    inliers, test, test_labels = _load_pair(args, intercept)
     if inliers.m != model["n_inlier"] or test.m != model["n_test"]:
         raise UsageError(
             "sample counts do not match the model "
             f"(expected {model['n_inlier']}+{model['n_test']})"
         )
-    stats = model.get("standardizer")
-    if stats is not None:
-        inliers = apply_standardizer(inliers, stats)
-        test = apply_standardizer(test, stats)
-    pooled = pool(inliers, test)
+    pooled = pool(*_standardized(inliers, test, model.get("standardizer")))
     weights = llr.WeightMatrix(values=model["weights"])
     labels = tuple(test_labels) if (test_labels and args.which == "test") else None
     scores = ratio_score(weights, pooled, which=args.which, labels=labels)
@@ -154,9 +152,6 @@ def cmd_score(args) -> int:
 
 def cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in harness.METHODS:
-            raise UsageError(f"unknown method {m!r}; choose from {harness.METHODS}")
     dims = [int(v) for v in args.dims.split(",") if v.strip()]
     dataset = dataset_labels = None
     dataset_name = "synthetic"
@@ -165,20 +160,8 @@ def cmd_bench(args) -> int:
         if dataset_labels is None:
             raise UsageError("benchmark dataset CSV needs a label column")
         dataset_name = args.dataset
-    params = {
-        "lambda1": args.lambda1,
-        "lambda2": args.lambda2,
-        "k_neighbors": args.k,
-        "epsilon": args.epsilon,
-        "outer_max_iters": args.max_outer,
-        "outer_rel_tol": args.tol,
-        "lof_k": args.lof_k,
-        "osvm_nu": args.osvm_nu,
-        "l1lr_lambda": args.l1lr_lambda,
-        "ulsif_nu": args.ulsif_nu,
-        "rulsif_beta": args.rulsif_beta,
-        "standardize": not args.no_standardize,
-    }
+    params = {**_params(args, _BENCH_FLAG_PARAMS), "standardize": not args.no_standardize}
+    llr.LlrHyperparams(**_params(args, harness.LLR_PARAMS))  # a bad value exits 2
     doc, sweep_rows, n_failures = harness.run_bench(
         dims,
         args.trials,
@@ -228,15 +211,13 @@ def auto_or_float(text: str) -> float | str:
     return text if text == llr.SIGMA2_AUTO else float(text)
 
 
-def _add_llr_flags(p):
-    """Flags shared by fit and bench; defaults from llr.LlrHyperparams."""
-    hp = llr.LlrHyperparams
-    p.add_argument("--lambda1", type=float, default=hp.lambda1)
-    p.add_argument("--lambda2", type=float, default=hp.lambda2)
-    p.add_argument("--k", type=int, default=hp.k_neighbors)
-    p.add_argument("--epsilon", type=float, default=hp.epsilon)
-    p.add_argument("--max-outer", type=int, default=hp.outer_max_iters)
-    p.add_argument("--tol", type=float, default=hp.outer_rel_tol)
+def _add_param_flags(p, names):
+    """One flag per parameter in ``names``, whose harness.DEFAULT_PARAMS
+    value gives the flag's default and its type, plus --no-standardize."""
+    for name in names:
+        default = harness.DEFAULT_PARAMS[name]
+        flag = "--" + _FLAG_DEST.get(name, name).replace("_", "-")
+        p.add_argument(flag, type=type(default), default=default)
     p.add_argument("--no-standardize", action="store_true")
 
 
@@ -248,7 +229,8 @@ def _config_parser() -> argparse.ArgumentParser:
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """The full CLI parser; ``defaults`` (dest -> value) override the
-    built-in defaults of every subcommand."""
+    built-in defaults of every subcommand, and a default that its flag's
+    type rejects raises argparse.ArgumentError instead of exiting."""
     parser = argparse.ArgumentParser(
         prog="ratioscope",
         description="Inlier-based outlier detection with per-sample feature attribution",
@@ -258,9 +240,9 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic inlier/test CSVs")
     p.add_argument("--d", type=int, default=10)
-    p.add_argument("--n-inlier", type=int, default=200)
-    p.add_argument("--n-test-inlier", type=int, default=100)
-    p.add_argument("--n-outlier", type=int, default=10)
+    p.add_argument("--n-inlier", type=int, default=SynthSpec.n_inlier)
+    p.add_argument("--n-test-inlier", type=int, default=SynthSpec.n_test_inlier)
+    p.add_argument("--n-outlier", type=int, default=SynthSpec.n_test_outlier)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trial", type=int, default=0)
     p.add_argument("--out-dir", default=".")
@@ -270,7 +252,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--inliers", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--out", default="model.json")
-    _add_llr_flags(p)
+    _add_param_flags(p, harness.LLR_PARAMS)
     p.add_argument("--sigma2", type=auto_or_float, default=llr.LlrHyperparams.sigma2)
     p.add_argument("--intercept", action="store_true",
                    help="append a constant-1 feature (excluded from explanations)")
@@ -302,12 +284,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
                    help="CSV with label column; resplit per trial instead of synthetic data")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--dump-scores", default=None)
-    p.add_argument("--lof-k", type=int, default=harness.DEFAULT_PARAMS["lof_k"])
-    p.add_argument("--osvm-nu", type=float, default=harness.DEFAULT_PARAMS["osvm_nu"])
-    p.add_argument("--l1lr-lambda", type=float, default=harness.DEFAULT_PARAMS["l1lr_lambda"])
-    p.add_argument("--ulsif-nu", type=float, default=harness.DEFAULT_PARAMS["ulsif_nu"])
-    p.add_argument("--rulsif-beta", type=float, default=harness.DEFAULT_PARAMS["rulsif_beta"])
-    _add_llr_flags(p)
+    _add_param_flags(p, _BENCH_FLAG_PARAMS)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("eval", help="AUC/ROC report for a scores CSV")
@@ -315,41 +292,65 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
-    for p in sub.choices.values():
-        p.set_defaults(**(defaults or {}))
+    if defaults:
+        parser.exit_on_error = False
+        for p in sub.choices.values():
+            p.set_defaults(**defaults)
+            p.exit_on_error = False
     return parser
 
 
-def _read_config(argv) -> dict:
+def _read_config(argv) -> tuple[str | None, dict]:
     """First pass: find --config (--config PATH or --config=PATH) before
-    the command and return its JSON object with flag names turned into
-    dests.  After the command, --config is left to the full parser,
-    which rejects it."""
+    the command and return the path and its JSON object with flag names
+    turned into dests.  After the command, --config is left to the full
+    parser, which rejects it."""
     parser = _config_parser()
     parser.add_argument("command_and_flags", nargs=argparse.REMAINDER)
     try:
         known, _ = parser.parse_known_args(argv)
     except argparse.ArgumentError as exc:
         raise UsageError(str(exc)) from None
-    if known.config is None:
-        return {}
-    with open(known.config, encoding="utf-8") as fh:
-        config = json.load(fh)
+    path = known.config
+    if path is None:
+        return None, {}
+    with open(path, encoding="utf-8") as fh:
+        try:
+            config = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise UsageError(f"config file {path} is not JSON: {exc}") from None
     if not isinstance(config, dict):
-        raise UsageError(f"config file {known.config} must hold a JSON object")
-    return {k.replace("-", "_"): v for k, v in config.items()}
+        raise UsageError(f"config file {path} must hold a JSON object")
+    return path, {k.replace("-", "_"): v for k, v in config.items()}
+
+
+def _config_default(path, key, value, parsed):
+    """A config value as a flag default: true/false for a store_true
+    flag (whose parsed value is a bool), otherwise a number or string
+    made text, so that argparse converts it as it converts the flag."""
+    switch = isinstance(parsed, bool)
+    if switch == isinstance(value, bool) and isinstance(value, (int, float, str)):
+        return value if switch else str(value)
+    kind = "true or false" if switch else "a number or a string"
+    raise UsageError(f"config file {path}: {key!r} must be {kind}, got {json.dumps(value)}")
 
 
 def _parse(argv):
-    config = _read_config(argv)
+    path, config = _read_config(argv)
     args = build_parser().parse_args(argv)
     # second pass: config values become defaults of the chosen command's
     # own flags, so that explicit flags still win
     own = {
-        k: v for k, v in config.items()
+        k: _config_default(path, k, v, vars(args)[k]) for k, v in config.items()
         if k in vars(args) and k not in ("command", "config", "func")
     }
-    return build_parser(own).parse_args(argv) if own else args
+    if not own:
+        return args
+    try:
+        return build_parser(own).parse_args(argv)
+    except argparse.ArgumentError as exc:
+        # argv parsed once already, so the value at fault is the config's
+        raise UsageError(f"config file {path}: {exc}") from None
 
 
 def main(argv=None) -> int:

@@ -32,8 +32,6 @@ METHODS = ("llr", "kde", "lof", "osvm", "l1lr", "kliep", "ulsif", "rulsif")
 # what `ratioscope bench` runs when --methods is not given
 DEFAULT_BENCH_METHODS = ("llr", "kde", "lof", "osvm", "l1lr", "kliep", "ulsif")
 
-THREADS_ENV = "RATIO_SCOPE_THREADS"
-
 # bench params passed to llr.LlrHyperparams under the same names
 LLR_PARAMS = ("lambda1", "lambda2", "k_neighbors", "epsilon", "outer_max_iters", "outer_rel_tol")
 
@@ -75,13 +73,8 @@ def run_method(
         s = baselines.lof_score(inliers, test, min(params["lof_k"], inliers.m - 1))
     elif method == "osvm":
         sigma = median_heuristic(pooled.features)
-        merged = Dataset(
-            features=pooled.features,
-            feature_names=pooled.feature_names,
-            sample_ids=pooled.sample_ids,
-        )
-        model = baselines.osvm_fit(merged, params["osvm_nu"], sigma)
-        s = baselines.osvm_score(model, test)
+        model = baselines.osvm_fit(pooled, params["osvm_nu"], sigma)
+        s = baselines.kernel_model_score(model, test)
     elif method == "l1lr":
         model = baselines.l1lr_fit(pooled, params["l1lr_lambda"])
         s = baselines.l1lr_score(model, test, pooled.n_test, pooled.n_inlier)
@@ -145,12 +138,12 @@ def resplit_dataset(data: Dataset, labels, n_outliers: int, seed: int, trial: in
 
 
 def default_thread_count(requested: int | None) -> int:
-    if requested is not None and requested >= 1:
-        return requested
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    """``requested`` pool threads, or min(8, CPU count) when None."""
+    if requested is None:
+        return min(8, os.cpu_count() or 1)
+    if requested < 1:
+        raise ValueError(f"thread count must be at least 1, got {requested}")
+    return requested
 
 
 def run_bench(
@@ -170,6 +163,11 @@ def run_bench(
     Returns (results_doc, sweep_rows, n_failures).  A method failing on
     a trial records null for that AUC and processing continues.
     """
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    if trials < 1 or not dims or not methods:
+        raise ValueError("a bench run needs at least one trial, dimension and method")
     params = {**DEFAULT_PARAMS, **(params or {})}
     tasks = [(dim, trial) for dim in dims for trial in range(trials)]
     results: dict[tuple[int, int, str], float | None] = {}
@@ -250,9 +248,9 @@ def _maybe_dump(dump_dir, dim, trial, method, s: ScoreSet | None):
     save_scores_csv(path, s)
 
 
-def format_table(per_dim_entry, alpha: float = 0.05) -> str:
+def format_table(per_dim_entry) -> str:
     """Text table with '*' marking the best mean AUC and every method
-    statistically comparable to it (Welch p >= alpha)."""
+    statistically comparable to it (Welch p >= 0.05)."""
     methods = [m for m in per_dim_entry["methods"] if m["mean"] is not None]
     if not methods:
         return "(no successful trials)"
@@ -265,7 +263,7 @@ def format_table(per_dim_entry, alpha: float = 0.05) -> str:
             key = f"{best['name']}|{m['name']}"
             alt = f"{m['name']}|{best['name']}"
             p = pairwise.get(key, pairwise.get(alt))
-            starred = p is not None and p >= alpha
+            starred = p is not None and p >= 0.05
         mark = "*" if starred else " "
         lines.append(f"  {mark} {m['name']:<8s} {m['mean']:.3f} ({m['std']:.3f})")
     return "\n".join(lines)

@@ -76,12 +76,13 @@ class LlrHyperparams:
     inner_grad_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("regularization parameters must be nonnegative")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.outer_rel_tol <= 0 or self.inner_grad_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        # written so that NaN fails every test
+        if not (self.lambda1 >= 0 and self.lambda2 >= 0):
+            raise ValueError("regularization parameters must be nonnegative numbers")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be a positive number")
+        if not (self.outer_rel_tol > 0 and self.inner_grad_tol > 0):
+            raise ValueError("tolerances must be positive numbers")
         if self.outer_max_iters < 1 or self.inner_max_iters < 1:
             raise ValueError("iteration limits must be at least 1")
         if self.k_neighbors < 1:
@@ -462,27 +463,51 @@ def save_model(
         "k_neighbors": hp.k_neighbors,
         "sigma2": result.graph.sigma2,
         "epsilon": hp.epsilon,
-        "weights": [float(v) for v in result.weights.values.ravel(order="C")],
+        "weights": result.weights.values.ravel(order="C").tolist(),
         "objective_trace": list(result.objective_trace),
         "standardizer": None
         if stats is None
         else {"mean": stats.mean.tolist(), "scale": stats.scale.tolist()},
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def load_model(path) -> dict:
-    """Load a model JSON document; "weights" becomes a d x (n+n') array."""
+    """Load a model JSON document; "weights" becomes a d x (n+n') array.
+    A document that save_model could not have written raises ValueError
+    naming the file."""
+    def bad(why):
+        return ValueError(f"model file {path}: {why}")
+
+    def vector(value, n, key):
+        try:
+            arr = np.asarray(value, dtype=float) if isinstance(value, list) else None
+        except (TypeError, ValueError):
+            arr = None
+        if arr is None or arr.shape != (n,):
+            raise bad(f"{key} must be a list of {n} numbers")
+        return arr
+
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    d = len(doc["feature_names"])
-    m = doc["n_inlier"] + doc["n_test"]
-    doc["weights"] = np.asarray(doc["weights"], dtype=float).reshape(d, m)
-    if doc.get("standardizer") is not None:
-        std = doc["standardizer"]
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise bad(f"not JSON: {exc}") from None
+    keys = ("feature_names", "n_inlier", "n_test", "weights")
+    if not (isinstance(doc, dict) and all(k in doc for k in keys)):
+        raise bad(f"must hold a JSON object with keys {', '.join(keys)}")
+    names, counts = doc["feature_names"], (doc["n_inlier"], doc["n_test"])
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+            and all(type(c) is int and c >= 1 for c in counts)):
+        raise bad("needs a list of feature names and positive integer sample counts")
+    d, m = len(names), sum(counts)
+    doc["weights"] = vector(doc["weights"], d * m, "weights").reshape(d, m)
+    std = doc.get("standardizer")
+    if std is not None:
+        std = std if isinstance(std, dict) else {}
         doc["standardizer"] = StandardizationStats(
-            mean=np.asarray(std["mean"], dtype=float),
-            scale=np.asarray(std["scale"], dtype=float),
+            mean=vector(std.get("mean"), d, "standardizer mean"),
+            scale=vector(std.get("scale"), d, "standardizer scale"),
         )
     return doc

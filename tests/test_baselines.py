@@ -13,14 +13,12 @@ from ratioscope.baselines import (
     kernel_model_score,
     kliep_constraint_value,
     kliep_fit,
-    kliep_fit_with_trace,
     l1lr_fit,
     l1lr_score,
     l1lr_subgrad_residual,
     lof_score,
     osvm_dual_objective,
     osvm_fit,
-    osvm_score,
     project_box_simplex,
     rulsif_fit,
 )
@@ -269,7 +267,6 @@ class TestOsvm:
             centers=model.centers,
             alphas=np.full(15, 1.0 / 15.0),
             sigma2=model.sigma2,
-            kind="osvm",
         )
         assert osvm_dual_objective(model) <= osvm_dual_objective(uniform) + 1e-12
 
@@ -327,19 +324,19 @@ class TestOsvm:
 class TestOsvmScore:
     def test_query_at_lone_center(self):
         model = osvm_fit(make_dataset([[0.3]]), nu=0.5, sigma=1.0)
-        s = osvm_score(model, make_dataset([[0.3]], "q"))
+        s = kernel_model_score(model, make_dataset([[0.3]], "q"))
         assert s.scores[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_distant_query(self):
         model = osvm_fit(make_dataset([[0.0]]), nu=0.5, sigma=1.0)
-        s = osvm_score(model, make_dataset([[100.0]], "q"))
+        s = kernel_model_score(model, make_dataset([[100.0]], "q"))
         assert s.scores[0] <= 1e-12 * 1.001  # clamped at the floor
 
     def test_convex_combination_bound(self):
         rng = np.random.default_rng(7)
         data = make_dataset(rng.normal(size=(2, 10)))
         model = osvm_fit(data, nu=0.3, sigma=1.0)
-        s = osvm_score(model, make_dataset(rng.normal(size=(2, 20)), "q"))
+        s = kernel_model_score(model, make_dataset(rng.normal(size=(2, 20)), "q"))
         assert np.all(s.scores > 0.0) and np.all(s.scores <= 1.0 + 1e-12)
 
 
@@ -457,9 +454,18 @@ class TestKliep:
         rng = np.random.default_rng(14)
         inl = make_dataset(rng.normal(size=(2, 30)), "a")
         test = make_dataset(rng.normal(size=(2, 25)) + 0.5, "b")
-        _, trace = kliep_fit_with_trace(inl, test, tau=1.2, seed=1)
-        assert len(trace) >= 2
-        assert all(b >= a for a, b in zip(trace, trace[1:]))
+
+        def loglik(max_iters):
+            # the fit's objective: log-likelihood of the inliers under the
+            # model, whose mean over the test samples is 1
+            model = kliep_fit(inl, test, tau=1.2, max_iters=max_iters, seed=1)
+            return float(np.sum(np.log(kernel_model_score(model, inl).scores)))
+
+        full = kliep_fit(inl, test, tau=1.2, seed=1)
+        assert full.converged and full.iterations >= 3
+        values = [loglik(j) for j in range(1, full.iterations + 1)]
+        assert all(b >= a for a, b in zip(values, values[1:]))
+        assert values[-1] > values[0]
 
     def test_convergence_flags(self):
         rng = np.random.default_rng(15)
@@ -535,14 +541,14 @@ class TestRulsif:
 class TestKernelModelScore:
     def test_zero_alpha_clamped(self):
         model = KernelModel(
-            centers=np.zeros((1, 1)), alphas=np.zeros(1), sigma2=1.0, kind="rulsif"
+            centers=np.zeros((1, 1)), alphas=np.zeros(1), sigma2=1.0
         )
         s = kernel_model_score(model, make_dataset([[0.0]], "q"))
         assert s.scores[0] == 1e-12
 
     def test_query_at_single_center(self):
         model = KernelModel(
-            centers=np.array([[1.5]]), alphas=np.array([0.7]), sigma2=2.0, kind="kliep"
+            centers=np.array([[1.5]]), alphas=np.array([0.7]), sigma2=2.0
         )
         s = kernel_model_score(model, make_dataset([[1.5]], "q"))
         assert s.scores[0] == pytest.approx(0.7, rel=1e-12)
@@ -555,7 +561,7 @@ class TestKernelModelScore:
 
         def scores(a):
             return kernel_model_score(
-                KernelModel(centers=centers, alphas=a, sigma2=1.0, kind="kliep"), query
+                KernelModel(centers=centers, alphas=a, sigma2=1.0), query
             ).scores
 
         assert scores(a1 + a2) == pytest.approx(scores(a1) + scores(a2), rel=1e-12)

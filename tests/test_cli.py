@@ -12,6 +12,7 @@ import pytest
 from ratioscope import cli, harness, llr
 from ratioscope.evaluation import auc
 from ratioscope.scores import load_scores_csv
+from ratioscope.synth import SynthSpec
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -19,6 +20,14 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 def read_lines(path):
     with open(path, encoding="utf-8") as fh:
         return fh.read().splitlines()
+
+
+def assert_one_error(capsys, *fragments):
+    """stderr is exactly one 'error:' line holding every fragment."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    for fragment in fragments:
+        assert fragment in err[0], err
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +60,11 @@ class TestSynth:
             cli.main(["synth", "--d", "4", "--seed", "9", "--out-dir", str(out)])
         assert (a / "inliers.csv").read_bytes() == (b / "inliers.csv").read_bytes()
         assert (a / "test.csv").read_bytes() == (b / "test.csv").read_bytes()
+
+    def test_count_defaults_are_the_spec_defaults(self):
+        args = cli.build_parser().parse_args(["synth"])
+        assert (args.n_inlier, args.n_test_inlier, args.n_outlier) == (
+            SynthSpec.n_inlier, SynthSpec.n_test_inlier, SynthSpec.n_test_outlier)
 
     def test_test_csv_has_label_column(self, tmp_path):
         cli.main(["synth", "--d", "4", "--out-dir", str(tmp_path)])
@@ -135,6 +149,19 @@ class TestFit:
         args = cli.build_parser().parse_args(["fit", "--inliers", "a", "--test", "b"])
         assert cli._hyperparams(args) == llr.LlrHyperparams()
 
+    @pytest.mark.parametrize("flag", ["--lambda1", "--lambda2", "--epsilon", "--tol"])
+    def test_nan_hyperparameter_exit2(self, workspace, tmp_path, capsys, flag):
+        # --lambda1 nan used to fit with lambda1 = 0 and exit 0, --epsilon nan
+        # to end in a solver failure
+        out = tmp_path / "m.json"
+        code = cli.main([
+            "fit", "--inliers", str(workspace / "inliers.csv"),
+            "--test", str(workspace / "test.csv"), "--out", str(out), flag, "nan",
+        ])
+        assert code == cli.EXIT_USAGE
+        assert_one_error(capsys)
+        assert not out.exists()
+
     def test_sigma2_parsed_by_argparse(self):
         args = cli.build_parser().parse_args(
             ["fit", "--inliers", "a", "--test", "b", "--sigma2", "2"])
@@ -190,6 +217,35 @@ class TestScore:
             "--out", str(tmp_path / "s.csv"),
         ])
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda doc: {}, "feature_names"),  # used to end in a KeyError traceback
+        (lambda doc: [1, 2], "JSON object"),  # used to end in a TypeError traceback
+        # used to report a failed reshape without naming the file
+        (lambda doc: {**doc, "weights": doc["weights"][:-1]}, "weights"),
+        (lambda doc: {**doc, "n_test": "25"}, "sample counts"),
+        (lambda doc: {**doc, "feature_names": None}, "feature names"),
+        (lambda doc: {**doc, "standardizer": [0]}, "standardizer mean"),
+        (lambda doc: {**doc, "standardizer": {"mean": [0.0] * 5}}, "standardizer scale"),
+        (lambda doc: {**doc, "weights": ["a"] * len(doc["weights"])}, "weights"),
+        (lambda doc: "{", "not JSON"),
+        (lambda doc: b"\xff{}", "not JSON"),  # used to name no file
+    ])
+    def test_malformed_model_exit2(self, workspace, tmp_path, capsys, edit, where):
+        doc = edit(json.loads((workspace / "model.json").read_text()))
+        model = tmp_path / "bad.json"
+        if isinstance(doc, bytes):
+            model.write_bytes(doc)
+        else:
+            model.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        code = cli.main([
+            "score", "--model", str(model),
+            "--inliers", str(workspace / "inliers.csv"),
+            "--test", str(workspace / "test.csv"), "--out", str(tmp_path / "s.csv"),
+        ])
+        assert code == cli.EXIT_USAGE
+        assert_one_error(capsys, str(model), where)
+        assert not (tmp_path / "s.csv").exists()
 
     def test_planted_outliers_dominate_lowest_scores(self, tmp_path):
         # Deterministic fixed-seed check: across seeds, the 10 lowest
@@ -321,6 +377,22 @@ class TestBench:
         assert code == cli.EXIT_USAGE
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("extra", [
+        ["--trials", "0"],  # used to print "(no successful trials)" and exit 0
+        ["--threads", "0"],  # these two used to run on the default thread count
+        ["--threads", "-5"],
+        ["--dims", ""],  # these two used to exit 0 having run nothing
+        ["--methods", ""],
+        ["--lambda1", "nan"],  # used to fail every llr trial and exit 1
+    ])
+    def test_empty_or_invalid_run_exit2(self, tmp_path, capsys, extra):
+        out = tmp_path / "r.json"
+        code = cli.main(["bench", "--methods", "kde,llr", "--dims", "4", "--trials", "1",
+                         "--out", str(out), *extra])
+        assert code == cli.EXIT_USAGE
+        assert_one_error(capsys)
+        assert not out.exists()
+
     def test_unknown_method_exit2(self, tmp_path):
         code = cli.main([
             "bench", "--methods", "kde,zzz", "--dims", "4", "--trials", "1",
@@ -442,6 +514,42 @@ class TestConfig:
         code = cli.main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert code == cli.EXIT_USAGE
         assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, key", [
+        # the first two used to end in a TypeError traceback
+        ({"lambda1": None}, "lambda1"),
+        ({"k": [3]}, "'k'"),
+        ({"lambda1": {"a": 1}}, "lambda1"),
+        ({"no-standardize": 1}, "no_standardize"),
+        ({"lambda1": True}, "lambda1"),
+        ({"k": 3.5}, "--k"),  # used to end in a TypeError traceback in the fit
+        ({"k": "abc"}, "--k"),  # used to print argparse's usage, not the file
+    ])
+    def test_config_value_of_wrong_type_exit2(self, workspace, tmp_path, capsys, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = cli.main([
+            "--config", str(cfg), "fit", "--inliers", str(workspace / "inliers.csv"),
+            "--test", str(workspace / "test.csv"), "--out", str(tmp_path / "m.json"),
+        ])
+        assert code == cli.EXIT_USAGE
+        assert_one_error(capsys, str(cfg), key)
+        assert not (tmp_path / "m.json").exists()
+
+    def test_config_values_converted_like_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda1": 1, "k": 3, "sigma2": 2, "no-standardize": True}))
+        args = cli._parse(["--config", str(cfg), "fit", "--inliers", "a", "--test", "b"])
+        parsed = (args.lambda1, args.k, args.sigma2, args.no_standardize)
+        assert parsed == (1.0, 3, 2.0, True)
+        assert [type(v) for v in parsed] == [float, int, float, bool]
+
+    @pytest.mark.parametrize("raw", [b"{", b"\xff{}"])
+    def test_config_not_json_exit2(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(raw)
+        assert cli.main(["--config", str(cfg), "synth", "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
+        assert_one_error(capsys, str(cfg))
 
     def test_config_not_an_object_exit2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

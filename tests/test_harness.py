@@ -71,17 +71,17 @@ class TestResplit:
 
 
 class TestThreadCount:
-    def test_explicit_request_wins(self, monkeypatch):
-        monkeypatch.setenv(harness.THREADS_ENV, "2")
+    def test_explicit_request_wins(self):
         assert harness.default_thread_count(5) == 5
 
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv(harness.THREADS_ENV, "3")
-        assert harness.default_thread_count(None) == 3
-
-    def test_fallback_at_least_one(self, monkeypatch):
-        monkeypatch.delenv(harness.THREADS_ENV, raising=False)
+    def test_fallback_at_least_one(self):
         assert harness.default_thread_count(None) >= 1
+
+    @pytest.mark.parametrize("requested", [0, -5])
+    def test_nonpositive_request_rejected(self, requested):
+        # used to fall back to the default silently
+        with pytest.raises(ValueError):
+            harness.default_thread_count(requested)
 
 
 class TestRunBench:

@@ -460,6 +460,11 @@ class TestFit:
         assert doc["objective_trace"] == list(result.objective_trace)
         assert np.array_equal(doc["standardizer"].mean, stats.mean)
         assert np.array_equal(doc["standardizer"].scale, stats.scale)
+        # the text is json.dumps' own rendering of the document, weights in C order
+        text = path.read_text(encoding="utf-8")
+        raw = json.loads(text)
+        assert text == json.dumps(raw)
+        assert raw["weights"] == [float(v) for v in result.weights.values.ravel()]
 
     def test_hyperparam_validation(self):
         with pytest.raises(ValueError):
@@ -470,3 +475,10 @@ class TestFit:
             LlrHyperparams(sigma2=-1.0)
         with pytest.raises(ValueError):
             LlrHyperparams(outer_max_iters=0)
+
+    @pytest.mark.parametrize(
+        "name", ["lambda1", "lambda2", "epsilon", "outer_rel_tol", "inner_grad_tol"])
+    def test_nan_hyperparameter_rejected(self, name):
+        # NaN used to pass every `x < 0` / `x <= 0` check
+        with pytest.raises(ValueError):
+            LlrHyperparams(**{name: float("nan")})

@@ -173,15 +173,12 @@ def osvm_fit(
     if not 0 < nu <= 1:
         raise InfeasibleNu(f"nu must lie in (0, 1], got {nu}")
     n = samples.m
-    c = 1.0 / (n * nu)
-    if c * n < 1.0:
-        raise InfeasibleNu("nu makes the dual infeasible")
+    c = 1.0 / (n * nu)  # 0 < nu <= 1 gives c * n >= 1
     X = samples.features
+    if nu == 1:
+        # the box meets the simplex at the single point alpha = 1/n
+        return KernelModel(centers=X, alphas=np.full(n, c), sigma2=sigma**2)
     K = gauss_design(X, X, sigma**2)
-    if abs(c * n - 1.0) < 1e-15:
-        # nu = 1: the box meets the simplex at the single point alpha = 1/n
-        alpha = np.full(n, c)
-        return KernelModel(centers=X, alphas=alpha, sigma2=sigma**2)
     L = float(np.linalg.eigvalsh(K)[-1])
     step = 1.0 / max(L, 1e-12)
     alpha = project_box_simplex(np.full(n, 1.0 / n), c)

@@ -16,6 +16,7 @@ import numpy as np
 from . import harness, llr
 from .data import (
     Dataset,
+    StandardizationStats,
     apply_standardizer,
     fit_standardizer,
     load_csv,
@@ -101,8 +102,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    inliers, test, _ = _load_pair(args, args.intercept)
+    inliers, test, _ = _load_pair(args, intercept=False)
     stats = None if args.no_standardize else fit_standardizer(inliers)
+    if args.intercept:
+        inliers, test = _augment_intercept(inliers), _augment_intercept(test)
+        if stats is not None:
+            # mean 0 and scale 1 leave the constant feature a column of ones
+            stats = StandardizationStats(
+                mean=np.append(stats.mean, 0.0), scale=np.append(stats.scale, 1.0)
+            )
     hp = _hyperparams(args)
     pooled = pool(*_standardized(inliers, test, stats))
     result = llr.fit_pooled(pooled, hp)
@@ -119,6 +127,11 @@ def cmd_score(args) -> int:
     model = llr.load_model(args.model)
     intercept = model["feature_names"][-1:] == [CONST_FEATURE]
     inliers, test, test_labels = _load_pair(args, intercept)
+    if list(inliers.feature_names) != model["feature_names"]:
+        raise UsageError(
+            f"feature names {list(inliers.feature_names)} of {args.inliers} do not "
+            f"match the model's {model['feature_names']}"
+        )
     if inliers.m != model["n_inlier"] or test.m != model["n_test"]:
         raise UsageError(
             "sample counts do not match the model "

@@ -97,12 +97,6 @@ class PooledDataset:
     def m(self) -> int:
         return self.features.shape[1]
 
-    def inlier_view(self) -> np.ndarray:
-        return self.features[:, : self.n_inlier]
-
-    def test_view(self) -> np.ndarray:
-        return self.features[:, self.n_inlier :]
-
 
 @dataclass(frozen=True)
 class StandardizationStats:

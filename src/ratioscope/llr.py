@@ -26,6 +26,7 @@ B0 W^T, and Cg = B0^T diag(a) B0 for edge weights a.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,21 +77,21 @@ class LlrHyperparams:
     inner_grad_tol: float = 1e-6
 
     def __post_init__(self):
-        # written so that NaN fails every test
-        if not (self.lambda1 >= 0 and self.lambda2 >= 0):
-            raise ValueError("regularization parameters must be nonnegative numbers")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be a positive number")
-        if not (self.outer_rel_tol > 0 and self.inner_grad_tol > 0):
-            raise ValueError("tolerances must be positive numbers")
+        # written so that NaN and infinity fail every test
+        if not (0 <= self.lambda1 < math.inf and 0 <= self.lambda2 < math.inf):
+            raise ValueError("regularization parameters must be nonnegative finite numbers")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be a positive finite number")
+        if not (0 < self.outer_rel_tol < math.inf and 0 < self.inner_grad_tol < math.inf):
+            raise ValueError("tolerances must be positive finite numbers")
         if self.outer_max_iters < 1 or self.inner_max_iters < 1:
             raise ValueError("iteration limits must be at least 1")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be at least 1")
         if self.sigma2 != SIGMA2_AUTO and not (
-            isinstance(self.sigma2, (int, float)) and self.sigma2 > 0
+            isinstance(self.sigma2, (int, float)) and 0 < self.sigma2 < math.inf
         ):
-            raise ValueError("sigma2 must be positive or 'auto'")
+            raise ValueError("sigma2 must be a positive finite number or 'auto'")
 
 
 @dataclass(frozen=True)
@@ -146,16 +147,12 @@ def _edge_dists(Wv: np.ndarray, B0: sp.csr_matrix, epsilon: float) -> np.ndarray
 
 
 def _objective(Wv, pooled, r, s, hp, epsilon) -> float:
-    value = _logistic_loss(Wv, pooled)
-    if hp.lambda1 > 0:
-        value += hp.lambda1 * 2.0 * float(np.dot(r, s))
-    if hp.lambda2 > 0:
-        if epsilon > 0:
-            l1 = _smooth_l1(Wv, epsilon)
-        else:
-            l1 = np.sum(np.abs(Wv), axis=0)
-        value += hp.lambda2 * float(np.sum(l1 * l1))
-    return value
+    if epsilon > 0:
+        l1 = _smooth_l1(Wv, epsilon)
+    else:
+        l1 = np.sum(np.abs(Wv), axis=0)
+    return (_logistic_loss(Wv, pooled) + hp.lambda1 * 2.0 * float(np.dot(r, s))
+            + hp.lambda2 * float(np.sum(l1 * l1)))
 
 
 def objective_J(
@@ -169,11 +166,8 @@ def objective_J(
     Wv = W.values
     _check_dims(Wv, pooled)
     eps = hp.epsilon if epsilon is None else epsilon
-    s = r = None
-    if hp.lambda1 > 0:
-        B0, r = _edges(graph.weights)
-        s = _edge_dists(Wv, B0, eps)
-    return _objective(Wv, pooled, r, s, hp, eps)
+    B0, r = _edges(graph.weights)
+    return _objective(Wv, pooled, r, _edge_dists(Wv, B0, eps), hp, eps)
 
 
 def _laplacian(B0: sp.csr_matrix, a: np.ndarray) -> sp.csr_matrix:
@@ -219,15 +213,11 @@ def majorization_constant(
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     Wv = W_anchor.values
-    c = 0.0
-    if hp.lambda1 > 0:
-        B0, r = _edges(graph.weights)
-        s = _edge_dists(Wv, B0, eps)
-        c += hp.lambda1 * float(np.dot(r, s + eps / s))
-    if hp.lambda2 > 0:
-        smooth = np.sqrt(Wv * Wv + eps)
-        c += hp.lambda2 * eps * float(np.sum(smooth.sum(axis=0) * np.sum(1.0 / smooth, axis=0)))
-    return c
+    B0, r = _edges(graph.weights)
+    s = _edge_dists(Wv, B0, eps)
+    smooth = np.sqrt(Wv * Wv + eps)
+    cross = float(np.sum(smooth.sum(axis=0) * np.sum(1.0 / smooth, axis=0)))
+    return hp.lambda1 * float(np.dot(r, s + eps / s)) + hp.lambda2 * eps * cross
 
 
 def surrogate_Jtilde(
@@ -243,13 +233,34 @@ def surrogate_Jtilde(
     nearly fused columns lose no digits to cancellation."""
     Wv = W.values
     _check_dims(Wv, pooled)
-    value = _logistic_loss(Wv, pooled)
-    if hp.lambda1 > 0:
-        B0, off_diag = _edges(Cg)  # -a_ij
-        value -= hp.lambda1 * float(np.dot(off_diag, _edge_sq_dists(Wv, B0)))
-    if hp.lambda2 > 0:
-        value += hp.lambda2 * float(np.sum(Ce * Wv * Wv))
-    return value
+    B0, off_diag = _edges(Cg)  # -a_ij
+    return (_logistic_loss(Wv, pooled)
+            - hp.lambda1 * float(np.dot(off_diag, _edge_sq_dists(Wv, B0)))
+            + hp.lambda2 * float(np.sum(Ce * Wv * Wv)))
+
+
+# The inner solve keeps samples along the rows: W, V, X and Ce are
+# m x d arrays, so that sparse products with Cg stay contiguous.
+
+def _penalty_hessp(V, Cg, Ce, hp):
+    """Hessian of the quadratic penalties times V, also their gradient at V."""
+    out = 2.0 * hp.lambda2 * Ce * V
+    out += 2.0 * hp.lambda1 * (Cg @ V)
+    return out
+
+
+def _surrogate_grad(W, X, y, Cg, Ce, hp):
+    """(gradient, sigma(-z), penalty gradient) of the surrogate at W,
+    with z_i = y_i x_i.w_i."""
+    sig = expit(-y * np.einsum("ik,ik->i", X, W))
+    g_pen = _penalty_hessp(W, Cg, Ce, hp)
+    return (-y * sig)[:, None] * X + g_pen, sig, g_pen
+
+
+def _hessp(V, X, c, Cg, Ce, hp):
+    """Surrogate Hessian times V, c_i (x_i.v_i) x_i + 2 lambda1 Cg V
+    + 2 lambda2 Ce * V, with c_i = s_i (1 - s_i) the logistic curvature."""
+    return (c * np.einsum("ik,ik->i", X, V))[:, None] * X + _penalty_hessp(V, Cg, Ce, hp)
 
 
 def grad_Jtilde(
@@ -261,15 +272,8 @@ def grad_Jtilde(
 ) -> np.ndarray:
     Wv = W.values
     _check_dims(Wv, pooled)
-    X = pooled.features
-    y = pooled.labels
-    z = y * np.einsum("ki,ki->i", Wv, X)
-    g = (-y * expit(-z))[None, :] * X
-    if hp.lambda1 > 0:
-        g = g + 2.0 * hp.lambda1 * (Cg.T @ Wv.T).T
-    if hp.lambda2 > 0:
-        g = g + 2.0 * hp.lambda2 * Ce * Wv
-    return g
+    g, _, _ = _surrogate_grad(Wv.T, pooled.features.T, pooled.labels, Cg, Ce.T, hp)
+    return np.ascontiguousarray(g.T)  # d x m in C order, as W.values is
 
 
 def solve_inner(
@@ -285,12 +289,8 @@ def solve_inner(
     Each Newton step solves H p = -g by preconditioned conjugate
     gradients to the Eisenstat-Walker residual ||r|| <= eta ||g||,
     eta = min(0.5, sqrt(||g||)).  H is the exact surrogate Hessian,
-    applied matrix-free:
-
-        H v = c_i (x_i.v_i) x_i + 2 lambda1 v Cg + 2 lambda2 Ce * v,
-
-    with c_i = s_i (1 - s_i) the logistic curvature.  The preconditioner
-    is the per-sample block diag(2 lambda1 Cg_ii + 2 lambda2 Ce_i) +
+    applied matrix-free by _hessp.  The preconditioner is the
+    per-sample block diag(2 lambda1 Cg_ii + 2 lambda2 Ce_i) +
     c_i x_i x_i^T, inverted in O(d) by Sherman-Morrison.  Armijo
     backtracking sets the step length; it tests the surrogate change
     along p, computed as one expression rather than as a difference of
@@ -302,31 +302,16 @@ def solve_inner(
     CG steps within each Newton step.
     """
     f = surrogate_Jtilde(W0, Cg, Ce, pooled, hp)
-    # samples along the rows: (m x d) arrays keep sparse products contiguous
     X = np.ascontiguousarray(pooled.features.T)
     y = pooled.labels
     Ce = np.ascontiguousarray(Ce.T)
-    lam1, lam2 = hp.lambda1, hp.lambda2
-    block = np.zeros_like(X)
-    if lam1 > 0:
-        block += 2.0 * lam1 * Cg.diagonal()[:, None]
-    if lam2 > 0:
-        block += 2.0 * lam2 * Ce
-    Dinv = 1.0 / np.maximum(block, 1e-12)
-
-    def penalty_hessp(V):
-        """Hessian of the quadratic penalties times V, also their gradient at V."""
-        out = 2.0 * lam2 * Ce * V if lam2 > 0 else np.zeros_like(V)
-        if lam1 > 0:
-            out += 2.0 * lam1 * (Cg @ V)
-        return out
+    Dinv = 1.0 / np.maximum(
+        2.0 * hp.lambda1 * Cg.diagonal()[:, None] + 2.0 * hp.lambda2 * Ce, 1e-12
+    )
 
     W = np.array(W0.values.T, order="C")
     for _ in range(hp.inner_max_iters):
-        z = y * np.einsum("ik,ik->i", X, W)
-        sig = expit(-z)
-        g_pen = penalty_hessp(W)
-        g = (-y * sig)[:, None] * X + g_pen
+        g, sig, g_pen = _surrogate_grad(W, X, y, Cg, Ce, hp)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= hp.inner_grad_tol * (1.0 + abs(f)):
             break
@@ -344,7 +329,7 @@ def solve_inner(
         q = precond(r)
         rq = float(np.vdot(r, q))
         for _ in range(hp.inner_max_iters):
-            Hq = (c * np.einsum("ik,ik->i", X, q))[:, None] * X + penalty_hessp(q)
+            Hq = _hessp(q, X, c, Cg, Ce, hp)
             qHq = float(np.vdot(q, Hq))
             if not qHq > 0:
                 break
@@ -368,7 +353,7 @@ def solve_inner(
             raise LineSearchFailure("Newton direction is not a descent direction")
         dz = y * np.einsum("ik,ik->i", X, p)
         lin = float(np.vdot(g_pen, p))
-        quad = 0.5 * float(np.vdot(p, penalty_hessp(p)))
+        quad = 0.5 * float(np.vdot(p, _penalty_hessp(p, Cg, Ce, hp)))
         step = 1.0
         with np.errstate(over="ignore"):
             while True:

@@ -249,6 +249,14 @@ class TestOsvm:
         assert np.array_equal(model.alphas, np.full(7, 1.0 / 7.0))
         assert model.converged
 
+    @pytest.mark.parametrize("n", [49, 98])
+    def test_nu_one_where_c_times_n_rounds_below_one(self, n):
+        # 1 / (n * 1.0) * n < 1.0 in floating point at these sizes
+        assert 1.0 / n * n < 1.0
+        data = make_dataset(np.random.default_rng(n).normal(size=(2, n)))
+        model = osvm_fit(data, nu=1.0, sigma=1.0)
+        assert np.array_equal(model.alphas, np.full(n, 1.0 / n))
+
     def test_single_sample(self):
         model = osvm_fit(make_dataset([[0.3]]), nu=0.5, sigma=1.0)
         assert model.alphas == pytest.approx([1.0], abs=1e-12)

@@ -162,6 +162,34 @@ class TestFit:
         assert_one_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--lambda1", "--lambda2", "--epsilon", "--tol", "--sigma2"])
+    def test_infinite_hyperparameter_exit2(self, workspace, tmp_path, capsys, flag):
+        # --tol inf and --sigma2 inf used to exit 0, the others 1 with a
+        # solver failure (--lambda1 inf after a raw RuntimeWarning)
+        out = tmp_path / "m.json"
+        code = cli.main([
+            "fit", "--inliers", str(workspace / "inliers.csv"),
+            "--test", str(workspace / "test.csv"), "--out", str(out), flag, "inf",
+        ])
+        assert code == cli.EXIT_USAGE
+        assert_one_error(capsys, "finite")
+        assert not out.exists()
+
+    def test_intercept_is_fitted_under_standardization(self, workspace, tmp_path):
+        # standardizing the constant feature used to zero it, so every
+        # __const__ weight came out exactly 0.0
+        model_path, out = tmp_path / "m.json", tmp_path / "s.csv"
+        pair = ["--inliers", str(workspace / "inliers.csv"), "--test", str(workspace / "test.csv")]
+        assert cli.main(["fit", *pair, "--out", str(model_path), "--intercept",
+                         "--max-outer", "30"]) == cli.EXIT_OK
+        model = llr.load_model(model_path)
+        assert model["feature_names"][-1] == cli.CONST_FEATURE
+        assert model["standardizer"].mean[-1] == 0.0 and model["standardizer"].scale[-1] == 1.0
+        assert np.max(np.abs(model["weights"][-1])) > 1e-3
+        code = cli.main(["score", "--model", str(model_path), *pair, "--out", str(out)])
+        assert code == cli.EXIT_OK
+        assert len(load_scores_csv(out)[0].scores) == 25
+
     def test_sigma2_parsed_by_argparse(self):
         args = cli.build_parser().parse_args(
             ["fit", "--inliers", "a", "--test", "b", "--sigma2", "2"])
@@ -208,6 +236,24 @@ class TestScore:
         doc = json.loads((tmp_path / "scores_explanations.json").read_text())
         assert len(doc) == 25
         assert all(len(e["features"]) == 2 for e in doc)
+
+    def test_feature_name_mismatch_exit2(self, workspace, tmp_path, capsys):
+        # CSVs with other column names used to be scored without a word
+        for name in ("inliers.csv", "test.csv"):
+            lines = read_lines(workspace / name)
+            header = lines[0].split(",")
+            header[:5] = [f"x{k}" for k in range(5)]
+            (tmp_path / name).write_text("\n".join([",".join(header), *lines[1:]]) + "\n")
+        model_names = json.loads((workspace / "model.json").read_text())["feature_names"]
+        out = tmp_path / "s.csv"
+        code = cli.main([
+            "score", "--model", str(workspace / "model.json"),
+            "--inliers", str(tmp_path / "inliers.csv"), "--test", str(tmp_path / "test.csv"),
+            "--out", str(out),
+        ])
+        assert code == cli.EXIT_USAGE
+        assert_one_error(capsys, str([f"x{k}" for k in range(5)]), str(model_names))
+        assert not out.exists()
 
     def test_sample_count_mismatch_exit2(self, workspace, tmp_path):
         code = cli.main([
@@ -383,7 +429,8 @@ class TestBench:
         ["--threads", "-5"],
         ["--dims", ""],  # these two used to exit 0 having run nothing
         ["--methods", ""],
-        ["--lambda1", "nan"],  # used to fail every llr trial and exit 1
+        ["--lambda1", "nan"],  # these two used to fail every llr trial and exit 1
+        ["--lambda1", "inf"],
     ])
     def test_empty_or_invalid_run_exit2(self, tmp_path, capsys, extra):
         out = tmp_path / "r.json"

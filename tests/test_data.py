@@ -70,8 +70,8 @@ class TestPool:
         inliers = make_dataset(rng.normal(size=(4, 6)), "a")
         test = make_dataset(rng.normal(size=(4, 3)), "b")
         pooled = pool(inliers, test)
-        assert np.array_equal(pooled.inlier_view(), inliers.features)
-        assert np.array_equal(pooled.test_view(), test.features)
+        assert np.array_equal(pooled.features[:, :pooled.n_inlier], inliers.features)
+        assert np.array_equal(pooled.features[:, pooled.n_inlier:], test.features)
 
 
 class TestStandardizer:

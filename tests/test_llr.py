@@ -12,6 +12,8 @@ from ratioscope.graph import SimilarityGraph
 from ratioscope.llr import (
     LlrHyperparams,
     WeightMatrix,
+    _hessp,
+    _surrogate_grad,
     fit,
     fit_pooled,
     grad_Jtilde,
@@ -248,6 +250,30 @@ class TestGrad:
                     g_fd[k, j] = (fp - fm) / (2 * step)
             rel = np.linalg.norm(g - g_fd) / max(1.0, np.linalg.norm(g))
             assert rel <= 1e-5
+            assert g.flags.c_contiguous
+
+    @pytest.mark.parametrize("lam1, lam2", [(0.1, 1.0), (0.0, 1.0), (0.1, 0.0), (0.0, 0.0)])
+    def test_solver_hessp_matches_gradient_differences(self, lam1, lam2):
+        # the Hessian product solve_inner runs, against central
+        # differences of grad_Jtilde along random directions
+        rng = np.random.default_rng(12)
+        hp = LlrHyperparams(lambda1=lam1, lambda2=lam2)
+        step = 1e-5
+        for _ in range(5):
+            pooled, graph = random_instance(rng)
+            W = WeightMatrix(values=rng.normal(size=pooled.features.shape))
+            Cg = majorizer_Cg(W, graph, hp.epsilon)
+            Ce = majorizer_Ce(W, hp.epsilon)
+            # the solver keeps samples along the rows
+            X, y = pooled.features.T, pooled.labels
+            _, sig, _ = _surrogate_grad(W.values.T, X, y, Cg, Ce.T, hp)
+            for _ in range(3):
+                V = rng.normal(size=W.values.shape)
+                Hv = _hessp(V.T, X, sig * (1.0 - sig), Cg, Ce.T, hp).T
+                gp = grad_Jtilde(WeightMatrix(values=W.values + step * V), Cg, Ce, pooled, hp)
+                gm = grad_Jtilde(WeightMatrix(values=W.values - step * V), Cg, Ce, pooled, hp)
+                fd = (gp - gm) / (2 * step)
+                assert np.linalg.norm(Hv - fd) <= 1e-6 * max(1.0, np.linalg.norm(Hv))
 
     def test_small_gradient_at_inner_solution(self):
         rng = np.random.default_rng(10)
@@ -424,7 +450,7 @@ class TestFit:
         Ce = majorizer_Ce(W0, eps)
         W = solve_inner(pooled, Cg, Ce, hp, W0)
         llr_margin = np.einsum(
-            "ki,ki->i", W.values[:, pooled.n_inlier:], pooled.test_view()
+            "ki,ki->i", W.values[:, pooled.n_inlier:], pooled.features[:, pooled.n_inlier:]
         )
 
         X, y = pooled.features, pooled.labels
@@ -435,7 +461,7 @@ class TestFit:
             return float(np.sum(np.logaddexp(0.0, -z)) + ridge * np.dot(w, w))
 
         w_lr = minimize(loss, np.zeros(pooled.d), method="BFGS").x
-        lr_margin = w_lr @ pooled.test_view()
+        lr_margin = w_lr @ pooled.features[:, pooled.n_inlier:]
         rho = spearmanr(llr_margin, lr_margin).statistic
         assert rho >= 0.99
 
@@ -482,3 +508,11 @@ class TestFit:
         # NaN used to pass every `x < 0` / `x <= 0` check
         with pytest.raises(ValueError):
             LlrHyperparams(**{name: float("nan")})
+
+    @pytest.mark.parametrize("name", [
+        "lambda1", "lambda2", "epsilon", "outer_rel_tol", "inner_grad_tol", "sigma2"])
+    def test_infinite_hyperparameter_rejected(self, name):
+        # each used to pass: tol inf stopped after one iteration, sigma2 inf
+        # set every graph weight to 1, the others ended in a solver failure
+        with pytest.raises(ValueError):
+            LlrHyperparams(**{name: float("inf")})

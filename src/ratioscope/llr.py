@@ -12,11 +12,17 @@ stay finite and the outer loop provably never increases the traced
 objective; eps defaults to 1e-10 and eps=0 recovers the exact norms.
 
 The outer loop freezes the reweighting matrices Cg (a graph Laplacian
-over samples) and Ce (entrywise positive), minimizes the resulting
+over samples) and Ce (entrywise positive), decreases the resulting
 smooth convex surrogate by truncated Newton (Newton-CG), and repeats.
 The surrogate plus the anchor constant from ``majorization_constant``
-is tangent to J at the anchor and dominates it everywhere, which
-yields the monotone-descent guarantee.
+is tangent to J at the anchor and dominates it everywhere, so any
+point with a lower surrogate value has a lower J: the outer loop needs
+a surrogate decrease, not the surrogate's minimizer (the generalized
+MM argument; Dempster, Laird & Rubin 1977; Hunter & Lange 2004).  Each
+inner solve therefore stops once the surrogate gradient falls to
+_INNER_REL_TOL = 3% of its value at the anchor, which by tangency is
+the gradient of J there, so the inner tolerance tightens as the outer
+loop converges.  ``solve_inner`` called directly stays exact.
 
 Every fused-term quantity comes from one signed incidence matrix B0
 over the graph's edges i < j: the edge distances are the row norms of
@@ -38,6 +44,12 @@ from .errors import DimensionMismatch, LineSearchFailure, NonDecrease
 from .graph import SimilarityGraph, knn_graph, median_heuristic
 
 SIGMA2_AUTO = "auto"
+
+# fit_pooled's inner solves stop at this fraction of the anchor's
+# surrogate gradient norm.  Against exact inner solves on 20
+# SynthSpec(seed=0) trials at each of d = 10, 50, 100, 0.03 moved no
+# final objective by more than 9e-7 relative, 0.1 moved one by 4.8e-6
+_INNER_REL_TOL = 0.03
 
 
 @dataclass(frozen=True)
@@ -276,12 +288,16 @@ def grad_Jtilde(
     return np.ascontiguousarray(g.T)  # d x m in C order, as W.values is
 
 
+# overflow and inf * 0 (a huge lambda) surface as a non-finite gradient
+# or slope, each raised as a LineSearchFailure
+@np.errstate(over="ignore", invalid="ignore")
 def solve_inner(
     pooled: PooledDataset,
     Cg: sp.spmatrix,
     Ce: np.ndarray,
     hp: LlrHyperparams,
     W0: WeightMatrix,
+    rel_tol: float = 0.0,
 ) -> WeightMatrix:
     """Minimize the surrogate by truncated Newton (Newton-CG), never
     increasing the surrogate value.
@@ -299,9 +315,18 @@ def solve_inner(
     Stops when ||grad||_F <= inner_grad_tol * (1 + |Jtilde|), checked
     before the first step (an optimal W0 comes back unchanged), or
     after inner_max_iters Newton steps; inner_max_iters also caps the
-    CG steps within each Newton step.
+    CG steps within each Newton step.  Called directly, with the
+    default rel_tol = 0, that is the whole rule and the solve is exact.
+    A positive rel_tol also stops it once ||grad||_F <= rel_tol *
+    ||grad(W0)||_F, which for rel_tol < 1 comes after at least one
+    Newton step.  fit_pooled passes rel_tol = _INNER_REL_TOL (0.03):
+    the outer loop needs only a surrogate decrease, since a surrogate
+    that dominates J and touches it at the anchor turns any decrease
+    into a decrease of J (generalized MM; Hunter & Lange 2004).
+
+    Raises LineSearchFailure when the gradient is not finite, as when
+    a huge lambda overflows, or when no step decreases the surrogate.
     """
-    f = surrogate_Jtilde(W0, Cg, Ce, pooled, hp)
     X = np.ascontiguousarray(pooled.features.T)
     y = pooled.labels
     Ce = np.ascontiguousarray(Ce.T)
@@ -310,10 +335,20 @@ def solve_inner(
     )
 
     W = np.array(W0.values.T, order="C")
-    for _ in range(hp.inner_max_iters):
+    for it in range(hp.inner_max_iters):
         g, sig, g_pen = _surrogate_grad(W, X, y, Cg, Ce, hp)
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= hp.inner_grad_tol * (1.0 + abs(f)):
+        if not math.isfinite(gnorm):
+            raise LineSearchFailure(
+                "surrogate gradient is not finite (regularization too large?)"
+            )
+        if it == 0:
+            # the penalties are quadratic with gradient g_pen, so their
+            # value is <W, g_pen> / 2
+            z = y * np.einsum("ik,ik->i", X, W)
+            f = float(np.sum(np.logaddexp(0.0, -z))) + 0.5 * float(np.vdot(W, g_pen))
+            stop = rel_tol * gnorm
+        if gnorm <= max(hp.inner_grad_tol * (1.0 + abs(f)), stop):
             break
         c = sig * (1.0 - sig)
         U = Dinv * X
@@ -355,18 +390,17 @@ def solve_inner(
         lin = float(np.vdot(g_pen, p))
         quad = 0.5 * float(np.vdot(p, _penalty_hessp(p, Cg, Ce, hp)))
         step = 1.0
-        with np.errstate(over="ignore"):
-            while True:
-                change = (float(np.sum(np.log1p(sig * np.expm1(-step * dz))))
-                          + step * lin + step * step * quad)
-                if change <= 1e-4 * step * slope:
-                    break
-                step *= 0.5
-                if step < 1e-20:
-                    raise LineSearchFailure(
-                        "no decreasing step at machine precision "
-                        "(ill-conditioned surrogate)"
-                    )
+        while True:
+            change = (float(np.sum(np.log1p(sig * np.expm1(-step * dz))))
+                      + step * lin + step * step * quad)
+            if change <= 1e-4 * step * slope:
+                break
+            step *= 0.5
+            if step < 1e-20:
+                raise LineSearchFailure(
+                    "no decreasing step at machine precision "
+                    "(ill-conditioned surrogate)"
+                )
         W += step * p
         f += change
 
@@ -389,7 +423,14 @@ def fit_pooled(
     hp: LlrHyperparams,
     graph: SimilarityGraph | None = None,
 ) -> FitResult:
-    """Run the outer reweighting loop on already-pooled data."""
+    """Run the outer reweighting loop on already-pooled data.
+
+    Each outer iteration calls solve_inner from the anchor with
+    rel_tol=_INNER_REL_TOL (0.03): the inner solve stops once the
+    surrogate gradient is 3% of the gradient of J at the anchor (or at
+    the absolute inner tolerance).  Its line search never raises the
+    surrogate, so by majorization J never rises; the NonDecrease check
+    below asserts it on every iteration."""
     if graph is None:
         graph = build_graph(pooled, hp)
     eps = hp.epsilon
@@ -404,7 +445,7 @@ def fit_pooled(
     for _ in range(hp.outer_max_iters):
         Cg = _laplacian(B0, r / s)
         Ce = majorizer_Ce(W, eps)
-        W = solve_inner(pooled, Cg, Ce, hp, W)
+        W = solve_inner(pooled, Cg, Ce, hp, W, rel_tol=_INNER_REL_TOL)
         s = _edge_dists(W.values, B0, eps)
         J = _objective(W.values, pooled, r, s, hp, eps)
         prev = trace[-1]

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,25 @@ class TestFit:
         ])
         assert code == cli.EXIT_USAGE
         assert_one_error(capsys, "finite")
+        assert not out.exists()
+
+    def test_overflowing_lambda_one_solver_failure_line(self, tmp_path, capsys):
+        # a finite lambda1 of 1e308 overflows the penalty gradient; this
+        # used to print a raw RuntimeWarning before the solver failure
+        assert cli.main(["synth", "--d", "3", "--seed", "0", "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "m.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([
+                "fit", "--inliers", str(tmp_path / "inliers.csv"),
+                "--test", str(tmp_path / "test.csv"), "--out", str(out), "--lambda1", "1e308",
+            ])
+        assert code == cli.EXIT_FAILURE
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("solver failure:"), err
+        assert "not finite" in err[0]
         assert not out.exists()
 
     def test_intercept_is_fitted_under_standardization(self, workspace, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -8,12 +9,14 @@ from scipy.stats import spearmanr
 
 from conftest import make_dataset, random_instance
 from ratioscope.data import PooledDataset, pool
+from ratioscope.evaluation import auc
 from ratioscope.graph import SimilarityGraph
 from ratioscope.llr import (
     LlrHyperparams,
     WeightMatrix,
     _hessp,
     _surrogate_grad,
+    build_graph,
     fit,
     fit_pooled,
     grad_Jtilde,
@@ -26,6 +29,7 @@ from ratioscope.llr import (
     solve_inner,
     surrogate_Jtilde,
 )
+from ratioscope.scores import ratio_score
 from ratioscope.synth import SynthSpec, generate
 
 
@@ -364,6 +368,32 @@ class TestSolveInner:
                 assert (surrogate_Jtilde(W, Cg, Ce, pooled, hp)
                         <= surrogate_Jtilde(W0, Cg, Ce, pooled, hp))
 
+    def test_relative_stop(self):
+        # rel_tol = 0.03 ends the solve once the gradient is 3% of its
+        # value at W0, after at least one Newton step, with the surrogate
+        # not above its value at W0
+        rng = np.random.default_rng(19)
+        rel_tol = 0.03
+        ended_by_relative_rule = False
+        for lam1, lam2 in itertools.product([0.0, 0.1, 1.0], repeat=2):
+            hp = LlrHyperparams(lambda1=lam1, lambda2=lam2)
+            for _ in range(3):
+                pooled, graph = random_instance(rng)
+                W0 = WeightMatrix(values=rng.normal(size=pooled.features.shape))
+                Cg = majorizer_Cg(W0, graph, hp.epsilon)
+                Ce = majorizer_Ce(W0, hp.epsilon)
+                W = solve_inner(pooled, Cg, Ce, hp, W0, rel_tol=rel_tol)
+                assert not np.array_equal(W.values, W0.values)
+                g0 = np.linalg.norm(grad_Jtilde(W0, Cg, Ce, pooled, hp))
+                g = np.linalg.norm(grad_Jtilde(W, Cg, Ce, pooled, hp))
+                val = surrogate_Jtilde(W, Cg, Ce, pooled, hp)
+                absolute = hp.inner_grad_tol * (1.0 + abs(val))
+                assert g <= rel_tol * g0 or g <= absolute
+                assert val <= surrogate_Jtilde(W0, Cg, Ce, pooled, hp)
+                ended_by_relative_rule |= g > absolute
+        # an exact solve would meet the absolute tolerance every time
+        assert ended_by_relative_rule
+
 
 class TestFit:
     def test_trace_strictly_decreasing_unregularized(self):
@@ -464,6 +494,42 @@ class TestFit:
         lr_margin = w_lr @ pooled.features[:, pooled.n_inlier:]
         rho = spearmanr(llr_margin, lr_margin).statistic
         assert rho >= 0.99
+
+    @staticmethod
+    def exact_inner_reference(pooled, graph, hp):
+        """The outer loop with exact inner solves: final (W, J)."""
+        W = zero_weights(pooled)
+        J = objective_J(W, pooled, graph, hp)
+        for _ in range(hp.outer_max_iters):
+            Cg = majorizer_Cg(W, graph, hp.epsilon)
+            Ce = majorizer_Ce(W, hp.epsilon)
+            W = solve_inner(pooled, Cg, Ce, hp, W)
+            prev, J = J, objective_J(W, pooled, graph, hp)
+            if abs(prev - J) < hp.outer_rel_tol * (1.0 + abs(prev)):
+                break
+        return W, J
+
+    def test_matches_exact_inner_reference(self):
+        # fit_pooled's inexact inner solves end within 1e-6 relative of
+        # the objective the exact ones reach, ranking the test samples alike
+        hp = LlrHyperparams()
+        inliers, test, labels = generate(SynthSpec(d=10, seed=0), trial=0)
+        cases = [(pool(inliers, test), labels)]
+        rng = np.random.default_rng(20)
+        for _ in range(3):
+            pooled, _ = random_instance(rng, n_inlier=15, n_test=10)
+            cases.append((pooled, ["inlier"] * 7 + ["outlier"] * 3))
+        for pooled, labels in cases:
+            graph = build_graph(pooled, hp)
+            W_ref, J_ref = self.exact_inner_reference(pooled, graph, hp)
+            result = fit_pooled(pooled, hp, graph=graph)
+            trace = result.objective_trace
+            assert all(b <= a for a, b in zip(trace, trace[1:]))
+            assert result.converged
+            assert trace[-1] == pytest.approx(J_ref, rel=1e-6)
+            aucs = [auc(ratio_score(W, pooled, which="test", labels=labels))
+                    for W in (result.weights, W_ref)]
+            assert aucs[0] == aucs[1]
 
     def test_model_roundtrip(self, tmp_path):
         from ratioscope.data import fit_standardizer

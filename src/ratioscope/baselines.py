@@ -8,6 +8,7 @@ inlier/test ratio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,14 @@ def kde_fit_score(inliers: Dataset, query: Dataset, sigma: float) -> ScoreSet:
 # ---------------------------------------------------------------------------
 # LOF
 
+def check_lof_k(K: int, m: float = math.inf) -> None:
+    """Raise InvalidK unless 1 <= K < m, the number of reference samples."""
+    if not 1 <= K < m:
+        raise InvalidK(
+            f"lof K must be at least 1 and below the number of reference samples, got {K}"
+        )
+
+
 def lof_score(reference: Dataset, query: Dataset, K: int) -> ScoreSet:
     """Inverted local outlier factor (1/LOF, higher = more inlier).
 
@@ -93,8 +102,7 @@ def lof_score(reference: Dataset, query: Dataset, K: int) -> ScoreSet:
     neighbors (self excluded for reference points); LOF averages the
     neighbors' g over the query's own g.
     """
-    if K < 1 or K >= reference.m:
-        raise InvalidK(f"K must satisfy 1 <= K < reference.m, got {K}")
+    check_lof_k(K, reference.m)
     if reference.d != query.d:
         raise DimensionMismatch("reference and query dimensions differ")
     ref = reference.features
@@ -158,6 +166,12 @@ def project_box_simplex(v: np.ndarray, c: float) -> np.ndarray:
     return np.clip(v - box_simplex_threshold(v, c), 0.0, c)
 
 
+def check_osvm_nu(nu: float) -> None:
+    # written so that NaN fails it
+    if not 0 < nu <= 1:
+        raise InfeasibleNu(f"osvm nu must lie in (0, 1], got {nu}")
+
+
 def osvm_fit(
     samples: Dataset | PooledDataset,
     nu: float,
@@ -170,8 +184,7 @@ def osvm_fit(
     Stops when a step moves no alpha by more than _OSVM_KKT_TOL * step;
     ``converged`` is False when it stops at max_iters instead.
     """
-    if not 0 < nu <= 1:
-        raise InfeasibleNu(f"nu must lie in (0, 1], got {nu}")
+    check_osvm_nu(nu)
     n = samples.m
     c = 1.0 / (n * nu)  # 0 < nu <= 1 gives c * n >= 1
     X = samples.features
@@ -222,6 +235,12 @@ def l1lr_subgrad_residual(w: np.ndarray, grad: np.ndarray, lam: float) -> float:
     return float(np.max(res))
 
 
+def check_l1lr_lambda(lam: float) -> None:
+    # written so that NaN and infinity fail it
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"l1lr lambda must be a nonnegative finite number, got {lam}")
+
+
 def l1lr_fit(
     pooled: PooledDataset,
     lam: float,
@@ -230,8 +249,7 @@ def l1lr_fit(
 ) -> LinearModel:
     """Proximal gradient (soft-thresholding) with backtracking on the
     smooth-part Lipschitz estimate."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    check_l1lr_lambda(lam)
     X = pooled.features
     y = pooled.labels.astype(float)
     w = np.zeros(pooled.d)
@@ -343,6 +361,14 @@ def kliep_constraint_value(model: KernelModel, test: Dataset) -> float:
 # ---------------------------------------------------------------------------
 # uLSIF / RuLSIF
 
+def check_rulsif(beta: float, nu: float) -> None:
+    # written so that NaN and infinity fail them
+    if not 0 <= beta <= 1:
+        raise ValueError(f"rulsif beta must lie in [0, 1], got {beta}")
+    if not 0 <= nu < math.inf:
+        raise ValueError(f"ulsif/rulsif nu must be a nonnegative finite number, got {nu}")
+
+
 def rulsif_fit(
     inliers: Dataset,
     test: Dataset,
@@ -357,10 +383,7 @@ def rulsif_fit(
     beta = 1 estimates the plain inlier/test ratio (uLSIF); beta in
     (0, 1) mixes the denominator toward the inlier density.
     """
-    if not 0 <= beta <= 1:
-        raise ValueError("beta must lie in [0, 1]")
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
+    check_rulsif(beta, nu)
     centers = _subsample_centers(inliers.features, min(b, inliers.m), seed)
     sigma2 = sigma**2
     phi_in = gauss_design(inliers.features, centers, sigma2)

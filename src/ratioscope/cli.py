@@ -26,6 +26,7 @@ from .data import (
 from .errors import RatioscopeError, SolverFailure
 from .evaluation import auc, roc_curve
 from .scores import (
+    CONST_FEATURE,
     detect,
     explain,
     load_scores_csv,
@@ -38,8 +39,6 @@ from .synth import SynthSpec, generate
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-CONST_FEATURE = "__const__"
 
 
 class UsageError(RatioscopeError):
@@ -149,13 +148,7 @@ def cmd_score(args) -> int:
             if decisions is not None
             else list(scores.sample_ids)
         )
-        explanations = []
-        for sid in flagged:
-            e = explain(weights, pooled, sid, args.explain_top)
-            ranked = tuple(
-                (n, w) for n, w in e.ranked_features if n != CONST_FEATURE
-            )
-            explanations.append(type(e)(e.sample_id, ranked, e.score))
+        explanations = [explain(weights, pooled, sid, args.explain_top) for sid in flagged]
         out = args.explain_out or (os.path.splitext(args.out)[0] + "_explanations.json")
         save_explanations_json(out, explanations)
         print(f"wrote {len(explanations)} explanations to {out}")
@@ -174,7 +167,6 @@ def cmd_bench(args) -> int:
             raise UsageError("benchmark dataset CSV needs a label column")
         dataset_name = args.dataset
     params = {**_params(args, _BENCH_FLAG_PARAMS), "standardize": not args.no_standardize}
-    llr.LlrHyperparams(**_params(args, harness.LLR_PARAMS))  # a bad value exits 2
     doc, sweep_rows, n_failures = harness.run_bench(
         dims,
         args.trials,

@@ -2,12 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateData, InvalidK
+
+
+def edge_list(M: sp.spmatrix):
+    """(B0, v) over the nonzeros i < j of the symmetric m x m matrix M:
+    the E x m signed incidence matrix B0, +1 at i and -1 at j, and the
+    entries v = M_ij.  Every ordered-pair sum over a symmetric graph is
+    twice the sum over these edges."""
+    upper = sp.triu(M, k=1, format="coo")
+    E = upper.nnz
+    B0 = sp.csr_matrix(
+        (np.tile([1.0, -1.0], E), np.column_stack([upper.row, upper.col]).ravel(),
+         np.arange(0, 2 * E + 1, 2)),
+        shape=(E, M.shape[0]),
+    )
+    return B0, upper.data
 
 
 @dataclass(frozen=True)
@@ -16,12 +31,17 @@ class SimilarityGraph:
 
     ``weights`` is (m x m) CSR with zero diagonal and entries in [0, 1];
     row i holds at most 2K nonzeros (K out-neighbors plus
-    symmetrization fill-in).
+    symmetrization fill-in).  ``edges`` is ``edge_list(weights)``,
+    built once when the graph is created.
     """
 
     weights: sp.csr_matrix
     k_neighbors: int
     sigma2: float
+    edges: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", edge_list(self.weights))
 
     @property
     def m(self) -> int:

@@ -160,8 +160,9 @@ def run_bench(
 ):
     """Run the (dim x trial x method) sweep and aggregate.
 
-    Returns (results_doc, sweep_rows, n_failures).  A method failing on
-    a trial records null for that AUC and processing continues.
+    Returns (results_doc, sweep_rows, n_failures).  A bad parameter
+    raises before any trial runs; a method failing on a trial records
+    null for that AUC and processing continues.
     """
     for method in methods:
         if method not in METHODS:
@@ -169,6 +170,12 @@ def run_bench(
     if trials < 1 or not dims or not methods:
         raise ValueError("a bench run needs at least one trial, dimension and method")
     params = {**DEFAULT_PARAMS, **(params or {})}
+    # the checks the fits themselves run, once for the whole sweep
+    llr.LlrHyperparams(**{name: params[name] for name in LLR_PARAMS})
+    baselines.check_lof_k(params["lof_k"])
+    baselines.check_osvm_nu(params["osvm_nu"])
+    baselines.check_l1lr_lambda(params["l1lr_lambda"])
+    baselines.check_rulsif(params["rulsif_beta"], params["ulsif_nu"])
     tasks = [(dim, trial) for dim in dims for trial in range(trials)]
     results: dict[tuple[int, int, str], float | None] = {}
 

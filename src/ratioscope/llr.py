@@ -25,8 +25,10 @@ the gradient of J there, so the inner tolerance tightens as the outer
 loop converges.  ``solve_inner`` called directly stays exact.
 
 Every fused-term quantity comes from one signed incidence matrix B0
-over the graph's edges i < j: the edge distances are the row norms of
-B0 W^T, and Cg = B0^T diag(a) B0 for edge weights a.
+over the graph's edges i < j, built once with the graph: the edge
+distances are the row norms of B0 W^T, and Cg = B0^T diag(a) B0 for
+edge weights a.  Each outer iteration of ``fit_pooled`` is four public
+calls: majorizer_Cg, majorizer_Ce, solve_inner and objective_J.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from scipy.special import expit
 
 from .data import Dataset, PooledDataset, StandardizationStats, pool
 from .errors import DimensionMismatch, LineSearchFailure, NonDecrease
-from .graph import SimilarityGraph, knn_graph, median_heuristic
+from .graph import SimilarityGraph, edge_list, knn_graph, median_heuristic
 
 SIGMA2_AUTO = "auto"
 
@@ -132,21 +134,6 @@ def _smooth_l1(W: np.ndarray, epsilon: float) -> np.ndarray:
     return np.sum(np.sqrt(W * W + epsilon), axis=0)
 
 
-def _edges(M: sp.spmatrix):
-    """(B0, v) over the nonzeros i < j of the symmetric m x m matrix M:
-    the E x m signed incidence matrix B0, +1 at i and -1 at j, and the
-    entries v = M_ij.  Every ordered-pair sum over a symmetric graph is
-    twice the sum over these edges."""
-    upper = sp.triu(M, k=1, format="coo")
-    E = upper.nnz
-    B0 = sp.csr_matrix(
-        (np.tile([1.0, -1.0], E), np.column_stack([upper.row, upper.col]).ravel(),
-         np.arange(0, 2 * E + 1, 2)),
-        shape=(E, M.shape[0]),
-    )
-    return B0, upper.data
-
-
 def _edge_sq_dists(Wv: np.ndarray, B0: sp.csr_matrix) -> np.ndarray:
     """Squared column distances ||w_i - w_j||^2 per edge."""
     diff = B0 @ Wv.T
@@ -156,15 +143,6 @@ def _edge_sq_dists(Wv: np.ndarray, B0: sp.csr_matrix) -> np.ndarray:
 def _edge_dists(Wv: np.ndarray, B0: sp.csr_matrix, epsilon: float) -> np.ndarray:
     """Smoothed column distances sqrt(||w_i - w_j||^2 + eps) per edge."""
     return np.sqrt(_edge_sq_dists(Wv, B0) + epsilon)
-
-
-def _objective(Wv, pooled, r, s, hp, epsilon) -> float:
-    if epsilon > 0:
-        l1 = _smooth_l1(Wv, epsilon)
-    else:
-        l1 = np.sum(np.abs(Wv), axis=0)
-    return (_logistic_loss(Wv, pooled) + hp.lambda1 * 2.0 * float(np.dot(r, s))
-            + hp.lambda2 * float(np.sum(l1 * l1)))
 
 
 def objective_J(
@@ -178,23 +156,23 @@ def objective_J(
     Wv = W.values
     _check_dims(Wv, pooled)
     eps = hp.epsilon if epsilon is None else epsilon
-    B0, r = _edges(graph.weights)
-    return _objective(Wv, pooled, r, _edge_dists(Wv, B0, eps), hp, eps)
-
-
-def _laplacian(B0: sp.csr_matrix, a: np.ndarray) -> sp.csr_matrix:
-    """B^T B with B = diag(sqrt(a)) B0: the graph Laplacian with edge weights a."""
-    return (B0.T @ (sp.diags(a) @ B0)).tocsr()
+    B0, r = graph.edges
+    l1 = _smooth_l1(Wv, eps) if eps > 0 else np.sum(np.abs(Wv), axis=0)
+    return (_logistic_loss(Wv, pooled)
+            + hp.lambda1 * 2.0 * float(np.dot(r, _edge_dists(Wv, B0, eps)))
+            + hp.lambda2 * float(np.sum(l1 * l1)))
 
 
 def majorizer_Cg(
     W: WeightMatrix, graph: SimilarityGraph, epsilon: float
 ) -> sp.csr_matrix:
-    """Reweighted graph Laplacian with edge weights r_ij / s_ij."""
+    """Reweighted graph Laplacian B0^T diag(a) B0, a_ij = r_ij / s_ij;
+    diag(a) B0 is B0 with each edge's two stored entries scaled."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    B0, r = _edges(graph.weights)
-    return _laplacian(B0, r / _edge_dists(W.values, B0, epsilon))
+    B0, r = graph.edges
+    a = np.repeat(r / _edge_dists(W.values, B0, epsilon), 2)
+    return (B0.T @ sp.csr_matrix((B0.data * a, B0.indices, B0.indptr), shape=B0.shape)).tocsr()
 
 
 def majorizer_Ce(W: WeightMatrix, epsilon: float) -> np.ndarray:
@@ -225,7 +203,7 @@ def majorization_constant(
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     Wv = W_anchor.values
-    B0, r = _edges(graph.weights)
+    B0, r = graph.edges
     s = _edge_dists(Wv, B0, eps)
     smooth = np.sqrt(Wv * Wv + eps)
     cross = float(np.sum(smooth.sum(axis=0) * np.sum(1.0 / smooth, axis=0)))
@@ -245,7 +223,7 @@ def surrogate_Jtilde(
     nearly fused columns lose no digits to cancellation."""
     Wv = W.values
     _check_dims(Wv, pooled)
-    B0, off_diag = _edges(Cg)  # -a_ij
+    B0, off_diag = edge_list(Cg)  # -a_ij
     return (_logistic_loss(Wv, pooled)
             - hp.lambda1 * float(np.dot(off_diag, _edge_sq_dists(Wv, B0)))
             + hp.lambda2 * float(np.sum(Ce * Wv * Wv)))
@@ -425,29 +403,25 @@ def fit_pooled(
 ) -> FitResult:
     """Run the outer reweighting loop on already-pooled data.
 
-    Each outer iteration calls solve_inner from the anchor with
-    rel_tol=_INNER_REL_TOL (0.03): the inner solve stops once the
-    surrogate gradient is 3% of the gradient of J at the anchor (or at
-    the absolute inner tolerance).  Its line search never raises the
-    surrogate, so by majorization J never rises; the NonDecrease check
-    below asserts it on every iteration."""
+    Each outer iteration is four public calls: majorizer_Cg and
+    majorizer_Ce at the anchor, solve_inner from the anchor with
+    rel_tol=_INNER_REL_TOL (0.03), which stops once the surrogate
+    gradient is 3% of the gradient of J at the anchor, and objective_J.
+    The inner line search never raises the surrogate, so by
+    majorization J never rises; the NonDecrease check below asserts it
+    on every iteration."""
     if graph is None:
         graph = build_graph(pooled, hp)
     eps = hp.epsilon
-    B0, r = _edges(graph.weights)
     W = WeightMatrix(values=np.zeros_like(pooled.features))
-    # one edge-distance gather per outer iteration: s at the end of
-    # iteration t gives both J there and Cg at the start of t + 1
-    s = _edge_dists(W.values, B0, eps)
-    trace = [_objective(W.values, pooled, r, s, hp, eps)]
+    trace = [objective_J(W, pooled, graph, hp)]
     converged = False
     iterations = 0
     for _ in range(hp.outer_max_iters):
-        Cg = _laplacian(B0, r / s)
+        Cg = majorizer_Cg(W, graph, eps)
         Ce = majorizer_Ce(W, eps)
         W = solve_inner(pooled, Cg, Ce, hp, W, rel_tol=_INNER_REL_TOL)
-        s = _edge_dists(W.values, B0, eps)
-        J = _objective(W.values, pooled, r, s, hp, eps)
+        J = objective_J(W, pooled, graph, hp)
         prev = trace[-1]
         if J > prev + 1e-8 * (1.0 + abs(prev)):
             raise NonDecrease(

@@ -13,6 +13,8 @@ from .errors import DimensionMismatch, MalformedCsv, NegativeThreshold, UnknownS
 from .llr import WeightMatrix
 
 EXP_CLAMP = 500.0
+# name of the constant feature that `fit --intercept` appends
+CONST_FEATURE = "__const__"
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,8 @@ def explain(
     top_k: int,
 ) -> Explanation:
     """Top-k features of one sample's column ranked by |weight|,
-    ties broken by feature index."""
+    ties broken by feature index; the CONST_FEATURE intercept is not
+    a feature to explain and is never ranked."""
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
     try:
@@ -105,11 +108,13 @@ def explain(
     except ValueError:
         raise UnknownSample(f"no sample with id {sample_id!r}") from None
     w = weights.values[:, col]
-    order = sorted(range(len(w)), key=lambda k: (-abs(w[k]), k))[:top_k]
+    names = pooled.feature_names
+    real = [k for k in range(len(w)) if names[k] != CONST_FEATURE]
+    order = sorted(real, key=lambda k: (-abs(w[k]), k))[:top_k]
     prior = pooled.n_test / pooled.n_inlier
     z = float(np.dot(w, pooled.features[:, col]))
     score = prior * float(np.exp(np.clip(z, -EXP_CLAMP, EXP_CLAMP)))
-    ranked = tuple((pooled.feature_names[k], float(w[k])) for k in order)
+    ranked = tuple((names[k], float(w[k])) for k in order)
     return Explanation(sample_id=sample_id, ranked_features=ranked, score=score)
 
 

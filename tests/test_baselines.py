@@ -327,6 +327,8 @@ class TestOsvm:
             osvm_fit(data, nu=0.0, sigma=1.0)
         with pytest.raises(InfeasibleNu):
             osvm_fit(data, nu=1.5, sigma=1.0)
+        with pytest.raises(InfeasibleNu):
+            osvm_fit(data, nu=float("nan"), sigma=1.0)
 
 
 class TestOsvmScore:
@@ -407,6 +409,14 @@ class TestL1lr:
         pooled = small_pooled([1.0, -1.0], [1, -1])
         with pytest.raises(ValueError):
             l1lr_fit(pooled, lam=-0.1)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_nonfinite_lambda(self, lam):
+        # NaN used to double the Lipschitz estimate forever in the
+        # backtracking loop; infinity fitted through a raw RuntimeWarning
+        pooled = small_pooled([1.0, -1.0], [1, -1])
+        with pytest.raises(ValueError, match="l1lr lambda"):
+            l1lr_fit(pooled, lam=lam)
 
 
 class TestL1lrScore:
@@ -544,6 +554,11 @@ class TestRulsif:
             rulsif_fit(data, data, beta=1.5, nu=0.1, sigma=1.0)
         with pytest.raises(ValueError):
             rulsif_fit(data, data, beta=0.5, nu=-1.0, sigma=1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="nu"):
+                rulsif_fit(data, data, beta=0.5, nu=bad, sigma=1.0)
+            with pytest.raises(ValueError, match="beta"):
+                rulsif_fit(data, data, beta=bad, nu=0.1, sigma=1.0)
 
 
 class TestKernelModelScore:

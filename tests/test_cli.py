@@ -257,6 +257,24 @@ class TestScore:
         assert len(doc) == 25
         assert all(len(e["features"]) == 2 for e in doc)
 
+    def test_intercept_explanations_list_real_features(self, tmp_path):
+        # the intercept used to take one of the k places and was then
+        # dropped, leaving k - 1 features for most samples
+        assert cli.main(["synth", "--d", "3", "--seed", "0", "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        pair = ["--inliers", str(tmp_path / "inliers.csv"), "--test", str(tmp_path / "test.csv")]
+        model = tmp_path / "m.json"
+        assert cli.main(["fit", *pair, "--out", str(model), "--intercept"]) == cli.EXIT_OK
+        for k in (1, 3, 5):
+            explained = tmp_path / f"e{k}.json"
+            assert cli.main(["score", "--model", str(model), *pair, "--out",
+                             str(tmp_path / "s.csv"), "--explain-top", str(k),
+                             "--explain-out", str(explained)]) == cli.EXIT_OK
+            doc = json.loads(explained.read_text())
+            assert len(doc) == 110
+            for e in doc:
+                names = [f["name"] for f in e["features"]]
+                assert len(names) == min(k, 3) and cli.CONST_FEATURE not in names
+
     def test_feature_name_mismatch_exit2(self, workspace, tmp_path, capsys):
         # CSVs with other column names used to be scored without a word
         for name in ("inliers.csv", "test.csv"):
@@ -459,6 +477,31 @@ class TestBench:
         assert code == cli.EXIT_USAGE
         assert_one_error(capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--osvm-nu", "2", "osvm nu"),
+        ("--osvm-nu", "nan", "osvm nu"),
+        ("--lof-k", "0", "lof K"),
+        ("--l1lr-lambda", "-1", "l1lr lambda"),
+        ("--l1lr-lambda", "nan", "l1lr lambda"),
+        ("--l1lr-lambda", "inf", "l1lr lambda"),
+        ("--ulsif-nu", "-1", "ulsif/rulsif nu"),
+        ("--ulsif-nu", "nan", "ulsif/rulsif nu"),
+        ("--rulsif-beta", "2", "rulsif beta"),
+        ("--rulsif-beta", "nan", "rulsif beta"),
+    ])
+    def test_bad_baseline_flag_exit2_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, flag, value, named
+    ):
+        # each used to run every trial, warn once per trial and exit 1
+        calls = []
+        monkeypatch.setattr(harness, "run_method", lambda *a: calls.append(a))
+        out = tmp_path / "r.json"
+        code = cli.main(["bench", "--methods", ",".join(harness.METHODS), "--dims", "4",
+                         "--trials", "2", "--out", str(out), flag, value])
+        assert code == cli.EXIT_USAGE
+        assert_one_error(capsys, named)
+        assert calls == [] and not out.exists()
 
     def test_unknown_method_exit2(self, tmp_path):
         code = cli.main([

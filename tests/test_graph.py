@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ratioscope.errors import DegenerateData, InvalidK
-from ratioscope.graph import knn_graph, median_heuristic
+from ratioscope.graph import SimilarityGraph, knn_graph, median_heuristic
 
 
 class TestMedianHeuristic:
@@ -81,3 +82,28 @@ class TestKnnGraph:
             knn_graph(X, 0, 1.0)
         with pytest.raises(InvalidK):
             knn_graph(X, 3, 1.0)
+
+
+class TestEdgeList:
+    def test_direct_graph_matches_knn_graph(self):
+        # a graph built from its weights alone, as the solver tests build
+        # theirs, carries the edge list knn_graph's graph carries
+        rng = np.random.default_rng(4)
+        g = knn_graph(rng.normal(size=(3, 25)), 4, 1.5)
+        direct = SimilarityGraph(
+            weights=sp.csr_matrix(g.weights.toarray()), k_neighbors=4, sigma2=1.5
+        )
+        (B0, r), (B0_direct, r_direct) = g.edges, direct.edges
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(B0, name), getattr(B0_direct, name))
+        assert np.array_equal(r, r_direct)
+
+    def test_one_row_per_edge_i_below_j(self):
+        rng = np.random.default_rng(5)
+        g = knn_graph(rng.normal(size=(2, 30)), 3, 1.0)
+        B0, r = g.edges
+        assert B0.shape == (g.weights.nnz // 2, g.m)
+        i, j = B0.indices[0::2], B0.indices[1::2]
+        assert np.all(i < j)
+        assert np.array_equal(B0.data, np.tile([1.0, -1.0], len(r)))
+        assert np.array_equal(r, g.weights.toarray()[i, j])

@@ -9,6 +9,7 @@ import pytest
 
 from ratioscope import harness
 from ratioscope.data import LABEL_INLIER, LABEL_OUTLIER, Dataset, load_csv
+from ratioscope.errors import RatioscopeError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -130,6 +131,19 @@ class TestRunBench:
         # the planted outliers are far from the inlier blob: near-perfect AUC
         for m in doc["per_dim"][0]["methods"]:
             assert m["mean"] >= 0.95
+
+    @pytest.mark.parametrize("bad", [
+        {"lof_k": 0}, {"osvm_nu": 2.0}, {"l1lr_lambda": float("nan")},
+        {"ulsif_nu": -1.0}, {"rulsif_beta": float("nan")}, {"lambda1": float("inf")},
+    ])
+    def test_bad_param_raises_before_any_trial(self, monkeypatch, bad):
+        # each used to fail every trial, one warning per trial
+        calls = []
+        monkeypatch.setattr(harness, "run_method", lambda *a: calls.append(a))
+        with pytest.raises((ValueError, RatioscopeError)):
+            harness.run_bench(dims=[4], trials=2, methods=["kde"], seed=0,
+                              params=small_params(**bad), threads=1)
+        assert calls == []
 
     def test_failure_records_null_and_continues(self, capsys):
         # constant features make the median distance heuristic degenerate,

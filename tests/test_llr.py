@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.stats import spearmanr
 
 from conftest import make_dataset, random_instance
+from ratioscope import llr
 from ratioscope.data import PooledDataset, pool
 from ratioscope.evaluation import auc
 from ratioscope.graph import SimilarityGraph
@@ -100,6 +102,22 @@ class TestMajorizerCg:
             Cg = majorizer_Cg(W, graph, epsilon=1e-10)
             sums = np.asarray(Cg.sum(axis=1)).ravel()
             assert np.max(np.abs(sums)) <= 1e-12
+
+    def test_matches_sparse_diagonal_product(self):
+        # the scaled-incidence assembly gives the arrays of
+        # B0^T (diag(a) B0) bit for bit
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            pooled, graph = random_instance(rng)
+            W = WeightMatrix(values=rng.normal(size=pooled.features.shape))
+            for eps in (1e-10, 0.3):
+                B0, r = graph.edges
+                diff = B0 @ W.values.T
+                a = r / np.sqrt(np.einsum("ek,ek->e", diff, diff) + eps)
+                expected = (B0.T @ (sp.diags(a) @ B0)).tocsr()
+                Cg = majorizer_Cg(W, graph, eps)
+                for name in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(Cg, name), getattr(expected, name))
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(2)
@@ -404,6 +422,28 @@ class TestFit:
         assert trace[1] < trace[0]
         assert all(b <= a for a, b in zip(trace, trace[1:]))
         assert len(trace) == result.iterations + 1
+
+    def test_outer_loop_calls_the_public_functions(self, monkeypatch):
+        # wrap the module attributes, as a tracer does: each outer
+        # iteration must go through them, not through a private copy
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(llr, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("majorizer_Cg", "majorizer_Ce", "solve_inner", "objective_J"):
+            monkeypatch.setattr(llr, name, counting(name))
+        pooled, graph = random_instance(np.random.default_rng(16))
+        result = fit_pooled(pooled, LlrHyperparams(outer_max_iters=20), graph=graph)
+        n = result.iterations
+        assert n >= 2
+        assert calls == {"majorizer_Cg": n, "majorizer_Ce": n, "solve_inner": n,
+                         "objective_J": n + 1}
 
     def test_monotone_descent_random(self):
         rng = np.random.default_rng(13)

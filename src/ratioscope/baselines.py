@@ -24,7 +24,7 @@ from .errors import (
     SingularSystem,
 )
 from .graph import pairwise_sq_dists
-from .scores import EXP_CLAMP, ScoreSet
+from .scores import EXP_CLAMP, ScoreSet, ratio_from_logit
 
 SCORE_FLOOR = 1e-12
 DIST_FLOOR = 1e-12
@@ -274,8 +274,7 @@ def l1lr_fit(
 
 
 def l1lr_score(model: LinearModel, query: Dataset, n_test: int, n_inlier: int) -> ScoreSet:
-    z = np.clip(query.features.T @ model.w, -EXP_CLAMP, EXP_CLAMP)
-    scores = (n_test / n_inlier) * np.exp(z)
+    scores = ratio_from_logit(query.features.T @ model.w, n_inlier, n_test)
     return ScoreSet(sample_ids=query.sample_ids, scores=scores)
 
 

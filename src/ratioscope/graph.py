@@ -9,6 +9,9 @@ import scipy.sparse as sp
 
 from .errors import DegenerateData, InvalidK
 
+# knn_graph's sigma2 value for the squared median pairwise distance
+SIGMA2_AUTO = "auto"
+
 
 def edge_list(M: sp.spmatrix):
     """(B0, v) over the nonzeros i < j of the symmetric m x m matrix M:
@@ -56,34 +59,41 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def median_heuristic(data: np.ndarray) -> float:
-    """Median pairwise Euclidean distance over distinct unordered pairs."""
-    data = np.asarray(data, dtype=float)
-    m = data.shape[1]
-    if m < 2:
-        raise DegenerateData("median heuristic needs at least 2 samples")
-    d2 = pairwise_sq_dists(data, data)
-    iu = np.triu_indices(m, k=1)
+def _median_dist(d2: np.ndarray) -> float:
+    """Median of sqrt(d2) over the pairs i < j of a squared-distance matrix."""
+    iu = np.triu_indices(d2.shape[0], k=1)
     med = float(np.median(np.sqrt(d2[iu])))
     if med == 0.0:
         raise DegenerateData("median pairwise distance is zero (all points coincide)")
     return med
 
 
-def knn_graph(data: np.ndarray, K: int, sigma2: float) -> SimilarityGraph:
+def median_heuristic(data: np.ndarray) -> float:
+    """Median pairwise Euclidean distance over distinct unordered pairs."""
+    data = np.asarray(data, dtype=float)
+    if data.shape[1] < 2:
+        raise DegenerateData("median heuristic needs at least 2 samples")
+    return _median_dist(pairwise_sq_dists(data, data))
+
+
+def knn_graph(data: np.ndarray, K: int, sigma2: float | str) -> SimilarityGraph:
     """Symmetrized K-nearest-neighbor Gaussian similarity graph.
 
     Directed weights exp(-||x_i - x_j||^2 / (2 sigma2)) to the K nearest
     neighbors of each column (self excluded, distance ties broken by
     smaller index), then symmetrized by averaging with the transpose.
+    sigma2 = SIGMA2_AUTO takes median_heuristic(data) ** 2 from the
+    distances the graph is built from; the graph records the value.
     """
     data = np.asarray(data, dtype=float)
     m = data.shape[1]
     if K <= 0 or K >= m:
         raise InvalidK(f"K must satisfy 1 <= K < m, got K={K}, m={m}")
-    if sigma2 <= 0:
+    if sigma2 != SIGMA2_AUTO and sigma2 <= 0:
         raise InvalidK(f"sigma2 must be positive, got {sigma2}")
     d2 = pairwise_sq_dists(data, data)
+    if sigma2 == SIGMA2_AUTO:
+        sigma2 = _median_dist(d2) ** 2
     np.fill_diagonal(d2, np.inf)
     # stable argsort keeps the smaller index on distance ties
     order = np.argsort(d2, axis=1, kind="stable")[:, :K]
@@ -91,8 +101,7 @@ def knn_graph(data: np.ndarray, K: int, sigma2: float) -> SimilarityGraph:
     cols = order.ravel()
     vals = np.exp(-d2[rows, cols] / (2.0 * sigma2))
     w = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    # no point is its own neighbor, so the diagonal stays empty
     w = (w + w.T) * 0.5
-    w.setdiag(0.0)
     w.eliminate_zeros()
     return SimilarityGraph(weights=w.tocsr(), k_neighbors=K, sigma2=float(sigma2))
-

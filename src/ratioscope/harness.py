@@ -8,8 +8,8 @@ Trials fan out over a thread pool; results are keyed by
 
 from __future__ import annotations
 
+import logging
 import os
-import sys
 import numpy as np
 
 from concurrent.futures import ThreadPoolExecutor
@@ -62,32 +62,27 @@ def run_method(
     """Run one detector and return test-sample scores with labels."""
     pooled = pool(inliers, test)
     if method == "llr":
-        # build_graph caps k_neighbors at m - 1
+        # fit_pooled caps k_neighbors at m - 1
         hp = llr.LlrHyperparams(**{name: params[name] for name in LLR_PARAMS})
-        result = llr.fit_pooled(pooled, hp)
-        return ratio_score(result.weights, pooled, which="test", labels=labels)
-    if method == "kde":
-        sigma = median_heuristic(inliers.features)
-        s = baselines.kde_fit_score(inliers, test, sigma)
+        s = ratio_score(llr.fit_pooled(pooled, hp).weights, pooled, which="test")
+    elif method == "kde":
+        s = baselines.kde_fit_score(inliers, test, median_heuristic(inliers.features))
     elif method == "lof":
         s = baselines.lof_score(inliers, test, min(params["lof_k"], inliers.m - 1))
-    elif method == "osvm":
-        sigma = median_heuristic(pooled.features)
-        model = baselines.osvm_fit(pooled, params["osvm_nu"], sigma)
-        s = baselines.kernel_model_score(model, test)
     elif method == "l1lr":
         model = baselines.l1lr_fit(pooled, params["l1lr_lambda"])
         s = baselines.l1lr_score(model, test, pooled.n_test, pooled.n_inlier)
-    elif method == "kliep":
-        tau = median_heuristic(pooled.features)
-        model = baselines.kliep_fit(inliers, test, tau, seed=seed)
-        s = baselines.kernel_model_score(model, test)
-    elif method in ("ulsif", "rulsif"):
+    elif method in ("osvm", "kliep", "ulsif", "rulsif"):
         sigma = median_heuristic(pooled.features)
-        beta = 1.0 if method == "ulsif" else params["rulsif_beta"]
-        model = baselines.rulsif_fit(
-            inliers, test, beta, params["ulsif_nu"], sigma, seed=seed
-        )
+        if method == "osvm":
+            model = baselines.osvm_fit(pooled, params["osvm_nu"], sigma)
+        elif method == "kliep":
+            model = baselines.kliep_fit(inliers, test, sigma, seed=seed)
+        else:
+            beta = 1.0 if method == "ulsif" else params["rulsif_beta"]
+            model = baselines.rulsif_fit(
+                inliers, test, beta, params["ulsif_nu"], sigma, seed=seed
+            )
         s = baselines.kernel_model_score(model, test)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -115,9 +110,8 @@ def resplit_dataset(data: Dataset, labels, n_outliers: int, seed: int, trial: in
     model_idx = np.sort(inl_perm[:half])
     test_inl_idx = np.sort(inl_perm[half:])
     if len(out_idx) < n_outliers:
-        print(
-            f"warning: only {len(out_idx)} outliers available, using all",
-            file=sys.stderr,
+        logging.getLogger(__name__).warning(
+            "warning: only %d outliers available, using all", len(out_idx)
         )
         picked_out = out_idx
     else:
@@ -196,9 +190,8 @@ def run_bench(
                 )
                 out[method] = (auc(s), s)
             except Exception as exc:  # record and continue
-                print(
-                    f"warning: {method} failed on dim={dim} trial={trial}: {exc}",
-                    file=sys.stderr,
+                logging.getLogger(__name__).warning(
+                    "warning: %s failed on dim=%d trial=%d: %s", method, dim, trial, exc
                 )
                 out[method] = (None, None)
         return dim, trial, out

@@ -43,9 +43,9 @@ from scipy.special import expit
 
 from .data import Dataset, PooledDataset, StandardizationStats, pool
 from .errors import DimensionMismatch, LineSearchFailure, NonDecrease
-from .graph import SimilarityGraph, edge_list, knn_graph, median_heuristic
-
-SIGMA2_AUTO = "auto"
+# median_heuristic is unused here but stays importable as
+# llr.median_heuristic, where ratiobench's tracer looks it up
+from .graph import SIGMA2_AUTO, SimilarityGraph, edge_list, knn_graph, median_heuristic  # noqa: F401
 
 # fit_pooled's inner solves stop at this fraction of the anchor's
 # surrogate gradient norm.  Against exact inner solves on 20
@@ -94,8 +94,11 @@ class LlrHyperparams:
         # written so that NaN and infinity fail every test
         if not (0 <= self.lambda1 < math.inf and 0 <= self.lambda2 < math.inf):
             raise ValueError("regularization parameters must be nonnegative finite numbers")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be a positive finite number")
+        # a column's smoothed l1 norm is at least d sqrt(eps); at eps = 1e-4 the
+        # smoothing is already 2.6% of the final J at d = 10, and grows as d^2
+        if not 0 < self.epsilon <= 1e-4:
+            raise ValueError("epsilon must be a positive finite number at most 1e-4;"
+                             " a larger one swamps the objective with smoothing")
         if not (0 < self.outer_rel_tol < math.inf and 0 < self.inner_grad_tol < math.inf):
             raise ValueError("tolerances must be positive finite numbers")
         if self.outer_max_iters < 1 or self.inner_max_iters < 1:
@@ -385,23 +388,13 @@ def solve_inner(
     return WeightMatrix(values=np.ascontiguousarray(W.T))
 
 
-def build_graph(pooled: PooledDataset, hp: LlrHyperparams) -> SimilarityGraph:
-    """kNN graph with bandwidth hp.sigma2, or the squared median
-    pairwise distance when it is "auto"; the graph records the value."""
-    if hp.sigma2 == SIGMA2_AUTO:
-        sigma2 = median_heuristic(pooled.features) ** 2
-    else:
-        sigma2 = float(hp.sigma2)
-    K = min(hp.k_neighbors, pooled.m - 1)
-    return knn_graph(pooled.features, K, sigma2)
-
-
 def fit_pooled(
     pooled: PooledDataset,
     hp: LlrHyperparams,
     graph: SimilarityGraph | None = None,
 ) -> FitResult:
-    """Run the outer reweighting loop on already-pooled data.
+    """Run the outer reweighting loop on already-pooled data over
+    ``graph``, by default knn_graph(features, min(k_neighbors, m - 1), sigma2).
 
     Each outer iteration is four public calls: majorizer_Cg and
     majorizer_Ce at the anchor, solve_inner from the anchor with
@@ -411,7 +404,7 @@ def fit_pooled(
     majorization J never rises; the NonDecrease check below asserts it
     on every iteration."""
     if graph is None:
-        graph = build_graph(pooled, hp)
+        graph = knn_graph(pooled.features, min(hp.k_neighbors, pooled.m - 1), hp.sigma2)
     eps = hp.epsilon
     W = WeightMatrix(values=np.zeros_like(pooled.features))
     trace = [objective_J(W, pooled, graph, hp)]

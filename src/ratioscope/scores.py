@@ -49,6 +49,12 @@ class Explanation:
     score: float
 
 
+def ratio_from_logit(z, n_inlier: int, n_test: int):
+    """Ratio (n'/n) * exp(z) for logits z, the exponent clamped to
+    +-EXP_CLAMP so that scores saturate instead of overflowing."""
+    return n_test / n_inlier * np.exp(np.clip(z, -EXP_CLAMP, EXP_CLAMP))
+
+
 def _column_indices(pooled: PooledDataset, which: str) -> np.ndarray:
     if which == "test":
         return np.arange(pooled.n_inlier, pooled.m)
@@ -65,20 +71,18 @@ def ratio_score(
     which: str = "test",
     labels=None,
 ) -> ScoreSet:
-    """Score (n/n') * exp(w_i . x_i) for the selected pooled columns.
+    """Score ratio_from_logit(w_i . x_i) for the selected pooled columns.
 
-    The exponent is clamped to +-500 so scores saturate instead of
-    overflowing.  ``labels`` (inlier/outlier strings aligned with the
-    selection) are attached when given.
+    ``labels`` (inlier/outlier strings aligned with the selection) are
+    attached when given.
     """
     if weights.values.shape != pooled.features.shape:
         raise DimensionMismatch("weights do not align with pooled columns")
     idx = _column_indices(pooled, which)
-    prior = pooled.n_test / pooled.n_inlier
     z = np.einsum(
         "ki,ki->i", weights.values[:, idx], pooled.features[:, idx]
     )
-    scores = prior * np.exp(np.clip(z, -EXP_CLAMP, EXP_CLAMP))
+    scores = ratio_from_logit(z, pooled.n_inlier, pooled.n_test)
     ids = tuple(pooled.sample_ids[i] for i in idx)
     return ScoreSet(sample_ids=ids, scores=scores, labels=labels)
 
@@ -111,9 +115,8 @@ def explain(
     names = pooled.feature_names
     real = [k for k in range(len(w)) if names[k] != CONST_FEATURE]
     order = sorted(real, key=lambda k: (-abs(w[k]), k))[:top_k]
-    prior = pooled.n_test / pooled.n_inlier
     z = float(np.dot(w, pooled.features[:, col]))
-    score = prior * float(np.exp(np.clip(z, -EXP_CLAMP, EXP_CLAMP)))
+    score = float(ratio_from_logit(z, pooled.n_inlier, pooled.n_test))
     ranked = tuple((names[k], float(w[k])) for k in order)
     return Explanation(sample_id=sample_id, ranked_features=ranked, score=score)
 

@@ -176,6 +176,19 @@ class TestFit:
         assert_one_error(capsys, "finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["1e300", str(float(np.nextafter(1e-4, 1.0)))])
+    def test_epsilon_above_bound_exit2(self, workspace, tmp_path, capsys, value):
+        # --epsilon 1e300 used to exit 0 with converged=True after one
+        # iteration and J about 3e304
+        out = tmp_path / "m.json"
+        code = cli.main([
+            "fit", "--inliers", str(workspace / "inliers.csv"),
+            "--test", str(workspace / "test.csv"), "--out", str(out), "--epsilon", value,
+        ])
+        assert code == cli.EXIT_USAGE
+        assert_one_error(capsys, "epsilon", "1e-4")
+        assert not out.exists()
+
     def test_overflowing_lambda_one_solver_failure_line(self, tmp_path, capsys):
         # a finite lambda1 of 1e308 overflows the penalty gradient; this
         # used to print a raw RuntimeWarning before the solver failure

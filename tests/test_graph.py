@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from ratioscope.errors import DegenerateData, InvalidK
-from ratioscope.graph import SimilarityGraph, knn_graph, median_heuristic
+from ratioscope.graph import SIGMA2_AUTO, SimilarityGraph, knn_graph, median_heuristic
 
 
 class TestMedianHeuristic:
@@ -82,6 +82,19 @@ class TestKnnGraph:
             knn_graph(X, 0, 1.0)
         with pytest.raises(InvalidK):
             knn_graph(X, 3, 1.0)
+
+    def test_auto_sigma2_is_the_squared_median_heuristic(self):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(4, 35))
+        g = knn_graph(X, 5, SIGMA2_AUTO)
+        assert g.sigma2 == median_heuristic(X) ** 2
+        explicit = knn_graph(X, 5, median_heuristic(X) ** 2)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(g.weights, name), getattr(explicit.weights, name))
+
+    def test_auto_sigma2_coincident_points(self):
+        with pytest.raises(DegenerateData):
+            knn_graph(np.ones((2, 4)), 2, SIGMA2_AUTO)
 
 
 class TestEdgeList:

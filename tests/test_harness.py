@@ -64,11 +64,12 @@ class TestResplit:
         b = harness.resplit_dataset(self.data, self.labels, 10, seed=7, trial=1)
         assert a[0].sample_ids != b[0].sample_ids
 
-    def test_too_few_outliers_warns_and_uses_all(self, capsys):
+    def test_too_few_outliers_warns_and_uses_all(self, caplog):
         data, labels = load_csv(os.path.join(FIXTURES, "shift.csv"))
         inliers, test, out_labels = harness.resplit_dataset(data, labels, 10, seed=0, trial=0)
         assert out_labels.count(LABEL_OUTLIER) == 6
-        assert "warning" in capsys.readouterr().err
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "only 6 outliers" in caplog.text
 
 
 class TestThreadCount:
@@ -145,7 +146,7 @@ class TestRunBench:
                               params=small_params(**bad), threads=1)
         assert calls == []
 
-    def test_failure_records_null_and_continues(self, capsys):
+    def test_failure_records_null_and_continues(self, caplog):
         # constant features make the median distance heuristic degenerate,
         # so kde fails per-trial while lof (pure ranks of zero distances) may too;
         # the run must still return a document with nulls counted
@@ -166,7 +167,7 @@ class TestRunBench:
         assert entry["auc_values"] == [None, None]
         assert entry["mean"] is None
         assert rows[0][2] is None
-        assert "failed" in capsys.readouterr().err
+        assert caplog.text.count("kde failed") == 2
 
     def test_dump_scores(self, tmp_path):
         out_dir = tmp_path / "dump"

@@ -9,16 +9,16 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.stats import spearmanr
 
 from conftest import make_dataset, random_instance
+from ratioscope import graph as graph_module
 from ratioscope import llr
 from ratioscope.data import PooledDataset, pool
 from ratioscope.evaluation import auc
-from ratioscope.graph import SimilarityGraph
+from ratioscope.graph import SimilarityGraph, knn_graph, median_heuristic
 from ratioscope.llr import (
     LlrHyperparams,
     WeightMatrix,
     _hessp,
     _surrogate_grad,
-    build_graph,
     fit,
     fit_pooled,
     grad_Jtilde,
@@ -445,6 +445,25 @@ class TestFit:
         assert calls == {"majorizer_Cg": n, "majorizer_Ce": n, "solve_inner": n,
                          "objective_J": n + 1}
 
+    def test_graph_computes_pairwise_distances_once(self, monkeypatch):
+        # the "auto" bandwidth comes from the distances knn_graph builds;
+        # the median heuristic used to compute them a second time
+        calls = []
+        original = graph_module.pairwise_sq_dists
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(graph_module, "pairwise_sq_dists", counting)
+        inliers, test, _ = generate(
+            SynthSpec(d=3, n_inlier=15, n_test_inlier=8, n_test_outlier=2, seed=2)
+        )
+        pooled = pool(inliers, test)
+        result = fit_pooled(pooled, LlrHyperparams())
+        assert len(calls) == 1
+        assert result.graph.sigma2 == median_heuristic(pooled.features) ** 2
+
     def test_monotone_descent_random(self):
         rng = np.random.default_rng(13)
         hp = LlrHyperparams(outer_max_iters=20)
@@ -500,8 +519,6 @@ class TestFit:
         # huge lambda1 collapses the columns; freezing Ce at W ~ 0 turns
         # the exclusive term into a plain ridge, so the shared column
         # should rank test samples like an l2-regularized logistic fit
-        from ratioscope.llr import build_graph
-
         inliers, test, _ = generate(
             SynthSpec(d=10, n_inlier=60, n_test_inlier=25, n_test_outlier=5, seed=1)
         )
@@ -511,7 +528,7 @@ class TestFit:
             lambda1=1e3, lambda2=lam2, k_neighbors=pooled.m - 1, sigma2=1e4,
             inner_grad_tol=1e-9, inner_max_iters=4000,
         )
-        graph = build_graph(pooled, hp)
+        graph = knn_graph(pooled.features, min(hp.k_neighbors, pooled.m - 1), hp.sigma2)
         W0 = zero_weights(pooled)
         # eps=1 keeps the frozen couplings well conditioned; Ce is the
         # constant d, so the exclusive term is a plain ridge
@@ -560,7 +577,7 @@ class TestFit:
             pooled, _ = random_instance(rng, n_inlier=15, n_test=10)
             cases.append((pooled, ["inlier"] * 7 + ["outlier"] * 3))
         for pooled, labels in cases:
-            graph = build_graph(pooled, hp)
+            graph = knn_graph(pooled.features, min(hp.k_neighbors, pooled.m - 1), hp.sigma2)
             W_ref, J_ref = self.exact_inner_reference(pooled, graph, hp)
             result = fit_pooled(pooled, hp, graph=graph)
             trace = result.objective_trace
@@ -603,6 +620,9 @@ class TestFit:
             LlrHyperparams(lambda1=-0.1)
         with pytest.raises(ValueError):
             LlrHyperparams(epsilon=0.0)
+        with pytest.raises(ValueError):
+            LlrHyperparams(epsilon=2e-4)
+        LlrHyperparams(epsilon=1e-4)  # the bound itself is allowed
         with pytest.raises(ValueError):
             LlrHyperparams(sigma2=-1.0)
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from ratioscope.scores import (
     detect,
     explain,
     load_scores_csv,
+    ratio_from_logit,
     ratio_score,
     save_explanations_json,
     save_scores_csv,
@@ -72,6 +73,12 @@ class TestRatioScore:
         s = ratio_score(W, pooled)
         assert np.all(np.isfinite(s.scores))
         assert np.all(s.scores == np.exp(500.0))
+
+    def test_ratio_from_logit_saturates_finite(self):
+        r = ratio_from_logit(np.array([-1e4, 0.0, 1e4]), 4, 2)
+        assert np.all(np.isfinite(r)) and np.all(r > 0)
+        assert r[1] == 0.5
+        assert r[0] == 0.5 * np.exp(-500.0) and r[2] == 0.5 * np.exp(500.0)
 
     def test_selectors(self):
         pooled = pooled_with(3, 2)

@@ -61,6 +61,7 @@ def run_method(
 ) -> ScoreSet:
     """Run one detector and return test-sample scores with labels."""
     pooled = pool(inliers, test)
+    model = None
     if method == "llr":
         # fit_pooled caps k_neighbors at m - 1
         hp = llr.LlrHyperparams(**{name: params[name] for name in LLR_PARAMS})
@@ -86,6 +87,10 @@ def run_method(
         s = baselines.kernel_model_score(model, test)
     else:
         raise ValueError(f"unknown method {method!r}")
+    if model is not None and not model.converged:
+        logging.getLogger(__name__).warning(
+            "warning: %s stopped at its iteration cap without converging", method
+        )
     return ScoreSet(s.sample_ids, s.scores, tuple(labels))
 
 

@@ -1,5 +1,3 @@
-import inspect
-
 import numpy as np
 import pytest
 from scipy.optimize import bisect, minimize
@@ -149,6 +147,36 @@ def assert_matches_oracle(v, c):
     tol = 1e-12 * max(1.0, float(np.max(np.abs(v))))
     assert np.max(np.abs(a - bisection_projection(v, c))) <= tol
     return a
+
+
+def projected_gradient_osvm(data, nu, sigma, iters=5000):
+    """Plain projected gradient on the OSVM dual, every step taken: the
+    loop the accelerated solver replaced, kept as an oracle."""
+    n = data.m
+    c = 1.0 / (n * nu)
+    K = gauss_design(data.features, data.features, sigma**2)
+    step = 1.0 / float(np.linalg.eigvalsh(K)[-1])
+    alpha = project_box_simplex(np.full(n, 1.0 / n), c)
+    for _ in range(iters):
+        alpha = project_box_simplex(alpha - step * (K @ alpha), c)
+    return KernelModel(centers=data.features, alphas=alpha, sigma2=sigma**2)
+
+
+def osvm_kkt_residual(model, nu):
+    """Largest KKT violation of the OSVM dual relative to |rho|, with g =
+    K alpha and rho the median of g over the free coefficients."""
+    a = model.alphas
+    c = 1.0 / (len(a) * nu)
+    g = gauss_design(model.centers, model.centers, model.sigma2) @ a
+    zero, capped = a <= 0.0, a >= c
+    free = ~(zero | capped)
+    rho = np.median(g[free])
+    violations = np.concatenate((
+        np.abs(g[free] - rho),
+        np.maximum(rho - g[zero], 0.0),
+        np.maximum(g[capped] - rho, 0.0),
+    ))
+    return float(np.max(violations)) / abs(rho)
 
 
 def sweep_osvm_data(d):
@@ -305,12 +333,31 @@ class TestOsvm:
             best = min(best, res.fun)
         assert osvm_dual_objective(model) == pytest.approx(best, abs=1e-6)
 
-    def test_sweep_fit_stops_unconverged_at_cap(self):
+    def test_sweep_fit_converges_before_cap(self):
+        for d in (10, 100):
+            data, sigma = sweep_osvm_data(d)
+            model = osvm_fit(data, nu=0.1, sigma=sigma)
+            assert model.converged and model.iterations <= 1000
+            assert osvm_kkt_residual(model, 0.1) <= 1e-5
+
+    def test_sweep_fit_no_worse_than_plain_projected_gradient(self):
         data, sigma = sweep_osvm_data(10)
         model = osvm_fit(data, nu=0.1, sigma=sigma)
-        max_iters = inspect.signature(osvm_fit).parameters["max_iters"].default
+        oracle = projected_gradient_osvm(data, 0.1, sigma)
+        assert osvm_dual_objective(model) <= osvm_dual_objective(oracle)
+
+    @pytest.mark.parametrize("nu", [0.05, 0.1, 0.3, 0.7])
+    def test_sweep_data_converges_across_nu(self, nu):
+        data, sigma = sweep_osvm_data(10)
+        model = osvm_fit(data, nu=nu, sigma=sigma)
+        assert model.converged
+        assert osvm_kkt_residual(model, nu) <= 1e-5
+
+    def test_stops_unconverged_at_cap(self):
+        data, sigma = sweep_osvm_data(10)
+        model = osvm_fit(data, nu=0.1, sigma=sigma, max_iters=3)
         assert not model.converged
-        assert model.iterations == max_iters
+        assert model.iterations == 3
 
     def test_sweep_fit_matches_bisection_oracle(self, monkeypatch):
         data, sigma = sweep_osvm_data(10)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from ratioscope import harness
+from ratioscope import baselines, harness
 from ratioscope.data import LABEL_INLIER, LABEL_OUTLIER, Dataset, load_csv
 from ratioscope.errors import RatioscopeError
 
@@ -177,6 +177,19 @@ class TestRunBench:
         )
         files = sorted(p.name for p in out_dir.iterdir())
         assert files == ["scores_d4_t0_kde.csv", "scores_d4_t1_kde.csv"]
+
+    def test_unconverged_fit_warns_once(self, monkeypatch, caplog):
+        from ratioscope.synth import SynthSpec, generate
+
+        inliers, test, labels = generate(SynthSpec(d=3, n_inlier=10, n_test_inlier=5, n_test_outlier=1))
+        params = dict(harness.DEFAULT_PARAMS)
+        harness.run_method("osvm", inliers, test, labels, params, 0)
+        assert caplog.records == []
+        fit = baselines.osvm_fit
+        monkeypatch.setattr(baselines, "osvm_fit", lambda *a: fit(*a, max_iters=2))
+        harness.run_method("osvm", inliers, test, labels, params, 0)
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "osvm stopped at its iteration cap" in caplog.text
 
     def test_unknown_method_raises(self):
         from ratioscope.synth import SynthSpec, generate

@@ -210,7 +210,14 @@ def load_csv(path, id_prefix: str = "") -> tuple[Dataset, list[str] | None]:
         except ValueError:
             # parse again cell by cell to name the bad one
             values.append([parse_float(path, line, n, v) for n, v in zip(names, row)])
-    features = np.asarray(values, dtype=float).T
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        i, k = np.argwhere(~np.isfinite(values))[0]
+        line, row = rows[i + 1]
+        raise MalformedCsv(
+            f"{path}: line {line}, column {names[k]!r}: {row[k]!r} is not a finite number"
+        )
+    features = values.T
     ids = tuple(f"{id_prefix}s{i}" for i in range(features.shape[1]))
     return Dataset(features=features, feature_names=tuple(names), sample_ids=ids), labels
 

@@ -65,7 +65,8 @@ def run_method(
     if method == "llr":
         # fit_pooled caps k_neighbors at m - 1
         hp = llr.LlrHyperparams(**{name: params[name] for name in LLR_PARAMS})
-        s = ratio_score(llr.fit_pooled(pooled, hp).weights, pooled, which="test")
+        model = llr.fit_pooled(pooled, hp)
+        s = ratio_score(model.weights, pooled, which="test")
     elif method == "kde":
         s = baselines.kde_fit_score(inliers, test, median_heuristic(inliers.features))
     elif method == "lof":

@@ -27,8 +27,12 @@ loop converges.  ``solve_inner`` called directly stays exact.
 Every fused-term quantity comes from one signed incidence matrix B0
 over the graph's edges i < j, built once with the graph: the edge
 distances are the row norms of B0 W^T, and Cg = B0^T diag(a) B0 for
-edge weights a.  Each outer iteration of ``fit_pooled`` is four public
-calls: majorizer_Cg, majorizer_Ce, solve_inner and objective_J.
+edge weights a.  ``anchor`` is the one place the smoothed edge
+distances s_ij and sqrt(W^2 + eps) are formed; objective_J, both
+majorizers and majorization_constant read them from its record.  Each
+outer iteration of ``fit_pooled`` is majorizer_Cg(A), majorizer_Ce(A),
+solve_inner from A.weights, A = anchor(W, graph, eps) and
+objective_J(A, ...).
 """
 
 from __future__ import annotations
@@ -132,67 +136,62 @@ def _logistic_loss(W: np.ndarray, pooled: PooledDataset) -> float:
     return float(np.sum(np.logaddexp(0.0, -z)))
 
 
-def _smooth_l1(W: np.ndarray, epsilon: float) -> np.ndarray:
-    """Per-column smoothed l1 norms sum_k sqrt(w_k^2 + eps)."""
-    return np.sum(np.sqrt(W * W + epsilon), axis=0)
-
-
 def _edge_sq_dists(Wv: np.ndarray, B0: sp.csr_matrix) -> np.ndarray:
     """Squared column distances ||w_i - w_j||^2 per edge."""
     diff = B0 @ Wv.T
     return np.einsum("ek,ek->e", diff, diff)
 
 
-def _edge_dists(Wv: np.ndarray, B0: sp.csr_matrix, epsilon: float) -> np.ndarray:
-    """Smoothed column distances sqrt(||w_i - w_j||^2 + eps) per edge."""
-    return np.sqrt(_edge_sq_dists(Wv, B0) + epsilon)
+@dataclass(frozen=True)
+class Anchor:
+    """An iterate W with the smoothed quantities every MM step reads:
+    ``edge_dists`` s_ij = sqrt(||w_i - w_j||^2 + eps) over graph.edges
+    and ``smooth`` = sqrt(W^2 + eps), d x m.  Made by ``anchor``."""
+
+    weights: WeightMatrix
+    graph: SimilarityGraph
+    epsilon: float
+    edge_dists: np.ndarray
+    smooth: np.ndarray
 
 
-def objective_J(
-    W: WeightMatrix,
-    pooled: PooledDataset,
-    graph: SimilarityGraph,
-    hp: LlrHyperparams,
-    epsilon: float | None = None,
-) -> float:
-    """Value of J(W); ``epsilon`` overrides hp.epsilon (0 = exact norms)."""
+def anchor(W: WeightMatrix, graph: SimilarityGraph, epsilon: float) -> Anchor:
+    """The record of W over ``graph``; epsilon = 0 gives the exact norms."""
     Wv = W.values
+    B0, _ = graph.edges
+    smooth = np.sqrt(Wv * Wv + epsilon) if epsilon > 0 else np.abs(Wv)
+    return Anchor(W, graph, epsilon, np.sqrt(_edge_sq_dists(Wv, B0) + epsilon), smooth)
+
+
+def objective_J(A: Anchor, pooled: PooledDataset, hp: LlrHyperparams) -> float:
+    """Value of J at the anchor's weights, smoothed by A.epsilon."""
+    Wv = A.weights.values
     _check_dims(Wv, pooled)
-    eps = hp.epsilon if epsilon is None else epsilon
-    B0, r = graph.edges
-    l1 = _smooth_l1(Wv, eps) if eps > 0 else np.sum(np.abs(Wv), axis=0)
+    _, r = A.graph.edges
+    l1 = A.smooth.sum(axis=0)
     return (_logistic_loss(Wv, pooled)
-            + hp.lambda1 * 2.0 * float(np.dot(r, _edge_dists(Wv, B0, eps)))
+            + hp.lambda1 * 2.0 * float(np.dot(r, A.edge_dists))
             + hp.lambda2 * float(np.sum(l1 * l1)))
 
 
-def majorizer_Cg(
-    W: WeightMatrix, graph: SimilarityGraph, epsilon: float
-) -> sp.csr_matrix:
+def majorizer_Cg(A: Anchor) -> sp.csr_matrix:
     """Reweighted graph Laplacian B0^T diag(a) B0, a_ij = r_ij / s_ij;
     diag(a) B0 is B0 with each edge's two stored entries scaled."""
-    if epsilon <= 0:
+    if A.epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    B0, r = graph.edges
-    a = np.repeat(r / _edge_dists(W.values, B0, epsilon), 2)
+    B0, r = A.graph.edges
+    a = np.repeat(r / A.edge_dists, 2)
     return (B0.T @ sp.csr_matrix((B0.data * a, B0.indices, B0.indptr), shape=B0.shape)).tocsr()
 
 
-def majorizer_Ce(W: WeightMatrix, epsilon: float) -> np.ndarray:
+def majorizer_Ce(A: Anchor) -> np.ndarray:
     """Entrywise reweighting ||w_j||_{1,eps} / sqrt(W_kj^2 + eps)."""
-    if epsilon <= 0:
+    if A.epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    Wv = W.values
-    smooth = np.sqrt(Wv * Wv + epsilon)
-    return smooth.sum(axis=0)[None, :] / smooth
+    return A.smooth.sum(axis=0)[None, :] / A.smooth
 
 
-def majorization_constant(
-    W_anchor: WeightMatrix,
-    graph: SimilarityGraph,
-    hp: LlrHyperparams,
-    epsilon: float | None = None,
-) -> float:
+def majorization_constant(A: Anchor, hp: LlrHyperparams) -> float:
     """Anchor constant c_t with J(W) <= surrogate(W) + c_t everywhere
     and equality at the anchor.
 
@@ -202,13 +201,11 @@ def majorization_constant(
     Exclusive part: Cauchy-Schwarz leaves the cross term
     lambda2 * eps * sum_j ||w_j||_{1,eps} sum_k 1/sqrt(w_kj^2 + eps).
     """
-    eps = hp.epsilon if epsilon is None else epsilon
+    eps = A.epsilon
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    Wv = W_anchor.values
-    B0, r = graph.edges
-    s = _edge_dists(Wv, B0, eps)
-    smooth = np.sqrt(Wv * Wv + eps)
+    _, r = A.graph.edges
+    s, smooth = A.edge_dists, A.smooth
     cross = float(np.sum(smooth.sum(axis=0) * np.sum(1.0 / smooth, axis=0)))
     return hp.lambda1 * float(np.dot(r, s + eps / s)) + hp.lambda2 * eps * cross
 
@@ -396,40 +393,40 @@ def fit_pooled(
     """Run the outer reweighting loop on already-pooled data over
     ``graph``, by default knn_graph(features, min(k_neighbors, m - 1), sigma2).
 
-    Each outer iteration is four public calls: majorizer_Cg and
-    majorizer_Ce at the anchor, solve_inner from the anchor with
+    Each outer iteration makes one anchor record A: majorizer_Cg(A)
+    and majorizer_Ce(A), solve_inner from A.weights with
     rel_tol=_INNER_REL_TOL (0.03), which stops once the surrogate
-    gradient is 3% of the gradient of J at the anchor, and objective_J.
+    gradient is 3% of the gradient of J at the anchor, then
+    A = anchor(W, graph, eps) at the new iterate and objective_J(A).
     The inner line search never raises the surrogate, so by
     majorization J never rises; the NonDecrease check below asserts it
     on every iteration."""
     if graph is None:
         graph = knn_graph(pooled.features, min(hp.k_neighbors, pooled.m - 1), hp.sigma2)
     eps = hp.epsilon
-    W = WeightMatrix(values=np.zeros_like(pooled.features))
-    trace = [objective_J(W, pooled, graph, hp)]
+    A = anchor(WeightMatrix(values=np.zeros_like(pooled.features)), graph, eps)
+    trace = [objective_J(A, pooled, hp)]
     converged = False
-    iterations = 0
     for _ in range(hp.outer_max_iters):
-        Cg = majorizer_Cg(W, graph, eps)
-        Ce = majorizer_Ce(W, eps)
-        W = solve_inner(pooled, Cg, Ce, hp, W, rel_tol=_INNER_REL_TOL)
-        J = objective_J(W, pooled, graph, hp)
+        Cg = majorizer_Cg(A)
+        Ce = majorizer_Ce(A)
+        W = solve_inner(pooled, Cg, Ce, hp, A.weights, rel_tol=_INNER_REL_TOL)
+        A = anchor(W, graph, eps)
+        J = objective_J(A, pooled, hp)
         prev = trace[-1]
         if J > prev + 1e-8 * (1.0 + abs(prev)):
             raise NonDecrease(
                 f"objective increased from {prev!r} to {J!r}; this is a bug"
             )
         trace.append(J)
-        iterations += 1
         if abs(prev - J) < hp.outer_rel_tol * (1.0 + abs(prev)):
             converged = True
             break
     return FitResult(
-        weights=W,
+        weights=A.weights,
         objective_trace=tuple(trace),
         converged=converged,
-        iterations=iterations,
+        iterations=len(trace) - 1,
         graph=graph,
     )
 
@@ -476,10 +473,12 @@ def load_model(path) -> dict:
     def vector(value, n, key):
         try:
             arr = np.asarray(value, dtype=float) if isinstance(value, list) else None
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an int past 1e308
             arr = None
         if arr is None or arr.shape != (n,):
             raise bad(f"{key} must be a list of {n} numbers")
+        if not np.all(np.isfinite(arr)):  # json reads NaN, Infinity and 1e400
+            raise bad(f"{key} entries must be finite")
         return arr
 
     with open(path, encoding="utf-8") as fh:
@@ -499,8 +498,9 @@ def load_model(path) -> dict:
     std = doc.get("standardizer")
     if std is not None:
         std = std if isinstance(std, dict) else {}
-        doc["standardizer"] = StandardizationStats(
-            mean=vector(std.get("mean"), d, "standardizer mean"),
-            scale=vector(std.get("scale"), d, "standardizer scale"),
-        )
+        mean = vector(std.get("mean"), d, "standardizer mean")
+        scale = vector(std.get("scale"), d, "standardizer scale")
+        if np.any(scale <= 0):
+            raise bad("standardizer scale entries must be positive")
+        doc["standardizer"] = StandardizationStats(mean=mean, scale=scale)
     return doc

@@ -87,12 +87,13 @@ def test_criterion_02_surrogate_inequality(solver_instances):
     for pooled, graph, hp in solver_instances[:20]:
         W = llr.WeightMatrix(values=np.zeros(pooled.features.shape))
         for _ in range(5):
-            Cg = llr.majorizer_Cg(W, graph, hp.epsilon)
-            Ce = llr.majorizer_Ce(W, hp.epsilon)
-            J0 = llr.objective_J(W, pooled, graph, hp)
+            A = llr.anchor(W, graph, hp.epsilon)
+            Cg = llr.majorizer_Cg(A)
+            Ce = llr.majorizer_Ce(A)
+            J0 = llr.objective_J(A, pooled, hp)
             S0 = llr.surrogate_Jtilde(W, Cg, Ce, pooled, hp)
             W1 = llr.solve_inner(pooled, Cg, Ce, hp, W)
-            J1 = llr.objective_J(W1, pooled, graph, hp)
+            J1 = llr.objective_J(llr.anchor(W1, graph, hp.epsilon), pooled, hp)
             S1 = llr.surrogate_Jtilde(W1, Cg, Ce, pooled, hp)
             ok &= J1 - J0 <= S1 - S0 + 1e-8
             W = W1
@@ -108,8 +109,9 @@ def test_criterion_03_gradient_check():
         pooled, graph = random_instance(rng, d=3, n_inlier=5, n_test=4)
         hp = llr.LlrHyperparams(lambda1=0.1, lambda2=1.0, k_neighbors=3)
         W = llr.WeightMatrix(values=0.5 * rng.normal(size=pooled.features.shape))
-        Cg = llr.majorizer_Cg(W, graph, hp.epsilon)
-        Ce = llr.majorizer_Ce(W, hp.epsilon)
+        A = llr.anchor(W, graph, hp.epsilon)
+        Cg = llr.majorizer_Cg(A)
+        Ce = llr.majorizer_Ce(A)
         g = llr.grad_Jtilde(W, Cg, Ce, pooled, hp)
         num = np.zeros_like(g)
         step = 1e-6
@@ -134,10 +136,11 @@ def test_criterion_04_tangency_and_domination():
         pooled, graph = random_instance(rng)
         hp = llr.LlrHyperparams(lambda1=0.1, lambda2=1.0, k_neighbors=min(5, pooled.m - 1))
         W = llr.WeightMatrix(values=0.5 * rng.normal(size=pooled.features.shape))
-        Cg = llr.majorizer_Cg(W, graph, eps)
-        Ce = llr.majorizer_Ce(W, eps)
-        c = llr.majorization_constant(W, graph, hp, epsilon=eps)
-        J_anchor = llr.objective_J(W, pooled, graph, hp, epsilon=eps)
+        A = llr.anchor(W, graph, eps)
+        Cg = llr.majorizer_Cg(A)
+        Ce = llr.majorizer_Ce(A)
+        c = llr.majorization_constant(A, hp)
+        J_anchor = llr.objective_J(A, pooled, hp)
         S_anchor = llr.surrogate_Jtilde(W, Cg, Ce, pooled, hp)
         ok &= abs(J_anchor - (S_anchor + c)) <= 1e-8
         for _ in range(100):
@@ -145,7 +148,7 @@ def test_criterion_04_tangency_and_domination():
             Wp = llr.WeightMatrix(
                 values=W.values + scale * rng.normal(size=W.values.shape)
             )
-            J = llr.objective_J(Wp, pooled, graph, hp, epsilon=eps)
+            J = llr.objective_J(llr.anchor(Wp, graph, eps), pooled, hp)
             S = llr.surrogate_Jtilde(Wp, Cg, Ce, pooled, hp)
             ok &= J <= S + c + 1e-8
     report(4, "majorizer tangent at the anchor and dominating at 100 perturbations", ok, t0)

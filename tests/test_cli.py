@@ -2,6 +2,7 @@
 and cross-command consistency (score -> eval round trips)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -327,6 +328,17 @@ class TestScore:
         (lambda doc: {**doc, "weights": ["a"] * len(doc["weights"])}, "weights"),
         (lambda doc: "{", "not JSON"),
         (lambda doc: b"\xff{}", "not JSON"),  # used to name no file
+        # an int past the float range used to end in an OverflowError traceback
+        (lambda doc: {**doc, "weights": [10**400] + doc["weights"][1:]}, "weights must be a list"),
+        # these four exited 2 with a message naming no file
+        (lambda doc: {**doc, "weights": [math.nan] + doc["weights"][1:]}, "weights entries"),
+        (lambda doc: {**doc, "weights": [math.inf] + doc["weights"][1:]}, "weights entries"),
+        (lambda doc: json.dumps({**doc, "weights": ["x"] + doc["weights"][1:]}).replace(
+            '"x"', "1e400"), "weights entries"),
+        (lambda doc: {**doc, "standardizer": {**doc["standardizer"], "scale": [0.0] * 5}},
+         "scale entries must be positive"),
+        (lambda doc: {**doc, "standardizer": {**doc["standardizer"], "mean": [math.nan] * 5}},
+         "mean entries must be finite"),
     ])
     def test_malformed_model_exit2(self, workspace, tmp_path, capsys, edit, where):
         doc = edit(json.loads((workspace / "model.json").read_text()))

@@ -9,7 +9,7 @@ from ratioscope.data import (
     pool,
     save_csv,
 )
-from ratioscope.errors import DimensionMismatch, InvalidLabel, TooFewSamples
+from ratioscope.errors import DimensionMismatch, InvalidLabel, MalformedCsv, TooFewSamples
 
 
 def make_dataset(features, prefix="s"):
@@ -148,6 +148,14 @@ class TestCsv:
         path = tmp_path / "d.csv"
         path.write_text("f0,label\n1.0,inlier\n2.0, outlier \n3.0,Outlier\n")
         with pytest.raises(InvalidLabel, match=r"d\.csv: row 4 has label 'Outlier'"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "nan", "1e400"])
+    def test_nonfinite_value_names_file_line_and_column(self, tmp_path, cell):
+        # used to fail as "features contain NaN or infinite entries", naming neither
+        path = tmp_path / "d.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,inlier\n\n3.0,{cell},outlier\n")
+        with pytest.raises(MalformedCsv, match=rf"d\.csv: line 4, column 'f1': '{cell}' is not a finite"):
             load_csv(path)
 
     def test_error_row_counts_blank_lines(self, tmp_path):

@@ -183,13 +183,19 @@ class TestRunBench:
 
         inliers, test, labels = generate(SynthSpec(d=3, n_inlier=10, n_test_inlier=5, n_test_outlier=1))
         params = dict(harness.DEFAULT_PARAMS)
-        harness.run_method("osvm", inliers, test, labels, params, 0)
+        for method in ("osvm", "llr"):
+            harness.run_method(method, inliers, test, labels, params, 0)
         assert caplog.records == []
         fit = baselines.osvm_fit
         monkeypatch.setattr(baselines, "osvm_fit", lambda *a: fit(*a, max_iters=2))
         harness.run_method("osvm", inliers, test, labels, params, 0)
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "osvm stopped at its iteration cap" in caplog.text
+        # LLR's outer loop at its cap used to be dropped without a word
+        caplog.clear()
+        harness.run_method("llr", inliers, test, labels, {**params, "outer_max_iters": 2}, 0)
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "llr stopped at its iteration cap" in caplog.text
 
     def test_unknown_method_raises(self):
         from ratioscope.synth import SynthSpec, generate

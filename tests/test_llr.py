@@ -63,14 +63,14 @@ class TestObjective:
         rng = np.random.default_rng(0)
         pooled, graph = random_instance(rng)
         hp = LlrHyperparams()
-        J = objective_J(zero_weights(pooled), pooled, graph, hp, epsilon=0.0)
+        J = objective_J(llr.anchor(zero_weights(pooled), graph, 0.0), pooled, hp)
         assert J == pytest.approx(pooled.m * np.log(2.0), rel=1e-12)
 
     def test_scalar_logistic(self):
         pooled = single_sample_pooled(1.0)
         hp = LlrHyperparams(lambda1=0.0, lambda2=0.0)
         W = WeightMatrix(values=np.array([[1.0]]))
-        J = objective_J(W, pooled, trivial_graph(1), hp)
+        J = objective_J(llr.anchor(W, trivial_graph(1), hp.epsilon), pooled, hp)
         assert J == pytest.approx(np.log1p(np.exp(-1.0)), abs=1e-10)
         assert J == pytest.approx(0.31326, abs=1e-5)
 
@@ -83,15 +83,16 @@ class TestObjective:
         graph = two_node_graph()
         hp = LlrHyperparams(lambda1=0.3, lambda2=1.0)
         hp0 = LlrHyperparams(lambda1=0.0, lambda2=0.0)
-        logistic = objective_J(W, pooled, graph, hp0, epsilon=0.0)
-        J = objective_J(W, pooled, graph, hp, epsilon=0.0)
+        A = llr.anchor(W, graph, 0.0)
+        logistic = objective_J(A, pooled, hp0)
+        J = objective_J(A, pooled, hp)
         assert J - logistic == pytest.approx(8.0, abs=1e-12)
 
 
 class TestMajorizerCg:
     def test_two_sample_unit(self):
         W = WeightMatrix(values=np.zeros((2, 2)))
-        Cg = majorizer_Cg(W, two_node_graph(), epsilon=1.0).toarray()
+        Cg = majorizer_Cg(llr.anchor(W, two_node_graph(), 1.0)).toarray()
         assert np.allclose(Cg, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
 
     def test_row_sums_zero(self):
@@ -99,7 +100,7 @@ class TestMajorizerCg:
         for _ in range(10):
             pooled, graph = random_instance(rng)
             W = WeightMatrix(values=rng.normal(size=pooled.features.shape))
-            Cg = majorizer_Cg(W, graph, epsilon=1e-10)
+            Cg = majorizer_Cg(llr.anchor(W, graph, 1e-10))
             sums = np.asarray(Cg.sum(axis=1)).ravel()
             assert np.max(np.abs(sums)) <= 1e-12
 
@@ -115,15 +116,25 @@ class TestMajorizerCg:
                 diff = B0 @ W.values.T
                 a = r / np.sqrt(np.einsum("ek,ek->e", diff, diff) + eps)
                 expected = (B0.T @ (sp.diags(a) @ B0)).tocsr()
-                Cg = majorizer_Cg(W, graph, eps)
+                Cg = majorizer_Cg(llr.anchor(W, graph, eps))
                 for name in ("indptr", "indices", "data"):
                     assert np.array_equal(getattr(Cg, name), getattr(expected, name))
+
+    def test_exact_anchor_rejected(self):
+        # epsilon = 0 anchors serve the exact J; the reweightings need s_ij > 0
+        W = WeightMatrix(values=np.zeros((2, 2)))
+        A = llr.anchor(W, two_node_graph(), 0.0)
+        for majorizer in (majorizer_Cg, majorizer_Ce):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                majorizer(A)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            majorization_constant(A, LlrHyperparams())
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(2)
         pooled, graph = random_instance(rng, d=3, n_inlier=3, n_test=2)
         W = WeightMatrix(values=rng.normal(size=pooled.features.shape))
-        Cg = majorizer_Cg(W, graph, epsilon=1e-8).toarray()
+        Cg = majorizer_Cg(llr.anchor(W, graph, 1e-8)).toarray()
         assert np.array_equal(Cg, Cg.T)
         assert np.linalg.eigvalsh(Cg).min() >= -1e-10
 
@@ -131,18 +142,19 @@ class TestMajorizerCg:
 class TestMajorizerCe:
     def test_unit_column(self):
         W = WeightMatrix(values=np.array([[1.0], [1.0]]))
-        Ce = majorizer_Ce(W, epsilon=1e-12)
+        Ce = majorizer_Ce(llr.anchor(W, trivial_graph(W.m), 1e-12))
         assert Ce == pytest.approx(np.array([[2.0], [2.0]]), rel=1e-6)
 
     def test_zero_weights_gives_d(self):
         W = WeightMatrix(values=np.zeros((3, 4)))
-        Ce = majorizer_Ce(W, epsilon=0.5)
+        Ce = majorizer_Ce(llr.anchor(W, trivial_graph(W.m), 0.5))
         assert np.array_equal(Ce, np.full((3, 4), 3.0))
 
     def test_anchor_identity(self):
         rng = np.random.default_rng(3)
         Wv = rng.normal(size=(4, 7))
-        Ce = majorizer_Ce(WeightMatrix(values=Wv), epsilon=1e-12)
+        W = WeightMatrix(values=Wv)
+        Ce = majorizer_Ce(llr.anchor(W, trivial_graph(W.m), 1e-12))
         lhs = float(np.sum(Ce * Wv * Wv))
         rhs = float(np.sum(np.sum(np.abs(Wv), axis=0) ** 2))
         assert lhs == pytest.approx(rhs, rel=1e-6)
@@ -155,8 +167,9 @@ class TestSurrogate:
         W = zero_weights(pooled)
         hp = LlrHyperparams()
         anchor = WeightMatrix(values=rng.normal(size=pooled.features.shape))
-        Cg = majorizer_Cg(anchor, graph, hp.epsilon)
-        Ce = majorizer_Ce(anchor, hp.epsilon)
+        A = llr.anchor(anchor, graph, hp.epsilon)
+        Cg = majorizer_Cg(A)
+        Ce = majorizer_Ce(A)
         val = surrogate_Jtilde(W, Cg, Ce, pooled, hp)
         assert val == pytest.approx(pooled.m * np.log(2.0), rel=1e-12)
 
@@ -167,11 +180,12 @@ class TestSurrogate:
         for _ in range(10):
             pooled, graph = random_instance(rng)
             anchor = WeightMatrix(values=rng.normal(size=pooled.features.shape))
-            Cg = majorizer_Cg(anchor, graph, eps)
-            Ce = majorizer_Ce(anchor, eps)
-            c = majorization_constant(anchor, graph, hp, epsilon=eps)
+            A = llr.anchor(anchor, graph, eps)
+            Cg = majorizer_Cg(A)
+            Ce = majorizer_Ce(A)
+            c = majorization_constant(A, hp)
             lhs = surrogate_Jtilde(anchor, Cg, Ce, pooled, hp) + c
-            rhs = objective_J(anchor, pooled, graph, hp, epsilon=eps)
+            rhs = objective_J(A, pooled, hp)
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
     def test_domination(self):
@@ -180,14 +194,15 @@ class TestSurrogate:
         hp = LlrHyperparams()
         pooled, graph = random_instance(rng)
         anchor = WeightMatrix(values=rng.normal(size=pooled.features.shape))
-        Cg = majorizer_Cg(anchor, graph, eps)
-        Ce = majorizer_Ce(anchor, eps)
-        c = majorization_constant(anchor, graph, hp, epsilon=eps)
+        A = llr.anchor(anchor, graph, eps)
+        Cg = majorizer_Cg(A)
+        Ce = majorizer_Ce(A)
+        c = majorization_constant(A, hp)
         for _ in range(100):
             W = WeightMatrix(
                 values=anchor.values + rng.normal(scale=0.5, size=anchor.values.shape)
             )
-            J = objective_J(W, pooled, graph, hp, epsilon=eps)
+            J = objective_J(llr.anchor(W, graph, eps), pooled, hp)
             Jt = surrogate_Jtilde(W, Cg, Ce, pooled, hp)
             assert J <= Jt + c + 1e-8
 
@@ -196,8 +211,9 @@ class TestSurrogate:
         hp = LlrHyperparams()
         pooled, graph = random_instance(rng)
         anchor = WeightMatrix(values=rng.normal(size=pooled.features.shape))
-        Cg = majorizer_Cg(anchor, graph, hp.epsilon)
-        Ce = majorizer_Ce(anchor, hp.epsilon)
+        A = llr.anchor(anchor, graph, hp.epsilon)
+        Cg = majorizer_Cg(A)
+        Ce = majorizer_Ce(A)
         for _ in range(30):
             Wa = rng.normal(size=anchor.values.shape)
             Wb = rng.normal(size=anchor.values.shape)
@@ -221,7 +237,7 @@ class TestSurrogate:
         pooled, graph = random_instance(rng, d=4, n_inlier=15, n_test=8)
         base = 100.0 + rng.normal(size=(pooled.d, 1))
         anchor = WeightMatrix(values=base + 1e-4 * rng.normal(size=pooled.features.shape))
-        Cg = majorizer_Cg(anchor, graph, epsilon=1e-10)
+        Cg = majorizer_Cg(llr.anchor(anchor, graph, 1e-10))
         dense = Cg.toarray()
         assert 1e3 <= -dense.min() <= 1e5
         W = WeightMatrix(values=base + 1e-3 * rng.normal(size=pooled.features.shape))
@@ -257,8 +273,9 @@ class TestGrad:
         for _ in range(20):
             pooled, graph = random_instance(rng, d=3, n_inlier=5, n_test=4)
             anchor = WeightMatrix(values=rng.normal(size=pooled.features.shape))
-            Cg = majorizer_Cg(anchor, graph, hp.epsilon)
-            Ce = majorizer_Ce(anchor, hp.epsilon)
+            A = llr.anchor(anchor, graph, hp.epsilon)
+            Cg = majorizer_Cg(A)
+            Ce = majorizer_Ce(A)
             Wv = rng.normal(size=anchor.values.shape)
             g = grad_Jtilde(WeightMatrix(values=Wv), Cg, Ce, pooled, hp)
             g_fd = np.empty_like(g)
@@ -284,8 +301,9 @@ class TestGrad:
         for _ in range(5):
             pooled, graph = random_instance(rng)
             W = WeightMatrix(values=rng.normal(size=pooled.features.shape))
-            Cg = majorizer_Cg(W, graph, hp.epsilon)
-            Ce = majorizer_Ce(W, hp.epsilon)
+            A = llr.anchor(W, graph, hp.epsilon)
+            Cg = majorizer_Cg(A)
+            Ce = majorizer_Ce(A)
             # the solver keeps samples along the rows
             X, y = pooled.features.T, pooled.labels
             _, sig, _ = _surrogate_grad(W.values.T, X, y, Cg, Ce.T, hp)
@@ -302,8 +320,9 @@ class TestGrad:
         hp = LlrHyperparams()
         pooled, graph = random_instance(rng)
         W0 = zero_weights(pooled)
-        Cg = majorizer_Cg(W0, graph, hp.epsilon)
-        Ce = majorizer_Ce(W0, hp.epsilon)
+        A = llr.anchor(W0, graph, hp.epsilon)
+        Cg = majorizer_Cg(A)
+        Ce = majorizer_Ce(A)
         W = solve_inner(pooled, Cg, Ce, hp, W0)
         g = grad_Jtilde(W, Cg, Ce, pooled, hp)
         val = surrogate_Jtilde(W, Cg, Ce, pooled, hp)
@@ -316,8 +335,9 @@ class TestSolveInner:
         hp = LlrHyperparams()
         pooled, graph = random_instance(rng)
         W0 = zero_weights(pooled)
-        Cg = majorizer_Cg(W0, graph, hp.epsilon)
-        Ce = majorizer_Ce(W0, hp.epsilon)
+        A = llr.anchor(W0, graph, hp.epsilon)
+        Cg = majorizer_Cg(A)
+        Ce = majorizer_Ce(A)
         W = solve_inner(pooled, Cg, Ce, hp, W0)
         again = solve_inner(pooled, Cg, Ce, hp, W)
         assert np.array_equal(again.values, W.values)
@@ -328,7 +348,7 @@ class TestSolveInner:
         pooled, _ = random_instance(rng, d=2, n_inlier=4, n_test=3)
         W0 = zero_weights(pooled)
         Cg = sp.csr_matrix((pooled.m, pooled.m))
-        Ce = majorizer_Ce(W0, hp.epsilon)
+        Ce = majorizer_Ce(llr.anchor(W0, trivial_graph(pooled.m), hp.epsilon))
         W = solve_inner(pooled, Cg, Ce, hp, W0)
         val = surrogate_Jtilde(W, Cg, Ce, pooled, hp)
         assert val == pytest.approx(pooled.m * np.log(2.0), rel=1e-3)
@@ -355,8 +375,9 @@ class TestSolveInner:
         for _ in range(4):
             pooled, graph = random_instance(rng)
             anchor = WeightMatrix(values=rng.normal(size=pooled.features.shape))
-            Cg = majorizer_Cg(anchor, graph, hp.epsilon)
-            Ce = majorizer_Ce(anchor, hp.epsilon)
+            A = llr.anchor(anchor, graph, hp.epsilon)
+            Cg = majorizer_Cg(A)
+            Ce = majorizer_Ce(A)
             W = solve_inner(pooled, Cg, Ce, hp, zero_weights(pooled))
             shape = pooled.features.shape
 
@@ -378,8 +399,9 @@ class TestSolveInner:
             for _ in range(5):
                 pooled, graph = random_instance(rng)
                 anchor = WeightMatrix(values=rng.normal(size=pooled.features.shape))
-                Cg = majorizer_Cg(anchor, graph, hp.epsilon)
-                Ce = majorizer_Ce(anchor, hp.epsilon)
+                A = llr.anchor(anchor, graph, hp.epsilon)
+                Cg = majorizer_Cg(A)
+                Ce = majorizer_Ce(A)
                 W0 = WeightMatrix(values=anchor.values + rng.normal(size=anchor.values.shape))
                 W = solve_inner(pooled, Cg, Ce, hp, W0)
                 assert not np.array_equal(W.values, W0.values)
@@ -398,8 +420,9 @@ class TestSolveInner:
             for _ in range(3):
                 pooled, graph = random_instance(rng)
                 W0 = WeightMatrix(values=rng.normal(size=pooled.features.shape))
-                Cg = majorizer_Cg(W0, graph, hp.epsilon)
-                Ce = majorizer_Ce(W0, hp.epsilon)
+                A = llr.anchor(W0, graph, hp.epsilon)
+                Cg = majorizer_Cg(A)
+                Ce = majorizer_Ce(A)
                 W = solve_inner(pooled, Cg, Ce, hp, W0, rel_tol=rel_tol)
                 assert not np.array_equal(W.values, W0.values)
                 g0 = np.linalg.norm(grad_Jtilde(W0, Cg, Ce, pooled, hp))
@@ -436,14 +459,31 @@ class TestFit:
                 return original(*args, **kwargs)
             return wrapper
 
-        for name in ("majorizer_Cg", "majorizer_Ce", "solve_inner", "objective_J"):
+        for name in ("majorizer_Cg", "majorizer_Ce", "solve_inner", "objective_J", "anchor"):
             monkeypatch.setattr(llr, name, counting(name))
         pooled, graph = random_instance(np.random.default_rng(16))
         result = fit_pooled(pooled, LlrHyperparams(outer_max_iters=20), graph=graph)
         n = result.iterations
         assert n >= 2
         assert calls == {"majorizer_Cg": n, "majorizer_Ce": n, "solve_inner": n,
-                         "objective_J": n + 1}
+                         "objective_J": n + 1, "anchor": n + 1}
+
+    def test_edge_distances_gathered_once_per_iterate(self, monkeypatch):
+        # objective_J at the end of one iteration and majorizer_Cg at the
+        # start of the next read the same anchor; they used to gather
+        # the edge distances of that iterate once each
+        calls = []
+        original = llr._edge_sq_dists
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(llr, "_edge_sq_dists", counting)
+        pooled, graph = random_instance(np.random.default_rng(16))
+        result = fit_pooled(pooled, LlrHyperparams(outer_max_iters=20), graph=graph)
+        assert result.iterations >= 2
+        assert len(calls) == result.iterations + 1
 
     def test_graph_computes_pairwise_distances_once(self, monkeypatch):
         # the "auto" bandwidth comes from the distances knn_graph builds;
@@ -482,12 +522,12 @@ class TestFit:
         pooled, graph = random_instance(rng, d=4, n_inlier=12, n_test=8)
         W = zero_weights(pooled)
         for _ in range(5):
-            Cg = majorizer_Cg(W, graph, hp.epsilon)
-            Ce = majorizer_Ce(W, hp.epsilon)
+            A = llr.anchor(W, graph, hp.epsilon)
+            Cg = majorizer_Cg(A)
+            Ce = majorizer_Ce(A)
             W_new = solve_inner(pooled, Cg, Ce, hp, W)
-            dJ = objective_J(W_new, pooled, graph, hp) - objective_J(
-                W, pooled, graph, hp
-            )
+            dJ = (objective_J(llr.anchor(W_new, graph, hp.epsilon), pooled, hp)
+                  - objective_J(A, pooled, hp))
             dJt = surrogate_Jtilde(W_new, Cg, Ce, pooled, hp) - surrogate_Jtilde(
                 W, Cg, Ce, pooled, hp
             )
@@ -533,8 +573,9 @@ class TestFit:
         # eps=1 keeps the frozen couplings well conditioned; Ce is the
         # constant d, so the exclusive term is a plain ridge
         eps = 1.0
-        Cg = majorizer_Cg(W0, graph, eps)
-        Ce = majorizer_Ce(W0, eps)
+        A = llr.anchor(W0, graph, eps)
+        Cg = majorizer_Cg(A)
+        Ce = majorizer_Ce(A)
         W = solve_inner(pooled, Cg, Ce, hp, W0)
         llr_margin = np.einsum(
             "ki,ki->i", W.values[:, pooled.n_inlier:], pooled.features[:, pooled.n_inlier:]
@@ -555,16 +596,15 @@ class TestFit:
     @staticmethod
     def exact_inner_reference(pooled, graph, hp):
         """The outer loop with exact inner solves: final (W, J)."""
-        W = zero_weights(pooled)
-        J = objective_J(W, pooled, graph, hp)
+        A = llr.anchor(zero_weights(pooled), graph, hp.epsilon)
+        J = objective_J(A, pooled, hp)
         for _ in range(hp.outer_max_iters):
-            Cg = majorizer_Cg(W, graph, hp.epsilon)
-            Ce = majorizer_Ce(W, hp.epsilon)
-            W = solve_inner(pooled, Cg, Ce, hp, W)
-            prev, J = J, objective_J(W, pooled, graph, hp)
+            W = solve_inner(pooled, majorizer_Cg(A), majorizer_Ce(A), hp, A.weights)
+            A = llr.anchor(W, graph, hp.epsilon)
+            prev, J = J, objective_J(A, pooled, hp)
             if abs(prev - J) < hp.outer_rel_tol * (1.0 + abs(prev)):
                 break
-        return W, J
+        return A.weights, J
 
     def test_matches_exact_inner_reference(self):
         # fit_pooled's inexact inner solves end within 1e-6 relative of

@@ -136,7 +136,10 @@ def cmd_score(args) -> int:
             "sample counts do not match the model "
             f"(expected {model['n_inlier']}+{model['n_test']})"
         )
-    pooled = pool(*_standardized(inliers, test, model.get("standardizer")))
+    try:
+        pooled = pool(*_standardized(inliers, test, model.get("standardizer")))
+    except ValueError as exc:  # a z-score overflows, as from a tiny scale
+        raise UsageError(f"model file {args.model}: {exc}") from None
     weights = llr.WeightMatrix(values=model["weights"])
     labels = tuple(test_labels) if (test_labels and args.which == "test") else None
     scores = ratio_score(weights, pooled, which=args.which, labels=labels)

@@ -153,12 +153,22 @@ def fit_standardizer(inliers: Dataset) -> StandardizationStats:
 
 
 def apply_standardizer(data: Dataset, stats: StandardizationStats) -> Dataset:
-    """Return a copy of ``data`` with each feature z-scored by ``stats``."""
+    """Return a copy of ``data`` with each feature z-scored by ``stats``.
+    A z-score past the float range, as from a tiny scale, raises
+    ValueError naming the feature."""
     if data.d != stats.d:
         raise DimensionMismatch(
             f"dataset has {data.d} features but stats has {stats.d}"
         )
-    features = (data.features - stats.mean[:, None]) / stats.scale[:, None]
+    with np.errstate(over="ignore"):
+        features = (data.features - stats.mean[:, None]) / stats.scale[:, None]
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(
+            f"standardizing feature {data.feature_names[k]!r} (mean {stats.mean[k]!r}, "
+            f"scale {stats.scale[k]!r}) overflows"
+        )
     return Dataset(
         features=features,
         feature_names=data.feature_names,

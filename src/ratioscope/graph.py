@@ -28,23 +28,57 @@ def edge_list(M: sp.spmatrix):
     return B0, upper.data
 
 
+# the signs of an edge's entries (i, i), (j, j), (i, j), (j, i) in a
+# Laplacian, the order of laplacian_pattern's slots
+_LAPLACIAN_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def laplacian_pattern(B0: sp.csr_matrix):
+    """(indices, indptr, slots) for the incidence matrix B0 of
+    ``edge_list``: the CSR pattern of B0^T B0, rows sorted, and for each
+    edge in order the positions of its entries (i, i), (j, j), (i, j),
+    (j, i) in that pattern."""
+    m = B0.shape[1]
+    i, j = B0.indices[0::2], B0.indices[1::2]
+    rows = np.column_stack([i, j, i, j]).ravel()
+    cols = np.column_stack([i, j, j, i]).ravel()
+    keys, slots = np.unique(rows.astype(np.int64) * m + cols, return_inverse=True)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // m, minlength=m))])
+    return (keys % m).astype(B0.indices.dtype), indptr.astype(B0.indptr.dtype), slots
+
+
 @dataclass(frozen=True)
 class SimilarityGraph:
     """Sparse symmetric nonnegative sample-similarity weights.
 
     ``weights`` is (m x m) CSR with zero diagonal and entries in [0, 1];
     row i holds at most 2K nonzeros (K out-neighbors plus
-    symmetrization fill-in).  ``edges`` is ``edge_list(weights)``,
-    built once when the graph is created.
+    symmetrization fill-in).  ``edges`` is ``edge_list(weights)`` and
+    ``pattern`` is ``laplacian_pattern`` of its incidence matrix, the
+    fixed CSR pattern that every reweighted Laplacian ``laplacian(a)``
+    of the graph shares; both are built once when the graph is created.
     """
 
     weights: sp.csr_matrix
     k_neighbors: int
     sigma2: float
     edges: tuple = field(init=False, repr=False, compare=False)
+    pattern: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", edge_list(self.weights))
+        object.__setattr__(self, "pattern", laplacian_pattern(self.edges[0]))
+
+    def laplacian(self, a: np.ndarray) -> sp.csr_matrix:
+        """B0^T diag(a) B0 for edge weights a over ``edges``, scattered
+        into ``pattern`` with no sparse product: each edge adds +a to
+        (i, i) and (j, j) and puts -a at (i, j) and (j, i).  bincount
+        adds each diagonal sum in edge order, as the product B0^T
+        (diag(a) B0) does, so the arrays are that product's bit for bit."""
+        indices, indptr, slots = self.pattern
+        entries = (a[:, None] * _LAPLACIAN_SIGNS).ravel()
+        data = np.bincount(slots, weights=entries, minlength=len(indices))
+        return sp.csr_matrix((data, indices, indptr), shape=(self.m, self.m))
 
     @property
     def m(self) -> int:

@@ -27,12 +27,15 @@ loop converges.  ``solve_inner`` called directly stays exact.
 Every fused-term quantity comes from one signed incidence matrix B0
 over the graph's edges i < j, built once with the graph: the edge
 distances are the row norms of B0 W^T, and Cg = B0^T diag(a) B0 for
-edge weights a.  ``anchor`` is the one place the smoothed edge
-distances s_ij and sqrt(W^2 + eps) are formed; objective_J, both
-majorizers and majorization_constant read them from its record.  Each
-outer iteration of ``fit_pooled`` is majorizer_Cg(A), majorizer_Ce(A),
-solve_inner from A.weights, A = anchor(W, graph, eps) and
-objective_J(A, ...).
+edge weights a, assembled on the graph's fixed sparsity pattern
+(``SimilarityGraph.laplacian``) with no sparse product.  ``anchor`` is
+the one place the smoothed edge distances s_ij and sqrt(W^2 + eps) are
+formed; objective_J, both majorizers and majorization_constant read
+them from its record.  Each outer iteration of ``fit_pooled`` is
+majorizer_Cg(A), majorizer_Ce(A), solve_inner from A.weights,
+A = anchor(W, graph, eps) and objective_J(A, ...).  solve_inner carries
+its penalty products through each Newton step, so it multiplies by Cg
+once per solve plus once per CG step.
 """
 
 from __future__ import annotations
@@ -175,13 +178,12 @@ def objective_J(A: Anchor, pooled: PooledDataset, hp: LlrHyperparams) -> float:
 
 
 def majorizer_Cg(A: Anchor) -> sp.csr_matrix:
-    """Reweighted graph Laplacian B0^T diag(a) B0, a_ij = r_ij / s_ij;
-    diag(a) B0 is B0 with each edge's two stored entries scaled."""
+    """Reweighted graph Laplacian B0^T diag(a) B0, a_ij = r_ij / s_ij,
+    assembled on the graph's fixed sparsity pattern."""
     if A.epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    B0, r = A.graph.edges
-    a = np.repeat(r / A.edge_dists, 2)
-    return (B0.T @ sp.csr_matrix((B0.data * a, B0.indices, B0.indptr), shape=B0.shape)).tocsr()
+    _, r = A.graph.edges
+    return A.graph.laplacian(r / A.edge_dists)
 
 
 def majorizer_Ce(A: Anchor) -> np.ndarray:
@@ -233,24 +235,25 @@ def surrogate_Jtilde(
 # m x d arrays, so that sparse products with Cg stay contiguous.
 
 def _penalty_hessp(V, Cg, Ce, hp):
-    """Hessian of the quadratic penalties times V, also their gradient at V."""
+    """Hessian P of the quadratic penalties times V, also their gradient at V."""
     out = 2.0 * hp.lambda2 * Ce * V
     out += 2.0 * hp.lambda1 * (Cg @ V)
     return out
 
 
-def _surrogate_grad(W, X, y, Cg, Ce, hp):
-    """(gradient, sigma(-z), penalty gradient) of the surrogate at W,
-    with z_i = y_i x_i.w_i."""
-    sig = expit(-y * np.einsum("ik,ik->i", X, W))
-    g_pen = _penalty_hessp(W, Cg, Ce, hp)
-    return (-y * sig)[:, None] * X + g_pen, sig, g_pen
+def _surrogate_grad(X, y, z, g_pen):
+    """(gradient, sigma(-z)) of the surrogate at W from z_i = y_i x_i.w_i
+    and the penalty gradient g_pen = P W."""
+    sig = expit(-z)
+    return (-y * sig)[:, None] * X + g_pen, sig
 
 
 def _hessp(V, X, c, Cg, Ce, hp):
-    """Surrogate Hessian times V, c_i (x_i.v_i) x_i + 2 lambda1 Cg V
-    + 2 lambda2 Ce * V, with c_i = s_i (1 - s_i) the logistic curvature."""
-    return (c * np.einsum("ik,ik->i", X, V))[:, None] * X + _penalty_hessp(V, Cg, Ce, hp)
+    """(H V, P V): the surrogate Hessian times V, c_i (x_i.v_i) x_i +
+    P V with c_i = s_i (1 - s_i) the logistic curvature, and the
+    penalty part P V = 2 lambda1 Cg V + 2 lambda2 Ce * V on its own."""
+    PV = _penalty_hessp(V, Cg, Ce, hp)
+    return (c * np.einsum("ik,ik->i", X, V))[:, None] * X + PV, PV
 
 
 def grad_Jtilde(
@@ -262,7 +265,9 @@ def grad_Jtilde(
 ) -> np.ndarray:
     Wv = W.values
     _check_dims(Wv, pooled)
-    g, _, _ = _surrogate_grad(Wv.T, pooled.features.T, pooled.labels, Cg, Ce.T, hp)
+    X, y = pooled.features.T, pooled.labels
+    z = y * np.einsum("ik,ik->i", X, Wv.T)
+    g, _ = _surrogate_grad(X, y, z, _penalty_hessp(Wv.T, Cg, Ce.T, hp))
     return np.ascontiguousarray(g.T)  # d x m in C order, as W.values is
 
 
@@ -290,6 +295,13 @@ def solve_inner(
     along p, computed as one expression rather than as a difference of
     two surrogate values, so rounding of the values cannot stall it.
 
+    The penalties are quadratic, so their gradient P W is linear in W.
+    The solver forms it once, at W0, and carries it: CG accumulates P p
+    from the products P q it makes anyway, the line search's quadratic
+    term is <p, P p> / 2, and a step W += t p updates P W += t P p and
+    the margins z += t dz.  A solve makes 1 + (CG steps) products with
+    Cg, and the next gradient needs no sparse product.
+
     Stops when ||grad||_F <= inner_grad_tol * (1 + |Jtilde|), checked
     before the first step (an optimal W0 comes back unchanged), or
     after inner_max_iters Newton steps; inner_max_iters also caps the
@@ -313,18 +325,19 @@ def solve_inner(
     )
 
     W = np.array(W0.values.T, order="C")
+    z = y * np.einsum("ik,ik->i", X, W)
+    g_pen = _penalty_hessp(W, Cg, Ce, hp)
+    # the penalties are quadratic with gradient g_pen, so their value
+    # is <W, g_pen> / 2
+    f = float(np.sum(np.logaddexp(0.0, -z))) + 0.5 * float(np.vdot(W, g_pen))
     for it in range(hp.inner_max_iters):
-        g, sig, g_pen = _surrogate_grad(W, X, y, Cg, Ce, hp)
+        g, sig = _surrogate_grad(X, y, z, g_pen)
         gnorm = float(np.linalg.norm(g))
         if not math.isfinite(gnorm):
             raise LineSearchFailure(
                 "surrogate gradient is not finite (regularization too large?)"
             )
         if it == 0:
-            # the penalties are quadratic with gradient g_pen, so their
-            # value is <W, g_pen> / 2
-            z = y * np.einsum("ik,ik->i", X, W)
-            f = float(np.sum(np.logaddexp(0.0, -z))) + 0.5 * float(np.vdot(W, g_pen))
             stop = rel_tol * gnorm
         if gnorm <= max(hp.inner_grad_tol * (1.0 + abs(f)), stop):
             break
@@ -335,19 +348,22 @@ def solve_inner(
         def precond(R):
             return Dinv * R - U * (coef * np.einsum("ik,ik->i", U, R))[:, None]
 
-        # truncated preconditioned CG on H p = -g, from p = 0
+        # truncated preconditioned CG on H p = -g, from p = 0, carrying
+        # Pp = P p along with p
         tol = min(0.5, np.sqrt(gnorm)) * gnorm
         p = np.zeros_like(W)
+        Pp = np.zeros_like(W)
         r = -g
         q = precond(r)
         rq = float(np.vdot(r, q))
         for _ in range(hp.inner_max_iters):
-            Hq = _hessp(q, X, c, Cg, Ce, hp)
+            Hq, Pq = _hessp(q, X, c, Cg, Ce, hp)
             qHq = float(np.vdot(q, Hq))
             if not qHq > 0:
                 break
             alpha = rq / qHq
             p += alpha * q
+            Pp += alpha * Pq
             r -= alpha * Hq
             if np.linalg.norm(r) <= tol:
                 break
@@ -357,6 +373,7 @@ def solve_inner(
             rq = rpr
         if not p.any():
             p = precond(-g)
+            Pp = _penalty_hessp(p, Cg, Ce, hp)
 
         # Armijo backtracking on the surrogate change along p,
         #   sum_i log1p(sigma(-z_i) expm1(-t dz_i)) + t lin + t^2 quad,
@@ -366,7 +383,7 @@ def solve_inner(
             raise LineSearchFailure("Newton direction is not a descent direction")
         dz = y * np.einsum("ik,ik->i", X, p)
         lin = float(np.vdot(g_pen, p))
-        quad = 0.5 * float(np.vdot(p, _penalty_hessp(p, Cg, Ce, hp)))
+        quad = 0.5 * float(np.vdot(p, Pp))
         step = 1.0
         while True:
             change = (float(np.sum(np.log1p(sig * np.expm1(-step * dz))))
@@ -380,6 +397,8 @@ def solve_inner(
                     "(ill-conditioned surrogate)"
                 )
         W += step * p
+        g_pen += step * Pp
+        z += step * dz
         f += change
 
     return WeightMatrix(values=np.ascontiguousarray(W.T))

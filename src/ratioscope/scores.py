@@ -55,6 +55,14 @@ def ratio_from_logit(z, n_inlier: int, n_test: int):
     return n_test / n_inlier * np.exp(np.clip(z, -EXP_CLAMP, EXP_CLAMP))
 
 
+def _logits(weights: WeightMatrix, pooled: PooledDataset, idx) -> np.ndarray:
+    """w_i . x_i for the pooled columns idx.  The fancy index copies
+    each column contiguously, so a column's logit does not depend on
+    which others are selected with it: explain's score equals
+    ratio_score's bit for bit."""
+    return np.einsum("ki,ki->i", weights.values[:, idx], pooled.features[:, idx])
+
+
 def _column_indices(pooled: PooledDataset, which: str) -> np.ndarray:
     if which == "test":
         return np.arange(pooled.n_inlier, pooled.m)
@@ -79,10 +87,7 @@ def ratio_score(
     if weights.values.shape != pooled.features.shape:
         raise DimensionMismatch("weights do not align with pooled columns")
     idx = _column_indices(pooled, which)
-    z = np.einsum(
-        "ki,ki->i", weights.values[:, idx], pooled.features[:, idx]
-    )
-    scores = ratio_from_logit(z, pooled.n_inlier, pooled.n_test)
+    scores = ratio_from_logit(_logits(weights, pooled, idx), pooled.n_inlier, pooled.n_test)
     ids = tuple(pooled.sample_ids[i] for i in idx)
     return ScoreSet(sample_ids=ids, scores=scores, labels=labels)
 
@@ -115,8 +120,8 @@ def explain(
     names = pooled.feature_names
     real = [k for k in range(len(w)) if names[k] != CONST_FEATURE]
     order = sorted(real, key=lambda k: (-abs(w[k]), k))[:top_k]
-    z = float(np.dot(w, pooled.features[:, col]))
-    score = float(ratio_from_logit(z, pooled.n_inlier, pooled.n_test))
+    score = float(ratio_from_logit(_logits(weights, pooled, [col]), pooled.n_inlier,
+                                   pooled.n_test)[0])
     ranked = tuple((names[k], float(w[k])) for k in order)
     return Explanation(sample_id=sample_id, ranked_features=ranked, score=score)
 

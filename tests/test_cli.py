@@ -356,6 +356,51 @@ class TestScore:
         assert_one_error(capsys, str(model), where)
         assert not (tmp_path / "s.csv").exists()
 
+    def test_tiny_standardizer_scale_exit2(self, workspace, tmp_path, capsys):
+        # a positive scale of 1e-308 overflows the z-scores; this used to
+        # print a raw RuntimeWarning, then an error naming neither the
+        # model file nor the feature
+        doc = json.loads((workspace / "model.json").read_text())
+        doc["standardizer"]["scale"][0] = 1e-308
+        model = tmp_path / "tiny.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([
+                "score", "--model", str(model), "--inliers", str(workspace / "inliers.csv"),
+                "--test", str(workspace / "test.csv"), "--out", str(out),
+            ])
+        assert code == cli.EXIT_USAGE
+        assert [str(w.message) for w in caught] == []
+        assert_one_error(capsys, str(model), repr(doc["feature_names"][0]), "overflows")
+        assert not out.exists()
+
+    def test_huge_weights_explained_without_raw_warning(self, tmp_path, capsys):
+        # finite weights of 1e308 overflow every logit; explain's np.dot
+        # used to print a raw RuntimeWarning, and its score could differ
+        # from the scores CSV in the last bit
+        rows = ["f1,f2", "1.5,2.0", "2.5,1.0", "3.0,2.0"]
+        (tmp_path / "inliers.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "test.csv").write_text("\n".join(rows[:3]) + "\n")
+        pair = ["--inliers", str(tmp_path / "inliers.csv"), "--test", str(tmp_path / "test.csv")]
+        model, out = tmp_path / "m.json", tmp_path / "s.csv"
+        assert cli.main(["fit", *pair, "--out", str(model), "--no-standardize"]) == cli.EXIT_OK
+        doc = json.loads(model.read_text())
+        doc["weights"] = [1e308] * len(doc["weights"])
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["score", "--model", str(model), *pair, "--out", str(out),
+                             "--explain-top", "1", "--explain-out", str(tmp_path / "e.json")])
+        assert code == cli.EXIT_OK
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        scores, _ = load_scores_csv(out)
+        explained = json.loads((tmp_path / "e.json").read_text())
+        assert [e["score"] for e in explained] == scores.scores.tolist()
+
     def test_planted_outliers_dominate_lowest_scores(self, tmp_path):
         # Deterministic fixed-seed check: across seeds, the 10 lowest
         # scores are majority planted outliers (measured overlaps at these

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratioscope.errors import SingleClass, TooFewSamples
@@ -64,24 +64,27 @@ class TestAuc:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        st.lists(st.floats(0.01, 100.0), min_size=2, max_size=30),
-        st.data(),
-    )
-    def test_invariant_under_monotone_transform(self, values, data):
-        labels = data.draw(
-            st.lists(
-                st.sampled_from(["inlier", "outlier"]),
-                min_size=len(values),
-                max_size=len(values),
-            )
+        st.lists(
+            st.tuples(st.floats(0.01, 100.0), st.sampled_from(["inlier", "outlier"])),
+            min_size=2,
+            max_size=30,
         )
+    )
+    # 3 v + 1 used to serve as the transform, and it rounds 0.01 and the
+    # next float up to the same score, turning this AUC of 1 into 0.9545
+    @example([(1.0, "inlier")] * 10 + [(0.010000000000000002, "inlier"), (0.01, "outlier")])
+    def test_invariant_under_monotone_transform(self, pairs):
+        # both transforms keep every strict order and every tie in
+        # floating point: 4 v is exact in binary, and 3 r + 1 is exact
+        # on the dense ranks r of v
+        values, labels = (list(col) for col in zip(*pairs))
         if len(set(labels)) < 2:
             return
+        values = np.asarray(values)
+        ranks = np.unique(values, return_inverse=True)[1]
         base = auc(make_scores(values, labels))
-        scaled = auc(make_scores([3.0 * v + 1.0 for v in values], labels))
-        exped = auc(make_scores(np.exp(np.asarray(values) / 50.0), labels))
-        assert scaled == pytest.approx(base, abs=1e-12)
-        assert exped == pytest.approx(base, abs=1e-12)
+        assert auc(make_scores(4.0 * values, labels)) == pytest.approx(base, abs=1e-12)
+        assert auc(make_scores(3.0 * ranks + 1.0, labels)) == pytest.approx(base, abs=1e-12)
 
 
 class TestRocCurve:

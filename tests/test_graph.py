@@ -120,3 +120,26 @@ class TestEdgeList:
         assert np.all(i < j)
         assert np.array_equal(B0.data, np.tile([1.0, -1.0], len(r)))
         assert np.array_equal(r, g.weights.toarray()[i, j])
+
+    def test_laplacian_scatters_into_the_product_pattern(self):
+        # the fixed pattern is that of B0^T B0, and scattering edge
+        # weights a into it gives B0^T diag(a) B0
+        rng = np.random.default_rng(6)
+        for K, m in ((1, 2), (3, 30), (6, 40)):
+            g = knn_graph(rng.normal(size=(3, m)), K, 1.0)
+            B0, r = g.edges
+            indices, indptr, slots = g.pattern
+            product = (B0.T @ B0).tocsr()
+            assert np.array_equal(indices, product.indices)
+            assert np.array_equal(indptr, product.indptr)
+            assert slots.shape == (4 * len(r),)
+            a = rng.integers(1, 100, size=len(r)).astype(float)
+            L = g.laplacian(a)
+            assert np.array_equal(L.indices, indices) and np.array_equal(L.indptr, indptr)
+            assert np.array_equal(L.toarray(), (B0.T @ sp.diags(a) @ B0).toarray())
+
+    def test_edgeless_graph_has_an_empty_laplacian(self):
+        g = SimilarityGraph(weights=sp.csr_matrix((3, 3)), k_neighbors=1, sigma2=1.0)
+        L = g.laplacian(np.zeros(0))
+        assert L.shape == (3, 3) and L.nnz == 0
+        assert np.array_equal(L.indptr, [0, 0, 0, 0])

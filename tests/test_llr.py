@@ -105,20 +105,23 @@ class TestMajorizerCg:
             assert np.max(np.abs(sums)) <= 1e-12
 
     def test_matches_sparse_diagonal_product(self):
-        # the scaled-incidence assembly gives the arrays of
-        # B0^T (diag(a) B0) bit for bit
+        # the assembly on the graph's fixed pattern gives the arrays of
+        # B0^T diag(a) B0, formed as a sparse product with diag(a) and
+        # with the scaled incidence matrix, bit for bit
         rng = np.random.default_rng(3)
-        for _ in range(20):
+        for _ in range(40):
             pooled, graph = random_instance(rng)
-            W = WeightMatrix(values=rng.normal(size=pooled.features.shape))
-            for eps in (1e-10, 0.3):
-                B0, r = graph.edges
+            B0, r = graph.edges
+            for scale, eps in itertools.product((0.0, 1e-3, 1.0, 30.0), (1e-10, 1e-4, 0.3)):
+                W = WeightMatrix(values=scale * rng.normal(size=pooled.features.shape))
                 diff = B0 @ W.values.T
                 a = r / np.sqrt(np.einsum("ek,ek->e", diff, diff) + eps)
-                expected = (B0.T @ (sp.diags(a) @ B0)).tocsr()
+                scaled = sp.csr_matrix((B0.data * np.repeat(a, 2), B0.indices, B0.indptr),
+                                       shape=B0.shape)
                 Cg = majorizer_Cg(llr.anchor(W, graph, eps))
-                for name in ("indptr", "indices", "data"):
-                    assert np.array_equal(getattr(Cg, name), getattr(expected, name))
+                for expected in ((B0.T @ (sp.diags(a) @ B0)).tocsr(), (B0.T @ scaled).tocsr()):
+                    for name in ("indptr", "indices", "data"):
+                        assert np.array_equal(getattr(Cg, name), getattr(expected, name))
 
     def test_exact_anchor_rejected(self):
         # epsilon = 0 anchors serve the exact J; the reweightings need s_ij > 0
@@ -306,10 +309,10 @@ class TestGrad:
             Ce = majorizer_Ce(A)
             # the solver keeps samples along the rows
             X, y = pooled.features.T, pooled.labels
-            _, sig, _ = _surrogate_grad(W.values.T, X, y, Cg, Ce.T, hp)
+            _, sig = _surrogate_grad(X, y, y * np.einsum("ik,ik->i", X, W.values.T), 0.0)
             for _ in range(3):
                 V = rng.normal(size=W.values.shape)
-                Hv = _hessp(V.T, X, sig * (1.0 - sig), Cg, Ce.T, hp).T
+                Hv = _hessp(V.T, X, sig * (1.0 - sig), Cg, Ce.T, hp)[0].T
                 gp = grad_Jtilde(WeightMatrix(values=W.values + step * V), Cg, Ce, pooled, hp)
                 gm = grad_Jtilde(WeightMatrix(values=W.values - step * V), Cg, Ce, pooled, hp)
                 fd = (gp - gm) / (2 * step)
@@ -341,6 +344,39 @@ class TestSolveInner:
         W = solve_inner(pooled, Cg, Ce, hp, W0)
         again = solve_inner(pooled, Cg, Ce, hp, W)
         assert np.array_equal(again.values, W.values)
+
+    def test_penalty_products_carried_through_newton_steps(self, monkeypatch):
+        # the penalty gradient P W is formed once, at W0, and carried
+        # through each step, so the only other products with Cg are the
+        # CG steps' P q; the gradient after each step and the line
+        # search's quadratic term each used to take one more
+        class CountingCsr(sp.csr_matrix):
+            def __matmul__(self, other):
+                self.products += 1
+                return super().__matmul__(other)
+
+        cg_steps = []
+        original = llr._hessp
+
+        def counting_hessp(*args):
+            cg_steps.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(llr, "_hessp", counting_hessp)
+        rng = np.random.default_rng(23)
+        for inner_max_iters, rel_tol in ((1, 0.0), (500, 0.0), (500, 0.03)):
+            hp = LlrHyperparams(inner_max_iters=inner_max_iters)
+            for _ in range(3):
+                pooled, graph = random_instance(rng)
+                W0 = WeightMatrix(values=rng.normal(size=pooled.features.shape))
+                A = llr.anchor(W0, graph, hp.epsilon)
+                Cg = CountingCsr(majorizer_Cg(A))
+                Cg.products = 0
+                cg_steps.clear()
+                solve_inner(pooled, Cg, majorizer_Ce(A), hp, W0, rel_tol=rel_tol)
+                assert Cg.products == 1 + len(cg_steps)
+                if inner_max_iters == 1:
+                    assert Cg.products == 2  # 3 when each step re-formed P W
 
     def test_regularization_dominated(self):
         rng = np.random.default_rng(12)

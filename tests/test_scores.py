@@ -151,6 +151,19 @@ class TestExplain:
             col = values[:, 3]  # b1 is pooled column 3
             assert sum(abs(w) for _, w in e.ranked_features) <= np.sum(np.abs(col)) + 1e-12
 
+    def test_score_equals_ratio_score_bit_for_bit(self):
+        # the score used to come from np.dot, which sums in another order
+        # than ratio_score's einsum, so it could differ in the last bit
+        rng = np.random.default_rng(2)
+        for d in (1, 3, 10, 37, 100, 130):
+            inl = make_dataset(rng.normal(size=(d, 9)), "a")
+            pooled = pool(inl, make_dataset(rng.normal(size=(d, 7)), "b"))
+            W = WeightMatrix(values=rng.normal(size=(d, 16)) * 10.0 ** rng.uniform(-2, 2, size=16))
+            for which in ("test", "all"):
+                scores = ratio_score(W, pooled, which=which)
+                for sid, score in zip(scores.sample_ids, scores.scores):
+                    assert explain(W, pooled, sid, top_k=1).score == score
+
     def test_unknown_sample(self):
         pooled = pooled_with(1, 1)
         with pytest.raises(UnknownSample):

@@ -28,8 +28,15 @@ from .scores import EXP_CLAMP, ScoreSet, ratio_from_logit
 
 SCORE_FLOOR = 1e-12
 DIST_FLOOR = 1e-12
+# kernel centers of KLIEP, uLSIF and RuLSIF, subsampled from the inliers
 DEFAULT_BASIS = 100
+# iteration caps and stopping tolerances of the iterative fits
+_OSVM_MAX_ITERS = 5000
 _OSVM_KKT_TOL = 1e-6
+_L1LR_MAX_ITERS = 20000
+_L1LR_TOL = 1e-5
+_KLIEP_MAX_ITERS = 2000
+_KLIEP_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -55,12 +62,13 @@ def gauss_design(query: np.ndarray, centers: np.ndarray, sigma2: float) -> np.nd
     return np.exp(-pairwise_sq_dists(query, centers) / (2.0 * sigma2))
 
 
-def _subsample_centers(samples: np.ndarray, b: int, seed: int) -> np.ndarray:
+def _subsample_centers(samples: np.ndarray, seed: int) -> np.ndarray:
+    """DEFAULT_BASIS columns drawn by a PCG64 generator, or all if fewer."""
     m = samples.shape[1]
-    if b >= m:
+    if DEFAULT_BASIS >= m:
         return samples
     rng = np.random.default_rng(seed)
-    idx = np.sort(rng.choice(m, size=b, replace=False))
+    idx = np.sort(rng.choice(m, size=DEFAULT_BASIS, replace=False))
     return samples[:, idx]
 
 
@@ -172,12 +180,7 @@ def check_osvm_nu(nu: float) -> None:
         raise InfeasibleNu(f"osvm nu must lie in (0, 1], got {nu}")
 
 
-def osvm_fit(
-    samples: Dataset | PooledDataset,
-    nu: float,
-    sigma: float,
-    max_iters: int = 5000,
-) -> KernelModel:
+def osvm_fit(samples: Dataset | PooledDataset, nu: float, sigma: float) -> KernelModel:
     """Solve the one-class SVM dual by accelerated projected gradient
     (FISTA, Beck & Teboulle 2009) with gradient-based adaptive restart
     (O'Donoghue & Candes 2015); the model's kernel_model_score is the
@@ -185,7 +188,7 @@ def osvm_fit(
 
     Each step projects from the extrapolated point y.  Stops when that
     step moves no alpha by more than _OSVM_KKT_TOL * step from y;
-    ``converged`` is False when it stops at max_iters instead.
+    ``converged`` is False when it stops at _OSVM_MAX_ITERS instead.
     """
     check_osvm_nu(nu)
     n = samples.m
@@ -201,7 +204,7 @@ def osvm_fit(
     y, t = alpha, 1.0
     converged = False
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, _OSVM_MAX_ITERS + 1):
         alpha_new = project_box_simplex(y - step * (K @ y), c)
         converged = bool(np.max(np.abs(alpha_new - y)) <= _OSVM_KKT_TOL * step)
         if (y - alpha_new) @ (alpha_new - alpha) > 0:
@@ -252,12 +255,7 @@ def check_l1lr_lambda(lam: float) -> None:
         raise ValueError(f"l1lr lambda must be a nonnegative finite number, got {lam}")
 
 
-def l1lr_fit(
-    pooled: PooledDataset,
-    lam: float,
-    max_iters: int = 20000,
-    tol: float = 1e-5,
-) -> LinearModel:
+def l1lr_fit(pooled: PooledDataset, lam: float) -> LinearModel:
     """Proximal gradient (soft-thresholding) with backtracking on the
     smooth-part Lipschitz estimate."""
     check_l1lr_lambda(lam)
@@ -267,8 +265,8 @@ def l1lr_fit(
     loss, grad = _lr_loss_grad(w, X, y)
     L = 1.0
     converged = False
-    for _ in range(max_iters):
-        if l1lr_subgrad_residual(w, grad, lam) <= tol:
+    for _ in range(_L1LR_MAX_ITERS):
+        if l1lr_subgrad_residual(w, grad, lam) <= _L1LR_TOL:
             converged = True
             break
         while True:
@@ -292,15 +290,7 @@ def l1lr_score(model: LinearModel, query: Dataset, n_test: int, n_inlier: int) -
 # ---------------------------------------------------------------------------
 # KLIEP
 
-def kliep_fit(
-    inliers: Dataset,
-    test: Dataset,
-    tau: float,
-    max_iters: int = 2000,
-    tol: float = 1e-7,
-    b: int = DEFAULT_BASIS,
-    seed: int = 0,
-) -> KernelModel:
+def kliep_fit(inliers: Dataset, test: Dataset, tau: float, seed: int = 0) -> KernelModel:
     """Fit the inlier/test ratio by constrained log-likelihood ascent.
 
     Log-likelihood runs over the numerator (inlier) samples; the mean
@@ -310,7 +300,7 @@ def kliep_fit(
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    centers = _subsample_centers(inliers.features, min(b, inliers.m), seed)
+    centers = _subsample_centers(inliers.features, seed)
     sigma2 = tau**2
     phi_nu = gauss_design(inliers.features, centers, sigma2)  # numerator terms
     phi_de = gauss_design(test.features, centers, sigma2)  # constraint terms
@@ -334,7 +324,7 @@ def kliep_fit(
     de_mean = phi_de.mean(axis=0)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, _KLIEP_MAX_ITERS + 1):
         # gradient of the renormalized objective
         # sum log(phi_nu a) - n log(mean(phi_de a))
         g = phi_nu.T @ (1.0 / (phi_nu @ alpha)) - n_nu * de_mean / float(
@@ -349,7 +339,7 @@ def kliep_fit(
             cand = normalize(cand)
             f_cand = objective(cand)
             if f_cand >= f:
-                improved = f_cand > f + tol * (1.0 + abs(f))
+                improved = f_cand > f + _KLIEP_TOL * (1.0 + abs(f))
                 alpha, f = cand, f_cand
                 eta *= 1.5
                 break
@@ -385,7 +375,6 @@ def rulsif_fit(
     beta: float,
     nu: float,
     sigma: float,
-    b: int = DEFAULT_BASIS,
     seed: int = 0,
 ) -> KernelModel:
     """Closed-form (relative) least-squares importance fit.
@@ -394,7 +383,7 @@ def rulsif_fit(
     (0, 1) mixes the denominator toward the inlier density.
     """
     check_rulsif(beta, nu)
-    centers = _subsample_centers(inliers.features, min(b, inliers.m), seed)
+    centers = _subsample_centers(inliers.features, seed)
     sigma2 = sigma**2
     phi_in = gauss_design(inliers.features, centers, sigma2)
     phi_te = gauss_design(test.features, centers, sigma2)

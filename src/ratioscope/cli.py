@@ -325,7 +325,7 @@ def _read_config(argv) -> tuple[str | None, dict]:
     with open(path, encoding="utf-8") as fh:
         try:
             config = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting
             raise UsageError(f"config file {path} is not JSON: {exc}") from None
     if not isinstance(config, dict):
         raise UsageError(f"config file {path} must hold a JSON object")

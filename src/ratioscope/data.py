@@ -65,12 +65,13 @@ class PooledDataset:
     """Inlier and test samples concatenated with +/-1 class labels.
 
     Inlier columns come first and carry label +1; test columns follow
-    with label -1.  Feature names and sample ids are carried along so
-    scores and explanations can refer back to the originals.
+    with label -1, so ``labels`` follows from n_inlier and n_test.
+    Feature names and sample ids are carried along so scores and
+    explanations can refer back to the originals.
     """
 
     features: np.ndarray
-    labels: np.ndarray
+    labels: np.ndarray = field(init=False)
     n_inlier: int
     n_test: int
     feature_names: tuple[str, ...] = field(default=())
@@ -78,16 +79,13 @@ class PooledDataset:
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
-        labels = np.asarray(self.labels, dtype=int)
+        labels = np.repeat([1, -1], [self.n_inlier, self.n_test])
         feats.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
-        m = self.n_inlier + self.n_test
-        if feats.shape[1] != m or labels.shape != (m,):
-            raise DimensionMismatch("pooled features/labels sizes inconsistent")
-        if int(np.sum(labels == 1)) != self.n_inlier or int(np.sum(labels == -1)) != self.n_test:
-            raise DimensionMismatch("labels must be +1 for inliers and -1 for test samples")
+        if feats.shape[1] != self.n_inlier + self.n_test:
+            raise DimensionMismatch("pooled features and sample counts inconsistent")
 
     @property
     def d(self) -> int:
@@ -128,13 +126,8 @@ def pool(inliers: Dataset, test: Dataset) -> PooledDataset:
         raise DimensionMismatch(
             "inlier and test datasets must share dimension and feature names"
         )
-    features = np.hstack([inliers.features, test.features])
-    labels = np.concatenate(
-        [np.ones(inliers.m, dtype=int), -np.ones(test.m, dtype=int)]
-    )
     return PooledDataset(
-        features=features,
-        labels=labels,
+        features=np.hstack([inliers.features, test.features]),
         n_inlier=inliers.m,
         n_test=test.m,
         feature_names=inliers.feature_names,

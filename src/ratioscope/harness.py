@@ -13,6 +13,7 @@ import os
 import numpy as np
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 from . import baselines, llr
 from .data import (
@@ -32,8 +33,8 @@ METHODS = ("llr", "kde", "lof", "osvm", "l1lr", "kliep", "ulsif", "rulsif")
 # what `ratioscope bench` runs when --methods is not given
 DEFAULT_BENCH_METHODS = ("llr", "kde", "lof", "osvm", "l1lr", "kliep", "ulsif")
 
-# bench params passed to llr.LlrHyperparams under the same names
-LLR_PARAMS = ("lambda1", "lambda2", "k_neighbors", "epsilon", "outer_max_iters", "outer_rel_tol")
+# bench params passed to llr.LlrHyperparams under the same names; sigma2 stays "auto"
+LLR_PARAMS = tuple(f.name for f in fields(llr.LlrHyperparams) if f.name != "sigma2")
 
 DEFAULT_PARAMS = {
     **{name: getattr(llr.LlrHyperparams, name) for name in LLR_PARAMS},

@@ -41,6 +41,7 @@ once per solve plus once per CG step.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -59,6 +60,9 @@ from .graph import SIGMA2_AUTO, SimilarityGraph, edge_list, knn_graph, median_he
 # SynthSpec(seed=0) trials at each of d = 10, 50, 100, 0.03 moved no
 # final objective by more than 9e-7 relative, 0.1 moved one by 4.8e-6
 _INNER_REL_TOL = 0.03
+# solve_inner's absolute gradient tolerance, and its cap on Newton and on CG steps
+_INNER_GRAD_TOL = 1e-6
+_INNER_MAX_ITERS = 500
 
 
 @dataclass(frozen=True)
@@ -94,8 +98,6 @@ class LlrHyperparams:
     epsilon: float = 1e-10
     outer_max_iters: int = 100
     outer_rel_tol: float = 1e-6
-    inner_max_iters: int = 500
-    inner_grad_tol: float = 1e-6
 
     def __post_init__(self):
         # written so that NaN and infinity fail every test
@@ -106,10 +108,10 @@ class LlrHyperparams:
         if not 0 < self.epsilon <= 1e-4:
             raise ValueError("epsilon must be a positive finite number at most 1e-4;"
                              " a larger one swamps the objective with smoothing")
-        if not (0 < self.outer_rel_tol < math.inf and 0 < self.inner_grad_tol < math.inf):
-            raise ValueError("tolerances must be positive finite numbers")
-        if self.outer_max_iters < 1 or self.inner_max_iters < 1:
-            raise ValueError("iteration limits must be at least 1")
+        if not 0 < self.outer_rel_tol < math.inf:
+            raise ValueError("outer_rel_tol must be a positive finite number")
+        if self.outer_max_iters < 1:
+            raise ValueError("outer_max_iters must be at least 1")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be at least 1")
         if self.sigma2 != SIGMA2_AUTO and not (
@@ -123,8 +125,11 @@ class FitResult:
     weights: WeightMatrix
     objective_trace: tuple[float, ...]
     converged: bool
-    iterations: int
     graph: SimilarityGraph = field(repr=False, compare=False, default=None)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.objective_trace) - 1
 
 
 def _check_dims(W: np.ndarray, pooled: PooledDataset):
@@ -302,11 +307,12 @@ def solve_inner(
     the margins z += t dz.  A solve makes 1 + (CG steps) products with
     Cg, and the next gradient needs no sparse product.
 
-    Stops when ||grad||_F <= inner_grad_tol * (1 + |Jtilde|), checked
+    Stops when ||grad||_F <= _INNER_GRAD_TOL * (1 + |Jtilde|), checked
     before the first step (an optimal W0 comes back unchanged), or
-    after inner_max_iters Newton steps; inner_max_iters also caps the
-    CG steps within each Newton step.  Called directly, with the
-    default rel_tol = 0, that is the whole rule and the solve is exact.
+    after _INNER_MAX_ITERS Newton steps, logging a warning on the
+    ratioscope.llr logger; _INNER_MAX_ITERS also caps the CG steps
+    within each Newton step.  Called directly, with the default
+    rel_tol = 0, that is the whole rule and the solve is exact.
     A positive rel_tol also stops it once ||grad||_F <= rel_tol *
     ||grad(W0)||_F, which for rel_tol < 1 comes after at least one
     Newton step.  fit_pooled passes rel_tol = _INNER_REL_TOL (0.03):
@@ -330,7 +336,7 @@ def solve_inner(
     # the penalties are quadratic with gradient g_pen, so their value
     # is <W, g_pen> / 2
     f = float(np.sum(np.logaddexp(0.0, -z))) + 0.5 * float(np.vdot(W, g_pen))
-    for it in range(hp.inner_max_iters):
+    for it in range(_INNER_MAX_ITERS + 1):
         g, sig = _surrogate_grad(X, y, z, g_pen)
         gnorm = float(np.linalg.norm(g))
         if not math.isfinite(gnorm):
@@ -339,7 +345,13 @@ def solve_inner(
             )
         if it == 0:
             stop = rel_tol * gnorm
-        if gnorm <= max(hp.inner_grad_tol * (1.0 + abs(f)), stop):
+        grad_tol = max(_INNER_GRAD_TOL * (1.0 + abs(f)), stop)
+        if gnorm <= grad_tol:
+            break
+        if it == _INNER_MAX_ITERS:
+            logging.getLogger(__name__).warning(
+                "warning: solve_inner stopped at its cap of %d Newton steps, gradient"
+                " norm %.3g above its tolerance %.3g", it, gnorm, grad_tol)
             break
         c = sig * (1.0 - sig)
         U = Dinv * X
@@ -356,7 +368,7 @@ def solve_inner(
         r = -g
         q = precond(r)
         rq = float(np.vdot(r, q))
-        for _ in range(hp.inner_max_iters):
+        for _ in range(_INNER_MAX_ITERS):
             Hq, Pq = _hessp(q, X, c, Cg, Ce, hp)
             qHq = float(np.vdot(q, Hq))
             if not qHq > 0:
@@ -445,7 +457,6 @@ def fit_pooled(
         weights=A.weights,
         objective_trace=tuple(trace),
         converged=converged,
-        iterations=len(trace) - 1,
         graph=graph,
     )
 
@@ -462,14 +473,14 @@ def save_model(
     hp: LlrHyperparams,
     stats: StandardizationStats | None,
 ) -> None:
-    """Write the fitted weights with the bandwidth the fit's graph used."""
+    """Write the fitted weights with the K and bandwidth the fit's graph used."""
     doc = {
         "feature_names": list(pooled.feature_names),
         "n_inlier": pooled.n_inlier,
         "n_test": pooled.n_test,
         "lambda1": hp.lambda1,
         "lambda2": hp.lambda2,
-        "k_neighbors": hp.k_neighbors,
+        "k_neighbors": result.graph.k_neighbors,
         "sigma2": result.graph.sigma2,
         "epsilon": hp.epsilon,
         "weights": result.weights.values.ravel(order="C").tolist(),
@@ -490,11 +501,13 @@ def load_model(path) -> dict:
         return ValueError(f"model file {path}: {why}")
 
     def vector(value, n, key):
+        # numpy alone would also read true, null and "1.5" as numbers
+        ok = isinstance(value, list) and len(value) == n and set(map(type, value)) <= {int, float}
         try:
-            arr = np.asarray(value, dtype=float) if isinstance(value, list) else None
-        except (TypeError, ValueError, OverflowError):  # OverflowError: an int past 1e308
+            arr = np.asarray(value, dtype=float) if ok else None
+        except OverflowError:  # an int past 1e308
             arr = None
-        if arr is None or arr.shape != (n,):
+        if arr is None:
             raise bad(f"{key} must be a list of {n} numbers")
         if not np.all(np.isfinite(arr)):  # json reads NaN, Infinity and 1e400
             raise bad(f"{key} entries must be finite")
@@ -503,7 +516,7 @@ def load_model(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting
             raise bad(f"not JSON: {exc}") from None
     keys = ("feature_names", "n_inlier", "n_test", "weights")
     if not (isinstance(doc, dict) and all(k in doc for k in keys)):

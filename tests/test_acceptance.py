@@ -36,7 +36,8 @@ def report(num, desc, ok, t0=None):
 
 def _solver_instances(count):
     """Seeded random instances with d <= 20, n+n' <= 60 and lambda grid
-    {0, 0.1, 1}^2, as fixed by the descent/surrogate criteria."""
+    {0, 0.1, 1}^2, as fixed by the descent/surrogate criteria, which
+    cap the inner solve at 200 steps (llr._INNER_MAX_ITERS)."""
     rng = np.random.default_rng(0)
     combos = list(itertools.product([0.0, 0.1, 1.0], repeat=2))
     out = []
@@ -49,7 +50,7 @@ def _solver_instances(count):
         hp = llr.LlrHyperparams(
             lambda1=lam1, lambda2=lam2,
             k_neighbors=min(5, pooled.m - 1),
-            outer_max_iters=8, inner_max_iters=200,
+            outer_max_iters=8,
         )
         out.append((pooled, graph, hp))
     return out
@@ -69,7 +70,8 @@ def high_d_bench():
     return {m["name"]: m["mean"] for m in doc["per_dim"][0]["methods"]}
 
 
-def test_criterion_01_monotone_descent(solver_instances):
+def test_criterion_01_monotone_descent(solver_instances, monkeypatch):
+    monkeypatch.setattr(llr, "_INNER_MAX_ITERS", 200)
     t0 = time.perf_counter()
     ok = True
     for pooled, graph, hp in solver_instances:
@@ -81,7 +83,8 @@ def test_criterion_01_monotone_descent(solver_instances):
     report(1, "monotone descent on 100 random instances", ok, t0)
 
 
-def test_criterion_02_surrogate_inequality(solver_instances):
+def test_criterion_02_surrogate_inequality(solver_instances, monkeypatch):
+    monkeypatch.setattr(llr, "_INNER_MAX_ITERS", 200)
     t0 = time.perf_counter()
     ok = True
     for pooled, graph, hp in solver_instances[:20]:

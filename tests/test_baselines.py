@@ -353,9 +353,10 @@ class TestOsvm:
         assert model.converged
         assert osvm_kkt_residual(model, nu) <= 1e-5
 
-    def test_stops_unconverged_at_cap(self):
+    def test_stops_unconverged_at_cap(self, monkeypatch):
         data, sigma = sweep_osvm_data(10)
-        model = osvm_fit(data, nu=0.1, sigma=sigma, max_iters=3)
+        monkeypatch.setattr(baselines, "_OSVM_MAX_ITERS", 3)
+        model = osvm_fit(data, nu=0.1, sigma=sigma)
         assert not model.converged
         assert model.iterations == 3
 
@@ -404,7 +405,6 @@ def small_pooled(x_vals, y_vals):
     x, y = x[:, order], y[order]
     return PooledDataset(
         features=x,
-        labels=y,
         n_inlier=int(np.sum(y == 1)),
         n_test=int(np.sum(y == -1)),
         feature_names=("f0",),
@@ -423,10 +423,11 @@ class TestL1lr:
         assert np.array_equal(model.w, np.zeros(3))
         assert model.converged
 
-    def test_unregularized_bisection_oracle(self):
+    def test_unregularized_bisection_oracle(self, monkeypatch):
         # two positives and one negative at x=1: optimum sigma(w) = 2/3
         pooled = small_pooled([1.0, 1.0, 1.0], [1, 1, -1])
-        model = l1lr_fit(pooled, lam=0.0, tol=1e-9)
+        monkeypatch.setattr(baselines, "_L1LR_TOL", 1e-9)
+        model = l1lr_fit(pooled, lam=0.0)
 
         def fprime(w):
             return -2.0 / (1.0 + np.exp(w)) + 1.0 / (1.0 + np.exp(-w))
@@ -506,16 +507,17 @@ class TestKliep:
         assert np.all(model.alphas >= 0.0)
         assert kliep_constraint_value(model, test) == pytest.approx(1.0, abs=1e-6)
 
-    def test_identical_distributions_single_basis(self):
+    def test_identical_distributions_single_basis(self, monkeypatch):
         rng = np.random.default_rng(13)
         pts = rng.normal(size=(1, 20))
         data_a = make_dataset(pts, "a")
         data_b = make_dataset(pts, "b")
-        model = kliep_fit(data_a, data_b, tau=50.0, b=1, seed=0)
+        monkeypatch.setattr(baselines, "DEFAULT_BASIS", 1)
+        model = kliep_fit(data_a, data_b, tau=50.0, seed=0)
         s = kernel_model_score(model, data_b)
         assert s.scores == pytest.approx(np.ones(20), abs=0.1)
 
-    def test_ascent_trace_nondecreasing(self):
+    def test_ascent_trace_nondecreasing(self, monkeypatch):
         rng = np.random.default_rng(14)
         inl = make_dataset(rng.normal(size=(2, 30)), "a")
         test = make_dataset(rng.normal(size=(2, 25)) + 0.5, "b")
@@ -523,7 +525,8 @@ class TestKliep:
         def loglik(max_iters):
             # the fit's objective: log-likelihood of the inliers under the
             # model, whose mean over the test samples is 1
-            model = kliep_fit(inl, test, tau=1.2, max_iters=max_iters, seed=1)
+            monkeypatch.setattr(baselines, "_KLIEP_MAX_ITERS", max_iters)
+            model = kliep_fit(inl, test, tau=1.2, seed=1)
             return float(np.sum(np.log(kernel_model_score(model, inl).scores)))
 
         full = kliep_fit(inl, test, tau=1.2, seed=1)
@@ -532,13 +535,14 @@ class TestKliep:
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert values[-1] > values[0]
 
-    def test_convergence_flags(self):
+    def test_convergence_flags(self, monkeypatch):
         rng = np.random.default_rng(15)
         inl = make_dataset(rng.normal(size=(2, 30)), "a")
         test = make_dataset(rng.normal(size=(2, 25)) + 0.5, "b")
         model = kliep_fit(inl, test, tau=1.2, seed=1)
         assert model.converged and 1 <= model.iterations < 2000
-        capped = kliep_fit(inl, test, tau=1.2, max_iters=2, seed=1)
+        monkeypatch.setattr(baselines, "_KLIEP_MAX_ITERS", 2)
+        capped = kliep_fit(inl, test, tau=1.2, seed=1)
         assert not capped.converged and capped.iterations == 2
 
     def test_bad_tau(self):

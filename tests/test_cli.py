@@ -1,6 +1,9 @@
 """End-to-end CLI tests: exit codes, file outputs, config handling,
 and cross-command consistency (score -> eval round trips)."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 import os
@@ -10,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ratioscope import cli, harness, llr
 from ratioscope.evaluation import auc
@@ -231,7 +236,89 @@ class TestFit:
         assert cli.main(["fit", "--inliers", "a", "--test", "b", "--sigma2", "abc"]) == cli.EXIT_USAGE
 
 
+# a model document that save_model could have written for fuzz_pair's
+# CSVs: d = 2, 3 inliers and 2 test samples
+FUZZ_MODEL = {
+    "feature_names": ["f0", "f1"], "n_inlier": 3, "n_test": 2,
+    "lambda1": 0.1, "lambda2": 1.0, "k_neighbors": 4, "sigma2": 1.5, "epsilon": 1e-10,
+    "weights": [0.5, -0.25, 0.0, 1.0, 2.0, 0.1, -1.0, 0.3, 0.0, 0.7],
+    "objective_trace": [3.4, 3.1],
+    "standardizer": {"mean": [1.0, 0.5], "scale": [0.5, 2.0]},
+}
+# every JSON type, with NaN, the infinities and ints past the float range
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+    | st.integers() | st.sampled_from([10**309, -(10**400), 1e308]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+FUZZ_FIELDS = [("feature_names",), ("n_inlier",), ("n_test",), ("weights",), ("standardizer",),
+               ("standardizer", "mean"), ("standardizer", "scale")]
+
+
+@st.composite
+def broken_models(draw):
+    """FUZZ_MODEL as JSON text after one to three edits, each dropping a
+    field, replacing it, replacing one of its entries, or resizing it."""
+    doc = copy.deepcopy(FUZZ_MODEL)
+    for *parents, key in draw(st.lists(st.sampled_from(FUZZ_FIELDS), min_size=1, max_size=3)):
+        owner = doc
+        for p in parents:
+            owner = owner.get(p) if isinstance(owner, dict) else None
+        if not isinstance(owner, dict) or key not in owner:
+            continue
+        value = owner[key]
+        how = draw(st.sampled_from(["drop", "replace", "entry", "resize"]))
+        if how == "drop":
+            del owner[key]
+        elif how == "replace" or not (isinstance(value, list) and value):
+            owner[key] = draw(JSON_VALUES)
+        elif how == "entry":
+            value[draw(st.integers(0, len(value) - 1))] = draw(JSON_VALUES)
+        else:
+            owner[key] = (value * 2)[:draw(st.integers(0, 2 * len(value)))]
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def fuzz_pair(tmp_path_factory):
+    ws = tmp_path_factory.mktemp("fuzz")
+    (ws / "inliers.csv").write_text("f0,f1\n0.0,1.0\n1.0,0.0\n2.0,2.0\n")
+    (ws / "test.csv").write_text("f0,f1\n1.0,1.0\n3.0,0.0\n")
+    return ws
+
+
 class TestScore:
+    @settings(max_examples=100, deadline=None)
+    @given(broken_models() | JSON_VALUES.map(json.dumps))
+    @example(json.dumps(FUZZ_MODEL))
+    # nested past the recursion limit, json raised RecursionError: a traceback
+    @example("[" * 100000)
+    # numpy read these as the numbers 1.0 and 1.5, so they used to score
+    @example(json.dumps({**FUZZ_MODEL, "standardizer": {"mean": [1.0, 0.5], "scale": [0.5, True]}}))
+    @example(json.dumps({**FUZZ_MODEL, "weights": ["1.5"] + FUZZ_MODEL["weights"][1:]}))
+    def test_fuzzed_model_file_exits_0_or_one_error_line(self, fuzz_pair, text):
+        model = fuzz_pair / "model.json"
+        model.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([
+                "score", "--model", str(model), "--inliers", str(fuzz_pair / "inliers.csv"),
+                "--test", str(fuzz_pair / "test.csv"), "--out", str(fuzz_pair / "s.csv"),
+                "--explain-top", "2", "--explain-out", str(fuzz_pair / "e.json"),
+            ])
+        lines = err.getvalue().splitlines()
+        if code == cli.EXIT_OK:
+            # only a document whose number lists hold JSON numbers scores
+            doc = json.loads(text)
+            std = doc.get("standardizer") or {}
+            for value in (doc["weights"], std.get("mean", []), std.get("scale", [])):
+                assert all(type(v) in (int, float) for v in value), text
+            assert lines == []
+        else:
+            assert code == cli.EXIT_USAGE and len(lines) == 1, lines
+            assert lines[0].startswith("error:"), lines
+
     def test_tau_zero_flags_nothing(self, workspace, tmp_path):
         out = tmp_path / "scores.csv"
         code = cli.main([
@@ -724,7 +811,8 @@ class TestConfig:
         assert parsed == (1.0, 3, 2.0, True)
         assert [type(v) for v in parsed] == [float, int, float, bool]
 
-    @pytest.mark.parametrize("raw", [b"{", b"\xff{}"])
+    # nesting past the recursion limit used to end in a RecursionError traceback
+    @pytest.mark.parametrize("raw", [b"{", b"\xff{}", pytest.param(b"[" * 100000, id="deep")])
     def test_config_not_json_exit2(self, tmp_path, capsys, raw):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(raw)

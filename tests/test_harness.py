@@ -3,11 +3,12 @@ thread invariance, and the partial-failure policy."""
 
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from ratioscope import baselines, harness
+from ratioscope import baselines, harness, llr
 from ratioscope.data import LABEL_INLIER, LABEL_OUTLIER, Dataset, load_csv
 from ratioscope.errors import RatioscopeError
 
@@ -18,6 +19,10 @@ def small_params(**overrides):
     params = dict(harness.DEFAULT_PARAMS)
     params.update({"outer_max_iters": 20, "lof_k": 3}, **overrides)
     return params
+
+
+def test_llr_params_are_the_hyperparams_but_sigma2():
+    assert {f.name for f in fields(llr.LlrHyperparams)} == set(harness.LLR_PARAMS) | {"sigma2"}
 
 
 class TestTrialSeed:
@@ -186,8 +191,7 @@ class TestRunBench:
         for method in ("osvm", "llr"):
             harness.run_method(method, inliers, test, labels, params, 0)
         assert caplog.records == []
-        fit = baselines.osvm_fit
-        monkeypatch.setattr(baselines, "osvm_fit", lambda *a: fit(*a, max_iters=2))
+        monkeypatch.setattr(baselines, "_OSVM_MAX_ITERS", 2)
         harness.run_method("osvm", inliers, test, labels, params, 0)
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "osvm stopped at its iteration cap" in caplog.text

@@ -42,7 +42,7 @@ def zero_weights(pooled):
 def single_sample_pooled(x, d=1):
     features = np.full((d, 1), float(x))
     return PooledDataset(
-        features=features, labels=np.array([1]), n_inlier=1, n_test=0,
+        features=features, n_inlier=1, n_test=0,
         feature_names=tuple(f"f{k}" for k in range(d)), sample_ids=("s0",),
     )
 
@@ -329,10 +329,21 @@ class TestGrad:
         W = solve_inner(pooled, Cg, Ce, hp, W0)
         g = grad_Jtilde(W, Cg, Ce, pooled, hp)
         val = surrogate_Jtilde(W, Cg, Ce, pooled, hp)
-        assert np.linalg.norm(g) <= hp.inner_grad_tol * (1.0 + abs(val))
+        assert np.linalg.norm(g) <= llr._INNER_GRAD_TOL * (1.0 + abs(val))
 
 
 class TestSolveInner:
+    def test_cap_logs_one_warning(self, monkeypatch, caplog):
+        # a solve that stopped at its Newton-step cap used to return silently
+        monkeypatch.setattr(llr, "_INNER_MAX_ITERS", 1)
+        hp = LlrHyperparams()
+        pooled, graph = random_instance(np.random.default_rng(24))
+        W0 = zero_weights(pooled)
+        A = llr.anchor(W0, graph, hp.epsilon)
+        solve_inner(pooled, majorizer_Cg(A), majorizer_Ce(A), hp, W0)
+        assert [(r.name, r.levelname) for r in caplog.records] == [("ratioscope.llr", "WARNING")]
+        assert "cap of 1 Newton steps" in caplog.text
+
     def test_already_optimal(self):
         rng = np.random.default_rng(11)
         hp = LlrHyperparams()
@@ -364,8 +375,9 @@ class TestSolveInner:
 
         monkeypatch.setattr(llr, "_hessp", counting_hessp)
         rng = np.random.default_rng(23)
-        for inner_max_iters, rel_tol in ((1, 0.0), (500, 0.0), (500, 0.03)):
-            hp = LlrHyperparams(inner_max_iters=inner_max_iters)
+        hp = LlrHyperparams()
+        for cap, rel_tol in ((1, 0.0), (500, 0.0), (500, 0.03)):
+            monkeypatch.setattr(llr, "_INNER_MAX_ITERS", cap)
             for _ in range(3):
                 pooled, graph = random_instance(rng)
                 W0 = WeightMatrix(values=rng.normal(size=pooled.features.shape))
@@ -375,7 +387,7 @@ class TestSolveInner:
                 cg_steps.clear()
                 solve_inner(pooled, Cg, majorizer_Ce(A), hp, W0, rel_tol=rel_tol)
                 assert Cg.products == 1 + len(cg_steps)
-                if inner_max_iters == 1:
+                if cap == 1:
                     assert Cg.products == 2  # 3 when each step re-formed P W
 
     def test_regularization_dominated(self):
@@ -390,10 +402,11 @@ class TestSolveInner:
         assert val == pytest.approx(pooled.m * np.log(2.0), rel=1e-3)
         assert np.max(np.abs(W.values)) < 1e-2
 
-    def test_scalar_bisection_oracle(self):
+    def test_scalar_bisection_oracle(self, monkeypatch):
+        monkeypatch.setattr(llr, "_INNER_GRAD_TOL", 1e-10)
         x, lam2, c = 1.3, 0.7, 2.0
         pooled = single_sample_pooled(x)
-        hp = LlrHyperparams(lambda1=0.0, lambda2=lam2, inner_grad_tol=1e-10)
+        hp = LlrHyperparams(lambda1=0.0, lambda2=lam2)
         Cg = sp.csr_matrix((1, 1))
         Ce = np.array([[c]])
         W = solve_inner(pooled, Cg, Ce, hp, zero_weights(pooled))
@@ -405,9 +418,10 @@ class TestSolveInner:
                                  options={"xatol": 1e-12})
         assert W.values[0, 0] == pytest.approx(oracle.x, abs=1e-6)
 
-    def test_matches_lbfgs_oracle(self):
+    def test_matches_lbfgs_oracle(self, monkeypatch):
+        monkeypatch.setattr(llr, "_INNER_GRAD_TOL", 1e-10)
         rng = np.random.default_rng(16)
-        hp = LlrHyperparams(lambda1=0.5, lambda2=0.5, inner_grad_tol=1e-10)
+        hp = LlrHyperparams(lambda1=0.5, lambda2=0.5)
         for _ in range(4):
             pooled, graph = random_instance(rng)
             anchor = WeightMatrix(values=rng.normal(size=pooled.features.shape))
@@ -428,10 +442,11 @@ class TestSolveInner:
             assert f(W.values.ravel()) <= oracle.fun + 1e-10
             assert np.max(np.abs(W.values.ravel() - oracle.x)) <= 1e-6
 
-    def test_one_newton_step_never_increases(self):
+    def test_one_newton_step_never_increases(self, monkeypatch):
+        monkeypatch.setattr(llr, "_INNER_MAX_ITERS", 1)
         rng = np.random.default_rng(17)
         for lam1, lam2 in [(0.1, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (1.0, 1.0)]:
-            hp = LlrHyperparams(lambda1=lam1, lambda2=lam2, inner_max_iters=1)
+            hp = LlrHyperparams(lambda1=lam1, lambda2=lam2)
             for _ in range(5):
                 pooled, graph = random_instance(rng)
                 anchor = WeightMatrix(values=rng.normal(size=pooled.features.shape))
@@ -464,7 +479,7 @@ class TestSolveInner:
                 g0 = np.linalg.norm(grad_Jtilde(W0, Cg, Ce, pooled, hp))
                 g = np.linalg.norm(grad_Jtilde(W, Cg, Ce, pooled, hp))
                 val = surrogate_Jtilde(W, Cg, Ce, pooled, hp)
-                absolute = hp.inner_grad_tol * (1.0 + abs(val))
+                absolute = llr._INNER_GRAD_TOL * (1.0 + abs(val))
                 assert g <= rel_tol * g0 or g <= absolute
                 assert val <= surrogate_Jtilde(W0, Cg, Ce, pooled, hp)
                 ended_by_relative_rule |= g > absolute
@@ -473,6 +488,11 @@ class TestSolveInner:
 
 
 class TestFit:
+    def test_default_fit_logs_no_cap_warning(self, caplog):
+        inliers, test, _ = generate(SynthSpec(d=10, seed=0), trial=0)
+        fit(inliers, test, LlrHyperparams())
+        assert caplog.records == []
+
     def test_trace_strictly_decreasing_unregularized(self):
         pooled = single_sample_pooled(2.0)
         hp = LlrHyperparams(lambda1=0.0, lambda2=0.0, outer_max_iters=5)
@@ -591,7 +611,7 @@ class TestFit:
         ]
         assert max(diffs) <= 1e-3 * (1.0 + norms.max())
 
-    def test_reduction_to_logistic_regression(self):
+    def test_reduction_to_logistic_regression(self, monkeypatch):
         # huge lambda1 collapses the columns; freezing Ce at W ~ 0 turns
         # the exclusive term into a plain ridge, so the shared column
         # should rank test samples like an l2-regularized logistic fit
@@ -600,10 +620,9 @@ class TestFit:
         )
         pooled = pool(inliers, test)
         lam2 = 1e-3
-        hp = LlrHyperparams(
-            lambda1=1e3, lambda2=lam2, k_neighbors=pooled.m - 1, sigma2=1e4,
-            inner_grad_tol=1e-9, inner_max_iters=4000,
-        )
+        monkeypatch.setattr(llr, "_INNER_GRAD_TOL", 1e-9)
+        monkeypatch.setattr(llr, "_INNER_MAX_ITERS", 4000)
+        hp = LlrHyperparams(lambda1=1e3, lambda2=lam2, k_neighbors=pooled.m - 1, sigma2=1e4)
         graph = knn_graph(pooled.features, min(hp.k_neighbors, pooled.m - 1), hp.sigma2)
         W0 = zero_weights(pooled)
         # eps=1 keeps the frozen couplings well conditioned; Ce is the
@@ -664,6 +683,14 @@ class TestFit:
                     for W in (result.weights, W_ref)]
             assert aucs[0] == aucs[1]
 
+    def test_saved_k_neighbors_is_the_graphs(self, tmp_path):
+        # the graph caps K at m - 1; the file used to record hp.k_neighbors
+        pooled = pool(make_dataset([[0.0, 1.0, 2.0]], "a"), make_dataset([[0.5, 3.0]], "b"))
+        hp = LlrHyperparams(outer_max_iters=2)
+        save_model(tmp_path / "m.json", fit_pooled(pooled, hp), pooled, hp, None)
+        assert hp.k_neighbors == 7
+        assert json.loads((tmp_path / "m.json").read_text())["k_neighbors"] == 4
+
     def test_model_roundtrip(self, tmp_path):
         from ratioscope.data import fit_standardizer
 
@@ -704,15 +731,14 @@ class TestFit:
         with pytest.raises(ValueError):
             LlrHyperparams(outer_max_iters=0)
 
-    @pytest.mark.parametrize(
-        "name", ["lambda1", "lambda2", "epsilon", "outer_rel_tol", "inner_grad_tol"])
+    @pytest.mark.parametrize("name", ["lambda1", "lambda2", "epsilon", "outer_rel_tol"])
     def test_nan_hyperparameter_rejected(self, name):
         # NaN used to pass every `x < 0` / `x <= 0` check
         with pytest.raises(ValueError):
             LlrHyperparams(**{name: float("nan")})
 
     @pytest.mark.parametrize("name", [
-        "lambda1", "lambda2", "epsilon", "outer_rel_tol", "inner_grad_tol", "sigma2"])
+        "lambda1", "lambda2", "epsilon", "outer_rel_tol", "sigma2"])
     def test_infinite_hyperparameter_rejected(self, name):
         # each used to pass: tol inf stopped after one iteration, sigma2 inf
         # set every graph weight to 1, the others ended in a solver failure

@@ -16,13 +16,7 @@ import scipy.linalg as sla
 from scipy.special import expit, logsumexp
 
 from .data import Dataset, PooledDataset
-from .errors import (
-    AllZeroAlphas,
-    DimensionMismatch,
-    InfeasibleNu,
-    InvalidK,
-    SingularSystem,
-)
+from .errors import InputError, SingularSystem, SolverFailure
 from .graph import pairwise_sq_dists
 from .scores import EXP_CLAMP, ScoreSet, ratio_from_logit
 
@@ -78,9 +72,9 @@ def _subsample_centers(samples: np.ndarray, seed: int) -> np.ndarray:
 def kde_fit_score(inliers: Dataset, query: Dataset, sigma: float) -> ScoreSet:
     """Gaussian kernel density of each query point under the inliers."""
     if sigma <= 0:
-        raise ValueError("sigma must be positive")
+        raise InputError("sigma must be positive")
     if inliers.d != query.d:
-        raise DimensionMismatch("inlier and query dimensions differ")
+        raise InputError("inlier and query dimensions differ")
     d, n = inliers.d, inliers.m
     d2 = pairwise_sq_dists(query.features, inliers.features)
     logp = (
@@ -96,9 +90,9 @@ def kde_fit_score(inliers: Dataset, query: Dataset, sigma: float) -> ScoreSet:
 # LOF
 
 def check_lof_k(K: int, m: float = math.inf) -> None:
-    """Raise InvalidK unless 1 <= K < m, the number of reference samples."""
+    """Raise InputError unless 1 <= K < m, the number of reference samples."""
     if not 1 <= K < m:
-        raise InvalidK(
+        raise InputError(
             f"lof K must be at least 1 and below the number of reference samples, got {K}"
         )
 
@@ -112,7 +106,7 @@ def lof_score(reference: Dataset, query: Dataset, K: int) -> ScoreSet:
     """
     check_lof_k(K, reference.m)
     if reference.d != query.d:
-        raise DimensionMismatch("reference and query dimensions differ")
+        raise InputError("reference and query dimensions differ")
     ref = reference.features
     rd = np.sqrt(pairwise_sq_dists(ref, ref))
     np.fill_diagonal(rd, np.inf)
@@ -148,7 +142,7 @@ def box_simplex_threshold(v: np.ndarray, c: float) -> float:
     """
     n = len(v)
     if c * n < 1.0 - 1e-12:
-        raise InfeasibleNu("box cap too small for the simplex constraint")
+        raise InputError("box cap too small for the simplex constraint")
     s = np.sort(v)
     s_c = s - c
     prefix = np.concatenate(([0.0], np.cumsum(s)))
@@ -177,7 +171,7 @@ def project_box_simplex(v: np.ndarray, c: float) -> np.ndarray:
 def check_osvm_nu(nu: float) -> None:
     # written so that NaN fails it
     if not 0 < nu <= 1:
-        raise InfeasibleNu(f"osvm nu must lie in (0, 1], got {nu}")
+        raise InputError(f"osvm nu must lie in (0, 1], got {nu}")
 
 
 def osvm_fit(samples: Dataset | PooledDataset, nu: float, sigma: float) -> KernelModel:
@@ -252,7 +246,7 @@ def l1lr_subgrad_residual(w: np.ndarray, grad: np.ndarray, lam: float) -> float:
 def check_l1lr_lambda(lam: float) -> None:
     # written so that NaN and infinity fail it
     if not 0 <= lam < math.inf:
-        raise ValueError(f"l1lr lambda must be a nonnegative finite number, got {lam}")
+        raise InputError(f"l1lr lambda must be a nonnegative finite number, got {lam}")
 
 
 def l1lr_fit(pooled: PooledDataset, lam: float) -> LinearModel:
@@ -299,7 +293,7 @@ def kliep_fit(inliers: Dataset, test: Dataset, tau: float, seed: int = 0) -> Ker
     accepted step keeps or raises the log-likelihood.
     """
     if tau <= 0:
-        raise ValueError("tau must be positive")
+        raise InputError("tau must be positive")
     centers = _subsample_centers(inliers.features, seed)
     sigma2 = tau**2
     phi_nu = gauss_design(inliers.features, centers, sigma2)  # numerator terms
@@ -308,7 +302,7 @@ def kliep_fit(inliers: Dataset, test: Dataset, tau: float, seed: int = 0) -> Ker
     def normalize(a):
         mean_de = float(np.mean(phi_de @ a))
         if mean_de <= 0:
-            raise AllZeroAlphas("projection annihilated alpha (degenerate width)")
+            raise SolverFailure("projection annihilated alpha (degenerate width)")
         return a / mean_de
 
     def objective(a):
@@ -364,9 +358,9 @@ def kliep_constraint_value(model: KernelModel, test: Dataset) -> float:
 def check_rulsif(beta: float, nu: float) -> None:
     # written so that NaN and infinity fail them
     if not 0 <= beta <= 1:
-        raise ValueError(f"rulsif beta must lie in [0, 1], got {beta}")
+        raise InputError(f"rulsif beta must lie in [0, 1], got {beta}")
     if not 0 <= nu < math.inf:
-        raise ValueError(f"ulsif/rulsif nu must be a nonnegative finite number, got {nu}")
+        raise InputError(f"ulsif/rulsif nu must be a nonnegative finite number, got {nu}")
 
 
 def rulsif_fit(

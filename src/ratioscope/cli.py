@@ -23,7 +23,7 @@ from .data import (
     pool,
     save_csv,
 )
-from .errors import RatioscopeError, SolverFailure
+from .errors import InputError, SolverFailure
 from .evaluation import auc, roc_curve
 from .scores import (
     CONST_FEATURE,
@@ -39,10 +39,6 @@ from .synth import SynthSpec, generate
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-
-class UsageError(RatioscopeError):
-    pass
 
 
 def _augment_intercept(data: Dataset) -> Dataset:
@@ -126,20 +122,21 @@ def cmd_score(args) -> int:
     model = llr.load_model(args.model)
     intercept = model["feature_names"][-1:] == [CONST_FEATURE]
     inliers, test, test_labels = _load_pair(args, intercept)
-    if list(inliers.feature_names) != model["feature_names"]:
-        raise UsageError(
-            f"feature names {list(inliers.feature_names)} of {args.inliers} do not "
-            f"match the model's {model['feature_names']}"
-        )
+    for path, data in ((args.inliers, inliers), (args.test, test)):
+        if list(data.feature_names) != model["feature_names"]:
+            raise InputError(
+                f"feature names {list(data.feature_names)} of {path} do not "
+                f"match the model's {model['feature_names']}"
+            )
     if inliers.m != model["n_inlier"] or test.m != model["n_test"]:
-        raise UsageError(
+        raise InputError(
             "sample counts do not match the model "
             f"(expected {model['n_inlier']}+{model['n_test']})"
         )
     try:
         pooled = pool(*_standardized(inliers, test, model.get("standardizer")))
-    except ValueError as exc:  # a z-score overflows, as from a tiny scale
-        raise UsageError(f"model file {args.model}: {exc}") from None
+    except InputError as exc:  # a z-score overflows, as from a tiny scale
+        raise InputError(f"model file {args.model}: {exc}") from None
     weights = llr.WeightMatrix(values=model["weights"])
     labels = tuple(test_labels) if (test_labels and args.which == "test") else None
     scores = ratio_score(weights, pooled, which=args.which, labels=labels)
@@ -161,17 +158,16 @@ def cmd_score(args) -> int:
 
 def cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    dims = [int(v) for v in args.dims.split(",") if v.strip()]
     dataset = dataset_labels = None
     dataset_name = "synthetic"
     if args.dataset:
         dataset, dataset_labels = load_csv(args.dataset)
         if dataset_labels is None:
-            raise UsageError("benchmark dataset CSV needs a label column")
+            raise InputError("benchmark dataset CSV needs a label column")
         dataset_name = args.dataset
     params = {**_params(args, _BENCH_FLAG_PARAMS), "standardize": not args.no_standardize}
     doc, sweep_rows, n_failures = harness.run_bench(
-        dims,
+        args.dims,
         args.trials,
         methods,
         args.seed,
@@ -201,10 +197,10 @@ def cmd_bench(args) -> int:
 
 def cmd_eval(args) -> int:
     scores, _ = load_scores_csv(args.scores)
-    if scores.labels is None:
-        raise UsageError("scores file has no label column")
-    value = auc(scores)
-    points = roc_curve(scores)
+    try:
+        value, points = auc(scores), roc_curve(scores)
+    except InputError as exc:  # no label column, or a class missing from it
+        raise InputError(f"scores file {args.scores}: {exc}") from None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("fpr,tpr\n")
@@ -219,6 +215,12 @@ def auto_or_float(text: str) -> float | str:
     return text if text == llr.SIGMA2_AUTO else float(text)
 
 
+def int_list(text: str) -> list[int]:
+    """argparse type of --dims: comma-separated ints, blank entries
+    skipped, so that "" is the empty list."""
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
 def _add_param_flags(p, names):
     """One flag per parameter in ``names``, whose harness.DEFAULT_PARAMS
     value gives the flag's default and its type, plus --no-standardize."""
@@ -229,17 +231,24 @@ def _add_param_flags(p, names):
     p.add_argument("--no-standardize", action="store_true")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise InputError instead of
+    printing its usage, so that a bad flag prints one line."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _config_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    parser = _Parser(prog="ratioscope", add_help=False)
     parser.add_argument("--config", help="JSON file of flag defaults")
     return parser
 
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """The full CLI parser; ``defaults`` (dest -> value) override the
-    built-in defaults of every subcommand, and a default that its flag's
-    type rejects raises argparse.ArgumentError instead of exiting."""
-    parser = argparse.ArgumentParser(
+    built-in defaults of every subcommand."""
+    parser = _Parser(
         prog="ratioscope",
         description="Inlier-based outlier detection with per-sample feature attribution",
         parents=[_config_parser()],
@@ -284,7 +293,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         + " (default: harness.DEFAULT_BENCH_METHODS, %(default)s)",
     )
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--dims", default="10")
+    p.add_argument("--dims", type=int_list, default="10")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="results.json")
     p.add_argument("--sweep-csv", default=None)
@@ -300,11 +309,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
-    if defaults:
-        parser.exit_on_error = False
-        for p in sub.choices.values():
-            p.set_defaults(**defaults)
-            p.exit_on_error = False
+    for p in sub.choices.values():
+        p.set_defaults(**(defaults or {}))
     return parser
 
 
@@ -315,20 +321,16 @@ def _read_config(argv) -> tuple[str | None, dict]:
     parser, which rejects it."""
     parser = _config_parser()
     parser.add_argument("command_and_flags", nargs=argparse.REMAINDER)
-    try:
-        known, _ = parser.parse_known_args(argv)
-    except argparse.ArgumentError as exc:
-        raise UsageError(str(exc)) from None
-    path = known.config
+    path = parser.parse_known_args(argv)[0].config
     if path is None:
         return None, {}
     with open(path, encoding="utf-8") as fh:
         try:
             config = json.load(fh)
         except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting
-            raise UsageError(f"config file {path} is not JSON: {exc}") from None
+            raise InputError(f"config file {path} is not JSON: {exc}") from None
     if not isinstance(config, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
+        raise InputError(f"config file {path} must hold a JSON object")
     return path, {k.replace("-", "_"): v for k, v in config.items()}
 
 
@@ -340,7 +342,7 @@ def _config_default(path, key, value, parsed):
     if switch == isinstance(value, bool) and isinstance(value, (int, float, str)):
         return value if switch else str(value)
     kind = "true or false" if switch else "a number or a string"
-    raise UsageError(f"config file {path}: {key!r} must be {kind}, got {json.dumps(value)}")
+    raise InputError(f"config file {path}: {key!r} must be {kind}, got {json.dumps(value)}")
 
 
 def _parse(argv):
@@ -356,9 +358,9 @@ def _parse(argv):
         return args
     try:
         return build_parser(own).parse_args(argv)
-    except argparse.ArgumentError as exc:
+    except InputError as exc:
         # argv parsed once already, so the value at fault is the config's
-        raise UsageError(f"config file {path}: {exc}") from None
+        raise InputError(f"config file {path}: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -371,8 +373,8 @@ def main(argv=None) -> int:
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    # UsageError is a RatioscopeError; JSONDecodeError is a ValueError
-    except (RatioscopeError, OSError, ValueError) as exc:
+    # InputError is a ValueError, and so is any unvalidated one
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

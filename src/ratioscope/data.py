@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidLabel, MalformedCsv, TooFewSamples
+from .errors import InputError
 
 SCALE_FLOOR = 1e-8
 
@@ -31,25 +31,23 @@ class Dataset:
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
-            raise DimensionMismatch(
+            raise InputError(
                 f"features must be a d x m matrix with d, m >= 1, got shape {feats.shape}"
             )
         if not np.all(np.isfinite(feats)):
-            raise DimensionMismatch("features contain NaN or infinite entries")
+            raise InputError("features contain NaN or infinite entries")
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
         if len(self.feature_names) != feats.shape[0]:
-            raise DimensionMismatch(
+            raise InputError(
                 f"{len(self.feature_names)} feature names for {feats.shape[0]} features"
             )
         if len(self.sample_ids) != feats.shape[1]:
-            raise DimensionMismatch(
-                f"{len(self.sample_ids)} sample ids for {feats.shape[1]} samples"
-            )
+            raise InputError(f"{len(self.sample_ids)} sample ids for {feats.shape[1]} samples")
         if len(set(self.sample_ids)) != len(self.sample_ids):
-            raise DimensionMismatch("sample ids must be unique")
+            raise InputError("sample ids must be unique")
 
     @property
     def d(self) -> int:
@@ -85,7 +83,7 @@ class PooledDataset:
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
         if feats.shape[1] != self.n_inlier + self.n_test:
-            raise DimensionMismatch("pooled features and sample counts inconsistent")
+            raise InputError("pooled features and sample counts inconsistent")
 
     @property
     def d(self) -> int:
@@ -111,9 +109,9 @@ class StandardizationStats:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "scale", scale)
         if mean.shape != scale.shape or mean.ndim != 1:
-            raise DimensionMismatch("mean and scale must be equal-length vectors")
+            raise InputError("mean and scale must be equal-length vectors")
         if np.any(scale <= 0):
-            raise DimensionMismatch("scale entries must be positive")
+            raise InputError("scale entries must be positive")
 
     @property
     def d(self) -> int:
@@ -123,9 +121,7 @@ class StandardizationStats:
 def pool(inliers: Dataset, test: Dataset) -> PooledDataset:
     """Concatenate inliers (label +1) and test samples (label -1)."""
     if inliers.d != test.d or inliers.feature_names != test.feature_names:
-        raise DimensionMismatch(
-            "inlier and test datasets must share dimension and feature names"
-        )
+        raise InputError("inlier and test datasets must share dimension and feature names")
     return PooledDataset(
         features=np.hstack([inliers.features, test.features]),
         n_inlier=inliers.m,
@@ -138,7 +134,7 @@ def pool(inliers: Dataset, test: Dataset) -> PooledDataset:
 def fit_standardizer(inliers: Dataset) -> StandardizationStats:
     """Per-feature mean/std over inlier columns (m denominator, floored)."""
     if inliers.m < 2:
-        raise TooFewSamples("standardization needs at least 2 inlier samples")
+        raise InputError("standardization needs at least 2 inlier samples")
     mean = inliers.features.mean(axis=1)
     std = inliers.features.std(axis=1)  # population std, divisor m
     scale = np.maximum(std, SCALE_FLOOR)
@@ -148,17 +144,15 @@ def fit_standardizer(inliers: Dataset) -> StandardizationStats:
 def apply_standardizer(data: Dataset, stats: StandardizationStats) -> Dataset:
     """Return a copy of ``data`` with each feature z-scored by ``stats``.
     A z-score past the float range, as from a tiny scale, raises
-    ValueError naming the feature."""
+    InputError naming the feature."""
     if data.d != stats.d:
-        raise DimensionMismatch(
-            f"dataset has {data.d} features but stats has {stats.d}"
-        )
+        raise InputError(f"dataset has {data.d} features but stats has {stats.d}")
     with np.errstate(over="ignore"):
         features = (data.features - stats.mean[:, None]) / stats.scale[:, None]
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))
-        raise ValueError(
+        raise InputError(
             f"standardizing feature {data.feature_names[k]!r} (mean {stats.mean[k]!r}, "
             f"scale {stats.scale[k]!r}) overflows"
         )
@@ -170,43 +164,62 @@ def apply_standardizer(data: Dataset, stats: StandardizationStats) -> Dataset:
 
 
 def parse_float(path, line: int, column: str, text: str) -> float:
-    """``float(text)``, or MalformedCsv naming the file, line and column."""
+    """``float(text)``, or InputError naming the file, line and column."""
     try:
         return float(text)
     except ValueError:
-        raise MalformedCsv(
+        raise InputError(
             f"{path}: line {line}, column {column!r}: {text!r} is not a number"
         ) from None
+
+
+def parse_label(path, line: int, text: str) -> str:
+    """``text`` stripped, or InputError naming the file and line unless
+    it is one of the two labels."""
+    label = text.strip()
+    if label not in (LABEL_INLIER, LABEL_OUTLIER):
+        raise InputError(f"{path}: row {line} has label {label!r}, "
+                         f"expected {LABEL_INLIER!r} or {LABEL_OUTLIER!r}")
+    return label
+
+
+def read_csv_rows(path) -> list[tuple[int, list[str]]]:
+    """The non-empty rows of a UTF-8 CSV file, each with its line number
+    in the file.  A row the csv module rejects, as one with a field past
+    its size limit, or bytes that are not UTF-8 raise InputError naming
+    the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            return [(reader.line_num, row) for row in reader if row]
+        except csv.Error as exc:
+            raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # no line number: the decoder reads ahead of the csv reader in chunks
+            raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
 def load_csv(path, id_prefix: str = "") -> tuple[Dataset, list[str] | None]:
     """Load a dataset from CSV (header row of feature names, one sample
     per row).  A trailing column named "label" with values
     {inlier, outlier} is split off and returned separately (or None);
-    any other label value raises InvalidLabel.
+    any other label value raises InputError.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        # keep each row's line number in the file for error messages
-        rows = [(reader.line_num, row) for row in reader if row]
+    rows = read_csv_rows(path)
     if len(rows) < 2:
-        raise TooFewSamples(f"{path}: need a header row and at least one sample")
+        raise InputError(f"{path}: need a header row and at least one sample")
     header = [h.strip() for h in rows[0][1]]
     has_label = header and header[-1] == "label"
     names = header[:-1] if has_label else header
+    if not names:
+        raise InputError(f"{path}: header has no feature column")
     values = []
     labels: list[str] | None = [] if has_label else None
     for line, row in rows[1:]:
         if len(row) != len(header):
-            raise DimensionMismatch(f"{path}: row {line} has {len(row)} fields, expected {len(header)}")
+            raise InputError(f"{path}: row {line} has {len(row)} fields, expected {len(header)}")
         if has_label:
-            label = row[-1].strip()
-            if label not in (LABEL_INLIER, LABEL_OUTLIER):
-                raise InvalidLabel(
-                    f"{path}: row {line} has label {label!r}, "
-                    f"expected {LABEL_INLIER!r} or {LABEL_OUTLIER!r}"
-                )
-            labels.append(label)
+            labels.append(parse_label(path, line, row[-1]))
             row = row[:-1]
         try:
             values.append([float(v) for v in row])
@@ -217,7 +230,7 @@ def load_csv(path, id_prefix: str = "") -> tuple[Dataset, list[str] | None]:
     if not np.all(np.isfinite(values)):
         i, k = np.argwhere(~np.isfinite(values))[0]
         line, row = rows[i + 1]
-        raise MalformedCsv(
+        raise InputError(
             f"{path}: line {line}, column {names[k]!r}: {row[k]!r} is not a finite number"
         )
     features = values.T

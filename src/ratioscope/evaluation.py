@@ -8,7 +8,7 @@ import numpy as np
 from scipy import special
 
 from .data import LABEL_INLIER, LABEL_OUTLIER
-from .errors import SingleClass, TooFewSamples
+from .errors import InputError
 from .scores import ScoreSet
 
 
@@ -22,13 +22,13 @@ class RunSummary:
 
 def _split_scores(scores: ScoreSet):
     if scores.labels is None:
-        raise SingleClass("scores carry no ground-truth labels")
+        raise InputError("scores carry no ground-truth labels")
     s = scores.scores
     labels = np.asarray(scores.labels)
     inl = s[labels == LABEL_INLIER]
     out = s[labels == LABEL_OUTLIER]
     if len(inl) == 0 or len(out) == 0:
-        raise SingleClass("both inlier and outlier labels are required")
+        raise InputError("both inlier and outlier labels are required")
     return inl, out
 
 
@@ -79,7 +79,7 @@ def welch_ttest(a, b) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if len(a) < 2 or len(b) < 2:
-        raise TooFewSamples("t-test needs at least 2 values per sample")
+        raise InputError("t-test needs at least 2 values per sample")
     va = a.var(ddof=1)
     vb = b.var(ddof=1)
     if va == 0 and vb == 0:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateData, InvalidK
+from .errors import InputError
 
 # knn_graph's sigma2 value for the squared median pairwise distance
 SIGMA2_AUTO = "auto"
@@ -98,7 +98,7 @@ def _median_dist(d2: np.ndarray) -> float:
     iu = np.triu_indices(d2.shape[0], k=1)
     med = float(np.median(np.sqrt(d2[iu])))
     if med == 0.0:
-        raise DegenerateData("median pairwise distance is zero (all points coincide)")
+        raise InputError("median pairwise distance is zero (all points coincide)")
     return med
 
 
@@ -106,7 +106,7 @@ def median_heuristic(data: np.ndarray) -> float:
     """Median pairwise Euclidean distance over distinct unordered pairs."""
     data = np.asarray(data, dtype=float)
     if data.shape[1] < 2:
-        raise DegenerateData("median heuristic needs at least 2 samples")
+        raise InputError("median heuristic needs at least 2 samples")
     return _median_dist(pairwise_sq_dists(data, data))
 
 
@@ -122,9 +122,9 @@ def knn_graph(data: np.ndarray, K: int, sigma2: float | str) -> SimilarityGraph:
     data = np.asarray(data, dtype=float)
     m = data.shape[1]
     if K <= 0 or K >= m:
-        raise InvalidK(f"K must satisfy 1 <= K < m, got K={K}, m={m}")
+        raise InputError(f"K must satisfy 1 <= K < m, got K={K}, m={m}")
     if sigma2 != SIGMA2_AUTO and sigma2 <= 0:
-        raise InvalidK(f"sigma2 must be positive, got {sigma2}")
+        raise InputError(f"sigma2 must be positive, got {sigma2}")
     d2 = pairwise_sq_dists(data, data)
     if sigma2 == SIGMA2_AUTO:
         sigma2 = _median_dist(d2) ** 2

@@ -24,6 +24,7 @@ from .data import (
     fit_standardizer,
     pool,
 )
+from .errors import InputError
 from .evaluation import auc, summarize, welch_ttest
 from .graph import median_heuristic
 from .scores import ScoreSet, ratio_score, save_scores_csv
@@ -88,7 +89,7 @@ def run_method(
             )
         s = baselines.kernel_model_score(model, test)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise InputError(f"unknown method {method!r}")
     if model is not None and not model.converged:
         logging.getLogger(__name__).warning(
             "warning: %s stopped at its iteration cap without converging", method
@@ -143,7 +144,7 @@ def default_thread_count(requested: int | None) -> int:
     if requested is None:
         return min(8, os.cpu_count() or 1)
     if requested < 1:
-        raise ValueError(f"thread count must be at least 1, got {requested}")
+        raise InputError(f"thread count must be at least 1, got {requested}")
     return requested
 
 
@@ -167,9 +168,9 @@ def run_bench(
     """
     for method in methods:
         if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+            raise InputError(f"unknown method {method!r}; choose from {METHODS}")
     if trials < 1 or not dims or not methods:
-        raise ValueError("a bench run needs at least one trial, dimension and method")
+        raise InputError("a bench run needs at least one trial, dimension and method")
     params = {**DEFAULT_PARAMS, **(params or {})}
     # the checks the fits themselves run, once for the whole sweep
     llr.LlrHyperparams(**{name: params[name] for name in LLR_PARAMS})

@@ -50,7 +50,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .data import Dataset, PooledDataset, StandardizationStats, pool
-from .errors import DimensionMismatch, LineSearchFailure, NonDecrease
+from .errors import InputError, LineSearchFailure, NonDecrease
 # median_heuristic is unused here but stays importable as
 # llr.median_heuristic, where ratiobench's tracer looks it up
 from .graph import SIGMA2_AUTO, SimilarityGraph, edge_list, knn_graph, median_heuristic  # noqa: F401
@@ -74,9 +74,9 @@ class WeightMatrix:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2:
-            raise DimensionMismatch("weight matrix must be 2-D")
+            raise InputError("weight matrix must be 2-D")
         if not np.all(np.isfinite(values)):
-            raise DimensionMismatch("weight matrix entries must be finite")
+            raise InputError("weight matrix entries must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -102,22 +102,22 @@ class LlrHyperparams:
     def __post_init__(self):
         # written so that NaN and infinity fail every test
         if not (0 <= self.lambda1 < math.inf and 0 <= self.lambda2 < math.inf):
-            raise ValueError("regularization parameters must be nonnegative finite numbers")
+            raise InputError("regularization parameters must be nonnegative finite numbers")
         # a column's smoothed l1 norm is at least d sqrt(eps); at eps = 1e-4 the
         # smoothing is already 2.6% of the final J at d = 10, and grows as d^2
         if not 0 < self.epsilon <= 1e-4:
-            raise ValueError("epsilon must be a positive finite number at most 1e-4;"
+            raise InputError("epsilon must be a positive finite number at most 1e-4;"
                              " a larger one swamps the objective with smoothing")
         if not 0 < self.outer_rel_tol < math.inf:
-            raise ValueError("outer_rel_tol must be a positive finite number")
+            raise InputError("outer_rel_tol must be a positive finite number")
         if self.outer_max_iters < 1:
-            raise ValueError("outer_max_iters must be at least 1")
+            raise InputError("outer_max_iters must be at least 1")
         if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be at least 1")
+            raise InputError("k_neighbors must be at least 1")
         if self.sigma2 != SIGMA2_AUTO and not (
             isinstance(self.sigma2, (int, float)) and 0 < self.sigma2 < math.inf
         ):
-            raise ValueError("sigma2 must be a positive finite number or 'auto'")
+            raise InputError("sigma2 must be a positive finite number or 'auto'")
 
 
 @dataclass(frozen=True)
@@ -134,9 +134,7 @@ class FitResult:
 
 def _check_dims(W: np.ndarray, pooled: PooledDataset):
     if W.shape != pooled.features.shape:
-        raise DimensionMismatch(
-            f"weights {W.shape} do not match pooled features {pooled.features.shape}"
-        )
+        raise InputError(f"weights {W.shape} do not match pooled features {pooled.features.shape}")
 
 
 def _logistic_loss(W: np.ndarray, pooled: PooledDataset) -> float:
@@ -186,7 +184,7 @@ def majorizer_Cg(A: Anchor) -> sp.csr_matrix:
     """Reweighted graph Laplacian B0^T diag(a) B0, a_ij = r_ij / s_ij,
     assembled on the graph's fixed sparsity pattern."""
     if A.epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+        raise InputError("epsilon must be positive")
     _, r = A.graph.edges
     return A.graph.laplacian(r / A.edge_dists)
 
@@ -194,7 +192,7 @@ def majorizer_Cg(A: Anchor) -> sp.csr_matrix:
 def majorizer_Ce(A: Anchor) -> np.ndarray:
     """Entrywise reweighting ||w_j||_{1,eps} / sqrt(W_kj^2 + eps)."""
     if A.epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+        raise InputError("epsilon must be positive")
     return A.smooth.sum(axis=0)[None, :] / A.smooth
 
 
@@ -210,7 +208,7 @@ def majorization_constant(A: Anchor, hp: LlrHyperparams) -> float:
     """
     eps = A.epsilon
     if eps <= 0:
-        raise ValueError("epsilon must be positive")
+        raise InputError("epsilon must be positive")
     _, r = A.graph.edges
     s, smooth = A.edge_dists, A.smooth
     cross = float(np.sum(smooth.sum(axis=0) * np.sum(1.0 / smooth, axis=0)))
@@ -495,10 +493,10 @@ def save_model(
 
 def load_model(path) -> dict:
     """Load a model JSON document; "weights" becomes a d x (n+n') array.
-    A document that save_model could not have written raises ValueError
+    A document that save_model could not have written raises InputError
     naming the file."""
     def bad(why):
-        return ValueError(f"model file {path}: {why}")
+        return InputError(f"model file {path}: {why}")
 
     def vector(value, n, key):
         # numpy alone would also read true, null and "1.5" as numbers

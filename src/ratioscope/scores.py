@@ -8,8 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LABEL_INLIER, LABEL_OUTLIER, PooledDataset, parse_float
-from .errors import DimensionMismatch, MalformedCsv, NegativeThreshold, UnknownSample
+from .data import LABEL_INLIER, LABEL_OUTLIER, PooledDataset
+from .data import parse_float, parse_label, read_csv_rows
+from .errors import InputError
 from .llr import WeightMatrix
 
 EXP_CLAMP = 500.0
@@ -33,11 +34,11 @@ class ScoreSet:
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
             if len(self.labels) != len(self.sample_ids):
-                raise DimensionMismatch("labels and sample ids differ in length")
+                raise InputError("labels and sample ids differ in length")
         if scores.shape != (len(self.sample_ids),):
-            raise DimensionMismatch("scores and sample ids differ in length")
+            raise InputError("scores and sample ids differ in length")
         if not np.all(np.isfinite(scores)) or np.any(scores <= 0):
-            raise DimensionMismatch("scores must be strictly positive and finite")
+            raise InputError("scores must be strictly positive and finite")
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ def _column_indices(pooled: PooledDataset, which: str) -> np.ndarray:
         return np.arange(pooled.n_inlier)
     if which == "all":
         return np.arange(pooled.m)
-    raise ValueError(f"unknown sample selector {which!r}")
+    raise InputError(f"unknown sample selector {which!r}")
 
 
 def ratio_score(
@@ -85,7 +86,7 @@ def ratio_score(
     attached when given.
     """
     if weights.values.shape != pooled.features.shape:
-        raise DimensionMismatch("weights do not align with pooled columns")
+        raise InputError("weights do not align with pooled columns")
     idx = _column_indices(pooled, which)
     scores = ratio_from_logit(_logits(weights, pooled, idx), pooled.n_inlier, pooled.n_test)
     ids = tuple(pooled.sample_ids[i] for i in idx)
@@ -95,7 +96,7 @@ def ratio_score(
 def detect(scores: ScoreSet, tau: float) -> tuple[str, ...]:
     """Flag samples with score <= tau as outliers."""
     if tau < 0:
-        raise NegativeThreshold(f"tau must be nonnegative, got {tau}")
+        raise InputError(f"tau must be nonnegative, got {tau}")
     return tuple(
         LABEL_OUTLIER if s <= tau else LABEL_INLIER for s in scores.scores
     )
@@ -111,11 +112,11 @@ def explain(
     ties broken by feature index; the CONST_FEATURE intercept is not
     a feature to explain and is never ranked."""
     if top_k < 1:
-        raise ValueError("top_k must be at least 1")
+        raise InputError("top_k must be at least 1")
     try:
         col = pooled.sample_ids.index(sample_id)
     except ValueError:
-        raise UnknownSample(f"no sample with id {sample_id!r}") from None
+        raise InputError(f"no sample with id {sample_id!r}") from None
     w = weights.values[:, col]
     names = pooled.feature_names
     real = [k for k in range(len(w)) if names[k] != CONST_FEATURE]
@@ -147,36 +148,34 @@ def save_scores_csv(path, scores: ScoreSet, decisions=None) -> None:
 def load_scores_csv(path) -> tuple[ScoreSet, tuple[str, ...] | None]:
     """Read a scores CSV back; returns (ScoreSet, decisions or None).
     Malformed input raises an error naming the file and line."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if row]
+    rows = read_csv_rows(path)
     if not rows:
-        raise MalformedCsv(f"{path}: empty file, expected a header row")
+        raise InputError(f"{path}: empty file, expected a header row")
     header = rows[0][1]
     cols = {name: k for k, name in enumerate(header)}
     for name in ("sample_id", "score"):
         if name not in cols:
-            raise MalformedCsv(f"{path}: line {rows[0][0]}: header has no {name!r} column")
+            raise InputError(f"{path}: line {rows[0][0]}: header has no {name!r} column")
     ids, scores, labels, decisions = [], [], [], []
     for line, row in rows[1:]:
         if len(row) != len(header):
-            raise MalformedCsv(f"{path}: line {line} has {len(row)} fields, expected {len(header)}")
+            raise InputError(f"{path}: line {line} has {len(row)} fields, expected {len(header)}")
         ids.append(row[cols["sample_id"]])
         score = parse_float(path, line, "score", row[cols["score"]])
         if not (np.isfinite(score) and score > 0):
-            raise MalformedCsv(f"{path}: line {line}: score {score!r} is not positive and finite")
+            raise InputError(f"{path}: line {line}: score {score!r} is not positive and finite")
         scores.append(score)
         if "label" in cols:
-            labels.append(row[cols["label"]])
+            labels.append(parse_label(path, line, row[cols["label"]]))
         if "decision" in cols:
             decisions.append(row[cols["decision"]])
     return (
         ScoreSet(
             sample_ids=tuple(ids),
             scores=np.asarray(scores),
-            labels=tuple(labels) if labels else None,
+            labels=tuple(labels) if "label" in cols else None,
         ),
-        tuple(decisions) if decisions else None,
+        tuple(decisions) if "decision" in cols else None,
     )
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .data import LABEL_INLIER, LABEL_OUTLIER, Dataset
-from .errors import InvalidSpec
+from .errors import InputError
 
 _ROLE_INLIER = 0
 _ROLE_TEST_INLIER = 1
@@ -27,16 +27,16 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.d < 2:
-            raise InvalidSpec("d must be at least 2 (the mean shift uses two features)")
+            raise InputError("d must be at least 2 (the mean shift uses two features)")
         if min(self.n_inlier, self.n_test_inlier, self.n_test_outlier) < 1:
-            raise InvalidSpec("all sample counts must be at least 1")
+            raise InputError("all sample counts must be at least 1")
         mu = self.mu
         if mu is None:
             mu = np.zeros(self.d)
             mu[0], mu[1] = 3.0, -2.0
         mu = np.asarray(mu, dtype=float)
         if mu.shape != (self.d,):
-            raise InvalidSpec(f"mu must be a {self.d}-vector")
+            raise InputError(f"mu must be a {self.d}-vector")
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
 

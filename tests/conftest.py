@@ -1,4 +1,5 @@
 import numpy as np
+from hypothesis import strategies as st
 
 from ratioscope.data import Dataset, pool
 from ratioscope.graph import knn_graph
@@ -36,3 +37,25 @@ def random_instance(rng, d=None, n_inlier=None, n_test=None, K=None, sigma2=None
     sigma2 = sigma2 or float(1.0 + rng.random())
     graph = knn_graph(pooled.features, K, sigma2)
     return pooled, graph
+
+
+# CSV cells a loader must read or reject: numbers, non-finite and
+# non-numeric text, label and column names, quotes, separators and
+# line breaks inside a field, or any short text
+CSV_CELLS = st.sampled_from([
+    "0.5", "-2", "3e-400", "1e400", "nan", "inf", "", " ", "abc", "inlier", "outlier",
+    "label", "sample_id", "score", "decision", '"', '"a,b"', '"x\ny"', "\r", "\x00",
+]) | st.text(max_size=5)
+
+
+CSV_ROWS = st.lists(CSV_CELLS, min_size=1, max_size=4).map(",".join)
+
+
+@st.composite
+def csv_texts(draw, headers, rows=CSV_ROWS):
+    """CSV text: one of ``headers`` or a row of random cells, then up
+    to five rows drawn from ``rows``, with one kind of line break."""
+    header = draw(st.sampled_from(headers) | st.lists(CSV_CELLS, max_size=4).map(",".join))
+    rows = draw(st.lists(rows, max_size=5))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join([header, *rows]) + draw(st.sampled_from(["", newline]))

@@ -22,7 +22,7 @@ from ratioscope.baselines import (
 )
 from ratioscope import baselines
 from ratioscope.data import PooledDataset, pool
-from ratioscope.errors import InfeasibleNu, InvalidK, SingularSystem
+from ratioscope.errors import InputError, SingularSystem
 from ratioscope.graph import median_heuristic
 from ratioscope.harness import standardized_trial
 from ratioscope.llr import WeightMatrix
@@ -122,9 +122,9 @@ class TestLof:
 
     def test_invalid_k(self):
         ref = make_dataset([[0.0, 1.0, 2.0]])
-        with pytest.raises(InvalidK):
+        with pytest.raises(InputError, match="lof K must"):
             lof_score(ref, ref, K=0)
-        with pytest.raises(InvalidK):
+        with pytest.raises(InputError, match="lof K must"):
             lof_score(ref, ref, K=3)
 
 
@@ -203,7 +203,7 @@ class TestProjection:
         assert project_box_simplex(a, 0.6) == pytest.approx(a, abs=1e-10)
 
     def test_infeasible_cap(self):
-        with pytest.raises(InfeasibleNu):
+        with pytest.raises(InputError, match="box cap too small"):
             project_box_simplex(np.ones(3), 0.1)
 
     def test_matches_bisection_oracle(self):
@@ -371,11 +371,11 @@ class TestOsvm:
 
     def test_bad_nu(self):
         data = make_dataset([[0.0, 1.0]])
-        with pytest.raises(InfeasibleNu):
+        with pytest.raises(InputError, match="osvm nu must"):
             osvm_fit(data, nu=0.0, sigma=1.0)
-        with pytest.raises(InfeasibleNu):
+        with pytest.raises(InputError, match="osvm nu must"):
             osvm_fit(data, nu=1.5, sigma=1.0)
-        with pytest.raises(InfeasibleNu):
+        with pytest.raises(InputError, match="osvm nu must"):
             osvm_fit(data, nu=float("nan"), sigma=1.0)
 
 

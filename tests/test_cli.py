@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import CSV_ROWS, csv_texts
 from ratioscope import cli, harness, llr
 from ratioscope.evaluation import auc
 from ratioscope.scores import load_scores_csv
@@ -141,6 +142,23 @@ class TestFit:
         assert str(bad) in err[0] and "line 3" in err[0]
         assert repr(column) in err[0] and "'abc'" in err[0]
 
+    @pytest.mark.parametrize("raw, where", [
+        # used to end in a _csv.Error traceback with exit 1
+        pytest.param(b"f0,f1\n1.0," + b"2" * 140_000 + b"\n", "field limit", id="huge-cell"),
+        # used to exit 2 with an error that did not name the file
+        pytest.param(b"f0,f1\n1.0,2.0\n\xff,3.0\n", "UTF-8", id="not-utf8"),
+    ])
+    def test_malformed_inliers_csv_exit2(self, workspace, tmp_path, capsys, raw, where):
+        bad = tmp_path / "inliers.csv"
+        bad.write_bytes(raw)
+        out = tmp_path / "m.json"
+        code = cli.main([
+            "fit", "--inliers", str(bad), "--test", str(workspace / "test.csv"), "--out", str(out),
+        ])
+        assert code == cli.EXIT_USAGE
+        assert_one_error(capsys, str(bad), where)
+        assert not out.exists()
+
     def test_out_is_directory_exit2(self, workspace, tmp_path, capsys):
         # IsADirectoryError used to end in a traceback with exit 1
         code = cli.main([
@@ -252,6 +270,10 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=10,
 )
+# a well-formed scores row: positive finite score, valid label
+SCORE_ROWS = st.builds("s{},{!r},{}".format, st.integers(0, 3),
+                       st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                       st.sampled_from(["inlier", "outlier"]))
 FUZZ_FIELDS = [("feature_names",), ("n_inlier",), ("n_test",), ("weights",), ("standardizer",),
                ("standardizer", "mean"), ("standardizer", "scale")]
 
@@ -393,6 +415,20 @@ class TestScore:
         assert code == cli.EXIT_USAGE
         assert_one_error(capsys, str([f"x{k}" for k in range(5)]), str(model_names))
         assert not out.exists()
+
+    def test_test_csv_feature_name_mismatch_exit2(self, workspace, tmp_path, capsys):
+        # used to report only that the inlier and test CSVs differ, naming neither
+        lines = read_lines(workspace / "test.csv")
+        lines[0] = "x0," + lines[0].split(",", 1)[1]
+        bad = tmp_path / "test.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = cli.main([
+            "score", "--model", str(workspace / "model.json"),
+            "--inliers", str(workspace / "inliers.csv"), "--test", str(bad),
+            "--out", str(tmp_path / "s.csv"),
+        ])
+        assert code == cli.EXIT_USAGE
+        assert_one_error(capsys, str(bad), "'x0'")
 
     def test_sample_count_mismatch_exit2(self, workspace, tmp_path):
         code = cli.main([
@@ -546,6 +582,11 @@ class TestEval:
         ("sample_id,score,label\ns0,1.0,inlier\ns1,2.0\n", "line 3"),  # short row
         ("sample_id,score,label\ns0,abc,inlier\n", "line 2"),
         ("sample_id,score,label\ns0,-1.0,inlier\n", "line 2"),
+        # used to end in a _csv.Error traceback with exit 1
+        pytest.param("sample_id,score,label\ns0," + "1" * 140_000 + ",inlier\n",
+                     "field limit", id="huge-cell"),
+        # the row used to be left out of the AUC without a word
+        ("sample_id,score,label\ns0,1.0,inlier\ns1,2.0,outlier\ns2,3.0,Outlier\n", "row 4"),
     ])
     def test_malformed_scores_exit2(self, tmp_path, capsys, text, where):
         # the first three used to end in a KeyError/IndexError traceback
@@ -555,6 +596,28 @@ class TestEval:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert str(path) in err[0] and where in err[0]
+
+    @settings(max_examples=100, deadline=None)
+    # two in three rows well formed, so that some files score
+    @given(csv_texts(["sample_id,score,label"], rows=CSV_ROWS | SCORE_ROWS | SCORE_ROWS))
+    @example("sample_id,score,label\ns0,0.5,outlier\ns1,2.0,inlier\n")
+    # a cell past the csv module's field limit used to end in a _csv.Error traceback
+    @example("sample_id,score,label\ns0," + "1" * 140_000 + ",inlier\n")
+    # a header without rows used to report a missing label column
+    @example("sample_id,score,label\n")
+    def test_fuzzed_scores_file_exits_0_or_one_error_line(self, fuzz_pair, text):
+        path = fuzz_pair / "scores.csv"
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["eval", "--scores", str(path)])
+        lines = err.getvalue().splitlines()
+        if code == cli.EXIT_OK:
+            assert lines == [] and out.getvalue().startswith("AUC "), text
+        else:
+            # eval runs no solver, so no exit can be numerical
+            assert code == cli.EXIT_USAGE and len(lines) == 1, (code, lines)
+            assert lines[0].startswith("error: ") and str(path) in lines[0], lines
 
     def test_scores_is_directory_exit2(self, tmp_path, capsys):
         assert cli.main(["eval", "--scores", str(tmp_path)]) == cli.EXIT_USAGE
@@ -626,6 +689,7 @@ class TestBench:
         ["--methods", ""],
         ["--lambda1", "nan"],  # these two used to fail every llr trial and exit 1
         ["--lambda1", "inf"],
+        ["--dims", "1x"],  # used to exit 2 without naming the flag
     ])
     def test_empty_or_invalid_run_exit2(self, tmp_path, capsys, extra):
         out = tmp_path / "r.json"
@@ -659,6 +723,12 @@ class TestBench:
         assert code == cli.EXIT_USAGE
         assert_one_error(capsys, named)
         assert calls == [] and not out.exists()
+
+    def test_bad_dims_names_the_flag(self, tmp_path, capsys):
+        # used to print only "invalid literal for int() with base 10: '1x'"
+        code = cli.main(["bench", "--dims", "4,1x", "--out", str(tmp_path / "r.json")])
+        assert code == cli.EXIT_USAGE
+        assert_one_error(capsys, "--dims", "'4,1x'")
 
     def test_unknown_method_exit2(self, tmp_path):
         code = cli.main([
@@ -810,6 +880,15 @@ class TestConfig:
         parsed = (args.lambda1, args.k, args.sigma2, args.no_standardize)
         assert parsed == (1.0, 3, 2.0, True)
         assert [type(v) for v in parsed] == [float, int, float, bool]
+
+    def test_config_dims_converted_like_the_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dims": "10,100"}))
+        assert cli._parse(["--config", str(cfg), "bench"]).dims == [10, 100]
+        assert cli._parse(["--config", str(cfg), "bench", "--dims", "4"]).dims == [4]
+        cfg.write_text(json.dumps({"dims": "1x"}))
+        assert cli.main(["--config", str(cfg), "bench"]) == cli.EXIT_USAGE
+        assert_one_error(capsys, str(cfg), "--dims")
 
     # nesting past the recursion limit used to end in a RecursionError traceback
     @pytest.mark.parametrize("raw", [b"{", b"\xff{}", pytest.param(b"[" * 100000, id="deep")])

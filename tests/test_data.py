@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import CSV_ROWS, csv_texts
 from ratioscope.data import (
     Dataset,
     apply_standardizer,
@@ -9,7 +12,7 @@ from ratioscope.data import (
     pool,
     save_csv,
 )
-from ratioscope.errors import DimensionMismatch, InvalidLabel, MalformedCsv, TooFewSamples
+from ratioscope.errors import InputError
 
 
 def make_dataset(features, prefix="s"):
@@ -23,11 +26,11 @@ def make_dataset(features, prefix="s"):
 
 class TestDataset:
     def test_rejects_nan(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="NaN or infinite"):
             make_dataset([[1.0, np.nan]])
 
     def test_rejects_bad_name_count(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="feature names for"):
             Dataset(
                 features=np.ones((2, 2)),
                 feature_names=("a",),
@@ -35,7 +38,7 @@ class TestDataset:
             )
 
     def test_rejects_duplicate_ids(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="sample ids must be unique"):
             Dataset(
                 features=np.ones((1, 2)),
                 feature_names=("a",),
@@ -55,7 +58,7 @@ class TestPool:
     def test_dimension_mismatch(self):
         inliers = make_dataset(np.ones((3, 2)))
         test = make_dataset(np.ones((4, 2)), prefix="t")
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="must share dimension"):
             pool(inliers, test)
 
     def test_default_benchmark_sizes(self):
@@ -98,7 +101,7 @@ class TestStandardizer:
             assert stats.scale[k] == pytest.approx(var**0.5, abs=1e-12)
 
     def test_too_few_samples(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(InputError, match="at least 2 inlier samples"):
             fit_standardizer(make_dataset([[1.0]]))
 
     def test_apply_zeroes_the_mean(self):
@@ -129,11 +132,41 @@ class TestStandardizer:
     def test_dimension_mismatch(self):
         data = make_dataset(np.ones((2, 3)))
         stats = fit_standardizer(make_dataset(np.random.default_rng(0).normal(size=(3, 4))))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="features but stats has"):
             apply_standardizer(data, stats)
 
 
+# a well-formed row for the header f0,f1 or f0,f1,label
+FEATURE_ROWS = st.builds("{!r},{!r}{}".format, st.floats(allow_nan=False, allow_infinity=False),
+                         st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from(["", ",inlier", ",outlier"]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "d.csv"
+
+
 class TestCsv:
+    @settings(max_examples=100, deadline=None)
+    @given(csv_texts(["f0,f1", "f0,f1,label"], rows=CSV_ROWS | FEATURE_ROWS | FEATURE_ROWS)
+           .map(lambda text: text.encode("utf-8", "surrogatepass")))
+    @example(b"f0,label\n1.0,inlier\n2.0,outlier\n")
+    # a cell past the csv module's field limit used to end in a _csv.Error traceback
+    @example(b"f0\n" + b"1" * 140_000 + b"\n")
+    # a byte that is not UTF-8 used to raise an error that did not name the file
+    @example(b"f0\n1.0\n\xff\n")
+    # a label column alone used to raise an error about a 0 x 1 matrix, naming no file
+    @example(b"label\ninlier\n")
+    def test_fuzzed_csv_loads_or_names_the_file(self, fuzz_path, raw):
+        fuzz_path.write_bytes(raw)
+        try:
+            data, labels = load_csv(fuzz_path)
+        except InputError as exc:
+            assert str(fuzz_path) in str(exc), exc
+        else:
+            assert labels is None or len(labels) == data.m
+
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)
         data = make_dataset(rng.normal(size=(3, 4)))
@@ -147,7 +180,7 @@ class TestCsv:
     def test_unknown_label_names_file_row_and_value(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,label\n1.0,inlier\n2.0, outlier \n3.0,Outlier\n")
-        with pytest.raises(InvalidLabel, match=r"d\.csv: row 4 has label 'Outlier'"):
+        with pytest.raises(InputError, match=r"d\.csv: row 4 has label 'Outlier'"):
             load_csv(path)
 
     @pytest.mark.parametrize("cell", ["inf", "-Infinity", "nan", "1e400"])
@@ -155,17 +188,17 @@ class TestCsv:
         # used to fail as "features contain NaN or infinite entries", naming neither
         path = tmp_path / "d.csv"
         path.write_text(f"f0,f1,label\n1.0,2.0,inlier\n\n3.0,{cell},outlier\n")
-        with pytest.raises(MalformedCsv, match=rf"d\.csv: line 4, column 'f1': '{cell}' is not a finite"):
+        with pytest.raises(InputError, match=rf"d\.csv: line 4, column 'f1': '{cell}' is not a finite"):
             load_csv(path)
 
     def test_error_row_counts_blank_lines(self, tmp_path):
         # rows are numbered as lines of the file, blank lines included
         path = tmp_path / "d.csv"
         path.write_text("f0,label\n\n1.0,inlier\n\n2.0,Outlier\n3.0\n")
-        with pytest.raises(InvalidLabel, match="row 5 has label"):
+        with pytest.raises(InputError, match="row 5 has label"):
             load_csv(path)
         path.write_text("f0,label\n\n1.0,inlier\n\n3.0\n")
-        with pytest.raises(DimensionMismatch, match="row 5 has 1 fields"):
+        with pytest.raises(InputError, match="row 5 has 1 fields"):
             load_csv(path)
 
     def test_no_label_column(self, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ratioscope.errors import DegenerateData, InvalidK
+from ratioscope.errors import InputError
 from ratioscope.graph import SIGMA2_AUTO, SimilarityGraph, knn_graph, median_heuristic
 
 
@@ -24,7 +24,7 @@ class TestMedianHeuristic:
         assert median_heuristic(X) == pytest.approx(np.median(dists), abs=1e-12)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateData):
+        with pytest.raises(InputError, match="coincide"):
             median_heuristic(np.ones((2, 4)))
 
 
@@ -78,9 +78,9 @@ class TestKnnGraph:
 
     def test_invalid_k(self):
         X = np.zeros((1, 3))
-        with pytest.raises(InvalidK):
+        with pytest.raises(InputError, match="K must"):
             knn_graph(X, 0, 1.0)
-        with pytest.raises(InvalidK):
+        with pytest.raises(InputError, match="K must"):
             knn_graph(X, 3, 1.0)
 
     def test_auto_sigma2_is_the_squared_median_heuristic(self):
@@ -93,7 +93,7 @@ class TestKnnGraph:
             assert np.array_equal(getattr(g.weights, name), getattr(explicit.weights, name))
 
     def test_auto_sigma2_coincident_points(self):
-        with pytest.raises(DegenerateData):
+        with pytest.raises(InputError, match="coincide"):
             knn_graph(np.ones((2, 4)), 2, SIGMA2_AUTO)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from ratioscope import baselines, harness, llr
 from ratioscope.data import LABEL_INLIER, LABEL_OUTLIER, Dataset, load_csv
-from ratioscope.errors import RatioscopeError
+from ratioscope.errors import InputError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -146,7 +146,7 @@ class TestRunBench:
         # each used to fail every trial, one warning per trial
         calls = []
         monkeypatch.setattr(harness, "run_method", lambda *a: calls.append(a))
-        with pytest.raises((ValueError, RatioscopeError)):
+        with pytest.raises(InputError):
             harness.run_bench(dims=[4], trials=2, methods=["kde"], seed=0,
                               params=small_params(**bad), threads=1)
         assert calls == []

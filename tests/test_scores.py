@@ -5,11 +5,7 @@ import pytest
 
 from conftest import make_dataset
 from ratioscope.data import pool
-from ratioscope.errors import (
-    DimensionMismatch,
-    NegativeThreshold,
-    UnknownSample,
-)
+from ratioscope.errors import InputError
 from ratioscope.llr import WeightMatrix
 from ratioscope.scores import (
     ScoreSet,
@@ -31,17 +27,17 @@ def pooled_with(n_inlier, n_test, d=1, fill=1.0):
 
 class TestScoreSet:
     def test_rejects_nonpositive(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="strictly positive and finite"):
             ScoreSet(("a",), np.array([0.0]))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="strictly positive and finite"):
             ScoreSet(("a",), np.array([-1.0]))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="strictly positive and finite"):
             ScoreSet(("a",), np.array([np.inf]))
 
     def test_rejects_mismatched_lengths(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="scores and sample ids differ"):
             ScoreSet(("a", "b"), np.array([1.0]))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="labels and sample ids differ"):
             ScoreSet(("a",), np.array([1.0]), labels=("inlier", "outlier"))
 
 
@@ -92,7 +88,7 @@ class TestRatioScore:
 
     def test_dimension_guard(self):
         pooled = pooled_with(2, 2)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="weights do not align"):
             ratio_score(WeightMatrix(values=np.zeros((1, 3))), pooled)
 
 
@@ -124,7 +120,7 @@ class TestDetect:
             prev = flagged
 
     def test_negative_tau(self):
-        with pytest.raises(NegativeThreshold):
+        with pytest.raises(InputError, match="tau must be nonnegative"):
             detect(self.make([1.0]), -0.5)
 
 
@@ -166,7 +162,7 @@ class TestExplain:
 
     def test_unknown_sample(self):
         pooled = pooled_with(1, 1)
-        with pytest.raises(UnknownSample):
+        with pytest.raises(InputError, match="no sample with id"):
             explain(WeightMatrix(values=np.zeros((1, 2))), pooled, "nope", top_k=1)
 
     def test_bad_top_k(self):

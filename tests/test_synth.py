@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ratioscope.data import LABEL_INLIER, LABEL_OUTLIER
-from ratioscope.errors import InvalidSpec
+from ratioscope.errors import InputError
 from ratioscope.synth import SynthSpec, generate
 
 
@@ -24,17 +24,17 @@ class TestSpecValidation:
         np.testing.assert_array_equal(spec.mu[2:], np.zeros(8))
 
     def test_d_too_small(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InputError, match="d must be at least 2"):
             SynthSpec(d=1)
 
     def test_zero_counts(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InputError, match="sample counts"):
             SynthSpec(d=5, n_inlier=0)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InputError, match="sample counts"):
             SynthSpec(d=5, n_test_outlier=0)
 
     def test_mu_wrong_shape(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InputError, match="mu must be"):
             SynthSpec(d=5, mu=np.zeros(4))
 
     def test_custom_mu_kept(self):

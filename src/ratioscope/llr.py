@@ -31,11 +31,20 @@ edge weights a, assembled on the graph's fixed sparsity pattern
 (``SimilarityGraph.laplacian``) with no sparse product.  ``anchor`` is
 the one place the smoothed edge distances s_ij and sqrt(W^2 + eps) are
 formed; objective_J, both majorizers and majorization_constant read
-them from its record.  Each outer iteration of ``fit_pooled`` is
+them from its record.  One MM step F of ``fit_pooled`` is
 majorizer_Cg(A), majorizer_Ce(A), solve_inner from A.weights,
 A = anchor(W, graph, eps) and objective_J(A, ...).  solve_inner carries
 its penalty products through each Newton step, so it multiplies by Cg
 once per solve plus once per CG step.
+
+MM converges linearly, so the outer loop runs SQUAREM cycles (Varadhan
+& Roland 2008; Zhou, Alexander & Lange 2011).  A cycle takes two MM
+steps W1 = F(W0), W2 = F(W1); the fit has converged once the two
+together lower J by less than outer_rel_tol (1 + |J(W0)|).  Otherwise
+it extrapolates to W' = W0 - 2 alpha r + alpha^2 v, with r = W1 - W0,
+v = W2 - 2 W1 + W0 and alpha = min(-||r|| / ||v||, -1), and takes one
+MM step from W'.  The safeguard keeps F(W') only if its J is at most
+J(W2), and otherwise continues from W2, so the traced J never rises.
 """
 
 from __future__ import annotations
@@ -234,6 +243,13 @@ def surrogate_Jtilde(
             + hp.lambda2 * float(np.sum(Ce * Wv * Wv)))
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius inner product of two 2-D arrays.  einsum does not call
+    BLAS, so the sum does not depend on the BLAS thread count, and a fit
+    inside a thread pool does not start BLAS threads for it."""
+    return float(np.einsum("ik,ik->", a, b))
+
+
 # The inner solve keeps samples along the rows: W, V, X and Ce are
 # m x d arrays, so that sparse products with Cg stay contiguous.
 
@@ -333,10 +349,10 @@ def solve_inner(
     g_pen = _penalty_hessp(W, Cg, Ce, hp)
     # the penalties are quadratic with gradient g_pen, so their value
     # is <W, g_pen> / 2
-    f = float(np.sum(np.logaddexp(0.0, -z))) + 0.5 * float(np.vdot(W, g_pen))
+    f = float(np.sum(np.logaddexp(0.0, -z))) + 0.5 * _dot(W, g_pen)
     for it in range(_INNER_MAX_ITERS + 1):
         g, sig = _surrogate_grad(X, y, z, g_pen)
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(_dot(g, g))
         if not math.isfinite(gnorm):
             raise LineSearchFailure(
                 "surrogate gradient is not finite (regularization too large?)"
@@ -365,20 +381,20 @@ def solve_inner(
         Pp = np.zeros_like(W)
         r = -g
         q = precond(r)
-        rq = float(np.vdot(r, q))
+        rq = _dot(r, q)
         for _ in range(_INNER_MAX_ITERS):
             Hq, Pq = _hessp(q, X, c, Cg, Ce, hp)
-            qHq = float(np.vdot(q, Hq))
+            qHq = _dot(q, Hq)
             if not qHq > 0:
                 break
             alpha = rq / qHq
             p += alpha * q
             Pp += alpha * Pq
             r -= alpha * Hq
-            if np.linalg.norm(r) <= tol:
+            if math.sqrt(_dot(r, r)) <= tol:
                 break
             pr = precond(r)
-            rpr = float(np.vdot(r, pr))
+            rpr = _dot(r, pr)
             q = pr + (rpr / rq) * q
             rq = rpr
         if not p.any():
@@ -388,12 +404,12 @@ def solve_inner(
         # Armijo backtracking on the surrogate change along p,
         #   sum_i log1p(sigma(-z_i) expm1(-t dz_i)) + t lin + t^2 quad,
         # the penalties being quadratic with gradient g_pen at W
-        slope = float(np.vdot(g, p))
+        slope = _dot(g, p)
         if not slope < 0:
             raise LineSearchFailure("Newton direction is not a descent direction")
         dz = y * np.einsum("ik,ik->i", X, p)
-        lin = float(np.vdot(g_pen, p))
-        quad = 0.5 * float(np.vdot(p, Pp))
+        lin = _dot(g_pen, p)
+        quad = 0.5 * _dot(p, Pp)
         step = 1.0
         while True:
             change = (float(np.sum(np.log1p(sig * np.expm1(-step * dz))))
@@ -414,6 +430,37 @@ def solve_inner(
     return WeightMatrix(values=np.ascontiguousarray(W.T))
 
 
+def _mm_step(A: Anchor, J: float | None, pooled: PooledDataset, hp: LlrHyperparams):
+    """One MM step from the anchor A, whose objective is J (objective_J(A)
+    if None): majorizer_Cg(A) and majorizer_Ce(A), solve_inner from
+    A.weights with rel_tol=_INNER_REL_TOL, then the anchor of the new
+    iterate and its objective, returned as (anchor, objective).  Raises
+    NonDecrease if the objective rose above J, which majorization rules
+    out."""
+    if J is None:
+        J = objective_J(A, pooled, hp)
+    W = solve_inner(pooled, majorizer_Cg(A), majorizer_Ce(A), hp, A.weights,
+                    rel_tol=_INNER_REL_TOL)
+    A_new = anchor(W, A.graph, A.epsilon)
+    J_new = objective_J(A_new, pooled, hp)
+    if J_new > J + 1e-8 * (1.0 + abs(J)):
+        raise NonDecrease(f"objective increased from {J!r} to {J_new!r}; this is a bug")
+    return A_new, J_new
+
+
+def _extrapolate(W0: np.ndarray, W1: np.ndarray, W2: np.ndarray) -> WeightMatrix | None:
+    """SQUAREM's point W0 - 2 alpha r + alpha^2 v from two MM steps
+    W1 = F(W0) and W2 = F(W1), with r = W1 - W0, v = W2 - 2 W1 + W0 and
+    alpha = min(-||r|| / ||v||, -1); None when v = 0."""
+    r = W1 - W0
+    v = W2 - W1 - r
+    vv = _dot(v, v)
+    if vv == 0:
+        return None
+    alpha = min(-math.sqrt(_dot(r, r) / vv), -1.0)
+    return WeightMatrix(values=W0 - 2.0 * alpha * r + alpha * alpha * v)
+
+
 def fit_pooled(
     pooled: PooledDataset,
     hp: LlrHyperparams,
@@ -422,35 +469,53 @@ def fit_pooled(
     """Run the outer reweighting loop on already-pooled data over
     ``graph``, by default knn_graph(features, min(k_neighbors, m - 1), sigma2).
 
-    Each outer iteration makes one anchor record A: majorizer_Cg(A)
-    and majorizer_Ce(A), solve_inner from A.weights with
-    rel_tol=_INNER_REL_TOL (0.03), which stops once the surrogate
-    gradient is 3% of the gradient of J at the anchor, then
-    A = anchor(W, graph, eps) at the new iterate and objective_J(A).
-    The inner line search never raises the surrogate, so by
-    majorization J never rises; the NonDecrease check below asserts it
-    on every iteration."""
+    The loop is MM accelerated by SQUAREM (Varadhan & Roland 2008).
+    Each cycle takes two MM steps W1 = F(W0), W2 = F(W1) (``_mm_step``),
+    stops if together they lowered J by less than
+    outer_rel_tol * (1 + |J(W0)|), and otherwise extrapolates along
+    r = W1 - W0 and v = W2 - 2 W1 + W0 to
+    W' = W0 - 2 alpha r + alpha^2 v, alpha = min(-||r|| / ||v||, -1),
+    and takes one MM step from there.  F(W') is kept only if its J is at
+    most J(W2); else the next cycle starts from W2.  A cycle with v = 0
+    skips the extrapolation.
+
+    Every MM step, the one from W' included, goes through
+    majorizer_Cg, majorizer_Ce, solve_inner, anchor and objective_J,
+    and raises NonDecrease if J rose above J at the step's own start
+    point, so J(W') is computed too.  ``iterations`` and the objective
+    trace count every MM step, rejected ones included (a rejected step
+    repeats J(W2)); hp.outer_max_iters caps them, and the last trace
+    entry is J of the returned weights."""
     if graph is None:
         graph = knn_graph(pooled.features, min(hp.k_neighbors, pooled.m - 1), hp.sigma2)
-    eps = hp.epsilon
-    A = anchor(WeightMatrix(values=np.zeros_like(pooled.features)), graph, eps)
-    trace = [objective_J(A, pooled, hp)]
+    A = anchor(WeightMatrix(values=np.zeros_like(pooled.features)), graph, hp.epsilon)
+    J = objective_J(A, pooled, hp)
+    trace = [J]
+    cap = hp.outer_max_iters
     converged = False
-    for _ in range(hp.outer_max_iters):
-        Cg = majorizer_Cg(A)
-        Ce = majorizer_Ce(A)
-        W = solve_inner(pooled, Cg, Ce, hp, A.weights, rel_tol=_INNER_REL_TOL)
-        A = anchor(W, graph, eps)
-        J = objective_J(A, pooled, hp)
-        prev = trace[-1]
-        if J > prev + 1e-8 * (1.0 + abs(prev)):
-            raise NonDecrease(
-                f"objective increased from {prev!r} to {J!r}; this is a bug"
-            )
+    while len(trace) <= cap:
+        # W0 and W1 are kept as arrays, not as anchor records
+        W0, J0 = A.weights.values, J
+        A, J = _mm_step(A, J, pooled, hp)
         trace.append(J)
-        if abs(prev - J) < hp.outer_rel_tol * (1.0 + abs(prev)):
+        if len(trace) > cap:
+            break
+        W1 = A.weights.values
+        A, J = _mm_step(A, J, pooled, hp)
+        trace.append(J)
+        if J0 - J < hp.outer_rel_tol * (1.0 + abs(J0)):
             converged = True
             break
+        if len(trace) > cap:
+            break
+        W = _extrapolate(W0, W1, A.weights.values)
+        if W is None:
+            continue
+        # keep F(W') if its J is at most J(W2): min returns the first of
+        # equals, and binds no name that would keep a third anchor alive
+        A, J = min(_mm_step(anchor(W, graph, hp.epsilon), None, pooled, hp), (A, J),
+                   key=lambda step: step[1])
+        trace.append(J)
     return FitResult(
         weights=A.weights,
         objective_trace=tuple(trace),

@@ -1,6 +1,6 @@
 import itertools
 import json
-from collections import Counter
+import weakref
 
 import numpy as np
 import pytest
@@ -10,8 +10,9 @@ from scipy.stats import spearmanr
 
 from conftest import make_dataset, random_instance
 from ratioscope import graph as graph_module
-from ratioscope import llr
+from ratioscope import harness, llr
 from ratioscope.data import PooledDataset, pool
+from ratioscope.errors import NonDecrease
 from ratioscope.evaluation import auc
 from ratioscope.graph import SimilarityGraph, knn_graph, median_heuristic
 from ratioscope.llr import (
@@ -503,15 +504,15 @@ class TestFit:
         assert len(trace) == result.iterations + 1
 
     def test_outer_loop_calls_the_public_functions(self, monkeypatch):
-        # wrap the module attributes, as a tracer does: each outer
-        # iteration must go through them, not through a private copy
-        calls = Counter()
+        # wrap the module attributes, as a tracer does: each MM step
+        # must go through them, not through a private copy
+        calls = []
 
         def counting(name):
             original = getattr(llr, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls.append(name)
                 return original(*args, **kwargs)
             return wrapper
 
@@ -519,13 +520,16 @@ class TestFit:
             monkeypatch.setattr(llr, name, counting(name))
         pooled, graph = random_instance(np.random.default_rng(16))
         result = fit_pooled(pooled, LlrHyperparams(outer_max_iters=20), graph=graph)
-        n = result.iterations
-        assert n >= 2
-        assert calls == {"majorizer_Cg": n, "majorizer_Ce": n, "solve_inner": n,
-                         "objective_J": n + 1, "anchor": n + 1}
+        assert result.iterations == 20 and not result.converged
+        step = ["majorizer_Cg", "majorizer_Ce", "solve_inner", "anchor", "objective_J"]
+        # the start W0 = 0, then six cycles of two plain steps and one
+        # step from the extrapolated point, whose anchor and J come
+        # first, then the seventh cycle's two plain steps at the cap
+        cycle = step + step + ["anchor", "objective_J"] + step
+        assert calls == ["anchor", "objective_J"] + 6 * cycle + 2 * step
 
     def test_edge_distances_gathered_once_per_iterate(self, monkeypatch):
-        # objective_J at the end of one iteration and majorizer_Cg at the
+        # objective_J at the end of one step and majorizer_Cg at the
         # start of the next read the same anchor; they used to gather
         # the edge distances of that iterate once each
         calls = []
@@ -538,8 +542,9 @@ class TestFit:
         monkeypatch.setattr(llr, "_edge_sq_dists", counting)
         pooled, graph = random_instance(np.random.default_rng(16))
         result = fit_pooled(pooled, LlrHyperparams(outer_max_iters=20), graph=graph)
-        assert result.iterations >= 2
-        assert len(calls) == result.iterations + 1
+        assert result.iterations == 20 and not result.converged
+        # one per MM step, one at W0 = 0 and one per extrapolated point
+        assert len(calls) == 20 + 1 + 6
 
     def test_graph_computes_pairwise_distances_once(self, monkeypatch):
         # the "auto" bandwidth comes from the distances knn_graph builds;
@@ -649,21 +654,25 @@ class TestFit:
         assert rho >= 0.99
 
     @staticmethod
-    def exact_inner_reference(pooled, graph, hp):
-        """The outer loop with exact inner solves: final (W, J)."""
+    def plain_mm(pooled, graph, hp, rel_tol=0.0):
+        """The outer loop without extrapolation, stopping once one MM step
+        lowers J by less than hp.outer_rel_tol relative; solve_inner gets
+        rel_tol, so the default 0 makes the inner solves exact.
+        Returns the final (W, J) and the number of MM steps."""
         A = llr.anchor(zero_weights(pooled), graph, hp.epsilon)
         J = objective_J(A, pooled, hp)
-        for _ in range(hp.outer_max_iters):
-            W = solve_inner(pooled, majorizer_Cg(A), majorizer_Ce(A), hp, A.weights)
+        for steps in range(1, hp.outer_max_iters + 1):
+            W = solve_inner(pooled, majorizer_Cg(A), majorizer_Ce(A), hp, A.weights, rel_tol)
             A = llr.anchor(W, graph, hp.epsilon)
             prev, J = J, objective_J(A, pooled, hp)
             if abs(prev - J) < hp.outer_rel_tol * (1.0 + abs(prev)):
                 break
-        return A.weights, J
+        return A.weights, J, steps
 
     def test_matches_exact_inner_reference(self):
-        # fit_pooled's inexact inner solves end within 1e-6 relative of
-        # the objective the exact ones reach, ranking the test samples alike
+        # fit_pooled, with inexact inner solves and extrapolation, ends no
+        # higher than plain MM with exact inner solves, ranking the test
+        # samples alike
         hp = LlrHyperparams()
         inliers, test, labels = generate(SynthSpec(d=10, seed=0), trial=0)
         cases = [(pool(inliers, test), labels)]
@@ -673,15 +682,126 @@ class TestFit:
             cases.append((pooled, ["inlier"] * 7 + ["outlier"] * 3))
         for pooled, labels in cases:
             graph = knn_graph(pooled.features, min(hp.k_neighbors, pooled.m - 1), hp.sigma2)
-            W_ref, J_ref = self.exact_inner_reference(pooled, graph, hp)
+            W_ref, J_ref, _ = self.plain_mm(pooled, graph, hp)
             result = fit_pooled(pooled, hp, graph=graph)
             trace = result.objective_trace
             assert all(b <= a for a, b in zip(trace, trace[1:]))
             assert result.converged
-            assert trace[-1] == pytest.approx(J_ref, rel=1e-6)
+            assert trace[-1] <= J_ref
             aucs = [auc(ratio_score(W, pooled, which="test", labels=labels))
                     for W in (result.weights, W_ref)]
             assert aucs[0] == aucs[1]
+
+    def test_reaches_the_plain_mm_optimum_in_fewer_steps(self):
+        hp = LlrHyperparams(outer_rel_tol=1e-12, outer_max_iters=2000)
+        pooled, graph = random_instance(np.random.default_rng(22), n_inlier=20, n_test=10)
+        _, J_ref, ref_steps = self.plain_mm(pooled, graph, hp, llr._INNER_REL_TOL)
+        result = fit_pooled(pooled, hp, graph=graph)
+        assert result.converged
+        assert result.objective_trace[-1] == pytest.approx(J_ref, rel=1e-9)
+        assert result.iterations < ref_steps  # 95 against 391
+
+    @staticmethod
+    def J_of(W, pooled, graph, hp):
+        return objective_J(llr.anchor(W, graph, hp.epsilon), pooled, hp)
+
+    def test_rejected_extrapolation_continues_from_W2(self, monkeypatch):
+        pooled, graph = random_instance(np.random.default_rng(16))
+        hp = LlrHyperparams(outer_max_iters=2)
+        two = fit_pooled(pooled, hp, graph=graph)
+        original = llr._mm_step
+        steps = []
+
+        def rejecting(A, J, *args):
+            # the third step starts at the extrapolated point; report
+            # its end point as worse than W2
+            steps.append(A.weights.values)
+            A_new, J_new = original(A, J, *args)
+            return A_new, (J_new + 1.0 if len(steps) == 3 else J_new)
+
+        monkeypatch.setattr(llr, "_mm_step", rejecting)
+        for cap in (3, 4):
+            steps.clear()
+            result = fit_pooled(pooled, LlrHyperparams(outer_max_iters=cap), graph=graph)
+            trace = result.objective_trace
+            assert trace[:3] == two.objective_trace and trace[3] == trace[2]
+            assert result.iterations == len(steps) == cap
+            assert not np.array_equal(steps[2], two.weights.values)
+            if cap == 3:
+                assert np.array_equal(result.weights.values, two.weights.values)
+            else:  # the next cycle starts from W2
+                assert np.array_equal(steps[3], two.weights.values)
+            assert trace[-1] == self.J_of(result.weights, pooled, graph, hp)
+
+    def test_extrapolated_step_guarded_against_its_own_start(self, monkeypatch):
+        # an extrapolated point may have a higher J than W2; the step from
+        # it must be checked against J there, and a rise raises
+        pooled, graph = random_instance(np.random.default_rng(16))
+        hp = LlrHyperparams(outer_max_iters=3)
+        W2 = fit_pooled(pooled, LlrHyperparams(outer_max_iters=2), graph=graph).weights
+        original = llr.solve_inner
+        starts = []
+
+        def raising_third(pooled, Cg, Ce, hp, W0, rel_tol=0.0):
+            starts.append(W0)
+            if len(starts) == 3:  # from the extrapolated point: a worse W
+                return WeightMatrix(values=-1e3 * pooled.labels * pooled.features)
+            return original(pooled, Cg, Ce, hp, W0, rel_tol)
+
+        monkeypatch.setattr(llr, "solve_inner", raising_third)
+        with pytest.raises(NonDecrease) as info:
+            fit_pooled(pooled, hp, graph=graph)
+        assert not np.array_equal(starts[2].values, W2.values)
+        J_start = self.J_of(starts[2], pooled, graph, hp)
+        assert f"objective increased from {J_start!r} to" in str(info.value)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4])
+    def test_cap_counts_every_step_of_a_cycle(self, cap, caplog, monkeypatch):
+        # 1 and 2: the plain steps, 3: the step from the extrapolated
+        # point, 4: the next cycle's first step
+        inliers, test, labels = generate(
+            SynthSpec(d=5, n_inlier=30, n_test_inlier=15, n_test_outlier=3, seed=0)
+        )
+        pooled = pool(inliers, test)
+        hp = LlrHyperparams(outer_max_iters=cap)
+        calls = []
+        original = llr.majorizer_Cg
+
+        def counting(A):
+            calls.append(A)
+            return original(A)
+
+        monkeypatch.setattr(llr, "majorizer_Cg", counting)
+        result = fit_pooled(pooled, hp)
+        assert result.iterations == len(calls) == cap
+        assert not result.converged
+        assert result.objective_trace[-1] == self.J_of(result.weights, pooled, result.graph, hp)
+        harness.run_method("llr", inliers, test, labels,
+                           {**harness.DEFAULT_PARAMS, "outer_max_iters": cap}, 0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "warning: llr stopped at its iteration cap without converging"]
+
+    def test_keeps_no_anchor_record_for_W0_or_W1(self, monkeypatch):
+        # during a plain step the only live anchor is the step's start;
+        # during the step from the extrapolated point, W2's is live too
+        pooled, graph = random_instance(np.random.default_rng(16))
+        made = []
+        original_anchor, original_solve = llr.anchor, llr.solve_inner
+        live = []
+
+        def recording_anchor(*args):
+            A = original_anchor(*args)
+            made.append(weakref.ref(A))
+            return A
+
+        def counting_solve(*args, **kwargs):
+            live.append(sum(ref() is not None for ref in made))
+            return original_solve(*args, **kwargs)
+
+        monkeypatch.setattr(llr, "anchor", recording_anchor)
+        monkeypatch.setattr(llr, "solve_inner", counting_solve)
+        fit_pooled(pooled, LlrHyperparams(outer_max_iters=9), graph=graph)
+        assert live == [1, 1, 2] * 3
 
     def test_saved_k_neighbors_is_the_graphs(self, tmp_path):
         # the graph caps K at m - 1; the file used to record hp.k_neighbors

@@ -54,4 +54,7 @@ def test_traced_attributes_exist_and_a_traced_fit_runs():
     n = result.iterations
     assert calls["ratioscope.llr.fit_pooled"] == 1
     assert calls["ratioscope.llr.majorizer_Cg"] == n  # run.py's llr.outer_iters
-    assert calls["ratioscope.llr.objective_J"] == n + 1
+    # one J per MM step, one at W0 = 0 and one at the first cycle's
+    # extrapolated point; the second cycle's two plain steps meet the cap
+    assert n == 5 and not result.converged
+    assert calls["ratioscope.llr.objective_J"] == n + 2

@@ -110,6 +110,21 @@ def median_heuristic(data: np.ndarray) -> float:
     return _median_dist(pairwise_sq_dists(data, data))
 
 
+def _nearest(d2: np.ndarray, K: int) -> np.ndarray:
+    """Column indices of the K smallest entries of each row of d2, by
+    (distance, index): np.argsort(d2, axis=1, kind="stable")[:, :K]
+    without sorting whole rows.  argpartition picks any K entries up to
+    the K-th distance, so a row with a tie at that distance, where it
+    may pick a larger index, is sorted in full."""
+    order = np.argpartition(d2, K - 1, axis=1)[:, :K]
+    dist = np.take_along_axis(d2, order, axis=1)
+    order = np.take_along_axis(order, np.lexsort((order, dist), axis=1), axis=1)
+    tied = np.count_nonzero(d2 <= dist.max(axis=1)[:, None], axis=1) > K
+    if tied.any():
+        order[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :K]
+    return order
+
+
 def knn_graph(data: np.ndarray, K: int, sigma2: float | str) -> SimilarityGraph:
     """Symmetrized K-nearest-neighbor Gaussian similarity graph.
 
@@ -129,8 +144,7 @@ def knn_graph(data: np.ndarray, K: int, sigma2: float | str) -> SimilarityGraph:
     if sigma2 == SIGMA2_AUTO:
         sigma2 = _median_dist(d2) ** 2
     np.fill_diagonal(d2, np.inf)
-    # stable argsort keeps the smaller index on distance ties
-    order = np.argsort(d2, axis=1, kind="stable")[:, :K]
+    order = _nearest(d2, K)
     rows = np.repeat(np.arange(m), K)
     cols = order.ravel()
     vals = np.exp(-d2[rows, cols] / (2.0 * sigma2))

@@ -2,8 +2,22 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from ratioscope import cli
+from ratioscope import graph as graph_module
+from ratioscope.data import apply_standardizer, fit_standardizer, load_csv, pool
 from ratioscope.errors import InputError
-from ratioscope.graph import SIGMA2_AUTO, SimilarityGraph, knn_graph, median_heuristic
+from ratioscope.graph import (
+    SIGMA2_AUTO,
+    SimilarityGraph,
+    knn_graph,
+    median_heuristic,
+    pairwise_sq_dists,
+)
+
+
+def stable_argsort_nearest(d2, K):
+    """The full-sort neighbor selection that _nearest replaces."""
+    return np.argsort(d2, axis=1, kind="stable")[:, :K]
 
 
 class TestMedianHeuristic:
@@ -75,6 +89,38 @@ class TestKnnGraph:
         w = g.weights.toarray()
         assert w[0, 1] > 0
         assert w[0, 2] == 0.0
+
+    def test_partial_selection_matches_the_stable_argsort(self):
+        # half the cases are integer-lattice data, full of distance ties
+        rng = np.random.default_rng(7)
+        for case in range(300):
+            d, m = int(rng.integers(1, 6)), int(rng.integers(2, 60))
+            K = int(rng.integers(1, m))
+            X = (rng.integers(-2, 3, size=(d, m)).astype(float) if case % 2
+                 else rng.normal(size=(d, m)))
+            d2 = pairwise_sq_dists(X, X)
+            np.fill_diagonal(d2, np.inf)
+            assert np.array_equal(graph_module._nearest(d2, K), stable_argsort_nearest(d2, K))
+
+    @pytest.mark.parametrize("d", [10, 100])
+    def test_cli_fit_graphs_match_the_full_sort(self, d, tmp_path, monkeypatch):
+        # the graphs `ratioscope fit` builds on synth trials 0-3, at the
+        # default K and bandwidth, keep their bytes
+        for trial in range(4):
+            out = tmp_path / f"t{trial}"
+            assert cli.main(["synth", "--d", str(d), "--seed", "0", "--trial", str(trial),
+                             "--out-dir", str(out)]) == 0
+            inliers, _ = load_csv(out / "inliers.csv", id_prefix="in-")
+            test, _ = load_csv(out / "test.csv", id_prefix="te-")
+            stats = fit_standardizer(inliers)
+            features = pool(apply_standardizer(inliers, stats),
+                            apply_standardizer(test, stats)).features
+            with monkeypatch.context() as patch:
+                patch.setattr(graph_module, "_nearest", stable_argsort_nearest)
+                full_sort = knn_graph(features, 7, SIGMA2_AUTO).weights
+            partial = knn_graph(features, 7, SIGMA2_AUTO).weights
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(partial, name), getattr(full_sort, name))
 
     def test_invalid_k(self):
         X = np.zeros((1, 3))

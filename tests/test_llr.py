@@ -494,6 +494,22 @@ class TestFit:
         fit(inliers, test, LlrHyperparams())
         assert caplog.records == []
 
+    def test_cg_steps_sized_to_the_inner_stop(self, monkeypatch):
+        # 533 Hessian products; 1087 when CG ran to the Eisenstat-Walker
+        # residual below the solve's own stop and the inner stop was 3%
+        products = []
+        original = llr._hessp
+
+        def counting_hessp(*args):
+            products.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(llr, "_hessp", counting_hessp)
+        inliers, test, _ = generate(SynthSpec(d=10, seed=0), trial=0)
+        result = fit(*harness.standardized_trial(inliers, test, True), LlrHyperparams())
+        assert result.converged
+        assert len(products) < 700
+
     def test_trace_strictly_decreasing_unregularized(self):
         pooled = single_sample_pooled(2.0)
         hp = LlrHyperparams(lambda1=0.0, lambda2=0.0, outer_max_iters=5)

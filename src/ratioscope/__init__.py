@@ -9,7 +9,7 @@ from .data import (
     fit_standardizer,
     pool,
 )
-from .evaluation import RunSummary, auc, roc_curve, summarize, welch_ttest
+from .evaluation import auc, roc_curve, welch_ttest
 from .graph import SimilarityGraph, knn_graph, median_heuristic
 from .llr import FitResult, LlrHyperparams, WeightMatrix, fit, fit_pooled
 from .scores import Explanation, ScoreSet, detect, explain, ratio_score
@@ -35,10 +35,8 @@ __all__ = [
     "detect",
     "explain",
     "ratio_score",
-    "RunSummary",
     "auc",
     "roc_curve",
-    "summarize",
     "welch_ttest",
     "SynthSpec",
     "generate",

@@ -17,7 +17,7 @@ from scipy.special import expit, logsumexp
 
 from .data import Dataset, PooledDataset
 from .errors import InputError, SingularSystem, SolverFailure
-from .graph import pairwise_sq_dists
+from .graph import nearest, pairwise_sq_dists
 from .scores import EXP_CLAMP, ScoreSet, ratio_from_logit
 
 SCORE_FLOOR = 1e-12
@@ -47,7 +47,6 @@ class KernelModel:
 @dataclass(frozen=True)
 class LinearModel:
     w: np.ndarray
-    lam: float
     converged: bool = True
 
 
@@ -110,8 +109,8 @@ def lof_score(reference: Dataset, query: Dataset, K: int) -> ScoreSet:
     ref = reference.features
     rd = np.sqrt(pairwise_sq_dists(ref, ref))
     np.fill_diagonal(rd, np.inf)
-    rd_sorted = np.sort(rd, axis=1)[:, :K]
-    g_ref = 1.0 / np.maximum(rd_sorted.mean(axis=1), DIST_FLOOR)
+    rd_near = np.take_along_axis(rd, nearest(rd, K), axis=1)
+    g_ref = 1.0 / np.maximum(rd_near.mean(axis=1), DIST_FLOOR)
 
     qd = np.sqrt(pairwise_sq_dists(query.features, ref))
     # a query coinciding with a reference point is that point: drop one
@@ -120,10 +119,10 @@ def lof_score(reference: Dataset, query: Dataset, K: int) -> ScoreSet:
     rows = np.arange(qd.shape[0])
     hit = qd[rows, self_col] < DIST_FLOOR
     qd[rows[hit], self_col[hit]] = np.inf
-    nearest = np.argsort(qd, axis=1, kind="stable")[:, :K]
-    qd_near = np.take_along_axis(qd, nearest, axis=1)
+    near = nearest(qd, K)
+    qd_near = np.take_along_axis(qd, near, axis=1)
     g_query = 1.0 / np.maximum(qd_near.mean(axis=1), DIST_FLOOR)
-    lof = g_ref[nearest].mean(axis=1) / g_query
+    lof = g_ref[near].mean(axis=1) / g_query
     return ScoreSet(sample_ids=query.sample_ids, scores=1.0 / np.maximum(lof, SCORE_FLOOR))
 
 
@@ -273,7 +272,7 @@ def l1lr_fit(pooled: PooledDataset, lam: float) -> LinearModel:
             L *= 2.0
         w, loss, grad = w_new, loss_new, grad_new
         L = max(L * 0.9, 1e-6)  # allow the estimate to shrink again
-    return LinearModel(w=w, lam=lam, converged=converged)
+    return LinearModel(w=w, converged=converged)
 
 
 def l1lr_score(model: LinearModel, query: Dataset, n_test: int, n_inlier: int) -> ScoreSet:

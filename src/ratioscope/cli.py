@@ -21,6 +21,7 @@ from .data import (
     fit_standardizer,
     load_csv,
     pool,
+    read_json_object,
     save_csv,
 )
 from .errors import InputError, SolverFailure
@@ -119,6 +120,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_score(args) -> int:
+    if args.explain_top is not None and args.explain_top < 1:
+        raise InputError(f"--explain-top must be at least 1, got {args.explain_top}")
     model = llr.load_model(args.model)
     intercept = model["feature_names"][-1:] == [CONST_FEATURE]
     inliers, test, test_labels = _load_pair(args, intercept)
@@ -324,13 +327,7 @@ def _read_config(argv) -> tuple[str | None, dict]:
     path = parser.parse_known_args(argv)[0].config
     if path is None:
         return None, {}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting
-            raise InputError(f"config file {path} is not JSON: {exc}") from None
-    if not isinstance(config, dict):
-        raise InputError(f"config file {path} must hold a JSON object")
+    config = read_json_object(path, "config file")
     return path, {k.replace("-", "_"): v for k, v in config.items()}
 
 

@@ -8,6 +8,7 @@ and transposed on load.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,6 +198,19 @@ def read_csv_rows(path) -> list[tuple[int, list[str]]]:
         except UnicodeDecodeError as exc:
             # no line number: the decoder reads ahead of the csv reader in chunks
             raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in a UTF-8 file; anything else raises InputError
+    reading "<what> PATH: ..."."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting
+            raise InputError(f"{what} {path}: not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} {path}: must hold a JSON object")
+    return doc
 
 
 def load_csv(path, id_prefix: str = "") -> tuple[Dataset, list[str] | None]:

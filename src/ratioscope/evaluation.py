@@ -1,8 +1,7 @@
-"""ROC/AUC computation, run aggregation, and Welch's t-test."""
+"""ROC/AUC computation and Welch's t-test; run_bench aggregates the
+per-trial AUCs (harness.py)."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -10,14 +9,6 @@ from scipy import special
 from .data import LABEL_INLIER, LABEL_OUTLIER
 from .errors import InputError
 from .scores import ScoreSet
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    method: str
-    auc_values: tuple[float, ...]
-    mean: float
-    std: float
 
 
 def _split_scores(scores: ScoreSet):
@@ -92,12 +83,3 @@ def welch_ttest(a, b) -> float:
     # two-sided tail via the regularized incomplete beta
     return float(special.betainc(df / 2.0, 0.5, df / (df + t * t)))
 
-
-def summarize(method: str, auc_values) -> RunSummary:
-    """Mean and sample std (m-1 denominator; 0 for a single value)."""
-    values = tuple(float(v) for v in auc_values)
-    arr = np.asarray(values)
-    std = float(arr.std(ddof=1)) if len(values) > 1 else 0.0
-    return RunSummary(
-        method=method, auc_values=values, mean=float(arr.mean()), std=std
-    )

@@ -110,7 +110,7 @@ def median_heuristic(data: np.ndarray) -> float:
     return _median_dist(pairwise_sq_dists(data, data))
 
 
-def _nearest(d2: np.ndarray, K: int) -> np.ndarray:
+def nearest(d2: np.ndarray, K: int) -> np.ndarray:
     """Column indices of the K smallest entries of each row of d2, by
     (distance, index): np.argsort(d2, axis=1, kind="stable")[:, :K]
     without sorting whole rows.  argpartition picks any K entries up to
@@ -144,7 +144,7 @@ def knn_graph(data: np.ndarray, K: int, sigma2: float | str) -> SimilarityGraph:
     if sigma2 == SIGMA2_AUTO:
         sigma2 = _median_dist(d2) ** 2
     np.fill_diagonal(d2, np.inf)
-    order = _nearest(d2, K)
+    order = nearest(d2, K)
     rows = np.repeat(np.arange(m), K)
     cols = order.ravel()
     vals = np.exp(-d2[rows, cols] / (2.0 * sigma2))

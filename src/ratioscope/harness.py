@@ -2,8 +2,9 @@
 
 Each trial builds an (inliers, test, labels) triple, standardizes by
 inlier statistics, runs every requested method, and records the AUC.
-Trials fan out over a thread pool; results are keyed by
-(dim, trial, method) so the output is independent of scheduling.
+Trials fan out over a thread pool; their AUCs are keyed by (dim, trial)
+and aggregated in one pass (mean, sample std, Welch's t-test per method
+pair), so the output is independent of scheduling.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .data import (
     pool,
 )
 from .errors import InputError
-from .evaluation import auc, summarize, welch_ttest
+from .evaluation import auc, welch_ttest
 from .graph import median_heuristic
 from .scores import ScoreSet, ratio_score, save_scores_csv
 from .synth import SynthSpec, generate
@@ -179,65 +180,56 @@ def run_bench(
     baselines.check_l1lr_lambda(params["l1lr_lambda"])
     baselines.check_rulsif(params["rulsif_beta"], params["ulsif_nu"])
     tasks = [(dim, trial) for dim in dims for trial in range(trials)]
-    results: dict[tuple[int, int, str], float | None] = {}
 
-    def run_one(dim, trial):
+    def run_one(task):
+        dim, trial = task
         if dataset is None:
-            spec = SynthSpec(d=dim, seed=seed)
-            inliers, test, labels = generate(spec, trial=trial)
+            inliers, test, labels = generate(SynthSpec(d=dim, seed=seed), trial=trial)
         else:
-            inliers, test, labels = resplit_dataset(
-                dataset, dataset_labels, 10, seed, trial
-            )
+            inliers, test, labels = resplit_dataset(dataset, dataset_labels, 10, seed, trial)
         inliers, test = standardized_trial(inliers, test, params["standardize"])
-        out = {}
+        aucs = {}
         for method in methods:
             try:
                 s = run_method(
                     method, inliers, test, labels, params, _trial_seed(seed, dim, trial)
                 )
-                out[method] = (auc(s), s)
+                aucs[method] = auc(s)
             except Exception as exc:  # record and continue
                 logging.getLogger(__name__).warning(
                     "warning: %s failed on dim=%d trial=%d: %s", method, dim, trial, exc
                 )
-                out[method] = (None, None)
-        return dim, trial, out
+                aucs[method] = None
+                continue
+            if dump_scores_dir is not None:
+                os.makedirs(dump_scores_dir, exist_ok=True)
+                name = f"scores_d{dim}_t{trial}_{method}.csv"
+                save_scores_csv(os.path.join(dump_scores_dir, name), s)
+        return aucs
 
     with ThreadPoolExecutor(max_workers=default_thread_count(threads)) as pool_:
-        for dim, trial, out in pool_.map(lambda t: run_one(*t), tasks):
-            for method, (value, s) in out.items():
-                results[(dim, trial, method)] = value
-                _maybe_dump(dump_scores_dir, dim, trial, method, s)
+        done = dict(zip(tasks, pool_.map(run_one, tasks)))
 
-    per_dim = []
-    sweep_rows = []
-    n_failures = 0
+    per_dim, sweep_rows, n_failures = [], [], 0
     for dim in dims:
-        method_entries = []
-        auc_lists = {}
+        entries, ok = [], {}
         for method in methods:
-            values = [results[(dim, t, method)] for t in range(trials)]
-            n_failures += sum(1 for v in values if v is None)
-            ok = [v for v in values if v is not None]
-            if ok:
-                s = summarize(method, ok)
-                mean, std = s.mean, s.std
-            else:
-                mean, std = None, None
-            auc_lists[method] = ok
-            method_entries.append(
-                {"name": method, "mean": mean, "std": std, "auc_values": values}
-            )
+            values = [done[dim, trial][method] for trial in range(trials)]
+            ok[method] = [v for v in values if v is not None]
+            n_failures += len(values) - len(ok[method])
+            mean = std = None
+            if ok[method]:
+                # sample std (m - 1 denominator), 0 for a single value
+                mean = float(np.mean(ok[method]))
+                std = float(np.std(ok[method], ddof=1)) if len(ok[method]) > 1 else 0.0
+            entries.append({"name": method, "mean": mean, "std": std, "auc_values": values})
             sweep_rows.append((dim, method, mean, std))
-        pairwise = {}
-        for i, a in enumerate(methods):
-            for b_ in methods[i + 1 :]:
-                if len(auc_lists[a]) >= 2 and len(auc_lists[b_]) >= 2:
-                    pairwise[f"{a}|{b_}"] = welch_ttest(auc_lists[a], auc_lists[b_])
-        per_dim.append(
-            {"dim": dim, "methods": method_entries, "pairwise_p": pairwise}
-        )
+        pairwise = {
+            f"{a}|{b}": welch_ttest(ok[a], ok[b])
+            for i, a in enumerate(methods) for b in methods[i + 1 :]
+            if len(ok[a]) >= 2 and len(ok[b]) >= 2
+        }
+        per_dim.append({"dim": dim, "methods": entries, "pairwise_p": pairwise})
     doc = {
         "dataset": dataset_name,
         "seed": seed,
@@ -246,14 +238,6 @@ def run_bench(
         "per_dim": per_dim,
     }
     return doc, sweep_rows, n_failures
-
-
-def _maybe_dump(dump_dir, dim, trial, method, s: ScoreSet | None):
-    if dump_dir is None or s is None:
-        return
-    os.makedirs(dump_dir, exist_ok=True)
-    path = os.path.join(dump_dir, f"scores_d{dim}_t{trial}_{method}.csv")
-    save_scores_csv(path, s)
 
 
 def format_table(per_dim_entry) -> str:

@@ -59,7 +59,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .data import Dataset, PooledDataset, StandardizationStats, pool
+from .data import Dataset, PooledDataset, StandardizationStats, pool, read_json_object
 from .errors import InputError, LineSearchFailure, NonDecrease
 # median_heuristic is unused here but stays importable as
 # llr.median_heuristic, where ratiobench's tracer looks it up
@@ -591,14 +591,10 @@ def load_model(path) -> dict:
             raise bad(f"{key} entries must be finite")
         return arr
 
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting
-            raise bad(f"not JSON: {exc}") from None
+    doc = read_json_object(path, "model file")
     keys = ("feature_names", "n_inlier", "n_test", "weights")
-    if not (isinstance(doc, dict) and all(k in doc for k in keys)):
-        raise bad(f"must hold a JSON object with keys {', '.join(keys)}")
+    if not all(k in doc for k in keys):
+        raise bad(f"needs the keys {', '.join(keys)}")
     names, counts = doc["feature_names"], (doc["n_inlier"], doc["n_test"])
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
             and all(type(c) is int and c >= 1 for c in counts)):

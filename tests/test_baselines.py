@@ -23,7 +23,7 @@ from ratioscope.baselines import (
 from ratioscope import baselines
 from ratioscope.data import PooledDataset, pool
 from ratioscope.errors import InputError, SingularSystem
-from ratioscope.graph import median_heuristic
+from ratioscope.graph import median_heuristic, pairwise_sq_dists
 from ratioscope.harness import standardized_trial
 from ratioscope.llr import WeightMatrix
 from ratioscope.scores import ratio_score
@@ -90,6 +90,24 @@ def brute_force_inv_lof(ref, query, K):
     return np.array(out)
 
 
+def full_sort_inv_lof(ref, query, K):
+    """lof_score as it was before it shared graph.nearest: a full sort of
+    each reference row and a stable argsort of each query row."""
+    rd = np.sqrt(pairwise_sq_dists(ref, ref))
+    np.fill_diagonal(rd, np.inf)
+    g_ref = 1.0 / np.maximum(np.sort(rd, axis=1)[:, :K].mean(axis=1), baselines.DIST_FLOOR)
+    qd = np.sqrt(pairwise_sq_dists(query, ref))
+    self_col = np.argmin(qd, axis=1)
+    rows = np.arange(qd.shape[0])
+    hit = qd[rows, self_col] < baselines.DIST_FLOOR
+    qd[rows[hit], self_col[hit]] = np.inf
+    nearest = np.argsort(qd, axis=1, kind="stable")[:, :K]
+    qd_near = np.take_along_axis(qd, nearest, axis=1)
+    g_query = 1.0 / np.maximum(qd_near.mean(axis=1), baselines.DIST_FLOOR)
+    lof = g_ref[nearest].mean(axis=1) / g_query
+    return 1.0 / np.maximum(lof, baselines.SCORE_FLOOR)
+
+
 class TestLof:
     def test_uniform_grid_interior(self):
         grid = np.arange(10.0)[None, :]
@@ -119,6 +137,19 @@ class TestLof:
             s = lof_score(make_dataset(ref), make_dataset(query, "q"), K)
             oracle = brute_force_inv_lof(ref, query, K)
             assert s.scores == pytest.approx(oracle, abs=1e-9)
+
+    def test_neighbor_selection_matches_the_full_sort(self):
+        # half the cases lie on an integer lattice, full of distance ties
+        rng = np.random.default_rng(11)
+        for case in range(300):
+            d, m, n = int(rng.integers(1, 6)), int(rng.integers(2, 40)), int(rng.integers(1, 20))
+            K = int(rng.integers(1, m))
+            draw = ((lambda *s: rng.integers(-2, 3, size=s).astype(float)) if case % 2
+                    else (lambda *s: rng.normal(size=s)))
+            ref, query = draw(d, m), draw(d, n)
+            query[:, : n // 2] = ref[:, rng.integers(0, m, size=n // 2)]  # coinciding rows
+            s = lof_score(make_dataset(ref), make_dataset(query, "q"), K)
+            assert np.array_equal(s.scores, full_sort_inv_lof(ref, query, K))
 
     def test_invalid_k(self):
         ref = make_dataset([[0.0, 1.0, 2.0]])
@@ -473,7 +504,7 @@ class TestL1lrScore:
         query = make_dataset(rng.normal(size=(2, 5)), "q")
         from ratioscope.baselines import LinearModel
 
-        model = LinearModel(w=np.zeros(2), lam=0.1)
+        model = LinearModel(w=np.zeros(2))
         s = l1lr_score(model, query, n_test=11, n_inlier=20)
         assert np.all(s.scores == 11.0 / 20.0)
 
@@ -481,7 +512,7 @@ class TestL1lrScore:
         from ratioscope.baselines import LinearModel
 
         query = make_dataset([[1.0, 2.0, 3.0]], "q")
-        s = l1lr_score(LinearModel(w=np.array([0.7]), lam=0.0), query, 3, 4)
+        s = l1lr_score(LinearModel(w=np.array([0.7])), query, 3, 4)
         assert np.all(np.diff(s.scores) > 0)
 
     def test_matches_ratio_score_on_shared_column(self):
@@ -492,7 +523,7 @@ class TestL1lrScore:
         w = rng.normal(size=3)
         from ratioscope.baselines import LinearModel
 
-        s_lin = l1lr_score(LinearModel(w=w, lam=0.0), test, pooled.n_test, pooled.n_inlier)
+        s_lin = l1lr_score(LinearModel(w=w), test, pooled.n_test, pooled.n_inlier)
         W = WeightMatrix(values=np.tile(w[:, None], (1, pooled.m)))
         s_llr = ratio_score(W, pooled, which="test")
         assert s_lin.scores == pytest.approx(s_llr.scores, rel=1e-12)

@@ -398,6 +398,22 @@ class TestScore:
                 names = [f["name"] for f in e["features"]]
                 assert len(names) == min(k, 3) and cli.CONST_FEATURE not in names
 
+    # --explain-top 0 used to exit 2 only after writing the scores CSV;
+    # with --tau 0 no sample is flagged and -3 used to exit 0
+    @pytest.mark.parametrize("flags", [["--explain-top", "0"],
+                                       ["--tau", "0", "--explain-top", "-3"]])
+    def test_explain_top_below_one_exit2_before_any_output(self, workspace, tmp_path,
+                                                           capsys, flags):
+        out, explained = tmp_path / "s.csv", tmp_path / "e.json"
+        code = cli.main([
+            "score", "--model", str(workspace / "model.json"),
+            "--inliers", str(workspace / "inliers.csv"), "--test", str(workspace / "test.csv"),
+            "--out", str(out), "--explain-out", str(explained), *flags,
+        ])
+        assert code == cli.EXIT_USAGE
+        assert_one_error(capsys, "--explain-top", flags[-1])
+        assert not out.exists() and not explained.exists()
+
     def test_feature_name_mismatch_exit2(self, workspace, tmp_path, capsys):
         # CSVs with other column names used to be scored without a word
         for name in ("inliers.csv", "test.csv"):

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratioscope.errors import InputError
-from ratioscope.evaluation import auc, roc_auc, roc_curve, summarize, welch_ttest
+from ratioscope.evaluation import auc, roc_auc, roc_curve, welch_ttest
 from ratioscope.scores import ScoreSet
 
 
@@ -154,23 +154,3 @@ class TestWelch:
     def test_too_few(self):
         with pytest.raises(InputError, match="at least 2 values"):
             welch_ttest([1.0], [1.0, 2.0])
-
-
-class TestSummarize:
-    def test_single_value(self):
-        s = summarize("kde", [0.5])
-        assert s.mean == 0.5 and s.std == 0.0
-
-    def test_two_values(self):
-        s = summarize("kde", [0.0, 1.0])
-        assert s.mean == 0.5
-        assert s.std == pytest.approx(np.sqrt(0.5))
-
-    def test_matches_oracle(self):
-        rng = np.random.default_rng(4)
-        values = rng.random(100)
-        s = summarize("llr", values)
-        mean = sum(values) / 100
-        var = sum((v - mean) ** 2 for v in values) / 99
-        assert s.mean == pytest.approx(mean, abs=1e-12)
-        assert s.std == pytest.approx(var**0.5, abs=1e-12)

@@ -16,7 +16,7 @@ from ratioscope.graph import (
 
 
 def stable_argsort_nearest(d2, K):
-    """The full-sort neighbor selection that _nearest replaces."""
+    """The full-sort neighbor selection that nearest replaces."""
     return np.argsort(d2, axis=1, kind="stable")[:, :K]
 
 
@@ -100,7 +100,7 @@ class TestKnnGraph:
                  else rng.normal(size=(d, m)))
             d2 = pairwise_sq_dists(X, X)
             np.fill_diagonal(d2, np.inf)
-            assert np.array_equal(graph_module._nearest(d2, K), stable_argsort_nearest(d2, K))
+            assert np.array_equal(graph_module.nearest(d2, K), stable_argsort_nearest(d2, K))
 
     @pytest.mark.parametrize("d", [10, 100])
     def test_cli_fit_graphs_match_the_full_sort(self, d, tmp_path, monkeypatch):
@@ -116,7 +116,7 @@ class TestKnnGraph:
             features = pool(apply_standardizer(inliers, stats),
                             apply_standardizer(test, stats)).features
             with monkeypatch.context() as patch:
-                patch.setattr(graph_module, "_nearest", stable_argsort_nearest)
+                patch.setattr(graph_module, "nearest", stable_argsort_nearest)
                 full_sort = knn_graph(features, 7, SIGMA2_AUTO).weights
             partial = knn_graph(features, 7, SIGMA2_AUTO).weights
             for name in ("indptr", "indices", "data"):

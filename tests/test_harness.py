@@ -111,6 +111,27 @@ class TestRunBench:
             assert "kde|lof" in entry["pairwise_p"]
         assert len(rows) == 2 * 2  # dims x methods
 
+    def test_single_trial_std_is_zero(self):
+        doc, rows, _ = harness.run_bench(dims=[4], trials=1, methods=["kde", "lof"], seed=0,
+                                         params=small_params(), threads=1)
+        for m in doc["per_dim"][0]["methods"]:
+            assert m["mean"] == m["auc_values"][0] and m["std"] == 0.0
+        assert [row[3] for row in rows] == [0.0, 0.0]
+
+    def test_mean_and_std_match_a_ddof1_oracle(self):
+        doc, rows, _ = harness.run_bench(dims=[4, 6], trials=5, methods=["kde", "lof"], seed=1,
+                                         params=small_params(), threads=1)
+        entries = [(e["dim"], m) for e in doc["per_dim"] for m in e["methods"]]
+        assert len(rows) == len(entries) == 4
+        for row, (dim, m) in zip(rows, entries):
+            values = m["auc_values"]
+            mean = sum(values) / 5
+            var = sum((v - mean) ** 2 for v in values) / 4
+            assert m["mean"] == pytest.approx(mean, abs=1e-12)
+            assert m["std"] == pytest.approx(var**0.5, abs=1e-12)
+            # each sweep row is its document entry
+            assert row == (dim, m["name"], m["mean"], m["std"])
+
     def test_deterministic_across_runs(self):
         kwargs = dict(dims=[5], trials=2, methods=["kde", "ulsif"], seed=3,
                       params=small_params(), threads=1)

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
+from scipy.special import expit, log_expit
 
 from .data import Dataset, PooledDataset, StandardizationStats, pool, read_json_object
 from .errors import InputError, LineSearchFailure, NonDecrease
@@ -286,6 +286,23 @@ def _hessp(V, X, c, Cg, Ce, hp):
     return (c * np.einsum("ik,ik->i", X, V))[:, None] * X + PV, PV
 
 
+def _logistic_change(z, sig, tdz):
+    """Change of the logistic loss sum_i log(1 + exp(-z_i)) when the
+    margins move to z + tdz, given sig = sigma(-z): the sum of
+    log1p(sigma(-z_i) expm1(-tdz_i)), which keeps changes far below the
+    loss's rounding.  Where that argument is below -0.5 it is taken as
+    logaddexp(log sigma(z_i), log sigma(-z_i) - tdz_i) instead: the
+    log1p form is -inf once sigma(-z_i) rounds to 1, though the change
+    it stands for is finite."""
+    u = sig * np.expm1(-tdz)
+    terms = np.log1p(np.maximum(u, -0.5))
+    far = u < -0.5
+    if far.any():
+        zf = z[far]
+        terms[far] = np.logaddexp(log_expit(zf), log_expit(-zf) - tdz[far])
+    return float(np.sum(terms))
+
+
 def grad_Jtilde(
     W: WeightMatrix,
     Cg: sp.spmatrix,
@@ -417,7 +434,7 @@ def solve_inner(
             Pp = _penalty_hessp(p, Cg, Ce, hp)
 
         # Armijo backtracking on the surrogate change along p,
-        #   sum_i log1p(sigma(-z_i) expm1(-t dz_i)) + t lin + t^2 quad,
+        #   (loss change, _logistic_change) + t lin + t^2 quad,
         # the penalties being quadratic with gradient g_pen at W
         slope = _dot(g, p)
         if not slope < 0:
@@ -427,7 +444,7 @@ def solve_inner(
         quad = 0.5 * _dot(p, Pp)
         step = 1.0
         while True:
-            change = (float(np.sum(np.log1p(sig * np.expm1(-step * dz))))
+            change = (_logistic_change(z, sig, step * dz)
                       + step * lin + step * step * quad)
             if change <= 1e-4 * step * slope:
                 break

@@ -1,11 +1,13 @@
 import itertools
 import json
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize, minimize_scalar
+from scipy.special import expit
 from scipy.stats import spearmanr
 
 from conftest import make_dataset, random_instance
@@ -486,6 +488,28 @@ class TestSolveInner:
                 ended_by_relative_rule |= g > absolute
         # an exact solve would meet the absolute tolerance every time
         assert ended_by_relative_rule
+
+    def test_logistic_change_finite_where_sigma_rounds_to_one(self):
+        # at z = -800, sigma(-z) rounds to 1, and log1p(sigma(-z)
+        # expm1(-1000)) used to be log1p(-1) = -inf for a change of -800
+        z = np.array([-800.0, -800.0, 3.0, -2.0])
+        tdz = np.array([1000.0, 10.0, -0.5, 1.5])
+        direct = np.logaddexp(0.0, -(z + tdz)) - np.logaddexp(0.0, -z)
+        with np.errstate(divide="raise", invalid="raise"):
+            change = llr._logistic_change(z, expit(-z), tdz)
+        assert change == pytest.approx(float(np.sum(direct)), rel=1e-12)
+
+    def test_fit_where_the_line_search_met_log1p_of_minus_one(self):
+        # 48 standardized samples at (lambda1, lambda2, eps, K) = (1e6, 0,
+        # 1e-10, 1): the line search's log1p term raised a divide-by-zero
+        # warning
+        inliers, test, _ = generate(
+            SynthSpec(d=5, n_inlier=30, n_test_inlier=15, n_test_outlier=3, seed=0))
+        hp = LlrHyperparams(lambda1=1e6, lambda2=0.0, epsilon=1e-10, k_neighbors=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = fit(*harness.standardized_trial(inliers, test, True), hp)
+        assert result.converged
 
 
 class TestFit:

@@ -14,10 +14,12 @@ import sys
 import numpy as np
 
 from . import harness, llr
+# apply_standardizer is unused here but stays importable as
+# cli.apply_standardizer, where ratiobench's tracer looks it up
+from .data import apply_standardizer  # noqa: F401
 from .data import (
     Dataset,
     StandardizationStats,
-    apply_standardizer,
     fit_standardizer,
     load_csv,
     pool,
@@ -58,12 +60,6 @@ def _load_pair(args, intercept: bool):
     if intercept:
         inliers, test = _augment_intercept(inliers), _augment_intercept(test)
     return inliers, test, test_labels
-
-
-def _standardized(inliers: Dataset, test: Dataset, stats):
-    if stats is None:
-        return inliers, test
-    return apply_standardizer(inliers, stats), apply_standardizer(test, stats)
 
 
 # the parameters whose flag dest is not the parameter's own name
@@ -108,7 +104,7 @@ def cmd_fit(args) -> int:
                 mean=np.append(stats.mean, 0.0), scale=np.append(stats.scale, 1.0)
             )
     hp = _hyperparams(args)
-    pooled = pool(*_standardized(inliers, test, stats))
+    pooled = pool(*harness.standardized(inliers, test, stats))
     result = llr.fit_pooled(pooled, hp)
     llr.save_model(args.out, result, pooled, hp, stats)
     print(
@@ -137,7 +133,7 @@ def cmd_score(args) -> int:
             f"(expected {model['n_inlier']}+{model['n_test']})"
         )
     try:
-        pooled = pool(*_standardized(inliers, test, model.get("standardizer")))
+        pooled = pool(*harness.standardized(inliers, test, model.get("standardizer")))
     except InputError as exc:  # a z-score overflows, as from a tiny scale
         raise InputError(f"model file {args.model}: {exc}") from None
     weights = llr.WeightMatrix(values=model["weights"])

@@ -48,14 +48,11 @@ def roc_curve(scores: ScoreSet) -> np.ndarray:
     """
     inl, out = _split_scores(scores)
     thresholds = np.unique(np.concatenate([inl, out]))[::-1]
-    points = [(0.0, 0.0)]
-    for t in thresholds:
-        tpr = float(np.mean(inl >= t))
-        fpr = float(np.mean(out >= t))
-        points.append((fpr, tpr))
-    if points[-1] != (1.0, 1.0):
-        points.append((1.0, 1.0))
-    return np.asarray(points)
+    # scores >= t are the sorted scores from the first one not below t;
+    # the last threshold is the lowest score, so the curve ends at (1, 1)
+    tpr = (len(inl) - np.searchsorted(np.sort(inl), thresholds)) / len(inl)
+    fpr = (len(out) - np.searchsorted(np.sort(out), thresholds)) / len(out)
+    return np.vstack([[0.0, 0.0], np.column_stack([fpr, tpr])])
 
 
 def roc_auc(points: np.ndarray) -> float:

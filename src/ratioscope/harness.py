@@ -21,6 +21,7 @@ from .data import (
     LABEL_INLIER,
     LABEL_OUTLIER,
     Dataset,
+    StandardizationStats,
     apply_standardizer,
     fit_standardizer,
     pool,
@@ -98,10 +99,11 @@ def run_method(
     return ScoreSet(s.sample_ids, s.scores, tuple(labels))
 
 
-def standardized_trial(inliers: Dataset, test: Dataset, standardize: bool):
-    if not standardize:
+def standardized(inliers: Dataset, test: Dataset, stats: StandardizationStats | None):
+    """The pair with ``stats`` applied to both sets, or as given when
+    stats is None."""
+    if stats is None:
         return inliers, test
-    stats = fit_standardizer(inliers)
     return apply_standardizer(inliers, stats), apply_standardizer(test, stats)
 
 
@@ -187,7 +189,8 @@ def run_bench(
             inliers, test, labels = generate(SynthSpec(d=dim, seed=seed), trial=trial)
         else:
             inliers, test, labels = resplit_dataset(dataset, dataset_labels, 10, seed, trial)
-        inliers, test = standardized_trial(inliers, test, params["standardize"])
+        stats = fit_standardizer(inliers) if params["standardize"] else None
+        inliers, test = standardized(inliers, test, stats)
         aucs = {}
         for method in methods:
             try:

@@ -38,6 +38,16 @@ A = anchor(W, graph, eps) and objective_J(A, ...).  solve_inner carries
 its penalty products through each Newton step, so it multiplies by Cg
 once per solve plus once per CG step.
 
+The loop starts at the minimizer of the surrogate at W = 0 without its
+fused term.  At W = 0 every edge distance is sqrt(eps), so the fused
+term's majorizer weighs edge ij by r_ij / sqrt(eps) and holds all
+columns together for many steps.  Without it the surrogate splits into
+one ridge-logistic problem per sample, which one exact solve_inner
+from W = 0 minimizes in a few CG steps, its block preconditioner
+being exact there.  The loop starts at that point when lambda2 > 0
+and its J is below J(0), and at W = 0 otherwise (with lambda2 = 0 the
+split problems are unregularized).
+
 MM converges linearly, so the outer loop runs SQUAREM cycles (Varadhan
 & Roland 2008; Zhou, Alexander & Lange 2011).  A cycle takes two MM
 steps W1 = F(W0), W2 = F(W1); the fit has converged once the two
@@ -493,6 +503,23 @@ def _extrapolate(W0: np.ndarray, W1: np.ndarray, W2: np.ndarray) -> WeightMatrix
     return WeightMatrix(values=W0 - 2.0 * alpha * r + alpha * alpha * v)
 
 
+def _start(pooled: PooledDataset, hp: LlrHyperparams, graph: SimilarityGraph):
+    """(anchor, objective) at which the MM loop starts: the unfused
+    surrogate minimizer when lambda2 > 0 and its J is below J(0), else
+    W = 0.  Through solve_inner, anchor and objective_J, so a tracer
+    that wraps them sees the start's solve."""
+    A = anchor(WeightMatrix(values=np.zeros_like(pooled.features)), graph, hp.epsilon)
+    J = objective_J(A, pooled, hp)
+    if hp.lambda2 > 0:
+        W = solve_inner(pooled, sp.csr_matrix((pooled.m, pooled.m)), majorizer_Ce(A), hp,
+                        A.weights)
+        A_W = anchor(W, graph, hp.epsilon)
+        J_W = objective_J(A_W, pooled, hp)
+        if J_W < J:
+            return A_W, J_W
+    return A, J
+
+
 def fit_pooled(
     pooled: PooledDataset,
     hp: LlrHyperparams,
@@ -500,6 +527,12 @@ def fit_pooled(
 ) -> FitResult:
     """Run the outer reweighting loop on already-pooled data over
     ``graph``, by default knn_graph(features, min(k_neighbors, m - 1), sigma2).
+
+    The loop starts at W = 0 or, when lambda2 > 0, at the point
+    ``_start`` finds: the minimizer of the surrogate at W = 0 without its
+    fused term, from one exact solve_inner with a zero Laplacian and
+    majorizer_Ce at W = 0, kept only if its J is below J(0).  The first
+    trace entry is J at the chosen start.
 
     The loop is MM accelerated by SQUAREM (Varadhan & Roland 2008).
     Each cycle takes two MM steps W1 = F(W0), W2 = F(W1) (``_mm_step``),
@@ -516,12 +549,11 @@ def fit_pooled(
     and raises NonDecrease if J rose above J at the step's own start
     point, so J(W') is computed too.  ``iterations`` and the objective
     trace count every MM step, rejected ones included (a rejected step
-    repeats J(W2)); hp.outer_max_iters caps them, and the last trace
-    entry is J of the returned weights."""
+    repeats J(W2)), but not the start's solve; hp.outer_max_iters caps
+    them, and the last trace entry is J of the returned weights."""
     if graph is None:
         graph = knn_graph(pooled.features, min(hp.k_neighbors, pooled.m - 1), hp.sigma2)
-    A = anchor(WeightMatrix(values=np.zeros_like(pooled.features)), graph, hp.epsilon)
-    J = objective_J(A, pooled, hp)
+    A, J = _start(pooled, hp, graph)
     trace = [J]
     cap = hp.outer_max_iters
     converged = False

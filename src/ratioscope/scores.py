@@ -119,8 +119,9 @@ def explain(
         raise InputError(f"no sample with id {sample_id!r}") from None
     w = weights.values[:, col]
     names = pooled.feature_names
-    real = [k for k in range(len(w)) if names[k] != CONST_FEATURE]
-    order = sorted(real, key=lambda k: (-abs(w[k]), k))[:top_k]
+    real = np.array([k for k, name in enumerate(names) if name != CONST_FEATURE], dtype=int)
+    # a stable sort keeps equal |weights| in feature order
+    order = real[np.argsort(-np.abs(w[real]), kind="stable")[:top_k]]
     score = float(ratio_from_logit(_logits(weights, pooled, [col]), pooled.n_inlier,
                                    pooled.n_test)[0])
     ranked = tuple((names[k], float(w[k])) for k in order)

@@ -1,8 +1,10 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from ratioscope.data import Dataset, pool
+from ratioscope.data import Dataset, fit_standardizer, pool
 from ratioscope.graph import knn_graph
+from ratioscope.harness import standardized
+from ratioscope.synth import generate
 
 # one line per acceptance criterion, printed after the test summary
 ACCEPTANCE_LINES = []
@@ -22,6 +24,13 @@ def make_dataset(features, prefix="s"):
         feature_names=tuple(f"f{k}" for k in range(features.shape[0])),
         sample_ids=tuple(f"{prefix}{i}" for i in range(features.shape[1])),
     )
+
+
+def standardized_pool(spec, trial=0):
+    """SynthSpec ``spec``'s trial pooled after standardizing both sets by
+    the inliers' statistics, as bench and fit do."""
+    inliers, test, _ = generate(spec, trial=trial)
+    return pool(*standardized(inliers, test, fit_standardizer(inliers)))
 
 
 def random_instance(rng, d=None, n_inlier=None, n_test=None, K=None, sigma2=None):

@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import make_dataset, random_instance
+from conftest import make_dataset, random_instance, standardized_pool
 from ratioscope import baselines, cli, harness, llr
 from ratioscope.data import pool
 from ratioscope.evaluation import auc, roc_auc, roc_curve
 from ratioscope.graph import median_heuristic
 from ratioscope.scores import ScoreSet
-from ratioscope.synth import SynthSpec, generate
+from ratioscope.synth import SynthSpec
 
 
 def report(num, desc, ok, t0=None):
@@ -188,9 +188,7 @@ def test_criterion_07_feature_recovery():
     t0 = time.perf_counter()
     hits = 0
     for trial in range(20):
-        inliers, test, _ = generate(SynthSpec(d=50, seed=0), trial=trial)
-        inliers, test = harness.standardized_trial(inliers, test, True)
-        pooled = pool(inliers, test)
+        pooled = standardized_pool(SynthSpec(d=50, seed=0), trial)
         res = llr.fit_pooled(pooled, llr.LlrHyperparams())
         out_cols = res.weights.values[:, pooled.n_inlier + 100 :]
         mean_abs = np.abs(out_cols).mean(axis=1)
@@ -204,9 +202,7 @@ def test_criterion_08_convergence_speed():
     ok = True
     hp = llr.LlrHyperparams(outer_max_iters=50)
     for trial in range(20):
-        inliers, test, _ = generate(SynthSpec(d=10, seed=0), trial=trial)
-        inliers, test = harness.standardized_trial(inliers, test, True)
-        res = llr.fit_pooled(pool(inliers, test), hp)
+        res = llr.fit_pooled(standardized_pool(SynthSpec(d=10, seed=0), trial), hp)
         ok &= res.converged and res.iterations <= 50
     report(8, "d=10 fits reach rel-dJ < 1e-6 within 50 outer iterations (20 trials)", ok, t0)
 

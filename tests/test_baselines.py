@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import bisect, minimize
 
-from conftest import make_dataset
+from conftest import make_dataset, standardized_pool
 from ratioscope.baselines import (
     KernelModel,
     box_simplex_threshold,
@@ -24,10 +24,9 @@ from ratioscope import baselines
 from ratioscope.data import PooledDataset, pool
 from ratioscope.errors import InputError, SingularSystem
 from ratioscope.graph import median_heuristic, pairwise_sq_dists
-from ratioscope.harness import standardized_trial
 from ratioscope.llr import WeightMatrix
 from ratioscope.scores import ratio_score
-from ratioscope.synth import SynthSpec, generate
+from ratioscope.synth import SynthSpec
 
 
 class TestKde:
@@ -212,9 +211,7 @@ def osvm_kkt_residual(model, nu):
 
 def sweep_osvm_data(d):
     """The pooled, standardized data the bench's OSVM fits on SynthSpec trial 0."""
-    inliers, test, _ = generate(SynthSpec(d=d, seed=0), trial=0)
-    inliers, test = standardized_trial(inliers, test, True)
-    pooled = pool(inliers, test)
+    pooled = standardized_pool(SynthSpec(d=d, seed=0))
     merged = make_dataset(pooled.features)
     return merged, median_heuristic(pooled.features)
 

@@ -110,6 +110,27 @@ class TestRocCurve:
         assert np.all(np.diff(points[:, 0]) >= 0)
         assert np.all(np.diff(points[:, 1]) >= 0)
 
+    def test_matches_a_threshold_loop_oracle(self):
+        # roc_curve used to take one mean pair per threshold; the counts
+        # over sorted scores must give the same array, bit for bit
+        def oracle(inl, out):
+            points = [(0.0, 0.0)]
+            for t in np.unique(np.concatenate([inl, out]))[::-1]:
+                points.append((float(np.mean(out >= t)), float(np.mean(inl >= t))))
+            return np.asarray(points)
+
+        rng = np.random.default_rng(4)
+        for case in range(300):
+            n_inl, n_out = int(rng.integers(1, 40)), int(rng.integers(1, 15))
+            if case % 2:  # ties within and across the classes
+                values = rng.integers(1, 6, size=n_inl + n_out).astype(float)
+            else:
+                values = rng.exponential(size=n_inl + n_out) + 0.01
+            s = make_scores(values, ["inlier"] * n_inl + ["outlier"] * n_out)
+            points = roc_curve(s)
+            expected = oracle(values[:n_inl], values[n_inl:])
+            assert points.shape == expected.shape and points.tobytes() == expected.tobytes()
+
     def test_area_equals_auc(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from ratioscope.data import pool
+from ratioscope.data import Dataset, pool
 from ratioscope.errors import InputError
 from ratioscope.llr import WeightMatrix
 from ratioscope.scores import (
+    CONST_FEATURE,
     ScoreSet,
     detect,
     explain,
@@ -137,6 +138,26 @@ class TestExplain:
         e = explain(WeightMatrix(values=np.zeros((4, 2))), pooled, "a0", top_k=4)
         assert [n for n, _ in e.ranked_features] == ["f0", "f1", "f2", "f3"]
         assert all(w == 0.0 for _, w in e.ranked_features)
+
+    def test_matches_a_sorted_key_oracle(self):
+        # explain used to rank with sorted() and the key (-|w_k|, k),
+        # leaving out the intercept; the stable argsort must agree
+        rng = np.random.default_rng(3)
+        for d in (1, 2, 5, 12):
+            # the intercept is the last feature, as `fit --intercept` appends it
+            names = tuple(f"f{k}" for k in range(d)) + (CONST_FEATURE,)
+            pooled = pool(Dataset(rng.normal(size=(d + 1, 3)), names, ("a0", "a1", "a2")),
+                          Dataset(rng.normal(size=(d + 1, 2)), names, ("b0", "b1")))
+            for _ in range(20):
+                # few distinct magnitudes, both signs and zeros: many ties
+                values = rng.integers(-2, 3, size=(d + 1, 5)) * 0.5
+                for col, sid in enumerate(pooled.sample_ids):
+                    w = values[:, col]
+                    real = [k for k in range(d + 1) if names[k] != CONST_FEATURE]
+                    for top_k in (1, 3, d + 1):
+                        order = sorted(real, key=lambda k: (-abs(w[k]), k))[:top_k]
+                        e = explain(WeightMatrix(values=values), pooled, sid, top_k)
+                        assert e.ranked_features == tuple((names[k], float(w[k])) for k in order)
 
     def test_prefix_l1_bound(self):
         rng = np.random.default_rng(1)

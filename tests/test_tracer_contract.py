@@ -54,7 +54,8 @@ def test_traced_attributes_exist_and_a_traced_fit_runs():
     n = result.iterations
     assert calls["ratioscope.llr.fit_pooled"] == 1
     assert calls["ratioscope.llr.majorizer_Cg"] == n  # run.py's llr.outer_iters
-    # one J per MM step, one at W0 = 0 and one at the first cycle's
-    # extrapolated point; the second cycle's two plain steps meet the cap
+    # one J per MM step, one at W = 0, one at the unfused start and one
+    # at the first cycle's extrapolated point; the second cycle's two
+    # plain steps meet the cap
     assert n == 5 and not result.converged
-    assert calls["ratioscope.llr.objective_J"] == n + 2
+    assert calls["ratioscope.llr.objective_J"] == n + 3

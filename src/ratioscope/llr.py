@@ -504,10 +504,10 @@ def _extrapolate(W0: np.ndarray, W1: np.ndarray, W2: np.ndarray) -> WeightMatrix
 
 
 def _start(pooled: PooledDataset, hp: LlrHyperparams, graph: SimilarityGraph):
-    """(anchor, objective) at which the MM loop starts: the unfused
-    surrogate minimizer when lambda2 > 0 and its J is below J(0), else
-    W = 0.  Through solve_inner, anchor and objective_J, so a tracer
-    that wraps them sees the start's solve."""
+    """(anchor, objective) at which the MM loop starts.  The unfused
+    point comes from one exact solve_inner from W = 0 with a zero
+    Laplacian and majorizer_Ce at W = 0, through the module attributes
+    that a tracer wraps."""
     A = anchor(WeightMatrix(values=np.zeros_like(pooled.features)), graph, hp.epsilon)
     J = objective_J(A, pooled, hp)
     if hp.lambda2 > 0:
@@ -528,11 +528,9 @@ def fit_pooled(
     """Run the outer reweighting loop on already-pooled data over
     ``graph``, by default knn_graph(features, min(k_neighbors, m - 1), sigma2).
 
-    The loop starts at W = 0 or, when lambda2 > 0, at the point
-    ``_start`` finds: the minimizer of the surrogate at W = 0 without its
-    fused term, from one exact solve_inner with a zero Laplacian and
-    majorizer_Ce at W = 0, kept only if its J is below J(0).  The first
-    trace entry is J at the chosen start.
+    The loop starts (``_start``) at the minimizer of the surrogate at
+    W = 0 without its fused term when lambda2 > 0 and its J is below
+    J(0), and at W = 0 otherwise; the first trace entry is J there.
 
     The loop is MM accelerated by SQUAREM (Varadhan & Roland 2008).
     Each cycle takes two MM steps W1 = F(W0), W2 = F(W1) (``_mm_step``),

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.special import expit, logsumexp
 
 from .data import Dataset, PooledDataset
@@ -385,6 +384,10 @@ def rulsif_fit(
     )
     h = phi_in.mean(axis=0)
     A = H + nu * np.eye(H.shape[0])
+    # imported here, its only use, so that the CLI's start-up skips it;
+    # before the try, so that sla.LinAlgError is bound in the except
+    import scipy.linalg as sla
+
     try:
         factor = sla.cho_factor(A)
         alpha = sla.cho_solve(factor, h)

@@ -7,6 +7,7 @@ A JSON config file (--config) mirrors the flags; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -147,7 +148,7 @@ def cmd_score(args) -> int:
             if decisions is not None
             else list(scores.sample_ids)
         )
-        explanations = [explain(weights, pooled, sid, args.explain_top) for sid in flagged]
+        explanations = explain(weights, pooled, flagged, args.explain_top)
         out = args.explain_out or (os.path.splitext(args.out)[0] + "_explanations.json")
         save_explanations_json(out, explanations)
         print(f"wrote {len(explanations)} explanations to {out}")
@@ -262,7 +263,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trial", type=int, default=0)
     p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fit", help="fit the localized ratio model")
     p.add_argument("--inliers", required=True)
@@ -272,7 +272,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--sigma2", type=auto_or_float, default=llr.LlrHyperparams.sigma2)
     p.add_argument("--intercept", action="store_true",
                    help="append a constant-1 feature (excluded from explanations)")
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("score", help="score samples with a fitted model")
     p.add_argument("--model", required=True)
@@ -283,7 +282,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--which", choices=["test", "inlier", "all"], default="test")
     p.add_argument("--explain-top", type=int, default=None)
     p.add_argument("--explain-out", default=None)
-    p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("bench", help="run the benchmark sweep")
     p.add_argument(
@@ -301,16 +299,22 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--dump-scores", default=None)
     _add_param_flags(p, _BENCH_FLAG_PARAMS)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("eval", help="AUC/ROC report for a scores CSV")
     p.add_argument("--scores", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eval)
 
     for p in sub.choices.values():
         p.set_defaults(**(defaults or {}))
     return parser
+
+
+@functools.cache
+def _default_parser() -> argparse.ArgumentParser:
+    """build_parser() with the built-in defaults, built on first use and
+    kept: parsing leaves no state in a parser, so every command of the
+    process can share it."""
+    return build_parser()
 
 
 def _read_config(argv) -> tuple[str | None, dict]:
@@ -340,12 +344,12 @@ def _config_default(path, key, value, parsed):
 
 def _parse(argv):
     path, config = _read_config(argv)
-    args = build_parser().parse_args(argv)
+    args = _default_parser().parse_args(argv)
     # second pass: config values become defaults of the chosen command's
     # own flags, so that explicit flags still win
     own = {
         k: _config_default(path, k, v, vars(args)[k]) for k, v in config.items()
-        if k in vars(args) and k not in ("command", "config", "func")
+        if k in vars(args) and k not in ("command", "config")
     }
     if not own:
         return args
@@ -360,7 +364,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parse(argv)
-        return args.func(args)
+        # looked up at call time, so that a wrapper put on cli.cmd_<command>
+        # after the parser was built still runs
+        return globals()[f"cmd_{args.command}"](args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except SolverFailure as exc:

@@ -33,6 +33,8 @@ from .scores import ScoreSet, ratio_score, save_scores_csv
 from .synth import SynthSpec, generate
 
 METHODS = ("llr", "kde", "lof", "osvm", "l1lr", "kliep", "ulsif", "rulsif")
+# the methods whose kernel width is the pooled set's median heuristic
+POOLED_SIGMA_METHODS = ("osvm", "kliep", "ulsif", "rulsif")
 # what `ratioscope bench` runs when --methods is not given
 DEFAULT_BENCH_METHODS = ("llr", "kde", "lof", "osvm", "l1lr", "kliep", "ulsif")
 
@@ -62,8 +64,13 @@ def run_method(
     labels,
     params: dict,
     seed: int,
+    sigma: float | None = None,
 ) -> ScoreSet:
-    """Run one detector and return test-sample scores with labels."""
+    """Run one detector and return test-sample scores with labels.
+
+    ``sigma`` is the median heuristic of the pooled set, which the
+    POOLED_SIGMA_METHODS use as kernel width; None computes it.
+    """
     pooled = pool(inliers, test)
     model = None
     if method == "llr":
@@ -78,8 +85,9 @@ def run_method(
     elif method == "l1lr":
         model = baselines.l1lr_fit(pooled, params["l1lr_lambda"])
         s = baselines.l1lr_score(model, test, pooled.n_test, pooled.n_inlier)
-    elif method in ("osvm", "kliep", "ulsif", "rulsif"):
-        sigma = median_heuristic(pooled.features)
+    elif method in POOLED_SIGMA_METHODS:
+        if sigma is None:
+            sigma = median_heuristic(pooled.features)
         if method == "osvm":
             model = baselines.osvm_fit(pooled, params["osvm_nu"], sigma)
         elif method == "kliep":
@@ -191,11 +199,15 @@ def run_bench(
             inliers, test, labels = resplit_dataset(dataset, dataset_labels, 10, seed, trial)
         stats = fit_standardizer(inliers) if params["standardize"] else None
         inliers, test = standardized(inliers, test, stats)
-        aucs = {}
+        aucs, sigma = {}, None
         for method in methods:
             try:
+                # one pooled median heuristic per trial for all the kernel
+                # methods; if it raises, each of them fails as it would alone
+                if method in POOLED_SIGMA_METHODS and sigma is None:
+                    sigma = median_heuristic(pool(inliers, test).features)
                 s = run_method(
-                    method, inliers, test, labels, params, _trial_seed(seed, dim, trial)
+                    method, inliers, test, labels, params, _trial_seed(seed, dim, trial), sigma
                 )
                 aucs[method] = auc(s)
             except Exception as exc:  # record and continue

@@ -105,27 +105,35 @@ def detect(scores: ScoreSet, tau: float) -> tuple[str, ...]:
 def explain(
     weights: WeightMatrix,
     pooled: PooledDataset,
-    sample_id: str,
+    sample_ids,
     top_k: int,
-) -> Explanation:
-    """Top-k features of one sample's column ranked by |weight|,
-    ties broken by feature index; the CONST_FEATURE intercept is not
-    a feature to explain and is never ranked."""
+) -> list[Explanation]:
+    """One Explanation per id of ``sample_ids``, in their order: the
+    top-k features of the sample's column ranked by |weight|, ties
+    broken by feature index.  The CONST_FEATURE intercept is not a
+    feature to explain and is never ranked."""
     if top_k < 1:
         raise InputError("top_k must be at least 1")
-    try:
-        col = pooled.sample_ids.index(sample_id)
-    except ValueError:
-        raise InputError(f"no sample with id {sample_id!r}") from None
-    w = weights.values[:, col]
+    column = {sid: col for col, sid in enumerate(pooled.sample_ids)}
+    for sid in sample_ids:
+        if sid not in column:
+            raise InputError(f"no sample with id {sid!r}")
+    cols = np.array([column[sid] for sid in sample_ids], dtype=int)
     names = pooled.feature_names
     real = np.array([k for k, name in enumerate(names) if name != CONST_FEATURE], dtype=int)
     # a stable sort keeps equal |weights| in feature order
-    order = real[np.argsort(-np.abs(w[real]), kind="stable")[:top_k]]
-    score = float(ratio_from_logit(_logits(weights, pooled, [col]), pooled.n_inlier,
-                                   pooled.n_test)[0])
-    ranked = tuple((names[k], float(w[k])) for k in order)
-    return Explanation(sample_id=sample_id, ranked_features=ranked, score=score)
+    ranks = np.argsort(-np.abs(weights.values[np.ix_(real, cols)]), axis=0, kind="stable")
+    order = real[ranks[:top_k]].T
+    top = weights.values[order, cols[:, None]].tolist()
+    scores = ratio_from_logit(_logits(weights, pooled, cols), pooled.n_inlier, pooled.n_test)
+    return [
+        Explanation(
+            sample_id=sid,
+            ranked_features=tuple(zip((names[k] for k in ks), ws)),
+            score=score,
+        )
+        for sid, ks, ws, score in zip(sample_ids, order.tolist(), top, scores.tolist())
+    ]
 
 
 def save_scores_csv(path, scores: ScoreSet, decisions=None) -> None:

@@ -921,6 +921,57 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestOneParserPerProcess:
+    """main() parses with one parser per process and dispatches to the
+    cli.cmd_<command> attribute of the moment, so that a wrapper put
+    there later (as ratiobench's tracer does) still runs."""
+
+    def test_three_commands_build_the_parser_once(self, tmp_path, monkeypatch):
+        builds = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda *a: builds.append(a) or real(*a))
+        cli._default_parser.cache_clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["synth", "--d", "2", "--n-inlier", "5", "--n-test-inlier", "3",
+                             "--n-outlier", "1", "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        for _ in range(2):
+            code = cli.main(["eval", "--scores", str(tmp_path / "none.csv")])
+            assert code == cli.EXIT_USAGE
+        assert len(builds) == 1
+
+    def test_score_explains_in_one_call(self, workspace, tmp_path, monkeypatch):
+        calls = []
+        real = cli.explain
+        monkeypatch.setattr(cli, "explain", lambda *a: calls.append(a) or real(*a))
+        explained = tmp_path / "e.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([
+                "score", "--model", str(workspace / "model.json"),
+                "--inliers", str(workspace / "inliers.csv"), "--test", str(workspace / "test.csv"),
+                "--out", str(tmp_path / "s.csv"), "--explain-top", "2",
+                "--explain-out", str(explained),
+            ]) == cli.EXIT_OK
+        assert len(calls) == 1
+        assert len(json.loads(explained.read_text())) == 25  # every test sample
+
+    def test_command_patched_after_a_first_call_runs(self, tmp_path, monkeypatch):
+        missing = str(tmp_path / "none.csv")
+        assert cli.main(["eval", "--scores", missing]) == cli.EXIT_USAGE
+        seen = []
+        monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args.scores) or cli.EXIT_OK)
+        assert cli.main(["eval", "--scores", missing]) == cli.EXIT_OK
+        assert seen == [missing]
+
+    def test_plain_run_after_a_config_run_has_builtin_defaults(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_synth", lambda args: seen.append(args) or cli.EXIT_OK)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n-inlier": 25, "seed": 7}))
+        assert cli.main(["--config", str(cfg), "synth"]) == cli.EXIT_OK
+        assert cli.main(["synth"]) == cli.EXIT_OK
+        assert [(a.n_inlier, a.seed) for a in seen] == [(25, 7), (SynthSpec.n_inlier, 0)]
+
+
 class TestTopLevel:
     def test_no_command_exit2(self):
         assert cli.main([]) == cli.EXIT_USAGE
@@ -939,3 +990,14 @@ class TestTopLevel:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == "[]"
+
+    def test_import_skips_scipy_linalg(self):
+        # only rulsif_fit needs it, and it costs every command ~30 ms of start-up
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); "
+            "import ratioscope.cli; print('scipy.linalg' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "False"

@@ -195,6 +195,18 @@ class TestRunBench:
         assert rows[0][2] is None
         assert caplog.text.count("kde failed") == 2
 
+    def test_one_pooled_median_heuristic_per_trial(self, monkeypatch):
+        # kde's inlier bandwidth plus one pooled bandwidth that osvm,
+        # kliep, ulsif and rulsif share; each of the four used to compute
+        # its own, 5 calls per trial
+        calls = []
+        real = harness.median_heuristic
+        monkeypatch.setattr(harness, "median_heuristic", lambda x: calls.append(x) or real(x))
+        _, _, n_failures = harness.run_bench(dims=[4], trials=2, methods=list(harness.METHODS),
+                                             seed=0, params=small_params(), threads=1)
+        assert n_failures == 0
+        assert len(calls) == 2 * 2
+
     def test_dump_scores(self, tmp_path):
         out_dir = tmp_path / "dump"
         harness.run_bench(

@@ -130,12 +130,12 @@ class TestExplain:
         pooled = pooled_with(1, 1, d=3)
         values = np.zeros((3, 2))
         values[:, 1] = [0.9, -0.1, 0.0]
-        e = explain(WeightMatrix(values=values), pooled, "b0", top_k=2)
+        e, = explain(WeightMatrix(values=values), pooled, ["b0"], top_k=2)
         assert e.ranked_features == (("f0", 0.9), ("f1", -0.1))
 
     def test_zero_column_index_tiebreak(self):
         pooled = pooled_with(1, 1, d=4)
-        e = explain(WeightMatrix(values=np.zeros((4, 2))), pooled, "a0", top_k=4)
+        e, = explain(WeightMatrix(values=np.zeros((4, 2))), pooled, ["a0"], top_k=4)
         assert [n for n, _ in e.ranked_features] == ["f0", "f1", "f2", "f3"]
         assert all(w == 0.0 for _, w in e.ranked_features)
 
@@ -143,6 +143,7 @@ class TestExplain:
         # explain used to rank with sorted() and the key (-|w_k|, k),
         # leaving out the intercept; the stable argsort must agree
         rng = np.random.default_rng(3)
+        shuffle = np.random.default_rng(4).permutation
         for d in (1, 2, 5, 12):
             # the intercept is the last feature, as `fit --intercept` appends it
             names = tuple(f"f{k}" for k in range(d)) + (CONST_FEATURE,)
@@ -151,20 +152,27 @@ class TestExplain:
             for _ in range(20):
                 # few distinct magnitudes, both signs and zeros: many ties
                 values = rng.integers(-2, 3, size=(d + 1, 5)) * 0.5
-                for col, sid in enumerate(pooled.sample_ids):
-                    w = values[:, col]
-                    real = [k for k in range(d + 1) if names[k] != CONST_FEATURE]
-                    for top_k in (1, 3, d + 1):
+                real = [k for k in range(d + 1) if names[k] != CONST_FEATURE]
+                for top_k in (1, 3, d + 1):
+                    oracle = {}
+                    for col, sid in enumerate(pooled.sample_ids):
+                        w = values[:, col]
                         order = sorted(real, key=lambda k: (-abs(w[k]), k))[:top_k]
-                        e = explain(WeightMatrix(values=values), pooled, sid, top_k)
-                        assert e.ranked_features == tuple((names[k], float(w[k])) for k in order)
+                        oracle[sid] = tuple((names[k], float(w[k])) for k in order)
+                        e, = explain(WeightMatrix(values=values), pooled, [sid], top_k)
+                        assert e.ranked_features == oracle[sid]
+                    # all ids in one call, shuffled: the same rankings in their order
+                    ids = [pooled.sample_ids[i] for i in shuffle(pooled.m)]
+                    together = explain(WeightMatrix(values=values), pooled, ids, top_k)
+                    assert [e.sample_id for e in together] == ids
+                    assert [e.ranked_features for e in together] == [oracle[s] for s in ids]
 
     def test_prefix_l1_bound(self):
         rng = np.random.default_rng(1)
         pooled = pooled_with(2, 3, d=6)
         values = rng.normal(size=(6, 5))
         for k in (1, 3, 6):
-            e = explain(WeightMatrix(values=values), pooled, "b1", top_k=k)
+            e, = explain(WeightMatrix(values=values), pooled, ["b1"], top_k=k)
             col = values[:, 3]  # b1 is pooled column 3
             assert sum(abs(w) for _, w in e.ranked_features) <= np.sum(np.abs(col)) + 1e-12
 
@@ -172,6 +180,7 @@ class TestExplain:
         # the score used to come from np.dot, which sums in another order
         # than ratio_score's einsum, so it could differ in the last bit
         rng = np.random.default_rng(2)
+        shuffle = np.random.default_rng(5).permutation
         for d in (1, 3, 10, 37, 100, 130):
             inl = make_dataset(rng.normal(size=(d, 9)), "a")
             pooled = pool(inl, make_dataset(rng.normal(size=(d, 7)), "b"))
@@ -179,17 +188,33 @@ class TestExplain:
             for which in ("test", "all"):
                 scores = ratio_score(W, pooled, which=which)
                 for sid, score in zip(scores.sample_ids, scores.scores):
-                    assert explain(W, pooled, sid, top_k=1).score == score
+                    assert explain(W, pooled, [sid], top_k=1)[0].score == score
+                # all ids in one call, shuffled, against the one-id calls
+                ids = [scores.sample_ids[i] for i in shuffle(len(scores.sample_ids))]
+                together = explain(W, pooled, ids, top_k=1)
+                assert [e.sample_id for e in together] == ids
+                assert [e.score for e in together] == [
+                    explain(W, pooled, [sid], top_k=1)[0].score for sid in ids
+                ]
 
     def test_unknown_sample(self):
         pooled = pooled_with(1, 1)
         with pytest.raises(InputError, match="no sample with id"):
-            explain(WeightMatrix(values=np.zeros((1, 2))), pooled, "nope", top_k=1)
+            explain(WeightMatrix(values=np.zeros((1, 2))), pooled, ["nope"], top_k=1)
+        # among known ids, the error names the unknown one
+        with pytest.raises(InputError, match="'nope'"):
+            explain(WeightMatrix(values=np.zeros((1, 2))), pooled, ["a0", "nope", "b0"], top_k=1)
+
+    def test_no_ids_no_explanations(self):
+        pooled = pooled_with(1, 1)
+        assert explain(WeightMatrix(values=np.zeros((1, 2))), pooled, [], top_k=1) == []
 
     def test_bad_top_k(self):
         pooled = pooled_with(1, 1)
         with pytest.raises(ValueError):
-            explain(WeightMatrix(values=np.zeros((1, 2))), pooled, "a0", top_k=0)
+            explain(WeightMatrix(values=np.zeros((1, 2))), pooled, ["a0"], top_k=0)
+        with pytest.raises(ValueError):
+            explain(WeightMatrix(values=np.zeros((1, 2))), pooled, ["a0", "b0"], top_k=-1)
 
 
 class TestScoresIo:
@@ -221,7 +246,7 @@ class TestScoresIo:
         pooled = pooled_with(1, 2, d=2)
         values = np.array([[0.0, 1.0, -2.0], [0.0, 0.5, 0.25]])
         W = WeightMatrix(values=values)
-        exps = [explain(W, pooled, sid, top_k=2) for sid in ("b0", "b1")]
+        exps = explain(W, pooled, ["b0", "b1"], top_k=2)
         path = tmp_path / "explanations.json"
         save_explanations_json(path, exps)
         doc = json.loads(path.read_text())

@@ -115,10 +115,10 @@ def explain(
     if top_k < 1:
         raise InputError("top_k must be at least 1")
     column = {sid: col for col, sid in enumerate(pooled.sample_ids)}
-    for sid in sample_ids:
-        if sid not in column:
-            raise InputError(f"no sample with id {sid!r}")
-    cols = np.array([column[sid] for sid in sample_ids], dtype=int)
+    try:
+        cols = np.array([column[sid] for sid in sample_ids], dtype=int)
+    except KeyError as exc:
+        raise InputError(f"no sample with id {exc.args[0]!r}") from None
     names = pooled.feature_names
     real = np.array([k for k, name in enumerate(names) if name != CONST_FEATURE], dtype=int)
     # a stable sort keeps equal |weights| in feature order
@@ -129,7 +129,7 @@ def explain(
     return [
         Explanation(
             sample_id=sid,
-            ranked_features=tuple(zip((names[k] for k in ks), ws)),
+            ranked_features=tuple((names[k], w) for k, w in zip(ks, ws)),
             score=score,
         )
         for sid, ks, ws, score in zip(sample_ids, order.tolist(), top, scores.tolist())

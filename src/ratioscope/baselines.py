@@ -216,11 +216,6 @@ def osvm_fit(samples: Dataset | PooledDataset, nu: float, sigma: float) -> Kerne
     )
 
 
-def osvm_dual_objective(model: KernelModel) -> float:
-    K = gauss_design(model.centers, model.centers, model.sigma2)
-    return 0.5 * float(model.alphas @ K @ model.alphas)
-
-
 # ---------------------------------------------------------------------------
 # l1-regularized logistic regression
 

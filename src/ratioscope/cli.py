@@ -317,14 +317,21 @@ def _default_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _config_prepass_parser() -> argparse.ArgumentParser:
+    """--config, then everything from the command on, unparsed; built on
+    first use and kept, as _default_parser is."""
+    parser = _config_parser()
+    parser.add_argument("command_and_flags", nargs=argparse.REMAINDER)
+    return parser
+
+
 def _read_config(argv) -> tuple[str | None, dict]:
     """First pass: find --config (--config PATH or --config=PATH) before
     the command and return the path and its JSON object with flag names
     turned into dests.  After the command, --config is left to the full
     parser, which rejects it."""
-    parser = _config_parser()
-    parser.add_argument("command_and_flags", nargs=argparse.REMAINDER)
-    path = parser.parse_known_args(argv)[0].config
+    path = _config_prepass_parser().parse_known_args(argv)[0].config
     if path is None:
         return None, {}
     config = read_json_object(path, "config file")

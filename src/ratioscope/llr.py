@@ -274,10 +274,15 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 # The inner solve keeps samples along the rows: W, V, X and Ce are
 # m x d arrays, so that sparse products with Cg stay contiguous.
 
-def _penalty_hessp(V, Cg, Ce, hp):
-    """Hessian P of the quadratic penalties times V, also their gradient at V."""
-    out = 2.0 * hp.lambda2 * Ce * V
-    out += 2.0 * hp.lambda1 * (Cg @ V)
+def _penalty_hessp(V, Cg, Ce2, hp):
+    """Hessian P of the quadratic penalties times V, also their gradient
+    at V, given Ce2 = (2 lambda2) Ce: P V = Ce2 * V + 2 lambda1 Cg V."""
+    out = Ce2 * V
+    # scaling the product, not Cg: ((2 lambda1) Cg) V rounds differently,
+    # and the moved bits turn one regression fit into NonDecrease
+    CgV = Cg @ V
+    CgV *= 2.0 * hp.lambda1
+    out += CgV
     return out
 
 
@@ -288,12 +293,37 @@ def _surrogate_grad(X, y, z, g_pen):
     return (-y * sig)[:, None] * X + g_pen, sig
 
 
-def _hessp(V, X, c, Cg, Ce, hp):
+def _hessp(V, X, c, Cg, Ce2, hp):
     """(H V, P V): the surrogate Hessian times V, c_i (x_i.v_i) x_i +
     P V with c_i = s_i (1 - s_i) the logistic curvature, and the
-    penalty part P V = 2 lambda1 Cg V + 2 lambda2 Ce * V on its own."""
-    PV = _penalty_hessp(V, Cg, Ce, hp)
-    return (c * np.einsum("ik,ik->i", X, V))[:, None] * X + PV, PV
+    penalty part P V = 2 lambda1 Cg V + Ce2 * V on its own, where
+    Ce2 = (2 lambda2) Ce."""
+    PV = _penalty_hessp(V, Cg, Ce2, hp)
+    HV = (c * np.einsum("ik,ik->i", X, V))[:, None] * X
+    HV += PV
+    return HV, PV
+
+
+def _block_preconditioner(X, Cg, Ce2, hp):
+    """solve_inner's block preconditioner as a function of the logistic
+    curvature c, returning R -> M^-1 R with M_i = D_i + c_i x_i x_i^T,
+    D = diag(2 lambda1 Cg_ii + Ce2_i), by Sherman-Morrison.  D^-1,
+    U = D^-1 X and x_i.u_i do not depend on c, so a solve forms them once."""
+    Dinv = 1.0 / np.maximum(2.0 * hp.lambda1 * Cg.diagonal()[:, None] + Ce2, 1e-12)
+    U = Dinv * X
+    XU = np.einsum("ik,ik->i", X, U)
+
+    def at(c):
+        coef = c / (1.0 + c * XU)
+
+        def precond(R):
+            out = Dinv * R
+            out -= U * (coef * np.einsum("ik,ik->i", U, R))[:, None]
+            return out
+
+        return precond
+
+    return at
 
 
 def _logistic_change(z, sig, tdz):
@@ -324,7 +354,7 @@ def grad_Jtilde(
     _check_dims(Wv, pooled)
     X, y = pooled.features.T, pooled.labels
     z = y * np.einsum("ik,ik->i", X, Wv.T)
-    g, _ = _surrogate_grad(X, y, z, _penalty_hessp(Wv.T, Cg, Ce.T, hp))
+    g, _ = _surrogate_grad(X, y, z, _penalty_hessp(Wv.T, Cg, (2.0 * hp.lambda2) * Ce.T, hp))
     return np.ascontiguousarray(g.T)  # d x m in C order, as W.values is
 
 
@@ -381,14 +411,13 @@ def solve_inner(
     """
     X = np.ascontiguousarray(pooled.features.T)
     y = pooled.labels
-    Ce = np.ascontiguousarray(Ce.T)
-    Dinv = 1.0 / np.maximum(
-        2.0 * hp.lambda1 * Cg.diagonal()[:, None] + 2.0 * hp.lambda2 * Ce, 1e-12
-    )
+    # every penalty product scales Ce by 2 lambda2 first, so scale it once
+    Ce2 = (2.0 * hp.lambda2) * np.ascontiguousarray(Ce.T)
+    precond_at = _block_preconditioner(X, Cg, Ce2, hp)
 
     W = np.array(W0.values.T, order="C")
     z = y * np.einsum("ik,ik->i", X, W)
-    g_pen = _penalty_hessp(W, Cg, Ce, hp)
+    g_pen = _penalty_hessp(W, Cg, Ce2, hp)
     # the penalties are quadratic with gradient g_pen, so their value
     # is <W, g_pen> / 2
     f = float(np.sum(np.logaddexp(0.0, -z))) + 0.5 * _dot(W, g_pen)
@@ -410,14 +439,11 @@ def solve_inner(
                 " norm %.3g above its tolerance %.3g", it, gnorm, grad_tol)
             break
         c = sig * (1.0 - sig)
-        U = Dinv * X
-        coef = c / (1.0 + c * np.einsum("ik,ik->i", X, U))
-
-        def precond(R):
-            return Dinv * R - U * (coef * np.einsum("ik,ik->i", U, R))[:, None]
+        precond = precond_at(c)
 
         # truncated preconditioned CG on H p = -g, from p = 0, carrying
-        # Pp = P p along with p
+        # Pp = P p along with p.  The updates run in place and round as
+        # r - alpha Hq and q = pr + beta q do
         tol = max(min(0.5, math.sqrt(gnorm)) * gnorm, _CG_FLOOR * grad_tol)
         p = np.zeros_like(W)
         Pp = np.zeros_like(W)
@@ -425,23 +451,26 @@ def solve_inner(
         q = precond(r)
         rq = _dot(r, q)
         for _ in range(_INNER_MAX_ITERS):
-            Hq, Pq = _hessp(q, X, c, Cg, Ce, hp)
+            Hq, Pq = _hessp(q, X, c, Cg, Ce2, hp)
             qHq = _dot(q, Hq)
             if not qHq > 0:
                 break
             alpha = rq / qHq
             p += alpha * q
-            Pp += alpha * Pq
-            r -= alpha * Hq
+            Pq *= alpha
+            Pp += Pq
+            Hq *= alpha
+            r -= Hq
             if math.sqrt(_dot(r, r)) <= tol:
                 break
             pr = precond(r)
             rpr = _dot(r, pr)
-            q = pr + (rpr / rq) * q
+            q *= rpr / rq
+            q += pr
             rq = rpr
         if not p.any():
             p = precond(-g)
-            Pp = _penalty_hessp(p, Cg, Ce, hp)
+            Pp = _penalty_hessp(p, Cg, Ce2, hp)
 
         # Armijo backtracking on the surrogate change along p,
         #   (loss change, _logistic_change) + t lin + t^2 quad,

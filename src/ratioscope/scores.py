@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -188,14 +188,39 @@ def load_scores_csv(path) -> tuple[ScoreSet, tuple[str, ...] | None]:
     )
 
 
+# json's text for the floats whose repr is not JSON
+_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _JSON_NONFINITE.get(text, text)
+
+
 def save_explanations_json(path, explanations) -> None:
-    doc = [
-        {
-            "sample_id": e.sample_id,
-            "score": e.score,
-            "features": [{"name": n, "weight": w} for n, w in e.ranked_features],
-        }
-        for e in explanations
-    ]
+    """Write the explanations as a JSON list of {"sample_id", "score",
+    "features": [{"name", "weight"}, ...]} objects, byte for byte what
+    json.dump(doc, fh, indent=2) writes.  The text is formatted in one
+    pass, because json.dump with an indent runs the pure-Python encoder,
+    which costs several times what computing the explanations does.
+    Strings are escaped by json's own encode_basestring_ascii, each
+    feature name once, and floats are written by float.__repr__, with
+    json's NaN and Infinity."""
+    quoted = {}
+    items = []
+    for e in explanations:
+        features = []
+        for name, weight in e.ranked_features:
+            if name not in quoted:
+                quoted[name] = encode_basestring_ascii(name)
+            features.append(
+                f'      {{\n        "name": {quoted[name]},\n'
+                f'        "weight": {_json_float(weight)}\n      }}'
+            )
+        listed = "[\n" + ",\n".join(features) + "\n    ]" if features else "[]"
+        items.append(
+            f'  {{\n    "sample_id": {encode_basestring_ascii(e.sample_id)},\n'
+            f'    "score": {_json_float(e.score)},\n    "features": {listed}\n  }}'
+        )
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        fh.write("[\n" + ",\n".join(items) + "\n]" if items else "[]")

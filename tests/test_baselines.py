@@ -15,7 +15,6 @@ from ratioscope.baselines import (
     l1lr_score,
     l1lr_subgrad_residual,
     lof_score,
-    osvm_dual_objective,
     osvm_fit,
     project_box_simplex,
     rulsif_fit,
@@ -190,6 +189,12 @@ def projected_gradient_osvm(data, nu, sigma, iters=5000):
     for _ in range(iters):
         alpha = project_box_simplex(alpha - step * (K @ alpha), c)
     return KernelModel(centers=data.features, alphas=alpha, sigma2=sigma**2)
+
+
+def osvm_dual_objective(model):
+    """The OSVM dual objective alpha^T K alpha / 2 of a fitted model."""
+    K = gauss_design(model.centers, model.centers, model.sigma2)
+    return 0.5 * float(model.alphas @ K @ model.alphas)
 
 
 def osvm_kkt_residual(model, nu):

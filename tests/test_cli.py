@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, file outputs, config handling,
 and cross-command consistency (score -> eval round trips)."""
 
+import argparse
 import contextlib
 import copy
 import io
@@ -376,9 +377,13 @@ class TestScore:
             "--out", str(out), "--explain-top", "2",
         ])
         assert code == cli.EXIT_OK
-        doc = json.loads((tmp_path / "scores_explanations.json").read_text())
+        text = (tmp_path / "scores_explanations.json").read_text()
+        doc = json.loads(text)
         assert len(doc) == 25
         assert all(len(e["features"]) == 2 for e in doc)
+        # json reads back every float and string exactly, so the text is
+        # what json.dump(doc, fh, indent=2) writes
+        assert text == json.dumps(doc, indent=2)
 
     def test_intercept_explanations_list_real_features(self, tmp_path):
         # the intercept used to take one of the k places and was then
@@ -864,9 +869,11 @@ class TestConfig:
         cfg = tmp_path / "cfg.json"
         if exists:
             cfg.write_text(json.dumps({"n-inlier": 25}))
-        code = cli.main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path)])
-        assert code == cli.EXIT_USAGE
-        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        # twice, the second time with the pre-pass parser already built
+        for _ in range(2):
+            code = cli.main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path)])
+            assert code == cli.EXIT_USAGE
+            assert_one_error(capsys, "unrecognized arguments: --config")
 
     @pytest.mark.parametrize("doc, key", [
         # the first two used to end in a TypeError traceback
@@ -970,6 +977,38 @@ class TestOneParserPerProcess:
         assert cli.main(["--config", str(cfg), "synth"]) == cli.EXIT_OK
         assert cli.main(["synth"]) == cli.EXIT_OK
         assert [(a.n_inlier, a.seed) for a in seen] == [(25, 7), (SynthSpec.n_inlier, 0)]
+
+    def test_consecutive_config_files_each_give_their_own_values(self, tmp_path, monkeypatch):
+        # the pre-pass parser is shared, so it must keep no value of a config
+        seen = []
+        monkeypatch.setattr(cli, "cmd_synth", lambda args: seen.append(args) or cli.EXIT_OK)
+        for name, doc in (("a.json", {"n-inlier": 25, "seed": 7}), ("b.json", {"d": 4})):
+            (tmp_path / name).write_text(json.dumps(doc))
+            assert cli.main(["--config", str(tmp_path / name), "synth"]) == cli.EXIT_OK
+        assert [(a.n_inlier, a.seed, a.d) for a in seen] == [(25, 7, 10), (SynthSpec.n_inlier, 0, 4)]
+
+    def test_no_parser_built_after_a_first_call(self, workspace, tmp_path, monkeypatch):
+        pair = ["--inliers", str(workspace / "inliers.csv"), "--test", str(workspace / "test.csv")]
+        argvs = [
+            ["fit", *pair, "--out", str(tmp_path / "m.json"), "--max-outer", "2"],
+            ["score", "--model", str(tmp_path / "m.json"), *pair, "--out",
+             str(tmp_path / "s.csv"), "--explain-top", "2"],
+            ["eval", "--scores", str(tmp_path / "s.csv")],
+        ]
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self))
+            real_init(self, *args, **kwargs)
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in argvs:
+                assert cli.main(argv) == cli.EXIT_OK
+            monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+            for argv in argvs:
+                assert cli.main(argv) == cli.EXIT_OK
+        assert built == []
 
 
 class TestTopLevel:

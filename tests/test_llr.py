@@ -315,11 +315,47 @@ class TestGrad:
             _, sig = _surrogate_grad(X, y, y * np.einsum("ik,ik->i", X, W.values.T), 0.0)
             for _ in range(3):
                 V = rng.normal(size=W.values.shape)
-                Hv = _hessp(V.T, X, sig * (1.0 - sig), Cg, Ce.T, hp)[0].T
+                Hv = _hessp(V.T, X, sig * (1.0 - sig), Cg, (2.0 * lam2) * Ce.T, hp)[0].T
                 gp = grad_Jtilde(WeightMatrix(values=W.values + step * V), Cg, Ce, pooled, hp)
                 gm = grad_Jtilde(WeightMatrix(values=W.values - step * V), Cg, Ce, pooled, hp)
                 fd = (gp - gm) / (2 * step)
                 assert np.linalg.norm(Hv - fd) <= 1e-6 * max(1.0, np.linalg.norm(Hv))
+
+    @pytest.mark.parametrize("lam1, lam2", itertools.product((0.0, 0.1, 1.0), repeat=2))
+    def test_solver_products_match_the_unscaled_expressions(self, lam1, lam2):
+        # solve_inner scales Ce by 2 lambda2 and forms the preconditioner's
+        # D^-1, U = D^-1 X and X.U once per solve; the expressions it ran
+        # before, from the unscaled Ce, are the bitwise reference
+        def reference_hessp(V, X, c, Cg, Ce, hp):
+            PV = 2.0 * hp.lambda2 * Ce * V
+            PV += 2.0 * hp.lambda1 * (Cg @ V)
+            return (c * np.einsum("ik,ik->i", X, V))[:, None] * X + PV, PV
+
+        def reference_precond(R, X, c, Cg, Ce, hp):
+            Dinv = 1.0 / np.maximum(
+                2.0 * hp.lambda1 * Cg.diagonal()[:, None] + 2.0 * hp.lambda2 * Ce, 1e-12
+            )
+            U = Dinv * X
+            coef = c / (1.0 + c * np.einsum("ik,ik->i", X, U))
+            return Dinv * R - U * (coef * np.einsum("ik,ik->i", U, R))[:, None]
+
+        rng = np.random.default_rng(31)
+        hp = LlrHyperparams(lambda1=lam1, lambda2=lam2)
+        for _ in range(3):
+            pooled, graph = random_instance(rng)
+            A = llr.anchor(WeightMatrix(values=rng.normal(size=pooled.features.shape)),
+                           graph, hp.epsilon)
+            Cg, Ce = majorizer_Cg(A), np.ascontiguousarray(majorizer_Ce(A).T)
+            X = np.ascontiguousarray(pooled.features.T)
+            c = expit(rng.normal(size=pooled.m)) * expit(rng.normal(size=pooled.m))
+            Ce2 = (2.0 * lam2) * Ce
+            precond = llr._block_preconditioner(X, Cg, Ce2, hp)(c)
+            for _ in range(3):
+                V = rng.normal(size=X.shape)
+                for got, want in zip(_hessp(V, X, c, Cg, Ce2, hp),
+                                     reference_hessp(V, X, c, Cg, Ce, hp)):
+                    assert np.array_equal(got, want)
+                assert np.array_equal(precond(V), reference_precond(V, X, c, Cg, Ce, hp))
 
     def test_small_gradient_at_inner_solution(self):
         rng = np.random.default_rng(10)

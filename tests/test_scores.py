@@ -1,7 +1,10 @@
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset
 from ratioscope.data import Dataset, pool
@@ -9,6 +12,7 @@ from ratioscope.errors import InputError
 from ratioscope.llr import WeightMatrix
 from ratioscope.scores import (
     CONST_FEATURE,
+    Explanation,
     ScoreSet,
     detect,
     explain,
@@ -253,3 +257,37 @@ class TestScoresIo:
         assert [e["sample_id"] for e in doc] == ["b0", "b1"]
         assert doc[1]["features"][0] == {"name": "f0", "weight": -2.0}
         assert doc[0]["score"] == pytest.approx(exps[0].score)
+
+    # names repeat across explanations, as feature names do, and include
+    # quotes, backslashes, control and non-ASCII characters
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.builds(
+        Explanation,
+        sample_id=st.text(),
+        ranked_features=st.lists(
+            st.tuples(st.sampled_from(["f1", 'q"\\', "\x00\t\n\x1f\x7f", "é ü", "\u2028🙂"])
+                      | st.text(), st.floats()),
+            max_size=5,
+        ).map(tuple),
+        score=st.floats(),
+    ), max_size=5))
+    @example([])
+    @example([Explanation("te-\"é\"\n", (), -0.0)])
+    @example([Explanation("a", (("f1", 5e-324), ("f1", -0.0), ("\u00e9", 1.7976931348623157e308)),
+                          -1.7976931348623157e308),
+              Explanation("b", (("\x01", float("inf")), ("\ud800", float("nan"))), 1e-300)])
+    def test_explanations_json_bytes_equal_json_dump(self, tmp_path_factory, explanations):
+        # the one-pass writer against json.dump of the same document
+        doc = [
+            {
+                "sample_id": e.sample_id,
+                "score": e.score,
+                "features": [{"name": n, "weight": w} for n, w in e.ranked_features],
+            }
+            for e in explanations
+        ]
+        oracle = io.StringIO()
+        json.dump(doc, oracle, indent=2)
+        path = tmp_path_factory.getbasetemp() / "explanations_property.json"
+        save_explanations_json(path, explanations)
+        assert path.read_bytes() == oracle.getvalue().encode("utf-8")

@@ -1,5 +1,9 @@
 """Inlier-based outlier detection via localized logistic regression
-density-ratio estimation, with per-sample feature attribution."""
+density-ratio estimation, with per-sample feature attribution.
+
+Every scipy import sits in the function that calls it, so importing the
+package loads numpy alone, and the CLI's ``score`` and ``eval`` never
+load scipy."""
 
 from .data import (
     Dataset,

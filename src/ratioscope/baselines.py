@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
 from .data import Dataset, PooledDataset
 from .errors import InputError, SingularSystem, SolverFailure
@@ -69,6 +68,8 @@ def _subsample_centers(samples: np.ndarray, seed: int) -> np.ndarray:
 
 def kde_fit_score(inliers: Dataset, query: Dataset, sigma: float) -> ScoreSet:
     """Gaussian kernel density of each query point under the inliers."""
+    from scipy.special import logsumexp
+
     if sigma <= 0:
         raise InputError("sigma must be positive")
     if inliers.d != query.d:
@@ -220,6 +221,8 @@ def osvm_fit(samples: Dataset | PooledDataset, nu: float, sigma: float) -> Kerne
 # l1-regularized logistic regression
 
 def _lr_loss_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray):
+    from scipy.special import expit
+
     z = y * (X.T @ w)
     loss = float(np.sum(np.logaddexp(0.0, -z)))
     grad = X @ (-y * expit(-z))
@@ -379,7 +382,6 @@ def rulsif_fit(
     )
     h = phi_in.mean(axis=0)
     A = H + nu * np.eye(H.shape[0])
-    # imported here, its only use, so that the CLI's start-up skips it;
     # before the try, so that sla.LinAlgError is bound in the except
     import scipy.linalg as sla
 

@@ -4,7 +4,6 @@ per-trial AUCs (harness.py)."""
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from .data import LABEL_INLIER, LABEL_OUTLIER
 from .errors import InputError
@@ -64,6 +63,8 @@ def roc_auc(points: np.ndarray) -> float:
 
 def welch_ttest(a, b) -> float:
     """Two-sided p-value of Welch's t-test (Welch-Satterthwaite df)."""
+    from scipy.special import betainc
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if len(a) < 2 or len(b) < 2:
@@ -78,5 +79,5 @@ def welch_ttest(a, b) -> float:
         (va / len(a)) ** 2 / (len(a) - 1) + (vb / len(b)) ** 2 / (len(b) - 1)
     )
     # two-sided tail via the regularized incomplete beta
-    return float(special.betainc(df / 2.0, 0.5, df / (df + t * t)))
+    return float(betainc(df / 2.0, 0.5, df / (df + t * t)))
 

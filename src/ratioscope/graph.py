@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InputError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # knn_graph's sigma2 value for the squared median pairwise distance
 SIGMA2_AUTO = "auto"
@@ -18,6 +21,8 @@ def edge_list(M: sp.spmatrix):
     the E x m signed incidence matrix B0, +1 at i and -1 at j, and the
     entries v = M_ij.  Every ordered-pair sum over a symmetric graph is
     twice the sum over these edges."""
+    import scipy.sparse as sp
+
     upper = sp.triu(M, k=1, format="coo")
     E = upper.nnz
     B0 = sp.csr_matrix(
@@ -75,6 +80,8 @@ class SimilarityGraph:
         (i, i) and (j, j) and puts -a at (i, j) and (j, i).  bincount
         adds each diagonal sum in edge order, as the product B0^T
         (diag(a) B0) does, so the arrays are that product's bit for bit."""
+        import scipy.sparse as sp
+
         indices, indptr, slots = self.pattern
         entries = (a[:, None] * _LAPLACIAN_SIGNS).ravel()
         data = np.bincount(slots, weights=entries, minlength=len(indices))
@@ -94,9 +101,19 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _median_dist(d2: np.ndarray) -> float:
-    """Median of sqrt(d2) over the pairs i < j of a squared-distance matrix."""
-    iu = np.triu_indices(d2.shape[0], k=1)
-    med = float(np.median(np.sqrt(d2[iu])))
+    """Median of sqrt(d2) over the pairs i < j of a squared-distance
+    matrix, np.median(np.sqrt(...)) bit for bit.  sqrt is monotone and
+    correctly rounded, so the middle order statistics of the squared
+    distances are the roots of the distances' middle ones, and only those
+    are rooted.  As in np.median, an even count averages the middle two
+    and any NaN distance, which sorts last, gives NaN.  One partition
+    point: np.partition at several is about ten times slower."""
+    idx = np.arange(d2.shape[0])
+    sq = d2[idx[:, None] < idx]
+    half = sq.size // 2
+    part = np.partition(sq, half)
+    mid = [part[half]] if sq.size % 2 else [part[:half].max(), part[half]]
+    med = float("nan") if np.isnan(part[half:].max()) else float(np.sqrt(mid).mean())
     if med == 0.0:
         raise InputError("median pairwise distance is zero (all points coincide)")
     return med
@@ -134,6 +151,8 @@ def knn_graph(data: np.ndarray, K: int, sigma2: float | str) -> SimilarityGraph:
     sigma2 = SIGMA2_AUTO takes median_heuristic(data) ** 2 from the
     distances the graph is built from; the graph records the value.
     """
+    import scipy.sparse as sp
+
     data = np.asarray(data, dtype=float)
     m = data.shape[1]
     if K <= 0 or K >= m:

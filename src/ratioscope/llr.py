@@ -64,16 +64,18 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit, log_expit
 
 from .data import Dataset, PooledDataset, StandardizationStats, pool, read_json_object
 from .errors import InputError, LineSearchFailure, NonDecrease
 # median_heuristic is unused here but stays importable as
 # llr.median_heuristic, where ratiobench's tracer looks it up
 from .graph import SIGMA2_AUTO, SimilarityGraph, edge_list, knn_graph, median_heuristic  # noqa: F401
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # fit_pooled's inner solves stop at this fraction of the anchor's
 # surrogate gradient norm.  Relative gap of the final J above a tight
@@ -289,6 +291,8 @@ def _penalty_hessp(V, Cg, Ce2, hp):
 def _surrogate_grad(X, y, z, g_pen):
     """(gradient, sigma(-z)) of the surrogate at W from z_i = y_i x_i.w_i
     and the penalty gradient g_pen = P W."""
+    from scipy.special import expit
+
     sig = expit(-z)
     return (-y * sig)[:, None] * X + g_pen, sig
 
@@ -338,6 +342,8 @@ def _logistic_change(z, sig, tdz):
     terms = np.log1p(np.maximum(u, -0.5))
     far = u < -0.5
     if far.any():
+        from scipy.special import log_expit
+
         zf = z[far]
         terms[far] = np.logaddexp(log_expit(zf), log_expit(-zf) - tdz[far])
     return float(np.sum(terms))
@@ -537,6 +543,8 @@ def _start(pooled: PooledDataset, hp: LlrHyperparams, graph: SimilarityGraph):
     point comes from one exact solve_inner from W = 0 with a zero
     Laplacian and majorizer_Ce at W = 0, through the module attributes
     that a tracer wraps."""
+    import scipy.sparse as sp
+
     A = anchor(WeightMatrix(values=np.zeros_like(pooled.features)), graph, hp.epsilon)
     J = objective_J(A, pooled, hp)
     if hp.lambda2 > 0:

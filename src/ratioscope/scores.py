@@ -5,13 +5,16 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import LABEL_INLIER, LABEL_OUTLIER, PooledDataset
 from .data import parse_float, parse_label, read_csv_rows
 from .errors import InputError
-from .llr import WeightMatrix
+
+if TYPE_CHECKING:
+    from .llr import WeightMatrix
 
 EXP_CLAMP = 500.0
 # name of the constant feature that `fit --intercept` appends

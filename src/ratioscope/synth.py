@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import LABEL_INLIER, LABEL_OUTLIER, Dataset
 from .errors import InputError
@@ -44,6 +43,8 @@ class SynthSpec:
 def _normals(shape, seed: int, role: int, trial: int) -> np.ndarray:
     """Standard normals from a counter-based Philox stream keyed by
     (seed, role, trial); variates via the inverse Gaussian CDF."""
+    from scipy.special import ndtri
+
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(role, trial))
     rng = np.random.Generator(np.random.Philox(seed=ss))
     u = rng.random(size=shape)

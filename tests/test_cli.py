@@ -1018,25 +1018,56 @@ class TestTopLevel:
     def test_help_exit0(self):
         assert cli.main(["--help"]) == cli.EXIT_OK
 
-    def test_import_skips_scipy_optimize_and_stats(self):
-        # each costs every command about half a second of start-up
+    @staticmethod
+    def run_fresh(steps, cwd):
+        """Run each argv list through cli.main in one fresh interpreter,
+        after importing ratioscope and then ratioscope.cli; the scipy
+        modules loaded after each import, and the exit code and scipy
+        modules after each step."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         code = (
-            f"import sys; sys.path.insert(0, {src!r}); "
-            "import ratioscope.cli, ratioscope.harness; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))"
+            f"import contextlib, io, json, sys; sys.path.insert(0, {src!r})\n"
+            "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import ratioscope; seen = [loaded()]\n"
+            "from ratioscope import cli; seen.append(loaded())\n"
+            f"for argv in {steps!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        seen.append([cli.main(argv), loaded()])\n"
+            "print(json.dumps(seen))\n"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True).stdout
-        assert out.strip() == "[]"
+                             text=True, check=True, cwd=cwd).stdout
+        return json.loads(out)
 
-    def test_import_skips_scipy_linalg(self):
-        # only rulsif_fit needs it, and it costs every command ~30 ms of start-up
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        code = (
-            f"import sys; sys.path.insert(0, {src!r}); "
-            "import ratioscope.cli; print('scipy.linalg' in sys.modules)"
-        )
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True).stdout
-        assert out.strip() == "False"
+    def test_import_score_and_eval_load_no_scipy(self, workspace, tmp_path):
+        # scipy.special alone costs every command that loads it ~0.12 s
+        # of start-up, and scipy.optimize and scipy.stats ~0.5 s; only
+        # synth, fit and bench call scipy
+        ws = workspace
+        pair = ["--inliers", str(ws / "inliers.csv"), "--test", str(ws / "test.csv")]
+        seen = self.run_fresh([
+            ["score", "--model", str(ws / "model.json"), *pair, "--out", "scores.csv",
+             "--explain-top", "2"],
+            ["eval", "--scores", "scores.csv", "--out", "roc.csv"],
+            ["fit", *pair, "--out", "model.json", "--max-outer", "30"],
+        ], cwd=tmp_path)
+        assert seen[:4] == [[], [], [cli.EXIT_OK, []], [cli.EXIT_OK, []]]
+        assert (tmp_path / "scores_explanations.json").is_file()
+        code, fit_loaded = seen[4]
+        assert code == cli.EXIT_OK
+        assert {"scipy.sparse", "scipy.special"} <= set(fit_loaded)
+
+    def test_first_scipy_imports_in_bench_threads_give_the_same_bytes(self, tmp_path):
+        # in a fresh interpreter the pool threads import scipy themselves,
+        # which criterion 12 (scipy already loaded) never exercises
+        bench = ["bench", "--methods", "llr,kde,lof,osvm,l1lr,kliep,ulsif,rulsif",
+                 "--dims", "10", "--trials", "1"]
+        seen = self.run_fresh([bench + ["--threads", "2", "--out", "fresh.json"]], cwd=tmp_path)
+        assert seen[1] == []
+        code, bench_loaded = seen[2]
+        assert code == cli.EXIT_OK
+        assert {"scipy.linalg", "scipy.sparse", "scipy.special"} <= set(bench_loaded)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(bench + ["--threads", "1", "--out", str(tmp_path / "serial.json")])
+        assert code == cli.EXIT_OK
+        assert (tmp_path / "fresh.json").read_bytes() == (tmp_path / "serial.json").read_bytes()

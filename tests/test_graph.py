@@ -37,6 +37,32 @@ class TestMedianHeuristic:
                 dists.append(float(np.linalg.norm(X[:, i] - X[:, j])))
         assert median_heuristic(X) == pytest.approx(np.median(dists), abs=1e-12)
 
+    @pytest.mark.parametrize("m", range(2, 12))
+    def test_median_dist_equals_the_np_median_of_roots(self, m):
+        # m = 4, 5, 8, 9 give even pair counts; the integer grids tie
+        # distances, and repeated columns put ties at zero
+        rng = np.random.default_rng(m)
+        cases = [
+            rng.normal(size=(3, m)),
+            rng.integers(0, 3, size=(2, m)).astype(float),
+            rng.normal(size=(4, m))[:, rng.integers(0, max(m // 2, 2), size=m)],
+        ]
+        for X in cases:
+            d2 = pairwise_sq_dists(X, X)
+            expected = float(np.median(np.sqrt(d2[np.triu_indices(m, k=1)])))
+            if expected == 0.0:
+                with pytest.raises(InputError, match="coincide"):
+                    graph_module._median_dist(d2)
+            else:
+                assert graph_module._median_dist(d2).hex() == expected.hex()
+
+    def test_median_dist_of_a_nan_distance_is_nan(self):
+        X = np.array([[0.0, 1.0, 3.0, 4.0]])
+        d2 = pairwise_sq_dists(X, X)
+        d2[0, 3] = np.nan
+        assert np.isnan(np.median(np.sqrt(d2[np.triu_indices(4, k=1)])))
+        assert np.isnan(graph_module._median_dist(d2))
+
     def test_degenerate(self):
         with pytest.raises(InputError, match="coincide"):
             median_heuristic(np.ones((2, 4)))

@@ -1018,6 +1018,29 @@ class TestTopLevel:
     def test_help_exit0(self):
         assert cli.main(["--help"]) == cli.EXIT_OK
 
+    def test_import_skips_scipy_optimize_and_stats(self):
+        # each costs every command about half a second of start-up
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); "
+            "import ratioscope.cli, ratioscope.harness; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
+
+    def test_import_skips_scipy_linalg(self):
+        # only rulsif_fit needs it, and it costs every command ~30 ms of start-up
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); "
+            "import ratioscope.cli; print('scipy.linalg' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "False"
+
     @staticmethod
     def run_fresh(steps, cwd):
         """Run each argv list through cli.main in one fresh interpreter,

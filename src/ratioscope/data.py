@@ -253,13 +253,22 @@ def load_csv(path, id_prefix: str = "") -> tuple[Dataset, list[str] | None]:
 
 
 def save_csv(path, data: Dataset, labels=None) -> None:
-    """Write a dataset as CSV, one sample per row, optional label column."""
+    """Write a dataset as CSV, one sample per row, optional label column
+    of one inlier/outlier label per sample."""
+    if labels is not None:
+        if len(labels) != data.m:
+            raise InputError(f"{len(labels)} labels for {data.m} samples")
+        for label in labels:
+            if label not in (LABEL_INLIER, LABEL_OUTLIER):
+                raise InputError(
+                    f"label {label!r}, expected {LABEL_INLIER!r} or {LABEL_OUTLIER!r}"
+                )
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
         header = list(data.feature_names) + (["label"] if labels is not None else [])
-        writer.writerow(header)
-        for i in range(data.m):
-            row = [repr(float(v)) for v in data.features[:, i]]
-            if labels is not None:
-                row.append(labels[i])
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        # the csv module's rows, unquoted: the repr of a finite float and
+        # the two labels hold no delimiter, quote or line break; one row
+        # of Python floats at a time, so no copy of the matrix is held
+        ends = ["\r\n"] * data.m if labels is None else [f",{label}\r\n" for label in labels]
+        fh.writelines(",".join(map(repr, row.tolist())) + end
+                      for row, end in zip(data.features.T, ends))

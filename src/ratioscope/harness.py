@@ -182,6 +182,8 @@ def run_bench(
             raise InputError(f"unknown method {method!r}; choose from {METHODS}")
     if trials < 1 or not dims or not methods:
         raise InputError("a bench run needs at least one trial, dimension and method")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     params = {**DEFAULT_PARAMS, **(params or {})}
     # the checks the fits themselves run, once for the whole sweep
     llr.LlrHyperparams(**{name: params[name] for name in LLR_PARAMS})

@@ -25,6 +25,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
         if self.d < 2:
             raise InputError("d must be at least 2 (the mean shift uses two features)")
         if min(self.n_inlier, self.n_test_inlier, self.n_test_outlier) < 1:
@@ -62,6 +64,8 @@ def generate(spec: SynthSpec, trial: int = 0):
     Inliers and test inliers are N(0, I); test outliers are N(mu, I).
     Output is fully determined by (spec.seed, trial).
     """
+    if trial < 0:
+        raise InputError(f"trial must be non-negative, got {trial}")
     names = feature_names(spec.d)
     inl = _normals((spec.d, spec.n_inlier), spec.seed, _ROLE_INLIER, trial)
     test_in = _normals((spec.d, spec.n_test_inlier), spec.seed, _ROLE_TEST_INLIER, trial)

@@ -75,6 +75,17 @@ class TestSynth:
         assert (args.n_inlier, args.n_test_inlier, args.n_outlier) == (
             SynthSpec.n_inlier, SynthSpec.n_test_inlier, SynthSpec.n_test_outlier)
 
+    @pytest.mark.parametrize("argv, name", [
+        (["synth", "--trial", "-1", "--out-dir"], "trial"),
+        (["synth", "--seed", "-1", "--out-dir"], "seed"),
+        (["bench", "--methods", "kde", "--dims", "4", "--trials", "1", "--seed", "-1", "--out"],
+         "seed"),
+    ])
+    def test_negative_seed_or_trial_exit2(self, tmp_path, capsys, argv, name):
+        # each used to exit 2 as "expected non-negative integer", from numpy
+        assert cli.main(argv + [str(tmp_path / "out")]) == cli.EXIT_USAGE
+        assert_one_error(capsys, f"{name} must be non-negative", "-1")
+
     def test_test_csv_has_label_column(self, tmp_path):
         cli.main(["synth", "--d", "4", "--out-dir", str(tmp_path)])
         header = read_lines(tmp_path / "test.csv")[0].split(",")

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -147,6 +150,42 @@ def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "d.csv"
 
 
+def reference_csv_bytes(data, labels=None):
+    """What save_csv wrote through csv.writer, row by row; its output
+    must stay byte-identical to this."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(list(data.feature_names) + (["label"] if labels is not None else []))
+    for i in range(data.m):
+        row = [repr(float(v)) for v in data.features[:, i]]
+        if labels is not None:
+            row.append(labels[i])
+        writer.writerow(row)
+    return fh.getvalue().encode("utf-8")
+
+
+# the edge cases of float repr: signed zero, the smallest subnormal, the
+# switches to and from exponent notation, and the largest finite floats
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 1e-4, 1.7976931348623157e308,
+               -1.7976931348623157e308]
+CSV_FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+# names that csv.writer has to quote, or that are not ASCII
+FEATURE_NAMES = st.text(max_size=6) | st.sampled_from(
+    ["a,b", 'q"t', "line\nbreak", "cr\rname", " sp ", "é", "µ,\"", ""])
+
+
+@st.composite
+def csv_datasets(draw):
+    d, m = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    features = np.array(draw(st.lists(CSV_FLOATS, min_size=d * m, max_size=d * m))).reshape(d, m)
+    names = draw(st.lists(FEATURE_NAMES, min_size=d, max_size=d))
+    data = Dataset(features=features, feature_names=names,
+                   sample_ids=tuple(f"s{i}" for i in range(m)))
+    labels = draw(st.none() | st.lists(st.sampled_from(["inlier", "outlier"]),
+                                       min_size=m, max_size=m))
+    return data, labels
+
+
 class TestCsv:
     @settings(max_examples=100, deadline=None)
     @given(csv_texts(["f0,f1", "f0,f1,label"], rows=CSV_ROWS | FEATURE_ROWS | FEATURE_ROWS)
@@ -176,6 +215,25 @@ class TestCsv:
         assert np.array_equal(loaded.features, data.features)
         assert loaded.feature_names == data.feature_names
         assert labels == ["inlier", "inlier", "outlier", "inlier"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(csv_datasets())
+    def test_save_csv_bytes_equal_the_csv_writer_reference(self, fuzz_path, case):
+        data, labels = case
+        save_csv(fuzz_path, data, labels=labels)
+        assert fuzz_path.read_bytes() == reference_csv_bytes(data, labels)
+
+    @pytest.mark.parametrize("labels", [["inlier"], ["inlier"] * 3])
+    def test_save_csv_label_count_must_match(self, tmp_path, labels):
+        # a short list used to raise IndexError, a long one lost its tail
+        with pytest.raises(InputError, match=f"{len(labels)} labels for 2 samples"):
+            save_csv(tmp_path / "d.csv", make_dataset([[1.0, 2.0]]), labels=labels)
+
+    @pytest.mark.parametrize("label", ["Outlier", "in,lier", 1])
+    def test_save_csv_unknown_label(self, tmp_path, label):
+        # used to write a file that load_csv rejects
+        with pytest.raises(InputError, match=f"label {label!r}, expected 'inlier' or 'outlier'"):
+            save_csv(tmp_path / "d.csv", make_dataset([[1.0, 2.0]]), labels=["inlier", label])
 
     def test_unknown_label_names_file_row_and_value(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -172,6 +172,15 @@ class TestRunBench:
                               params=small_params(**bad), threads=1)
         assert calls == []
 
+    def test_negative_seed_raises_before_any_trial(self, monkeypatch):
+        # used to fail inside a pool thread, in numpy's SeedSequence
+        calls = []
+        monkeypatch.setattr(harness, "generate", lambda *a, **k: calls.append(a))
+        with pytest.raises(InputError, match="seed must be non-negative, got -1"):
+            harness.run_bench(dims=[4], trials=2, methods=["kde"], seed=-1,
+                              params=small_params(), threads=1)
+        assert calls == []
+
     def test_failure_records_null_and_continues(self, caplog):
         # constant features make the median distance heuristic degenerate,
         # so kde fails per-trial while lof (pure ranks of zero distances) may too;

@@ -15,7 +15,7 @@ from .data import (
 )
 from .evaluation import auc, roc_curve, welch_ttest
 from .graph import SimilarityGraph, knn_graph, median_heuristic
-from .llr import FitResult, LlrHyperparams, WeightMatrix, fit, fit_pooled
+from .llr import FitResult, LlrHyperparams, WeightMatrix, fit_pooled
 from .scores import Explanation, ScoreSet, detect, explain, ratio_score
 from .synth import SynthSpec, generate
 
@@ -32,7 +32,6 @@ __all__ = [
     "FitResult",
     "LlrHyperparams",
     "WeightMatrix",
-    "fit",
     "fit_pooled",
     "ScoreSet",
     "Explanation",

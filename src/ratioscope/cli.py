@@ -166,7 +166,7 @@ def cmd_bench(args) -> int:
             raise InputError("benchmark dataset CSV needs a label column")
         dataset_name = args.dataset
     params = {**_params(args, _BENCH_FLAG_PARAMS), "standardize": not args.no_standardize}
-    doc, sweep_rows, n_failures = harness.run_bench(
+    doc = harness.run_bench(
         args.dims,
         args.trials,
         methods,
@@ -181,12 +181,14 @@ def cmd_bench(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
     sweep_path = args.sweep_csv or (os.path.splitext(args.out)[0] + "_sweep.csv")
+    n_failures = 0
     with open(sweep_path, "w", encoding="utf-8") as fh:
         fh.write("dim,method,mean_auc,std\n")
-        for dim, method, mean, std in sweep_rows:
-            mtxt = "" if mean is None else repr(mean)
-            stxt = "" if std is None else repr(std)
-            fh.write(f"{dim},{method},{mtxt},{stxt}\n")
+        for entry in doc["per_dim"]:
+            for m in entry["methods"]:
+                cells = ("" if v is None else repr(v) for v in (m["mean"], m["std"]))
+                fh.write(f"{entry['dim']},{m['name']},{','.join(cells)}\n")
+                n_failures += m["auc_values"].count(None)
     for entry in doc["per_dim"]:
         print(harness.format_table(entry))
     if n_failures:
@@ -239,20 +241,15 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def _config_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="ratioscope", add_help=False)
-    parser.add_argument("--config", help="JSON file of flag defaults")
-    return parser
-
-
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """The full CLI parser; ``defaults`` (dest -> value) override the
     built-in defaults of every subcommand."""
     parser = _Parser(
         prog="ratioscope",
         description="Inlier-based outlier detection with per-sample feature attribution",
-        parents=[_config_parser()],
     )
+    # before the command only: the subcommands do not know it
+    parser.add_argument("--config", help="JSON file of flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate synthetic inlier/test CSVs")
@@ -317,27 +314,6 @@ def _default_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-@functools.cache
-def _config_prepass_parser() -> argparse.ArgumentParser:
-    """--config, then everything from the command on, unparsed; built on
-    first use and kept, as _default_parser is."""
-    parser = _config_parser()
-    parser.add_argument("command_and_flags", nargs=argparse.REMAINDER)
-    return parser
-
-
-def _read_config(argv) -> tuple[str | None, dict]:
-    """First pass: find --config (--config PATH or --config=PATH) before
-    the command and return the path and its JSON object with flag names
-    turned into dests.  After the command, --config is left to the full
-    parser, which rejects it."""
-    path = _config_prepass_parser().parse_known_args(argv)[0].config
-    if path is None:
-        return None, {}
-    config = read_json_object(path, "config file")
-    return path, {k.replace("-", "_"): v for k, v in config.items()}
-
-
 def _config_default(path, key, value, parsed):
     """A config value as a flag default: true/false for a store_true
     flag (whose parsed value is a bool), otherwise a number or string
@@ -350,12 +326,16 @@ def _config_default(path, key, value, parsed):
 
 
 def _parse(argv):
-    path, config = _read_config(argv)
     args = _default_parser().parse_args(argv)
+    path = args.config
+    if path is None:
+        return args
     # second pass: config values become defaults of the chosen command's
     # own flags, so that explicit flags still win
+    config = read_json_object(path, "config file")
+    dests = ((k.replace("-", "_"), v) for k, v in config.items())
     own = {
-        k: _config_default(path, k, v, vars(args)[k]) for k, v in config.items()
+        k: _config_default(path, k, v, vars(args)[k]) for k, v in dests
         if k in vars(args) and k not in ("command", "config")
     }
     if not own:

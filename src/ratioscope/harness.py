@@ -173,9 +173,9 @@ def run_bench(
 ):
     """Run the (dim x trial x method) sweep and aggregate.
 
-    Returns (results_doc, sweep_rows, n_failures).  A bad parameter
-    raises before any trial runs; a method failing on a trial records
-    null for that AUC and processing continues.
+    Returns the results document.  A bad parameter raises before any
+    trial runs; a method failing on a trial records null for that AUC
+    and processing continues.
     """
     for method in methods:
         if method not in METHODS:
@@ -191,12 +191,14 @@ def run_bench(
     baselines.check_osvm_nu(params["osvm_nu"])
     baselines.check_l1lr_lambda(params["l1lr_lambda"])
     baselines.check_rulsif(params["rulsif_beta"], params["ulsif_nu"])
+    # each SynthSpec checks its dimension here rather than in a trial
+    specs = {dim: SynthSpec(d=dim, seed=seed) for dim in dims} if dataset is None else {}
     tasks = [(dim, trial) for dim in dims for trial in range(trials)]
 
     def run_one(task):
         dim, trial = task
         if dataset is None:
-            inliers, test, labels = generate(SynthSpec(d=dim, seed=seed), trial=trial)
+            inliers, test, labels = generate(specs[dim], trial=trial)
         else:
             inliers, test, labels = resplit_dataset(dataset, dataset_labels, 10, seed, trial)
         stats = fit_standardizer(inliers) if params["standardize"] else None
@@ -227,34 +229,31 @@ def run_bench(
     with ThreadPoolExecutor(max_workers=default_thread_count(threads)) as pool_:
         done = dict(zip(tasks, pool_.map(run_one, tasks)))
 
-    per_dim, sweep_rows, n_failures = [], [], 0
+    per_dim = []
     for dim in dims:
         entries, ok = [], {}
         for method in methods:
             values = [done[dim, trial][method] for trial in range(trials)]
             ok[method] = [v for v in values if v is not None]
-            n_failures += len(values) - len(ok[method])
             mean = std = None
             if ok[method]:
                 # sample std (m - 1 denominator), 0 for a single value
                 mean = float(np.mean(ok[method]))
                 std = float(np.std(ok[method], ddof=1)) if len(ok[method]) > 1 else 0.0
             entries.append({"name": method, "mean": mean, "std": std, "auc_values": values})
-            sweep_rows.append((dim, method, mean, std))
         pairwise = {
             f"{a}|{b}": welch_ttest(ok[a], ok[b])
             for i, a in enumerate(methods) for b in methods[i + 1 :]
             if len(ok[a]) >= 2 and len(ok[b]) >= 2
         }
         per_dim.append({"dim": dim, "methods": entries, "pairwise_p": pairwise})
-    doc = {
+    return {
         "dataset": dataset_name,
         "seed": seed,
         "trials": trials,
         "dims": list(dims),
         "per_dim": per_dim,
     }
-    return doc, sweep_rows, n_failures
 
 
 def format_table(per_dim_entry) -> str:

@@ -68,7 +68,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import Dataset, PooledDataset, StandardizationStats, pool, read_json_object
+from .data import PooledDataset, StandardizationStats, read_json_object
 from .errors import InputError, LineSearchFailure, NonDecrease
 # median_heuristic is unused here but stays importable as
 # llr.median_heuristic, where ratiobench's tracer looks it up
@@ -621,11 +621,6 @@ def fit_pooled(
         converged=converged,
         graph=graph,
     )
-
-
-def fit(inliers: Dataset, test: Dataset, hp: LlrHyperparams) -> FitResult:
-    """Pool the data, build the similarity graph, and fit the weights."""
-    return fit_pooled(pool(inliers, test), hp)
 
 
 def save_model(

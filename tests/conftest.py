@@ -17,6 +17,12 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def bench_failures(doc):
+    """The number of (dim, trial, method) runs a bench document records
+    as failed, i.e. its null AUCs."""
+    return sum(m["auc_values"].count(None) for e in doc["per_dim"] for m in e["methods"])
+
+
 def make_dataset(features, prefix="s"):
     features = np.asarray(features, dtype=float)
     return Dataset(

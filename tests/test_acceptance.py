@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import make_dataset, random_instance, standardized_pool
+from conftest import bench_failures, make_dataset, random_instance, standardized_pool
 from ratioscope import baselines, cli, harness, llr
 from ratioscope.data import pool
 from ratioscope.evaluation import auc, roc_auc, roc_curve
@@ -63,10 +63,10 @@ def solver_instances():
 
 @pytest.fixture(scope="module")
 def high_d_bench():
-    doc, _, n_failures = harness.run_bench(
+    doc = harness.run_bench(
         dims=[100], trials=20, methods=["llr", "ulsif", "l1lr"], seed=0, threads=8,
     )
-    assert n_failures == 0
+    assert bench_failures(doc) == 0
     return {m["name"]: m["mean"] for m in doc["per_dim"][0]["methods"]}
 
 
@@ -162,11 +162,11 @@ def test_criterion_05_low_dimensional_accuracy():
     # seed 0, package defaults (mean 0.9423, std 0.0427, min 0.8250,
     # 5th pct 0.8623); the 20-trial mean at these settings is 0.9457.
     t0 = time.perf_counter()
-    doc, _, n_failures = harness.run_bench(
+    doc = harness.run_bench(
         dims=[10], trials=20, methods=["llr"], seed=0, threads=8,
     )
     mean = doc["per_dim"][0]["methods"][0]["mean"]
-    ok = n_failures == 0 and mean >= 0.85 and time.perf_counter() - t0 <= 300
+    ok = bench_failures(doc) == 0 and mean >= 0.85 and time.perf_counter() - t0 <= 300
     report(5, f"d=10 mean AUC {mean:.4f} >= 0.85 over 20 trials", ok, t0)
 
 

@@ -698,7 +698,7 @@ class TestBench:
 
         def fake_run_bench(dims, trials, methods, seed, params, **_):
             seen.update(params)
-            return {"per_dim": []}, [], 0
+            return {"per_dim": []}
 
         monkeypatch.setattr(harness, "run_bench", fake_run_bench)
         monkeypatch.chdir(tmp_path)
@@ -761,6 +761,41 @@ class TestBench:
         code = cli.main(["bench", "--dims", "4,1x", "--out", str(tmp_path / "r.json")])
         assert code == cli.EXIT_USAGE
         assert_one_error(capsys, "--dims", "'4,1x'")
+
+    def test_bad_dim_exit2_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        # the d=4 trial used to run before the d=1 trial's SynthSpec raised
+        calls = []
+        monkeypatch.setattr(harness, "generate", lambda *a, **k: calls.append(a))
+        out = tmp_path / "r.json"
+        code = cli.main(["bench", "--methods", "kde", "--dims", "4,1", "--trials", "1",
+                         "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        assert_one_error(capsys, "d must be at least 2")
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_sweep_csv_is_the_results_document(self, tmp_path, capsys, failing):
+        argv = ["--dims", "4,6", "--trials", "3"]
+        if failing:  # constant features: kde fails on every trial
+            data = tmp_path / "const.csv"
+            data.write_text("f1,f2,label\n" + "0.0,0.0,inlier\n" * 20 + "0.0,0.0,outlier\n" * 12)
+            argv = ["--dims", "2", "--trials", "2", "--dataset", str(data)]
+        out = tmp_path / "r.json"
+        code = cli.main(["bench", "--methods", "kde,lof", "--lof-k", "3", "--seed", "0",
+                         "--out", str(out), *argv])
+        assert code == (cli.EXIT_FAILURE if failing else cli.EXIT_OK)
+        doc = json.loads(out.read_text())
+        expected_rows = ["dim,method,mean_auc,std"]
+        n_failures = 0
+        for entry in doc["per_dim"]:
+            for m in entry["methods"]:
+                cells = ["" if v is None else repr(v) for v in (m["mean"], m["std"])]
+                expected_rows.append(",".join([str(entry["dim"]), m["name"], *cells]))
+                n_failures += m["auc_values"].count(None)
+        assert read_lines(tmp_path / "r_sweep.csv") == expected_rows
+        assert (n_failures > 0) == failing
+        if failing:
+            assert f"{n_failures} trial/method runs failed" in capsys.readouterr().err
 
     def test_unknown_method_exit2(self, tmp_path):
         code = cli.main([
@@ -831,7 +866,57 @@ class TestBench:
         assert "harness.DEFAULT_BENCH_METHODS" in capsys.readouterr().out
 
 
+# the dests of fit's, synth's and bench's flags
+CONFIG_DESTS = sorted({
+    dest for argv in (["fit", "--inliers", "a", "--test", "b"], ["synth"], ["bench"])
+    for dest in vars(cli.build_parser().parse_args(argv))} - {"command", "config"})
+# config keys: those flags under their flag names and their dests, and
+# keys no command reads
+CONFIG_KEYS = (st.sampled_from(CONFIG_DESTS)
+               .flatmap(lambda dest: st.sampled_from([dest, dest.replace("_", "-")]))
+               | st.sampled_from(["config", "command", "help", "zzz", ""]) | st.text(max_size=4))
+
+
+def stub_fit(args):
+    # the hyperparameters' own checks, without a fit
+    cli._hyperparams(args)
+    return cli.EXIT_OK
+
+
+def stub_synth(args):
+    # the spec's own checks, without generating data
+    SynthSpec(d=args.d, n_inlier=args.n_inlier, n_test_inlier=args.n_test_inlier,
+              n_test_outlier=args.n_outlier, seed=args.seed)
+    return cli.EXIT_OK
+
+
 class TestConfig:
+    @settings(max_examples=100, deadline=None)
+    @given(command=st.sampled_from(["fit", "synth"]),
+           doc=st.dictionaries(CONFIG_KEYS, JSON_VALUES | st.sampled_from(
+               ["auto", "10,100", "1x", "nan", "-1", "1e400", 2.5, -3, 10**30]), max_size=6))
+    @example(command="fit", doc={"k": 3.5, "sigma2": "auto"})
+    @example(command="synth", doc={"d": 1e300, "trials": 0})
+    def test_fuzzed_config_exits_0_or_one_error_line(self, fuzz_pair, command, doc):
+        cfg = fuzz_pair / "cfg.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["--config", str(cfg), command]
+        if command == "fit":
+            argv += ["--inliers", "a.csv", "--test", "b.csv"]
+        ran, err = [], io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+            mp.setattr(cli, "cmd_fit", lambda args: ran.append(args) or stub_fit(args))
+            mp.setattr(cli, "cmd_synth", lambda args: ran.append(args) or stub_synth(args))
+            code = cli.main(argv)
+        lines = err.getvalue().splitlines()
+        if code == cli.EXIT_OK:
+            assert lines == [] and ran, doc
+        else:
+            assert code == cli.EXIT_USAGE and len(lines) == 1, (code, lines, doc)
+            assert lines[0].startswith("error: "), lines
+            # a value the parse rejects is the config's
+            assert ran or str(cfg) in lines[0], (lines, doc)
+
     def test_config_sets_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n-inlier": 25, "d": 4}))
@@ -880,7 +965,7 @@ class TestConfig:
         cfg = tmp_path / "cfg.json"
         if exists:
             cfg.write_text(json.dumps({"n-inlier": 25}))
-        # twice, the second time with the pre-pass parser already built
+        # twice, the second time with the cached parser already built
         for _ in range(2):
             code = cli.main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path)])
             assert code == cli.EXIT_USAGE
@@ -990,7 +1075,7 @@ class TestOneParserPerProcess:
         assert [(a.n_inlier, a.seed) for a in seen] == [(25, 7), (SynthSpec.n_inlier, 0)]
 
     def test_consecutive_config_files_each_give_their_own_values(self, tmp_path, monkeypatch):
-        # the pre-pass parser is shared, so it must keep no value of a config
+        # the parser is shared, so it must keep no value of a config
         seen = []
         monkeypatch.setattr(cli, "cmd_synth", lambda args: seen.append(args) or cli.EXIT_OK)
         for name, doc in (("a.json", {"n-inlier": 25, "seed": 7}), ("b.json", {"d": 4})):

@@ -8,6 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from conftest import bench_failures
 from ratioscope import baselines, harness, llr
 from ratioscope.data import LABEL_INLIER, LABEL_OUTLIER, Dataset, load_csv
 from ratioscope.errors import InputError
@@ -93,11 +94,11 @@ class TestThreadCount:
 
 class TestRunBench:
     def test_structure_and_ranges(self):
-        doc, rows, n_failures = harness.run_bench(
+        doc = harness.run_bench(
             dims=[4, 6], trials=3, methods=["kde", "lof"], seed=0,
             params=small_params(), threads=1,
         )
-        assert n_failures == 0
+        assert bench_failures(doc) == 0
         assert doc["dims"] == [4, 6]
         assert doc["trials"] == 3
         assert len(doc["per_dim"]) == 2
@@ -109,51 +110,47 @@ class TestRunBench:
                 assert all(0.0 <= v <= 1.0 for v in m["auc_values"])
                 assert 0.0 <= m["mean"] <= 1.0
             assert "kde|lof" in entry["pairwise_p"]
-        assert len(rows) == 2 * 2  # dims x methods
 
     def test_single_trial_std_is_zero(self):
-        doc, rows, _ = harness.run_bench(dims=[4], trials=1, methods=["kde", "lof"], seed=0,
-                                         params=small_params(), threads=1)
+        doc = harness.run_bench(dims=[4], trials=1, methods=["kde", "lof"], seed=0,
+                                params=small_params(), threads=1)
         for m in doc["per_dim"][0]["methods"]:
             assert m["mean"] == m["auc_values"][0] and m["std"] == 0.0
-        assert [row[3] for row in rows] == [0.0, 0.0]
 
     def test_mean_and_std_match_a_ddof1_oracle(self):
-        doc, rows, _ = harness.run_bench(dims=[4, 6], trials=5, methods=["kde", "lof"], seed=1,
-                                         params=small_params(), threads=1)
-        entries = [(e["dim"], m) for e in doc["per_dim"] for m in e["methods"]]
-        assert len(rows) == len(entries) == 4
-        for row, (dim, m) in zip(rows, entries):
+        doc = harness.run_bench(dims=[4, 6], trials=5, methods=["kde", "lof"], seed=1,
+                                params=small_params(), threads=1)
+        entries = [m for e in doc["per_dim"] for m in e["methods"]]
+        assert len(entries) == 4
+        for m in entries:
             values = m["auc_values"]
             mean = sum(values) / 5
             var = sum((v - mean) ** 2 for v in values) / 4
             assert m["mean"] == pytest.approx(mean, abs=1e-12)
             assert m["std"] == pytest.approx(var**0.5, abs=1e-12)
-            # each sweep row is its document entry
-            assert row == (dim, m["name"], m["mean"], m["std"])
 
     def test_deterministic_across_runs(self):
         kwargs = dict(dims=[5], trials=2, methods=["kde", "ulsif"], seed=3,
                       params=small_params(), threads=1)
-        a = harness.run_bench(**kwargs)[0]
-        b = harness.run_bench(**kwargs)[0]
+        a = harness.run_bench(**kwargs)
+        b = harness.run_bench(**kwargs)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_thread_invariance(self):
         kwargs = dict(dims=[4], trials=4, methods=["kde", "lof", "ulsif"], seed=0,
                       params=small_params())
-        docs = [json.dumps(harness.run_bench(**kwargs, threads=n)[0], sort_keys=True)
+        docs = [json.dumps(harness.run_bench(**kwargs, threads=n), sort_keys=True)
                 for n in (1, 2, 8)]
         assert docs[0] == docs[1] == docs[2]
 
     def test_dataset_resplit_path(self):
         data, labels = load_csv(os.path.join(FIXTURES, "blobs.csv"))
-        doc, _, n_failures = harness.run_bench(
+        doc = harness.run_bench(
             dims=[data.d], trials=2, methods=["kde", "lof"], seed=0,
             params=small_params(), dataset=data, dataset_labels=labels,
             dataset_name="blobs", threads=1,
         )
-        assert n_failures == 0
+        assert bench_failures(doc) == 0
         assert doc["dataset"] == "blobs"
         # the planted outliers are far from the inlier blob: near-perfect AUC
         for m in doc["per_dim"][0]["methods"]:
@@ -181,6 +178,15 @@ class TestRunBench:
                               params=small_params(), threads=1)
         assert calls == []
 
+    def test_bad_dim_raises_before_any_trial(self, monkeypatch):
+        # the d=4 trial used to run before the d=1 trial's SynthSpec raised
+        calls = []
+        monkeypatch.setattr(harness, "generate", lambda *a, **k: calls.append(a))
+        with pytest.raises(InputError, match="d must be at least 2"):
+            harness.run_bench(dims=[4, 1], trials=1, methods=["kde"], seed=0,
+                              params=small_params(), threads=1)
+        assert calls == []
+
     def test_failure_records_null_and_continues(self, caplog):
         # constant features make the median distance heuristic degenerate,
         # so kde fails per-trial while lof (pure ranks of zero distances) may too;
@@ -193,15 +199,14 @@ class TestRunBench:
             sample_ids=ids,
         )
         labels = [LABEL_INLIER] * 24 + [LABEL_OUTLIER] * 6
-        doc, rows, n_failures = harness.run_bench(
+        doc = harness.run_bench(
             dims=[d], trials=2, methods=["kde"], seed=0,
             params=small_params(), dataset=data, dataset_labels=labels, threads=1,
         )
-        assert n_failures == 2
+        assert bench_failures(doc) == 2
         entry = doc["per_dim"][0]["methods"][0]
         assert entry["auc_values"] == [None, None]
-        assert entry["mean"] is None
-        assert rows[0][2] is None
+        assert entry["mean"] is None and entry["std"] is None
         assert caplog.text.count("kde failed") == 2
 
     def test_one_pooled_median_heuristic_per_trial(self, monkeypatch):
@@ -211,9 +216,9 @@ class TestRunBench:
         calls = []
         real = harness.median_heuristic
         monkeypatch.setattr(harness, "median_heuristic", lambda x: calls.append(x) or real(x))
-        _, _, n_failures = harness.run_bench(dims=[4], trials=2, methods=list(harness.METHODS),
-                                             seed=0, params=small_params(), threads=1)
-        assert n_failures == 0
+        doc = harness.run_bench(dims=[4], trials=2, methods=list(harness.METHODS),
+                                seed=0, params=small_params(), threads=1)
+        assert bench_failures(doc) == 0
         assert len(calls) == 2 * 2
 
     def test_dump_scores(self, tmp_path):

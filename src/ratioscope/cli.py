@@ -12,25 +12,22 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import harness, llr
 # apply_standardizer is unused here but stays importable as
 # cli.apply_standardizer, where ratiobench's tracer looks it up
 from .data import apply_standardizer  # noqa: F401
 from .data import (
-    Dataset,
-    StandardizationStats,
+    CONST_FEATURE,
     fit_standardizer,
     load_csv,
     pool,
     read_json_object,
     save_csv,
+    with_intercept,
 )
 from .errors import InputError, SolverFailure
 from .evaluation import auc, roc_curve
 from .scores import (
-    CONST_FEATURE,
     detect,
     explain,
     load_scores_csv,
@@ -45,21 +42,12 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
-def _augment_intercept(data: Dataset) -> Dataset:
-    ones = np.ones((1, data.m))
-    return Dataset(
-        features=np.vstack([data.features, ones]),
-        feature_names=data.feature_names + (CONST_FEATURE,),
-        sample_ids=data.sample_ids,
-    )
-
-
 def _load_pair(args, intercept: bool):
     """The --inliers and --test CSVs, with the constant feature if ``intercept``."""
     inliers, _ = load_csv(args.inliers, id_prefix="in-")
     test, test_labels = load_csv(args.test, id_prefix="te-")
     if intercept:
-        inliers, test = _augment_intercept(inliers), _augment_intercept(test)
+        inliers, test = with_intercept(inliers), with_intercept(test)
     return inliers, test, test_labels
 
 
@@ -95,15 +83,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    inliers, test, _ = _load_pair(args, intercept=False)
+    inliers, test, _ = _load_pair(args, args.intercept)
     stats = None if args.no_standardize else fit_standardizer(inliers)
-    if args.intercept:
-        inliers, test = _augment_intercept(inliers), _augment_intercept(test)
-        if stats is not None:
-            # mean 0 and scale 1 leave the constant feature a column of ones
-            stats = StandardizationStats(
-                mean=np.append(stats.mean, 0.0), scale=np.append(stats.scale, 1.0)
-            )
     hp = _hyperparams(args)
     pooled = pool(*harness.standardized(inliers, test, stats))
     result = llr.fit_pooled(pooled, hp)

@@ -19,6 +19,9 @@ SCALE_FLOOR = 1e-8
 
 LABEL_INLIER = "inlier"
 LABEL_OUTLIER = "outlier"
+# name of the constant feature that `fit --intercept` appends; reserved
+# in CSV headers, never standardized and never explained
+CONST_FEATURE = "__const__"
 
 
 @dataclass(frozen=True)
@@ -132,13 +135,24 @@ def pool(inliers: Dataset, test: Dataset) -> PooledDataset:
     )
 
 
+def with_intercept(data: Dataset) -> Dataset:
+    """``data`` with a last CONST_FEATURE row of ones."""
+    return Dataset(
+        features=np.vstack([data.features, np.ones((1, data.m))]),
+        feature_names=data.feature_names + (CONST_FEATURE,),
+        sample_ids=data.sample_ids,
+    )
+
+
 def fit_standardizer(inliers: Dataset) -> StandardizationStats:
-    """Per-feature mean/std over inlier columns (m denominator, floored)."""
+    """Per-feature mean/std over inlier columns (m denominator, floored).
+    A CONST_FEATURE row gets mean 0 and scale 1, so it stays all ones."""
     if inliers.m < 2:
         raise InputError("standardization needs at least 2 inlier samples")
-    mean = inliers.features.mean(axis=1)
+    const = np.array([name == CONST_FEATURE for name in inliers.feature_names])
+    mean = np.where(const, 0.0, inliers.features.mean(axis=1))
     std = inliers.features.std(axis=1)  # population std, divisor m
-    scale = np.maximum(std, SCALE_FLOOR)
+    scale = np.where(const, 1.0, np.maximum(std, SCALE_FLOOR))
     return StandardizationStats(mean=mean, scale=scale)
 
 
@@ -217,7 +231,8 @@ def load_csv(path, id_prefix: str = "") -> tuple[Dataset, list[str] | None]:
     """Load a dataset from CSV (header row of feature names, one sample
     per row).  A trailing column named "label" with values
     {inlier, outlier} is split off and returned separately (or None);
-    any other label value raises InputError.
+    any other label value, or a column named CONST_FEATURE, raises
+    InputError.
     """
     rows = read_csv_rows(path)
     if len(rows) < 2:
@@ -227,6 +242,8 @@ def load_csv(path, id_prefix: str = "") -> tuple[Dataset, list[str] | None]:
     names = header[:-1] if has_label else header
     if not names:
         raise InputError(f"{path}: header has no feature column")
+    if CONST_FEATURE in names:
+        raise InputError(f"{path}: column name {CONST_FEATURE!r} is reserved for the intercept")
     values = []
     labels: list[str] | None = [] if has_label else None
     for line, row in rows[1:]:

@@ -32,6 +32,8 @@ from .graph import median_heuristic
 from .scores import ScoreSet, ratio_score, save_scores_csv
 from .synth import SynthSpec, generate
 
+_log = logging.getLogger(__name__)
+
 METHODS = ("llr", "kde", "lof", "osvm", "l1lr", "kliep", "ulsif", "rulsif")
 # the methods whose kernel width is the pooled set's median heuristic
 POOLED_SIGMA_METHODS = ("osvm", "kliep", "ulsif", "rulsif")
@@ -101,9 +103,7 @@ def run_method(
     else:
         raise InputError(f"unknown method {method!r}")
     if model is not None and not model.converged:
-        logging.getLogger(__name__).warning(
-            "warning: %s stopped at its iteration cap without converging", method
-        )
+        _log.warning("warning: %s stopped at its iteration cap without converging", method)
     return ScoreSet(s.sample_ids, s.scores, tuple(labels))
 
 
@@ -129,9 +129,7 @@ def resplit_dataset(data: Dataset, labels, n_outliers: int, seed: int, trial: in
     model_idx = np.sort(inl_perm[:half])
     test_inl_idx = np.sort(inl_perm[half:])
     if len(out_idx) < n_outliers:
-        logging.getLogger(__name__).warning(
-            "warning: only %d outliers available, using all", len(out_idx)
-        )
+        _log.warning("warning: only %d outliers available, using all", len(out_idx))
         picked_out = out_idx
     else:
         picked_out = np.sort(rng.choice(out_idx, size=n_outliers, replace=False))
@@ -193,6 +191,8 @@ def run_bench(
     baselines.check_rulsif(params["rulsif_beta"], params["ulsif_nu"])
     # each SynthSpec checks its dimension here rather than in a trial
     specs = {dim: SynthSpec(d=dim, seed=seed) for dim in dims} if dataset is None else {}
+    if dump_scores_dir is not None:
+        os.makedirs(dump_scores_dir, exist_ok=True)
     tasks = [(dim, trial) for dim in dims for trial in range(trials)]
 
     def run_one(task):
@@ -203,7 +203,7 @@ def run_bench(
             inliers, test, labels = resplit_dataset(dataset, dataset_labels, 10, seed, trial)
         stats = fit_standardizer(inliers) if params["standardize"] else None
         inliers, test = standardized(inliers, test, stats)
-        aucs, sigma = {}, None
+        aucs, failures, sigma = {}, [], None
         for method in methods:
             try:
                 # one pooled median heuristic per trial for all the kernel
@@ -215,19 +215,21 @@ def run_bench(
                 )
                 aucs[method] = auc(s)
             except Exception as exc:  # record and continue
-                logging.getLogger(__name__).warning(
-                    "warning: %s failed on dim=%d trial=%d: %s", method, dim, trial, exc
-                )
                 aucs[method] = None
+                failures.append((method, dim, trial, exc))
                 continue
             if dump_scores_dir is not None:
-                os.makedirs(dump_scores_dir, exist_ok=True)
                 name = f"scores_d{dim}_t{trial}_{method}.csv"
                 save_scores_csv(os.path.join(dump_scores_dir, name), s)
-        return aucs
+        return aucs, failures
 
+    done = {}
     with ThreadPoolExecutor(max_workers=default_thread_count(threads)) as pool_:
-        done = dict(zip(tasks, pool_.map(run_one, tasks)))
+        # map yields in task order, whatever order the trials finish in
+        for task, (aucs, failures) in zip(tasks, pool_.map(run_one, tasks)):
+            done[task] = aucs
+            for failure in failures:
+                _log.warning("warning: %s failed on dim=%d trial=%d: %s", *failure)
 
     per_dim = []
     for dim in dims:

@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import LABEL_INLIER, LABEL_OUTLIER, PooledDataset
+from .data import CONST_FEATURE, LABEL_INLIER, LABEL_OUTLIER, PooledDataset
 from .data import parse_float, parse_label, read_csv_rows
 from .errors import InputError
 
@@ -17,8 +17,6 @@ if TYPE_CHECKING:
     from .llr import WeightMatrix
 
 EXP_CLAMP = 500.0
-# name of the constant feature that `fit --intercept` appends
-CONST_FEATURE = "__const__"
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,7 @@ def ratio_score(
 
 def detect(scores: ScoreSet, tau: float) -> tuple[str, ...]:
     """Flag samples with score <= tau as outliers."""
-    if tau < 0:
+    if not tau >= 0:  # NaN fails this test too
         raise InputError(f"tau must be nonnegative, got {tau}")
     return tuple(
         LABEL_OUTLIER if s <= tau else LABEL_INLIER for s in scores.scores

@@ -21,7 +21,6 @@ class SynthSpec:
     n_inlier: int = 200
     n_test_inlier: int = 100
     n_test_outlier: int = 10
-    mu: np.ndarray | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -31,15 +30,6 @@ class SynthSpec:
             raise InputError("d must be at least 2 (the mean shift uses two features)")
         if min(self.n_inlier, self.n_test_inlier, self.n_test_outlier) < 1:
             raise InputError("all sample counts must be at least 1")
-        mu = self.mu
-        if mu is None:
-            mu = np.zeros(self.d)
-            mu[0], mu[1] = 3.0, -2.0
-        mu = np.asarray(mu, dtype=float)
-        if mu.shape != (self.d,):
-            raise InputError(f"mu must be a {self.d}-vector")
-        mu.setflags(write=False)
-        object.__setattr__(self, "mu", mu)
 
 
 def _normals(shape, seed: int, role: int, trial: int) -> np.ndarray:
@@ -54,24 +44,23 @@ def _normals(shape, seed: int, role: int, trial: int) -> np.ndarray:
     return ndtri(np.clip(u, tiny, 1.0 - tiny))
 
 
-def feature_names(d: int) -> tuple[str, ...]:
-    return tuple(f"f{k + 1}" for k in range(d))
-
-
 def generate(spec: SynthSpec, trial: int = 0):
     """Draw (inliers, test, test_labels) for one trial.
 
-    Inliers and test inliers are N(0, I); test outliers are N(mu, I).
-    Output is fully determined by (spec.seed, trial).
+    Inliers and test inliers are N(0, I); test outliers are N(mu, I)
+    with mu = (3, -2, 0, ..., 0).  Output is fully determined by
+    (spec.seed, trial).
     """
     if trial < 0:
         raise InputError(f"trial must be non-negative, got {trial}")
-    names = feature_names(spec.d)
+    names = tuple(f"f{k + 1}" for k in range(spec.d))
+    mu = np.zeros(spec.d)
+    mu[0], mu[1] = 3.0, -2.0
     inl = _normals((spec.d, spec.n_inlier), spec.seed, _ROLE_INLIER, trial)
     test_in = _normals((spec.d, spec.n_test_inlier), spec.seed, _ROLE_TEST_INLIER, trial)
     test_out = (
         _normals((spec.d, spec.n_test_outlier), spec.seed, _ROLE_OUTLIER, trial)
-        + spec.mu[:, None]
+        + mu[:, None]
     )
     inliers = Dataset(
         features=inl,

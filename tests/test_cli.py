@@ -259,6 +259,25 @@ class TestFit:
         assert code == cli.EXIT_OK
         assert len(load_scores_csv(out)[0].scores) == 25
 
+    @pytest.mark.parametrize("command", ["fit", "score", "bench"])
+    def test_reserved_const_column_exit2(self, workspace, tmp_path, capsys, command):
+        # such a column used to fit unstandardized and then fail to score
+        data = tmp_path / "c.csv"
+        data.write_text("a,__const__,label\n"
+                        + "".join(f"{i}.0,{i % 3}.0,inlier\n" for i in range(20))
+                        + "".join(f"{i}.5,1.0,outlier\n" for i in range(12)))
+        out = tmp_path / "out"
+        pair = ["--inliers", str(data), "--test", str(data)]
+        argv = {
+            "fit": ["fit", *pair],
+            "score": ["score", "--model", str(workspace / "model.json"), *pair],
+            "bench": ["bench", "--dataset", str(data), "--methods", "kde", "--dims", "2",
+                      "--trials", "1"],
+        }[command]
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_USAGE
+        assert_one_error(capsys, str(data), "'__const__' is reserved")
+        assert not out.exists()
+
     def test_sigma2_parsed_by_argparse(self):
         args = cli.build_parser().parse_args(
             ["fit", "--inliers", "a", "--test", "b", "--sigma2", "2"])
@@ -364,6 +383,19 @@ class TestScore:
         assert code == cli.EXIT_OK
         _, decisions = load_scores_csv(out)
         assert set(decisions) == {"inlier"}
+
+    def test_tau_nan_exit2_before_any_output(self, workspace, tmp_path, capsys):
+        # used to exit 0 with every sample an inlier and no explanation
+        out, explained = tmp_path / "s.csv", tmp_path / "e.json"
+        code = cli.main([
+            "score", "--model", str(workspace / "model.json"),
+            "--inliers", str(workspace / "inliers.csv"), "--test", str(workspace / "test.csv"),
+            "--out", str(out), "--tau", "nan", "--explain-top", "5",
+            "--explain-out", str(explained),
+        ])
+        assert code == cli.EXIT_USAGE
+        assert_one_error(capsys, "tau", "nan")
+        assert not out.exists() and not explained.exists()
 
     def test_zero_weight_model_scores_prior(self, workspace, tmp_path):
         model = json.loads((workspace / "model.json").read_text())
@@ -851,6 +883,18 @@ class TestBench:
             assert cli.main(["eval", "--scores", str(path)]) == cli.EXIT_OK
             printed = float(capsys.readouterr().out.split()[-1])
             assert printed == expected
+
+    def test_dump_path_a_file_exit2_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        # every trial used to run before the first dump raised
+        calls = []
+        monkeypatch.setattr(harness, "generate", lambda *a, **k: calls.append(a))
+        dump, out = tmp_path / "notadir", tmp_path / "r.json"
+        dump.write_text("")
+        code = cli.main(["bench", "--methods", "kde", "--dims", "4", "--trials", "2",
+                         "--out", str(out), "--dump-scores", str(dump)])
+        assert code == cli.EXIT_USAGE
+        assert_one_error(capsys, str(dump))
+        assert calls == [] and not out.exists()
 
     def test_rulsif_and_seeded_methods_run(self, tmp_path):
         code = cli.main([

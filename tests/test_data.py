@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import CSV_ROWS, csv_texts
 from ratioscope.data import (
+    CONST_FEATURE,
     Dataset,
     apply_standardizer,
     fit_standardizer,
     load_csv,
     pool,
     save_csv,
+    with_intercept,
 )
 from ratioscope.errors import InputError
 
@@ -102,6 +104,16 @@ class TestStandardizer:
             var = sum((v - mean) ** 2 for v in X[k]) / 10
             assert stats.mean[k] == pytest.approx(mean, abs=1e-12)
             assert stats.scale[k] == pytest.approx(var**0.5, abs=1e-12)
+
+    def test_intercept_row_left_all_ones(self):
+        data = with_intercept(make_dataset([[1.0, 3.0, 8.0], [2.0, 2.0, 2.0]]))
+        assert data.feature_names == ("f0", "f1", CONST_FEATURE)
+        np.testing.assert_array_equal(data.features[-1], [1.0, 1.0, 1.0])
+        stats = fit_standardizer(data)
+        plain = fit_standardizer(make_dataset(data.features[:2]))
+        np.testing.assert_array_equal(stats.mean, [*plain.mean, 0.0])
+        np.testing.assert_array_equal(stats.scale, [*plain.scale, 1.0])
+        np.testing.assert_array_equal(apply_standardizer(data, stats).features[-1], 1.0)
 
     def test_too_few_samples(self):
         with pytest.raises(InputError, match="at least 2 inlier samples"):
@@ -205,6 +217,15 @@ class TestCsv:
             assert str(fuzz_path) in str(exc), exc
         else:
             assert labels is None or len(labels) == data.m
+
+    @pytest.mark.parametrize("header,row", [("__const__", "1.0"),
+                                            ("f0,__const__,label", "2.0,1.0,inlier")])
+    def test_reserved_const_column_rejected(self, tmp_path, header, row):
+        # such a column used to load as a feature that fit never standardized
+        path = tmp_path / "c.csv"
+        path.write_text(f"{header}\n{row}\n{row}\n")
+        with pytest.raises(InputError, match=f"{path}: column name '__const__' is reserved"):
+            load_csv(path)
 
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -3,6 +3,7 @@ thread invariance, and the partial-failure policy."""
 
 import json
 import os
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -209,6 +210,33 @@ class TestRunBench:
         assert entry["mean"] is None and entry["std"] is None
         assert caplog.text.count("kde failed") == 2
 
+    def test_failure_warnings_in_task_order(self, monkeypatch, caplog):
+        # trial 0 draws its data only once trial 1's methods have raised;
+        # the warnings used to be logged from the pool threads, so trial
+        # 1's came first
+        trial1_failed = threading.Event()
+        real_generate = harness.generate
+
+        def generate(spec, trial=0):
+            if trial == 0:
+                assert trial1_failed.wait(timeout=30)
+            return real_generate(spec, trial=trial)
+
+        def run_method(method, inliers, test, labels, params, seed, sigma=None):
+            if method == "lof" and seed == harness._trial_seed(0, 4, 1):
+                trial1_failed.set()
+            raise RuntimeError(f"{method} broke")
+
+        monkeypatch.setattr(harness, "generate", generate)
+        monkeypatch.setattr(harness, "run_method", run_method)
+        doc = harness.run_bench(dims=[4], trials=2, methods=["kde", "lof"], seed=0,
+                                params=small_params(), threads=2)
+        assert bench_failures(doc) == 4
+        assert [r.getMessage() for r in caplog.records] == [
+            f"warning: {m} failed on dim=4 trial={t}: {m} broke"
+            for t in (0, 1) for m in ("kde", "lof")
+        ]
+
     def test_one_pooled_median_heuristic_per_trial(self, monkeypatch):
         # kde's inlier bandwidth plus one pooled bandwidth that osvm,
         # kliep, ulsif and rulsif share; each of the four used to compute
@@ -229,6 +257,17 @@ class TestRunBench:
         )
         files = sorted(p.name for p in out_dir.iterdir())
         assert files == ["scores_d4_t0_kde.csv", "scores_d4_t1_kde.csv"]
+
+    def test_dump_path_a_file_raises_before_any_trial(self, tmp_path, monkeypatch):
+        # every trial used to run before the first dump raised
+        calls = []
+        monkeypatch.setattr(harness, "generate", lambda *a, **k: calls.append(a))
+        dump = tmp_path / "notadir"
+        dump.write_text("")
+        with pytest.raises(FileExistsError):
+            harness.run_bench(dims=[4], trials=2, methods=["kde"], seed=0,
+                              params=small_params(), threads=1, dump_scores_dir=str(dump))
+        assert calls == []
 
     def test_unconverged_fit_warns_once(self, monkeypatch, caplog):
         from ratioscope.synth import SynthSpec, generate

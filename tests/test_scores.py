@@ -128,6 +128,11 @@ class TestDetect:
         with pytest.raises(InputError, match="tau must be nonnegative"):
             detect(self.make([1.0]), -0.5)
 
+    def test_nan_tau(self):
+        # used to flag nothing, since every comparison with NaN is false
+        with pytest.raises(InputError, match="tau must be nonnegative, got nan"):
+            detect(self.make([1.0]), float("nan"))
+
 
 class TestExplain:
     def test_ranked_by_magnitude(self):

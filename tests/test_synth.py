@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ratioscope.data import LABEL_INLIER, LABEL_OUTLIER
+from ratioscope import synth
 from ratioscope.errors import InputError
 from ratioscope.synth import SynthSpec, generate
 
@@ -20,8 +21,11 @@ class TestSpecValidation:
         assert spec.n_inlier == 200
         assert spec.n_test_inlier == 100
         assert spec.n_test_outlier == 10
-        np.testing.assert_array_equal(spec.mu[:2], [3.0, -2.0])
-        np.testing.assert_array_equal(spec.mu[2:], np.zeros(8))
+        # the outliers are the role's normals shifted by (3, -2, 0, ..., 0)
+        _, test, _ = generate(spec)
+        normals = synth._normals((10, 10), spec.seed, synth._ROLE_OUTLIER, 0)
+        shift = np.array([3.0, -2.0] + [0.0] * 8)
+        np.testing.assert_array_equal(test.features[:, -10:], normals + shift[:, None])
 
     def test_d_too_small(self):
         with pytest.raises(InputError, match="d must be at least 2"):
@@ -33,14 +37,6 @@ class TestSpecValidation:
         with pytest.raises(InputError, match="sample counts"):
             SynthSpec(d=5, n_test_outlier=0)
 
-    def test_mu_wrong_shape(self):
-        with pytest.raises(InputError, match="mu must be"):
-            SynthSpec(d=5, mu=np.zeros(4))
-
-    def test_custom_mu_kept(self):
-        mu = np.array([1.0, 2.0, 3.0])
-        spec = SynthSpec(d=3, mu=mu)
-        np.testing.assert_array_equal(spec.mu, mu)
 
 
 class TestShapes:
@@ -99,4 +95,5 @@ class TestDistribution:
         out = test.features[:, np.asarray(labels) == LABEL_OUTLIER]
         assert out.shape[1] == 10_000
         means = out.mean(axis=1)
-        assert np.all(np.abs(means - spec.mu) <= 4.0 / np.sqrt(10_000))
+        mu = np.array([3.0, -2.0] + [0.0] * 48)
+        assert np.all(np.abs(means - mu) <= 4.0 / np.sqrt(10_000))

@@ -173,7 +173,7 @@ def check_osvm_nu(nu: float) -> None:
         raise InputError(f"osvm nu must lie in (0, 1], got {nu}")
 
 
-def osvm_fit(samples: Dataset | PooledDataset, nu: float, sigma: float) -> KernelModel:
+def osvm_fit(samples: Dataset, nu: float, sigma: float) -> KernelModel:
     """Solve the one-class SVM dual by accelerated projected gradient
     (FISTA, Beck & Teboulle 2009) with gradient-based adaptive restart
     (O'Donoghue & Candes 2015); the model's kernel_model_score is the

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,7 +51,9 @@ class Dataset:
         if len(self.sample_ids) != feats.shape[1]:
             raise InputError(f"{len(self.sample_ids)} sample ids for {feats.shape[1]} samples")
         if len(set(self.sample_ids)) != len(self.sample_ids):
-            raise InputError("sample ids must be unique")
+            seen = set()
+            repeated = next(sid for sid in self.sample_ids if sid in seen or seen.add(sid))
+            raise InputError(f"sample ids must be unique; {repeated!r} appears more than once")
 
     @property
     def d(self) -> int:
@@ -61,41 +63,34 @@ class Dataset:
     def m(self) -> int:
         return self.features.shape[1]
 
+    def columns(self, idx) -> Dataset:
+        """The samples at column indices ``idx``, in that order."""
+        return Dataset(
+            features=self.features[:, idx],
+            feature_names=self.feature_names,
+            sample_ids=tuple(self.sample_ids[i] for i in idx),
+        )
+
 
 @dataclass(frozen=True)
-class PooledDataset:
+class PooledDataset(Dataset):
     """Inlier and test samples concatenated with +/-1 class labels.
 
     Inlier columns come first and carry label +1; test columns follow
     with label -1, so ``labels`` follows from n_inlier and n_test.
-    Feature names and sample ids are carried along so scores and
-    explanations can refer back to the originals.
     """
 
-    features: np.ndarray
-    labels: np.ndarray = field(init=False)
     n_inlier: int
     n_test: int
-    feature_names: tuple[str, ...] = field(default=())
-    sample_ids: tuple[str, ...] = field(default=())
+    labels: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
-        labels = np.repeat([1, -1], [self.n_inlier, self.n_test])
-        feats.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labels)
-        if feats.shape[1] != self.n_inlier + self.n_test:
+        super().__post_init__()
+        if self.m != self.n_inlier + self.n_test:
             raise InputError("pooled features and sample counts inconsistent")
-
-    @property
-    def d(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.features.shape[1]
+        labels = np.repeat([1, -1], [self.n_inlier, self.n_test])
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
 
 
 @dataclass(frozen=True)
@@ -123,7 +118,8 @@ class StandardizationStats:
 
 
 def pool(inliers: Dataset, test: Dataset) -> PooledDataset:
-    """Concatenate inliers (label +1) and test samples (label -1)."""
+    """Concatenate inliers (label +1) and test samples (label -1), which
+    share their feature names and no sample id."""
     if inliers.d != test.d or inliers.feature_names != test.feature_names:
         raise InputError("inlier and test datasets must share dimension and feature names")
     return PooledDataset(
@@ -137,11 +133,8 @@ def pool(inliers: Dataset, test: Dataset) -> PooledDataset:
 
 def with_intercept(data: Dataset) -> Dataset:
     """``data`` with a last CONST_FEATURE row of ones."""
-    return Dataset(
-        features=np.vstack([data.features, np.ones((1, data.m))]),
-        feature_names=data.feature_names + (CONST_FEATURE,),
-        sample_ids=data.sample_ids,
-    )
+    return replace(data, features=np.vstack([data.features, np.ones((1, data.m))]),
+                   feature_names=data.feature_names + (CONST_FEATURE,))
 
 
 def fit_standardizer(inliers: Dataset) -> StandardizationStats:
@@ -171,11 +164,7 @@ def apply_standardizer(data: Dataset, stats: StandardizationStats) -> Dataset:
             f"standardizing feature {data.feature_names[k]!r} (mean {stats.mean[k]!r}, "
             f"scale {stats.scale[k]!r}) overflows"
         )
-    return Dataset(
-        features=features,
-        feature_names=data.feature_names,
-        sample_ids=data.sample_ids,
-    )
+    return replace(data, features=features)
 
 
 def parse_float(path, line: int, column: str, text: str) -> float:
@@ -231,8 +220,8 @@ def load_csv(path, id_prefix: str = "") -> tuple[Dataset, list[str] | None]:
     """Load a dataset from CSV (header row of feature names, one sample
     per row).  A trailing column named "label" with values
     {inlier, outlier} is split off and returned separately (or None);
-    any other label value, or a column named CONST_FEATURE, raises
-    InputError.
+    any other label value, a column named CONST_FEATURE, or an empty or
+    repeated feature name raises InputError.
     """
     rows = read_csv_rows(path)
     if len(rows) < 2:
@@ -244,6 +233,11 @@ def load_csv(path, id_prefix: str = "") -> tuple[Dataset, list[str] | None]:
         raise InputError(f"{path}: header has no feature column")
     if CONST_FEATURE in names:
         raise InputError(f"{path}: column name {CONST_FEATURE!r} is reserved for the intercept")
+    seen = set()
+    for name in names:
+        if not name or name in seen:
+            raise InputError(f"{path}: feature name {name!r} is {'repeated' if name else 'empty'}")
+        seen.add(name)
     values = []
     labels: list[str] | None = [] if has_label else None
     for line, row in rows[1:]:

@@ -30,7 +30,7 @@ from .errors import InputError
 from .evaluation import auc, welch_ttest
 from .graph import median_heuristic
 from .scores import ScoreSet, ratio_score, save_scores_csv
-from .synth import SynthSpec, generate
+from .synth import ROLE_RESPLIT, SynthSpec, generate, trial_stream
 
 _log = logging.getLogger(__name__)
 
@@ -121,9 +121,7 @@ def resplit_dataset(data: Dataset, labels, n_outliers: int, seed: int, trial: in
     labels = np.asarray(labels)
     inl_idx = np.flatnonzero(labels == LABEL_INLIER)
     out_idx = np.flatnonzero(labels == LABEL_OUTLIER)
-    rng = np.random.Generator(
-        np.random.Philox(seed=np.random.SeedSequence(entropy=seed, spawn_key=(3, trial)))
-    )
+    rng = trial_stream(seed, ROLE_RESPLIT, trial)
     inl_perm = rng.permutation(inl_idx)
     half = len(inl_idx) // 2
     model_idx = np.sort(inl_perm[:half])
@@ -133,19 +131,9 @@ def resplit_dataset(data: Dataset, labels, n_outliers: int, seed: int, trial: in
         picked_out = out_idx
     else:
         picked_out = np.sort(rng.choice(out_idx, size=n_outliers, replace=False))
-    inliers = Dataset(
-        features=data.features[:, model_idx],
-        feature_names=data.feature_names,
-        sample_ids=tuple(data.sample_ids[i] for i in model_idx),
-    )
     test_idx = np.concatenate([test_inl_idx, picked_out])
-    test = Dataset(
-        features=data.features[:, test_idx],
-        feature_names=data.feature_names,
-        sample_ids=tuple(data.sample_ids[i] for i in test_idx),
-    )
     test_labels = [LABEL_INLIER] * len(test_inl_idx) + [LABEL_OUTLIER] * len(picked_out)
-    return inliers, test, test_labels
+    return data.columns(model_idx), data.columns(test_idx), test_labels
 
 
 def default_thread_count(requested: int | None) -> int:

@@ -10,9 +10,10 @@ import numpy as np
 from .data import LABEL_INLIER, LABEL_OUTLIER, Dataset
 from .errors import InputError
 
-_ROLE_INLIER = 0
-_ROLE_TEST_INLIER = 1
-_ROLE_OUTLIER = 2
+ROLE_INLIER = 0
+ROLE_TEST_INLIER = 1
+ROLE_OUTLIER = 2
+ROLE_RESPLIT = 3  # harness.resplit_dataset's split of a labelled dataset
 
 
 @dataclass(frozen=True)
@@ -32,14 +33,18 @@ class SynthSpec:
             raise InputError("all sample counts must be at least 1")
 
 
+def trial_stream(seed: int, role: int, trial: int) -> np.random.Generator:
+    """The counter-based Philox stream keyed by (seed, role, trial)."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(role, trial))
+    return np.random.Generator(np.random.Philox(seed=ss))
+
+
 def _normals(shape, seed: int, role: int, trial: int) -> np.ndarray:
-    """Standard normals from a counter-based Philox stream keyed by
-    (seed, role, trial); variates via the inverse Gaussian CDF."""
+    """Standard normals from trial_stream(seed, role, trial); variates
+    via the inverse Gaussian CDF."""
     from scipy.special import ndtri
 
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(role, trial))
-    rng = np.random.Generator(np.random.Philox(seed=ss))
-    u = rng.random(size=shape)
+    u = trial_stream(seed, role, trial).random(size=shape)
     tiny = 2.0**-53
     return ndtri(np.clip(u, tiny, 1.0 - tiny))
 
@@ -56,10 +61,10 @@ def generate(spec: SynthSpec, trial: int = 0):
     names = tuple(f"f{k + 1}" for k in range(spec.d))
     mu = np.zeros(spec.d)
     mu[0], mu[1] = 3.0, -2.0
-    inl = _normals((spec.d, spec.n_inlier), spec.seed, _ROLE_INLIER, trial)
-    test_in = _normals((spec.d, spec.n_test_inlier), spec.seed, _ROLE_TEST_INLIER, trial)
+    inl = _normals((spec.d, spec.n_inlier), spec.seed, ROLE_INLIER, trial)
+    test_in = _normals((spec.d, spec.n_test_inlier), spec.seed, ROLE_TEST_INLIER, trial)
     test_out = (
-        _normals((spec.d, spec.n_test_outlier), spec.seed, _ROLE_OUTLIER, trial)
+        _normals((spec.d, spec.n_test_outlier), spec.seed, ROLE_OUTLIER, trial)
         + mu[:, None]
     )
     inliers = Dataset(

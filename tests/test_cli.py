@@ -54,6 +54,25 @@ def workspace(tmp_path_factory):
     return ws
 
 
+def run_on_header(workspace, tmp_path, command, header):
+    """cli.main's exit code for ``command`` (fit, score or bench --dataset)
+    on a two-feature labelled CSV headed ``header``, with the CSV's path
+    and the path given as --out."""
+    data = tmp_path / "c.csv"
+    data.write_text(header + "\n"
+                    + "".join(f"{i}.0,{i % 3}.0,inlier\n" for i in range(20))
+                    + "".join(f"{i}.5,1.0,outlier\n" for i in range(12)))
+    out = tmp_path / "out"
+    pair = ["--inliers", str(data), "--test", str(data)]
+    argv = {
+        "fit": ["fit", *pair],
+        "score": ["score", "--model", str(workspace / "model.json"), *pair],
+        "bench": ["bench", "--dataset", str(data), "--methods", "kde", "--dims", "2",
+                  "--trials", "1"],
+    }[command]
+    return cli.main([*argv, "--out", str(out)]), data, out
+
+
 class TestSynth:
     def test_default_row_counts(self, tmp_path):
         assert cli.main(["synth", "--out-dir", str(tmp_path)]) == cli.EXIT_OK
@@ -262,20 +281,22 @@ class TestFit:
     @pytest.mark.parametrize("command", ["fit", "score", "bench"])
     def test_reserved_const_column_exit2(self, workspace, tmp_path, capsys, command):
         # such a column used to fit unstandardized and then fail to score
-        data = tmp_path / "c.csv"
-        data.write_text("a,__const__,label\n"
-                        + "".join(f"{i}.0,{i % 3}.0,inlier\n" for i in range(20))
-                        + "".join(f"{i}.5,1.0,outlier\n" for i in range(12)))
-        out = tmp_path / "out"
-        pair = ["--inliers", str(data), "--test", str(data)]
-        argv = {
-            "fit": ["fit", *pair],
-            "score": ["score", "--model", str(workspace / "model.json"), *pair],
-            "bench": ["bench", "--dataset", str(data), "--methods", "kde", "--dims", "2",
-                      "--trials", "1"],
-        }[command]
-        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_USAGE
+        code, data, out = run_on_header(workspace, tmp_path, command, "a,__const__,label")
+        assert code == cli.EXIT_USAGE
         assert_one_error(capsys, str(data), "'__const__' is reserved")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "score", "bench"])
+    @pytest.mark.parametrize("header, message", [
+        ("a,a,label", "feature name 'a' is repeated"),
+        ("a,,label", "feature name '' is empty"),
+    ])
+    def test_repeated_or_empty_feature_name_exit2(self, workspace, tmp_path, capsys,
+                                                  command, header, message):
+        # a repeated name used to fit, and each explanation named it twice
+        code, data, out = run_on_header(workspace, tmp_path, command, header)
+        assert code == cli.EXIT_USAGE
+        assert_one_error(capsys, str(data), message)
         assert not out.exists()
 
     def test_sigma2_parsed_by_argparse(self):
@@ -338,6 +359,8 @@ def fuzz_pair(tmp_path_factory):
     ws = tmp_path_factory.mktemp("fuzz")
     (ws / "inliers.csv").write_text("f0,f1\n0.0,1.0\n1.0,0.0\n2.0,2.0\n")
     (ws / "test.csv").write_text("f0,f1\n1.0,1.0\n3.0,0.0\n")
+    # model.json is overwritten by the model-file fuzz; this one stays as written
+    (ws / "fixed_model.json").write_text(json.dumps(FUZZ_MODEL))
     return ws
 
 
@@ -934,6 +957,50 @@ def stub_synth(args):
     return cli.EXIT_OK
 
 
+# config values: any JSON, and texts and numbers the flags' types must reject or accept
+CONFIG_VALUES = JSON_VALUES | st.sampled_from(
+    ["auto", "10,100", "1x", "nan", "-1", "1e400", "llr,kde", "all", 2.5, -3, 10**30])
+# bench's config keys under both spellings, less the paths it reads or writes and
+# the two counts, which are drawn small: run_bench lists every task up front
+BENCH_CONFIG_KEYS = st.sampled_from(sorted(
+    set(vars(cli.build_parser().parse_args(["bench"])))
+    - {"command", "config", "out", "sweep_csv", "dataset", "dump_scores", "trials", "threads"}
+)).flatmap(lambda dest: st.sampled_from([dest, dest.replace("_", "-")]))
+# values most of bench's flags accept, so that some runs pass every check
+NUMBERS = st.integers(-2, 60) | st.floats(-1.0, 2.0)
+COUNT_VALUES = st.integers(-3, 1000) | st.sampled_from(["0", "2", "x", "1e3", 2.5, None, True])
+
+
+class PoolStarted(Exception):
+    """Raised in place of starting bench's thread pool."""
+
+
+def stop_at_pool(max_workers):
+    raise PoolStarted
+
+
+def assert_config_run_exits_0_or_one_error_line(ws, doc, argv):
+    """Run cli.main on ``argv`` under a config file holding ``doc``, with
+    the cwd in ``ws``/cwd; a run that reaches stop_at_pool counts as 0."""
+    cwd = ws / "cwd"
+    cwd.mkdir(exist_ok=True)
+    (cwd / "cfg.json").write_text(json.dumps(doc), encoding="utf-8")
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        mp.chdir(cwd)
+        try:
+            code = cli.main(["--config", "cfg.json", *argv])
+        except PoolStarted:
+            code = cli.EXIT_OK
+    lines = err.getvalue().splitlines()
+    if code == cli.EXIT_OK:
+        assert lines == [], (lines, doc)
+    else:
+        assert code == cli.EXIT_USAGE and len(lines) == 1, (code, lines, doc)
+        assert lines[0].startswith("error: "), lines
+
+
 class TestConfig:
     @settings(max_examples=100, deadline=None)
     @given(command=st.sampled_from(["fit", "synth"]),
@@ -960,6 +1027,28 @@ class TestConfig:
             assert lines[0].startswith("error: "), lines
             # a value the parse rejects is the config's
             assert ran or str(cfg) in lines[0], (lines, doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=st.dictionaries(BENCH_CONFIG_KEYS, NUMBERS | CONFIG_VALUES, max_size=4),
+           counts=st.dictionaries(st.sampled_from(["trials", "threads"]), COUNT_VALUES))
+    @example(doc={"dims": "10,100"}, counts={"trials": 1000, "threads": 1000})
+    @example(doc={"methods": "llr,zzz", "osvm-nu": 2}, counts={})
+    def test_fuzzed_bench_config_exits_0_or_one_error_line(self, fuzz_pair, doc, counts):
+        # the run stops where the pool would start, so no trial runs
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "ThreadPoolExecutor", stop_at_pool)
+            assert_config_run_exits_0_or_one_error_line(fuzz_pair, {**doc, **counts}, ["bench"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=st.dictionaries(st.sampled_from(["tau", "which", "explain-top", "explain_top"]),
+                               CONFIG_VALUES, max_size=3))
+    @example(doc={"tau": "nan", "explain-top": 0})
+    @example(doc={"tau": 1e400, "which": "all", "explain_top": 10**30})
+    def test_fuzzed_score_config_exits_0_or_one_error_line(self, fuzz_pair, doc):
+        assert_config_run_exits_0_or_one_error_line(fuzz_pair, doc, [
+            "score", "--model", str(fuzz_pair / "fixed_model.json"),
+            "--inliers", str(fuzz_pair / "inliers.csv"), "--test", str(fuzz_pair / "test.csv"),
+        ])
 
     def test_config_sets_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"

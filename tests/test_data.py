@@ -51,7 +51,32 @@ class TestDataset:
             )
 
 
+    def test_duplicate_id_is_named(self):
+        with pytest.raises(InputError, match="'b' appears more than once"):
+            Dataset(features=np.ones((1, 4)), feature_names=("f",),
+                    sample_ids=("a", "b", "c", "b"))
+
+    def test_columns_in_the_given_order(self):
+        data = make_dataset([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        picked = data.columns(np.array([2, 0]))
+        assert type(picked) is Dataset
+        assert picked.sample_ids == ("s2", "s0") and picked.feature_names == ("f0", "f1")
+        assert np.array_equal(picked.features, [[2.0, 0.0], [5.0, 3.0]])
+
+
 class TestPool:
+    def test_pooled_is_a_checked_dataset(self):
+        pooled = pool(make_dataset([[1.0, 2.0]], "a"), make_dataset([[3.0]], "b"))
+        assert isinstance(pooled, Dataset)
+        assert not pooled.features.flags.writeable and not pooled.labels.flags.writeable
+
+    def test_shared_sample_id_rejected(self):
+        # explain finds a column by its id: a shared one answered for the test sample
+        inliers = make_dataset(np.ones((2, 3)))
+        test = make_dataset(np.zeros((2, 2)))
+        with pytest.raises(InputError, match="'s0' appears more than once"):
+            pool(inliers, test)
+
     def test_labels_and_ordering(self):
         inliers = make_dataset([[1.0, 2.0]], prefix="a")
         test = make_dataset([[3.0]], prefix="b")
@@ -268,6 +293,19 @@ class TestCsv:
         path = tmp_path / "d.csv"
         path.write_text(f"f0,f1,label\n1.0,2.0,inlier\n\n3.0,{cell},outlier\n")
         with pytest.raises(InputError, match=rf"d\.csv: line 4, column 'f1': '{cell}' is not a finite"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("header, message", [
+        ("a,a,label", "feature name 'a' is repeated"),
+        ("a, b ,b", "feature name 'b' is repeated"),
+        ("a,,b", "feature name '' is empty"),
+        (" ,label", "feature name '' is empty"),
+    ])
+    def test_repeated_or_empty_feature_name(self, tmp_path, header, message):
+        # a repeated name used to load, and every explanation named it twice
+        path = tmp_path / "d.csv"
+        path.write_text(header + "\n" + ",".join(["1.0"] * len(header.split(","))) + "\n")
+        with pytest.raises(InputError, match=rf"d\.csv: {message}"):
             load_csv(path)
 
     def test_error_row_counts_blank_lines(self, tmp_path):

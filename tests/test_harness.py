@@ -71,6 +71,20 @@ class TestResplit:
         b = harness.resplit_dataset(self.data, self.labels, 10, seed=7, trial=1)
         assert a[0].sample_ids != b[0].sample_ids
 
+    def test_draws_from_the_resplit_stream(self):
+        # the split is keyed by spawn_key (3, trial), apart from synth's roles 0-2
+        inliers, test, _ = harness.resplit_dataset(self.data, self.labels, 10, seed=7, trial=2)
+        labels = np.asarray(self.labels)
+        inl_idx, out_idx = np.flatnonzero(labels == LABEL_INLIER), np.flatnonzero(labels == LABEL_OUTLIER)
+        ss = np.random.SeedSequence(entropy=7, spawn_key=(3, 2))
+        rng = np.random.Generator(np.random.Philox(seed=ss))
+        perm = rng.permutation(inl_idx)
+        half = len(inl_idx) // 2
+        picked = np.sort(rng.choice(out_idx, size=10, replace=False))
+        test_idx = np.concatenate([np.sort(perm[half:]), picked])
+        assert inliers.sample_ids == tuple(self.data.sample_ids[i] for i in np.sort(perm[:half]))
+        assert test.sample_ids == tuple(self.data.sample_ids[i] for i in test_idx)
+
     def test_too_few_outliers_warns_and_uses_all(self, caplog):
         data, labels = load_csv(os.path.join(FIXTURES, "shift.csv"))
         inliers, test, out_labels = harness.resplit_dataset(data, labels, 10, seed=0, trial=0)

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from ratioscope.data import Dataset, pool
+from ratioscope.data import Dataset, load_csv, pool, save_csv
 from ratioscope.errors import InputError
-from ratioscope.llr import WeightMatrix
+from ratioscope.llr import LlrHyperparams, WeightMatrix, fit_pooled
 from ratioscope.scores import (
     CONST_FEATURE,
     Explanation,
@@ -22,6 +22,7 @@ from ratioscope.scores import (
     save_explanations_json,
     save_scores_csv,
 )
+from ratioscope.synth import SynthSpec, generate
 
 
 def pooled_with(n_inlier, n_test, d=1, fill=1.0):
@@ -205,6 +206,22 @@ class TestExplain:
                 assert [e.score for e in together] == [
                     explain(W, pooled, [sid], top_k=1)[0].score for sid in ids
                 ]
+
+    def test_readme_flow_explains_the_sample_it_scores(self, tmp_path):
+        # two files loaded with the same ids used to pool, and explain of
+        # inlier s0 answered with test s0's column
+        inliers, test, labels = generate(SynthSpec(d=4, n_inlier=12, n_test_inlier=6,
+                                                   n_test_outlier=2))
+        save_csv(tmp_path / "inliers.csv", inliers)
+        save_csv(tmp_path / "test.csv", test, labels=labels)
+        inliers, _ = load_csv(tmp_path / "inliers.csv", id_prefix="in-")
+        test, _ = load_csv(tmp_path / "test.csv", id_prefix="te-")
+        pooled = pool(inliers, test)
+        weights = fit_pooled(pooled, LlrHyperparams()).weights
+        scores = ratio_score(weights, pooled, which="inlier")
+        why = explain(weights, pooled, scores.sample_ids, top_k=2)
+        assert [e.sample_id for e in why] == list(inliers.sample_ids)
+        assert [e.score for e in why] == scores.scores.tolist()
 
     def test_unknown_sample(self):
         pooled = pooled_with(1, 1)

@@ -23,7 +23,7 @@ class TestSpecValidation:
         assert spec.n_test_outlier == 10
         # the outliers are the role's normals shifted by (3, -2, 0, ..., 0)
         _, test, _ = generate(spec)
-        normals = synth._normals((10, 10), spec.seed, synth._ROLE_OUTLIER, 0)
+        normals = synth._normals((10, 10), spec.seed, synth.ROLE_OUTLIER, 0)
         shift = np.array([3.0, -2.0] + [0.0] * 8)
         np.testing.assert_array_equal(test.features[:, -10:], normals + shift[:, None])
 

@@ -53,6 +53,15 @@ def gauss_design(query: np.ndarray, centers: np.ndarray, sigma2: float) -> np.nd
     return np.exp(-pairwise_sq_dists(query, centers) / (2.0 * sigma2))
 
 
+def check_kernel_width(name: str, sigma: float) -> None:
+    """Raise InputError naming the width unless sigma > 0 and sigma**2 is
+    positive and finite: 1e-200 squares to 0, 1e200 to inf, and NaN
+    fails every comparison."""
+    square = float(sigma) * float(sigma)  # Python floats overflow to inf without a warning
+    if not (sigma > 0 and 0 < square < math.inf):
+        raise InputError(f"{name} must be positive with a positive finite square, got {sigma}")
+
+
 def _subsample_centers(samples: np.ndarray, seed: int) -> np.ndarray:
     """DEFAULT_BASIS columns drawn by a PCG64 generator, or all if fewer."""
     m = samples.shape[1]
@@ -70,8 +79,7 @@ def kde_fit_score(inliers: Dataset, query: Dataset, sigma: float) -> ScoreSet:
     """Gaussian kernel density of each query point under the inliers."""
     from scipy.special import logsumexp
 
-    if sigma <= 0:
-        raise InputError("sigma must be positive")
+    check_kernel_width("kde sigma", sigma)
     if inliers.d != query.d:
         raise InputError("inlier and query dimensions differ")
     d, n = inliers.d, inliers.m
@@ -184,6 +192,7 @@ def osvm_fit(samples: Dataset, nu: float, sigma: float) -> KernelModel:
     ``converged`` is False when it stops at _OSVM_MAX_ITERS instead.
     """
     check_osvm_nu(nu)
+    check_kernel_width("osvm sigma", sigma)
     n = samples.m
     c = 1.0 / (n * nu)  # 0 < nu <= 1 gives c * n >= 1
     X = samples.features
@@ -288,8 +297,7 @@ def kliep_fit(inliers: Dataset, test: Dataset, tau: float, seed: int = 0) -> Ker
     1 after every step, and alpha stays entrywise nonnegative.  Every
     accepted step keeps or raises the log-likelihood.
     """
-    if tau <= 0:
-        raise InputError("tau must be positive")
+    check_kernel_width("kliep tau", tau)
     centers = _subsample_centers(inliers.features, seed)
     sigma2 = tau**2
     phi_nu = gauss_design(inliers.features, centers, sigma2)  # numerator terms
@@ -373,6 +381,7 @@ def rulsif_fit(
     (0, 1) mixes the denominator toward the inlier density.
     """
     check_rulsif(beta, nu)
+    check_kernel_width("ulsif/rulsif sigma", sigma)
     centers = _subsample_centers(inliers.features, seed)
     sigma2 = sigma**2
     phi_in = gauss_design(inliers.features, centers, sigma2)

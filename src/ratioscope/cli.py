@@ -187,8 +187,7 @@ def cmd_eval(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("fpr,tpr\n")
-            for fpr, tpr in points:
-                fh.write(f"{float(fpr)!r},{float(tpr)!r}\n")
+            fh.writelines(f"{fpr!r},{tpr!r}\n" for fpr, tpr in points.tolist())
     print(f"AUC {value!r}")
     return EXIT_OK
 
@@ -340,8 +339,8 @@ def main(argv=None) -> int:
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    # InputError is a ValueError, and so is any unvalidated one
-    except (ValueError, OSError) as exc:
+    # any other exception is a bug, and shows its traceback
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -247,7 +247,7 @@ def load_csv(path, id_prefix: str = "") -> tuple[Dataset, list[str] | None]:
             labels.append(parse_label(path, line, row[-1]))
             row = row[:-1]
         try:
-            values.append([float(v) for v in row])
+            values.append(list(map(float, row)))
         except ValueError:
             # parse again cell by cell to name the bad one
             values.append([parse_float(path, line, n, v) for n, v in zip(names, row)])

@@ -69,10 +69,12 @@ class SimilarityGraph:
     sigma2: float
     edges: tuple = field(init=False, repr=False, compare=False)
     pattern: tuple = field(init=False, repr=False, compare=False)
+    signs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", edge_list(self.weights))
         object.__setattr__(self, "pattern", laplacian_pattern(self.edges[0]))
+        object.__setattr__(self, "signs", np.tile(_LAPLACIAN_SIGNS, len(self.edges[1])))
 
     def laplacian(self, a: np.ndarray) -> sp.csr_matrix:
         """B0^T diag(a) B0 for edge weights a over ``edges``, scattered
@@ -83,7 +85,7 @@ class SimilarityGraph:
         import scipy.sparse as sp
 
         indices, indptr, slots = self.pattern
-        entries = (a[:, None] * _LAPLACIAN_SIGNS).ravel()
+        entries = np.repeat(a, 4) * self.signs
         data = np.bincount(slots, weights=entries, minlength=len(indices))
         return sp.csr_matrix((data, indices, indptr), shape=(self.m, self.m))
 

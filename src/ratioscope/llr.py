@@ -418,7 +418,7 @@ def solve_inner(
     X = np.ascontiguousarray(pooled.features.T)
     y = pooled.labels
     # every penalty product scales Ce by 2 lambda2 first, so scale it once
-    Ce2 = (2.0 * hp.lambda2) * np.ascontiguousarray(Ce.T)
+    Ce2 = np.multiply(2.0 * hp.lambda2, Ce.T, order="C")
     precond_at = _block_preconditioner(X, Cg, Ce2, hp)
 
     W = np.array(W0.values.T, order="C")
@@ -487,10 +487,11 @@ def solve_inner(
         dz = y * np.einsum("ik,ik->i", X, p)
         lin = _dot(g_pen, p)
         quad = 0.5 * _dot(p, Pp)
+        # a full step adds p, Pp and dz unscaled, since 1.0 * x is x
         step = 1.0
         while True:
-            change = (_logistic_change(z, sig, step * dz)
-                      + step * lin + step * step * quad)
+            tdz = dz if step == 1.0 else step * dz
+            change = _logistic_change(z, sig, tdz) + step * lin + step * step * quad
             if change <= 1e-4 * step * slope:
                 break
             step *= 0.5
@@ -499,9 +500,9 @@ def solve_inner(
                     "no decreasing step at machine precision "
                     "(ill-conditioned surrogate)"
                 )
-        W += step * p
-        g_pen += step * Pp
-        z += step * dz
+        W += p if step == 1.0 else step * p
+        g_pen += Pp if step == 1.0 else step * Pp
+        z += tdz
         f += change
 
     return WeightMatrix(values=np.ascontiguousarray(W.T))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
@@ -138,21 +139,13 @@ def explain(
 
 
 def save_scores_csv(path, scores: ScoreSet, decisions=None) -> None:
+    columns = {"sample_id": scores.sample_ids, "score": map(repr, scores.scores.tolist()),
+               "decision": decisions, "label": scores.labels}
+    columns = {name: column for name, column in columns.items() if column is not None}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = ["sample_id", "score"]
-        if decisions is not None:
-            header.append("decision")
-        if scores.labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        for i, sid in enumerate(scores.sample_ids):
-            row = [sid, repr(float(scores.scores[i]))]
-            if decisions is not None:
-                row.append(decisions[i])
-            if scores.labels is not None:
-                row.append(scores.labels[i])
-            writer.writerow(row)
+        writer.writerow(columns.keys())
+        writer.writerows(zip(*columns.values(), strict=True))
 
 
 def load_scores_csv(path) -> tuple[ScoreSet, tuple[str, ...] | None]:
@@ -172,7 +165,7 @@ def load_scores_csv(path) -> tuple[ScoreSet, tuple[str, ...] | None]:
             raise InputError(f"{path}: line {line} has {len(row)} fields, expected {len(header)}")
         ids.append(row[cols["sample_id"]])
         score = parse_float(path, line, "score", row[cols["score"]])
-        if not (np.isfinite(score) and score > 0):
+        if not 0 < score < math.inf:
             raise InputError(f"{path}: line {line}: score {score!r} is not positive and finite")
         scores.append(score)
         if "label" in cols:

@@ -1247,6 +1247,15 @@ class TestTopLevel:
     def test_help_exit0(self):
         assert cli.main(["--help"]) == cli.EXIT_OK
 
+    def test_unvalidated_value_error_is_not_a_usage_error(self, monkeypatch):
+        # a bug shows its traceback; only InputError and OSError exit 2
+        def broken(args):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(cli, "cmd_eval", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            cli.main(["eval", "--scores", "scores.csv"])
+
     def test_import_skips_scipy_optimize_and_stats(self):
         # each costs every command about half a second of start-up
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

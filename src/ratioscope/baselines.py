@@ -9,6 +9,7 @@ inlier/test ratio.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +55,11 @@ def gauss_design(query: np.ndarray, centers: np.ndarray, sigma2: float) -> np.nd
 
 
 def check_kernel_width(name: str, sigma: float) -> None:
-    """Raise InputError naming the width unless sigma > 0 and sigma**2 is
-    positive and finite: 1e-200 squares to 0, 1e200 to inf, and NaN
-    fails every comparison."""
-    square = float(sigma) * float(sigma)  # Python floats overflow to inf without a warning
-    if not (sigma > 0 and 0 < square < math.inf):
-        raise InputError(f"{name} must be positive with a positive finite square, got {sigma}")
+    """Raise InputError naming the width unless sigma > 0 and the kernel's divisor
+    2 sigma**2 is normal and finite (subnormal at 1e-160, inf at 1e154)."""
+    divisor = 2.0 * (float(sigma) * float(sigma))  # Python floats overflow to inf without a warning
+    if not (sigma > 0 and sys.float_info.min <= divisor < math.inf):
+        raise InputError(f"{name} must be positive with a normal, finite 2 sigma**2, got {sigma}")
 
 
 def _subsample_centers(samples: np.ndarray, seed: int) -> np.ndarray:

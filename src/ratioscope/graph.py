@@ -61,7 +61,8 @@ class SimilarityGraph:
     symmetrization fill-in).  ``edges`` is ``edge_list(weights)`` and
     ``pattern`` is ``laplacian_pattern`` of its incidence matrix, the
     fixed CSR pattern that every reweighted Laplacian ``laplacian(a)``
-    of the graph shares; both are built once when the graph is created.
+    of the graph shares, and ``signs`` holds each edge's four scatter
+    signs; all three are built once when the graph is created.
     """
 
     weights: sp.csr_matrix

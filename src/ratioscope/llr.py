@@ -68,6 +68,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+try:  # np.einsum without `optimize` returns this call, from behind two Python layers
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy 1.x
+    _einsum = np.einsum
+
 from .data import PooledDataset, StandardizationStats, read_json_object
 from .errors import InputError, LineSearchFailure, NonDecrease
 # median_heuristic is unused here but stays importable as
@@ -170,14 +175,14 @@ def _check_dims(W: np.ndarray, pooled: PooledDataset):
 
 
 def _logistic_loss(W: np.ndarray, pooled: PooledDataset) -> float:
-    z = pooled.labels * np.einsum("ki,ki->i", W, pooled.features)
+    z = pooled.labels * _einsum("ki,ki->i", W, pooled.features)
     return float(np.sum(np.logaddexp(0.0, -z)))
 
 
 def _edge_sq_dists(Wv: np.ndarray, B0: sp.csr_matrix) -> np.ndarray:
     """Squared column distances ||w_i - w_j||^2 per edge."""
     diff = B0 @ Wv.T
-    return np.einsum("ek,ek->e", diff, diff)
+    return _einsum("ek,ek->e", diff, diff)
 
 
 @dataclass(frozen=True)
@@ -270,7 +275,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius inner product of two 2-D arrays.  einsum does not call
     BLAS, so the sum does not depend on the BLAS thread count, and a fit
     inside a thread pool does not start BLAS threads for it."""
-    return float(np.einsum("ik,ik->", a, b))
+    return float(_einsum("ik,ik->", a, b))
 
 
 # The inner solve keeps samples along the rows: W, V, X and Ce are
@@ -303,7 +308,7 @@ def _hessp(V, X, c, Cg, Ce2, hp):
     penalty part P V = 2 lambda1 Cg V + Ce2 * V on its own, where
     Ce2 = (2 lambda2) Ce."""
     PV = _penalty_hessp(V, Cg, Ce2, hp)
-    HV = (c * np.einsum("ik,ik->i", X, V))[:, None] * X
+    HV = (c * _einsum("ik,ik->i", X, V))[:, None] * X
     HV += PV
     return HV, PV
 
@@ -315,14 +320,14 @@ def _block_preconditioner(X, Cg, Ce2, hp):
     U = D^-1 X and x_i.u_i do not depend on c, so a solve forms them once."""
     Dinv = 1.0 / np.maximum(2.0 * hp.lambda1 * Cg.diagonal()[:, None] + Ce2, 1e-12)
     U = Dinv * X
-    XU = np.einsum("ik,ik->i", X, U)
+    XU = _einsum("ik,ik->i", X, U)
 
     def at(c):
         coef = c / (1.0 + c * XU)
 
         def precond(R):
             out = Dinv * R
-            out -= U * (coef * np.einsum("ik,ik->i", U, R))[:, None]
+            out -= U * (coef * _einsum("ik,ik->i", U, R))[:, None]
             return out
 
         return precond
@@ -359,7 +364,7 @@ def grad_Jtilde(
     Wv = W.values
     _check_dims(Wv, pooled)
     X, y = pooled.features.T, pooled.labels
-    z = y * np.einsum("ik,ik->i", X, Wv.T)
+    z = y * _einsum("ik,ik->i", X, Wv.T)
     g, _ = _surrogate_grad(X, y, z, _penalty_hessp(Wv.T, Cg, (2.0 * hp.lambda2) * Ce.T, hp))
     return np.ascontiguousarray(g.T)  # d x m in C order, as W.values is
 
@@ -422,7 +427,7 @@ def solve_inner(
     precond_at = _block_preconditioner(X, Cg, Ce2, hp)
 
     W = np.array(W0.values.T, order="C")
-    z = y * np.einsum("ik,ik->i", X, W)
+    z = y * _einsum("ik,ik->i", X, W)
     g_pen = _penalty_hessp(W, Cg, Ce2, hp)
     # the penalties are quadratic with gradient g_pen, so their value
     # is <W, g_pen> / 2
@@ -484,14 +489,13 @@ def solve_inner(
         slope = _dot(g, p)
         if not slope < 0:
             raise LineSearchFailure("Newton direction is not a descent direction")
-        dz = y * np.einsum("ik,ik->i", X, p)
+        dz = y * _einsum("ik,ik->i", X, p)
         lin = _dot(g_pen, p)
         quad = 0.5 * _dot(p, Pp)
-        # a full step adds p, Pp and dz unscaled, since 1.0 * x is x
         step = 1.0
         while True:
-            tdz = dz if step == 1.0 else step * dz
-            change = _logistic_change(z, sig, tdz) + step * lin + step * step * quad
+            change = (_logistic_change(z, sig, step * dz)
+                      + step * lin + step * step * quad)
             if change <= 1e-4 * step * slope:
                 break
             step *= 0.5
@@ -500,9 +504,9 @@ def solve_inner(
                     "no decreasing step at machine precision "
                     "(ill-conditioned surrogate)"
                 )
-        W += p if step == 1.0 else step * p
-        g_pen += Pp if step == 1.0 else step * Pp
-        z += tdz
+        W += step * p
+        g_pen += step * Pp
+        z += step * dz
         f += change
 
     return WeightMatrix(values=np.ascontiguousarray(W.T))

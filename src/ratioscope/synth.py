@@ -31,6 +31,8 @@ class SynthSpec:
             raise InputError("d must be at least 2 (the mean shift uses two features)")
         if min(self.n_inlier, self.n_test_inlier, self.n_test_outlier) < 1:
             raise InputError("all sample counts must be at least 1")
+        if (size := self.d * (self.n_inlier + self.n_test_inlier + self.n_test_outlier)) > 2**31:
+            raise InputError(f"d times the total sample count must be at most 2**31, got {size}")
 
 
 def trial_stream(seed: int, role: int, trial: int) -> np.random.Generator:

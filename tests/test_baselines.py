@@ -662,8 +662,9 @@ class TestKernelWidth:
     # each width failed late or not at all: OSVM and RuLSIF raised raw
     # numpy and scipy errors at 0, NaN and 1e-200 (which squares to 0)
     # and scored every point alike at infinity; KLIEP and KDE took NaN
-    # and infinity; and 1e200, whose square overflows, raised a raw
-    # OverflowError, or with a numpy float an overflow warning
+    # and infinity; 1e200, whose square overflows, raised a raw
+    # OverflowError, or with a numpy float an overflow warning; and the
+    # kernel divisor 2 sigma**2 is inf at 1e154 and subnormal at 1e-160
     FITS = {
         "osvm sigma": lambda a, b, s: osvm_fit(a, nu=0.1, sigma=s),
         "ulsif/rulsif sigma": lambda a, b, s: rulsif_fit(a, b, beta=0.5, nu=0.1, sigma=s),
@@ -672,7 +673,8 @@ class TestKernelWidth:
     }
 
     @pytest.mark.parametrize(
-        "sigma", [0.0, -1.0, float("nan"), float("inf"), 1e-200, 1e200, np.float64(1e200)])
+        "sigma", [0.0, -1.0, float("nan"), float("inf"), 1e-200, 1e-160, 1e154, 1e200,
+                  np.float64(1e200)])
     @pytest.mark.parametrize("name", list(FITS))
     def test_unusable_width_raises_one_input_error(self, name, sigma):
         rng = np.random.default_rng(20)

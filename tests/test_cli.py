@@ -82,6 +82,14 @@ class TestSynth:
     def test_d1_is_usage_error(self, tmp_path):
         assert cli.main(["synth", "--d", "1", "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("flag", ["--d", "--n-inlier", "--n-outlier"])
+    def test_oversized_set_is_usage_error(self, tmp_path, capsys, flag):
+        # a count past numpy's array limit used to reach main as numpy's ValueError
+        argv = ["synth", flag, str(10**19), "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert_one_error(capsys, "must be at most 2**31")
+        assert list(tmp_path.iterdir()) == []
+
     def test_same_seed_identical_files(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

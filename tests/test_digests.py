@@ -5,7 +5,11 @@ regenerates the digests with ``python tests/digests.py write``, so the
 move shows up as an edit of that file.
 
 The same bytes are pinned for two fits whose Armijo line search halves
-its step, a branch that the pipeline's fits never take.
+its step, a branch that the pipeline's fits never take.  Their digests
+are written in the two tests below, not in fixtures/digests.json, so
+``digests.py write`` leaves them alone: a change that moves them on
+purpose edits them by hand, with the values that the failing
+assertion prints (pytest shows both sides of the ``==``).
 
 The digests hold on the platform they were made on (numpy, scipy and
 numpy's BLAS build); elsewhere the comparison is skipped, since BLAS

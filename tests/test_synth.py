@@ -37,6 +37,11 @@ class TestSpecValidation:
         with pytest.raises(InputError, match="sample counts"):
             SynthSpec(d=5, n_test_outlier=0)
 
+    def test_size_bound(self):
+        SynthSpec(d=2, n_inlier=2**30 - 2, n_test_inlier=1, n_test_outlier=1)  # 2**31 values
+        with pytest.raises(InputError, match=r"at most 2\*\*31, got 2147483650$"):
+            SynthSpec(d=2, n_inlier=2**30 - 1, n_test_inlier=1, n_test_outlier=1)
+
 
 
 class TestShapes:

@@ -25,7 +25,7 @@ DIST_FLOOR = 1e-12
 DEFAULT_BASIS = 100
 # iteration caps and stopping tolerances of the iterative fits
 _OSVM_MAX_ITERS = 5000
-_OSVM_KKT_TOL = 1e-6
+_OSVM_STEP_TOL = 1e-6
 _L1LR_MAX_ITERS = 20000
 _L1LR_TOL = 1e-5
 _KLIEP_MAX_ITERS = 2000
@@ -188,7 +188,7 @@ def osvm_fit(samples: Dataset, nu: float, sigma: float) -> KernelModel:
     decision value without offset.
 
     Each step projects from the extrapolated point y.  Stops when that
-    step moves no alpha by more than _OSVM_KKT_TOL * step from y;
+    step moves no alpha by more than _OSVM_STEP_TOL * step from y;
     ``converged`` is False when it stops at _OSVM_MAX_ITERS instead.
     """
     check_osvm_nu(nu)
@@ -208,7 +208,7 @@ def osvm_fit(samples: Dataset, nu: float, sigma: float) -> KernelModel:
     iterations = 0
     for iterations in range(1, _OSVM_MAX_ITERS + 1):
         alpha_new = project_box_simplex(y - step * (K @ y), c)
-        converged = bool(np.max(np.abs(alpha_new - y)) <= _OSVM_KKT_TOL * step)
+        converged = bool(np.max(np.abs(alpha_new - y)) <= _OSVM_STEP_TOL * step)
         if (y - alpha_new) @ (alpha_new - alpha) > 0:
             # restart: the move alpha -> alpha_new went uphill along the
             # gradient mapping (y - alpha_new) / step
@@ -302,6 +302,9 @@ def kliep_fit(inliers: Dataset, test: Dataset, tau: float, seed: int = 0) -> Ker
     sigma2 = tau**2
     phi_nu = gauss_design(inliers.features, centers, sigma2)  # numerator terms
     phi_de = gauss_design(test.features, centers, sigma2)  # constraint terms
+    if not phi_nu.any(axis=1).all():
+        # log(phi_nu @ alpha) is -inf there for every nonnegative alpha
+        raise SolverFailure(f"kliep tau {tau}: an inlier sample has no kernel mass at any center")
 
     def normalize(a):
         mean_de = float(np.mean(phi_de @ a))

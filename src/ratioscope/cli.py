@@ -283,6 +283,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     for p in sub.choices.values():
         p.set_defaults(**(defaults or {}))
+    # the keys a config file may hold: every command's flag dests
+    parser.flag_dests = {a.dest for p in sub.choices.values() for a in p._actions} - {"help"}
     return parser
 
 
@@ -313,6 +315,9 @@ def _parse(argv):
     # second pass: config values become defaults of the chosen command's
     # own flags, so that explicit flags still win
     config = read_json_object(path, "config file")
+    for key in config:
+        if key.replace("-", "_") not in _default_parser().flag_dests:
+            raise InputError(f"config file {path}: {key!r} is not a flag of any command")
     dests = ((k.replace("-", "_"), v) for k, v in config.items())
     own = {
         k: _config_default(path, k, v, vars(args)[k]) for k, v in dests

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -33,20 +34,15 @@ def edge_list(M: sp.spmatrix):
     return B0, upper.data
 
 
-# the signs of an edge's entries (i, i), (j, j), (i, j), (j, i) in a
-# Laplacian, the order of laplacian_pattern's slots
-_LAPLACIAN_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
-
-
 def laplacian_pattern(B0: sp.csr_matrix):
     """(indices, indptr, slots) for the incidence matrix B0 of
-    ``edge_list``: the CSR pattern of B0^T B0, rows sorted, and for each
-    edge in order the positions of its entries (i, i), (j, j), (i, j),
-    (j, i) in that pattern."""
+    ``edge_list``: the CSR pattern of B0^T B0, rows sorted, and the
+    positions in that pattern of every edge's entry (j, j), then every
+    edge's (i, i), then (i, j), then (j, i), each block in edge order."""
     m = B0.shape[1]
     i, j = B0.indices[0::2], B0.indices[1::2]
-    rows = np.column_stack([i, j, i, j]).ravel()
-    cols = np.column_stack([i, j, j, i]).ravel()
+    rows = np.concatenate([j, i, i, j])
+    cols = np.concatenate([j, i, j, i])
     keys, slots = np.unique(rows.astype(np.int64) * m + cols, return_inverse=True)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // m, minlength=m))])
     return (keys % m).astype(B0.indices.dtype), indptr.astype(B0.indptr.dtype), slots
@@ -61,8 +57,7 @@ class SimilarityGraph:
     symmetrization fill-in).  ``edges`` is ``edge_list(weights)`` and
     ``pattern`` is ``laplacian_pattern`` of its incidence matrix, the
     fixed CSR pattern that every reweighted Laplacian ``laplacian(a)``
-    of the graph shares, and ``signs`` holds each edge's four scatter
-    signs; all three are built once when the graph is created.
+    of the graph shares; both are built once when the graph is created.
     """
 
     weights: sp.csr_matrix
@@ -70,24 +65,24 @@ class SimilarityGraph:
     sigma2: float
     edges: tuple = field(init=False, repr=False, compare=False)
     pattern: tuple = field(init=False, repr=False, compare=False)
-    signs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", edge_list(self.weights))
         object.__setattr__(self, "pattern", laplacian_pattern(self.edges[0]))
-        object.__setattr__(self, "signs", np.tile(_LAPLACIAN_SIGNS, len(self.edges[1])))
 
     def laplacian(self, a: np.ndarray) -> sp.csr_matrix:
         """B0^T diag(a) B0 for edge weights a over ``edges``, scattered
-        into ``pattern`` with no sparse product: each edge adds +a to
-        (i, i) and (j, j) and puts -a at (i, j) and (j, i).  bincount
-        adds each diagonal sum in edge order, as the product B0^T
-        (diag(a) B0) does, so the arrays are that product's bit for bit."""
+        into ``pattern`` with no sparse product: +a at (j, j) and (i, i),
+        -a at (i, j) and (j, i).  Edges run row-major (i < j), so at each
+        node the edges where it is j precede those where it is i, in the
+        slot blocks as in the product B0^T (diag(a) B0): bincount adds
+        each diagonal sum in the product's order, so the arrays are that
+        product's bit for bit."""
         import scipy.sparse as sp
 
         indices, indptr, slots = self.pattern
-        entries = np.repeat(a, 4) * self.signs
-        data = np.bincount(slots, weights=entries, minlength=len(indices))
+        data = np.bincount(slots, weights=np.concatenate((a, a, -a, -a)),
+                           minlength=len(indices))
         return sp.csr_matrix((data, indices, indptr), shape=(self.m, self.m))
 
     @property
@@ -160,8 +155,8 @@ def knn_graph(data: np.ndarray, K: int, sigma2: float | str) -> SimilarityGraph:
     m = data.shape[1]
     if K <= 0 or K >= m:
         raise InputError(f"K must satisfy 1 <= K < m, got K={K}, m={m}")
-    if sigma2 != SIGMA2_AUTO and sigma2 <= 0:
-        raise InputError(f"sigma2 must be positive, got {sigma2}")
+    if sigma2 != SIGMA2_AUTO and not 0 < sigma2 < math.inf:
+        raise InputError(f"sigma2 must be a positive finite number, got {sigma2}")
     d2 = pairwise_sq_dists(data, data)
     if sigma2 == SIGMA2_AUTO:
         sigma2 = _median_dist(d2) ** 2

@@ -39,6 +39,8 @@ METHODS = ("llr", "kde", "lof", "osvm", "l1lr", "kliep", "ulsif", "rulsif")
 POOLED_SIGMA_METHODS = ("osvm", "kliep", "ulsif", "rulsif")
 # what `ratioscope bench` runs when --methods is not given
 DEFAULT_BENCH_METHODS = ("llr", "kde", "lof", "osvm", "l1lr", "kliep", "ulsif")
+# outliers that resplit_dataset samples into each trial's test set
+RESPLIT_OUTLIERS = 10
 
 # bench params passed to llr.LlrHyperparams under the same names; sigma2 stays "auto"
 LLR_PARAMS = tuple(f.name for f in fields(llr.LlrHyperparams) if f.name != "sigma2")
@@ -115,9 +117,9 @@ def standardized(inliers: Dataset, test: Dataset, stats: StandardizationStats | 
     return apply_standardizer(inliers, stats), apply_standardizer(test, stats)
 
 
-def resplit_dataset(data: Dataset, labels, n_outliers: int, seed: int, trial: int):
+def resplit_dataset(data: Dataset, labels, seed: int, trial: int):
     """Real-data protocol: half the inlier class as model samples, the
-    remaining inliers plus up to n_outliers sampled outliers as test."""
+    remaining inliers plus up to RESPLIT_OUTLIERS sampled outliers as test."""
     labels = np.asarray(labels)
     inl_idx = np.flatnonzero(labels == LABEL_INLIER)
     out_idx = np.flatnonzero(labels == LABEL_OUTLIER)
@@ -126,11 +128,11 @@ def resplit_dataset(data: Dataset, labels, n_outliers: int, seed: int, trial: in
     half = len(inl_idx) // 2
     model_idx = np.sort(inl_perm[:half])
     test_inl_idx = np.sort(inl_perm[half:])
-    if len(out_idx) < n_outliers:
+    if len(out_idx) < RESPLIT_OUTLIERS:
         _log.warning("warning: only %d outliers available, using all", len(out_idx))
         picked_out = out_idx
     else:
-        picked_out = np.sort(rng.choice(out_idx, size=n_outliers, replace=False))
+        picked_out = np.sort(rng.choice(out_idx, size=RESPLIT_OUTLIERS, replace=False))
     test_idx = np.concatenate([test_inl_idx, picked_out])
     test_labels = [LABEL_INLIER] * len(test_inl_idx) + [LABEL_OUTLIER] * len(picked_out)
     return data.columns(model_idx), data.columns(test_idx), test_labels
@@ -188,7 +190,7 @@ def run_bench(
         if dataset is None:
             inliers, test, labels = generate(specs[dim], trial=trial)
         else:
-            inliers, test, labels = resplit_dataset(dataset, dataset_labels, 10, seed, trial)
+            inliers, test, labels = resplit_dataset(dataset, dataset_labels, seed, trial)
         stats = fit_standardizer(inliers) if params["standardize"] else None
         inliers, test = standardized(inliers, test, stats)
         aucs, failures, sigma = {}, [], None

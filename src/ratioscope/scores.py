@@ -197,18 +197,14 @@ def save_explanations_json(path, explanations) -> None:
     json.dump(doc, fh, indent=2) writes.  The text is formatted in one
     pass, because json.dump with an indent runs the pure-Python encoder,
     which costs several times what computing the explanations does.
-    Strings are escaped by json's own encode_basestring_ascii, each
-    feature name once, and floats are written by float.__repr__, with
-    json's NaN and Infinity."""
-    quoted = {}
+    Strings are escaped by json's own encode_basestring_ascii, and
+    floats are written by float.__repr__, with json's NaN and Infinity."""
     items = []
     for e in explanations:
         features = []
         for name, weight in e.ranked_features:
-            if name not in quoted:
-                quoted[name] = encode_basestring_ascii(name)
             features.append(
-                f'      {{\n        "name": {quoted[name]},\n'
+                f'      {{\n        "name": {encode_basestring_ascii(name)},\n'
                 f'        "weight": {_json_float(weight)}\n      }}'
             )
         listed = "[\n" + ",\n".join(features) + "\n    ]" if features else "[]"

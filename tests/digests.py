@@ -5,11 +5,15 @@
         fixtures/digests.json; run it in the change that moves results
         on purpose, and record that change's numbers;
     OPENBLAS_NUM_THREADS=1 python tests/digests.py run OUT_DIR
-        runs the pipeline into OUT_DIR, which must exist.
+        runs the pipeline into OUT_DIR, which must exist;
+    OPENBLAS_NUM_THREADS=1 python tests/digests.py backtracking
+        prints the backtracking fits' digests as JSON.
 
 The digest file holds, for every file the pipeline writes, its sha256
 and a 16-bit hash of each of its lines (so that a mismatch can name the
-first line that moved), and the platform the digests were made on.
+first line that moved); the sha256 of the results of two fits whose
+Armijo line search halves its step, a branch that the pipeline's fits
+never take; and the platform the digests were made on.
 """
 
 import contextlib
@@ -79,13 +83,61 @@ def run(out_dir) -> None:
                       f"exit {code}\n")
 
 
-def collect(out_dir) -> None:
-    """run(out_dir) in a fresh interpreter at one BLAS thread."""
+def sha256(values) -> str:
+    import numpy as np
+
+    return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()
+
+
+def backtracking_solve() -> dict:
+    """Digest of an exact solve from a far start, with no fused term; its
+    line search halves twice."""
+    import numpy as np
+    import scipy.sparse as sp
+    from conftest import make_dataset
+
+    from ratioscope import llr
+    from ratioscope.data import pool
+
+    rng = np.random.default_rng(0)
+    pooled = pool(make_dataset(rng.normal(size=(3, 8)), "a"),
+                  make_dataset(rng.normal(size=(3, 4)), "b"))
+    W0 = llr.WeightMatrix(values=5.0 * rng.normal(size=(3, 12)))
+    W = llr.solve_inner(pooled, sp.csr_matrix((12, 12)), np.ones((3, 12)),
+                        llr.LlrHyperparams(lambda1=0.0, lambda2=1e-3), W0)
+    return {"weights": sha256(W.values)}
+
+
+def backtracking_fit() -> dict:
+    """Digests of tests/test_llr.py's fit where the line search met
+    log1p(-1); its inner solves halve 398 times."""
+    from conftest import standardized_pool
+
+    from ratioscope import llr
+    from ratioscope.synth import SynthSpec
+
+    pooled = standardized_pool(
+        SynthSpec(d=5, n_inlier=30, n_test_inlier=15, n_test_outlier=3, seed=0))
+    hp = llr.LlrHyperparams(lambda1=1e6, lambda2=0.0, epsilon=1e-10, k_neighbors=1)
+    result = llr.fit_pooled(pooled, hp)
+    return {"weights": sha256(result.weights.values),
+            "objective_trace": sha256(result.objective_trace)}
+
+
+def fresh(*argv) -> str:
+    """The stdout of this script run with ``argv`` in a fresh interpreter
+    at one BLAS thread."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, __file__, "run", str(out_dir)], env=env,
+    proc = subprocess.run([sys.executable, __file__, *argv], env=env,
                           capture_output=True, text=True)
     if proc.returncode:
-        raise RuntimeError(f"the pipeline failed:\n{proc.stderr}")
+        raise RuntimeError(f"{' '.join(argv)} failed:\n{proc.stderr}")
+    return proc.stdout
+
+
+def collect(out_dir) -> None:
+    """run(out_dir) in a fresh interpreter at one BLAS thread."""
+    fresh("run", str(out_dir))
 
 
 def _line_hash(line: bytes) -> str:
@@ -129,10 +181,14 @@ if __name__ == "__main__":
     if sys.argv[1:2] == ["run"]:
         sys.path.insert(0, str(SRC))
         run(sys.argv[2])
+    elif sys.argv[1:] == ["backtracking"]:
+        sys.path.insert(0, str(SRC))
+        print(json.dumps({"solve": backtracking_solve(), "fit": backtracking_fit()}))
     elif sys.argv[1:] == ["write"]:
         with tempfile.TemporaryDirectory() as tmp:
             collect(tmp)
-            doc = {"platform": platform(), "files": digests(tmp)}
+            doc = {"platform": platform(), "files": digests(tmp),
+                   "backtracking": json.loads(fresh("backtracking"))}
         DIGEST_FILE.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {DIGEST_FILE}")
     else:

@@ -21,7 +21,7 @@ from ratioscope.baselines import (
 )
 from ratioscope import baselines, harness
 from ratioscope.data import PooledDataset, fit_standardizer, pool
-from ratioscope.errors import InputError, SingularSystem
+from ratioscope.errors import InputError, SingularSystem, SolverFailure
 from ratioscope.graph import median_heuristic, pairwise_sq_dists
 from ratioscope.llr import WeightMatrix
 from ratioscope.scores import ratio_score
@@ -595,6 +595,14 @@ class TestKliep:
         data = make_dataset([[0.0, 1.0]])
         with pytest.raises(ValueError):
             kliep_fit(data, data, tau=0.0)
+
+    @pytest.mark.parametrize("tau", [1e-12, 1e-150])
+    def test_width_too_small_for_any_mass_fails(self, tau):
+        # a rounded self-distance over 2 tau**2 zeroes whole rows of the
+        # design matrix; the ascent used to divide by zero there
+        data = make_dataset(np.random.default_rng(0).normal(size=(2, 20)))
+        with pytest.raises(SolverFailure, match=f"kliep tau {tau}: an inlier sample has no"):
+            kliep_fit(data, data, tau)
 
 
 class TestRulsif:

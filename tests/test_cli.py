@@ -1080,6 +1080,18 @@ class TestConfig:
         args = cli._parse(["--config", str(cfg), "synth"])
         assert args.n_inlier == 25 and not hasattr(args, "trials")
 
+    def test_misspelled_config_key_exit2(self, tmp_path, capsys):
+        # a key no command has used to be dropped without a word
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lamda1": 5, "n-inlier": 12}))
+        out = tmp_path / "out"
+        code = cli.main(["--config", str(cfg), "synth", "--d", "3", "--out-dir", str(out)])
+        assert code == cli.EXIT_USAGE and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: config file {cfg}: 'lamda1' is not a flag of any command\n")
+
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n-inlier": 25, "d": 4}))

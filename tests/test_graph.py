@@ -155,6 +155,13 @@ class TestKnnGraph:
         with pytest.raises(InputError, match="K must"):
             knn_graph(X, 3, 1.0)
 
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_sigma2(self, sigma2):
+        # NaN used to pass the check and give all-NaN weights
+        X = np.random.default_rng(0).normal(size=(3, 20))
+        with pytest.raises(InputError, match="sigma2 must be a positive finite number"):
+            knn_graph(X, 3, sigma2)
+
     def test_auto_sigma2_is_the_squared_median_heuristic(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(4, 35))

@@ -42,7 +42,7 @@ class TestResplit:
         self.data, self.labels = load_csv(os.path.join(FIXTURES, "blobs.csv"))
 
     def test_sizes_and_labels(self):
-        inliers, test, labels = harness.resplit_dataset(self.data, self.labels, 10, seed=0, trial=0)
+        inliers, test, labels = harness.resplit_dataset(self.data, self.labels, seed=0, trial=0)
         # 40 inliers total: half become the model set
         assert inliers.m == 20
         assert test.m == 20 + 10
@@ -50,30 +50,30 @@ class TestResplit:
         assert labels.count(LABEL_OUTLIER) == 10
 
     def test_model_and_test_disjoint(self):
-        inliers, test, _ = harness.resplit_dataset(self.data, self.labels, 10, seed=0, trial=0)
+        inliers, test, _ = harness.resplit_dataset(self.data, self.labels, seed=0, trial=0)
         assert set(inliers.sample_ids).isdisjoint(test.sample_ids)
 
     def test_no_outlier_leaks_into_model_set(self):
         outlier_ids = {
             sid for sid, lab in zip(self.data.sample_ids, self.labels) if lab == LABEL_OUTLIER
         }
-        inliers, _, _ = harness.resplit_dataset(self.data, self.labels, 10, seed=1, trial=2)
+        inliers, _, _ = harness.resplit_dataset(self.data, self.labels, seed=1, trial=2)
         assert outlier_ids.isdisjoint(inliers.sample_ids)
 
     def test_deterministic_per_trial(self):
-        a = harness.resplit_dataset(self.data, self.labels, 10, seed=7, trial=4)
-        b = harness.resplit_dataset(self.data, self.labels, 10, seed=7, trial=4)
+        a = harness.resplit_dataset(self.data, self.labels, seed=7, trial=4)
+        b = harness.resplit_dataset(self.data, self.labels, seed=7, trial=4)
         assert a[0].sample_ids == b[0].sample_ids
         assert a[1].sample_ids == b[1].sample_ids
 
     def test_trials_differ(self):
-        a = harness.resplit_dataset(self.data, self.labels, 10, seed=7, trial=0)
-        b = harness.resplit_dataset(self.data, self.labels, 10, seed=7, trial=1)
+        a = harness.resplit_dataset(self.data, self.labels, seed=7, trial=0)
+        b = harness.resplit_dataset(self.data, self.labels, seed=7, trial=1)
         assert a[0].sample_ids != b[0].sample_ids
 
     def test_draws_from_the_resplit_stream(self):
         # the split is keyed by spawn_key (3, trial), apart from synth's roles 0-2
-        inliers, test, _ = harness.resplit_dataset(self.data, self.labels, 10, seed=7, trial=2)
+        inliers, test, _ = harness.resplit_dataset(self.data, self.labels, seed=7, trial=2)
         labels = np.asarray(self.labels)
         inl_idx, out_idx = np.flatnonzero(labels == LABEL_INLIER), np.flatnonzero(labels == LABEL_OUTLIER)
         ss = np.random.SeedSequence(entropy=7, spawn_key=(3, 2))
@@ -87,7 +87,7 @@ class TestResplit:
 
     def test_too_few_outliers_warns_and_uses_all(self, caplog):
         data, labels = load_csv(os.path.join(FIXTURES, "shift.csv"))
-        inliers, test, out_labels = harness.resplit_dataset(data, labels, 10, seed=0, trial=0)
+        inliers, test, out_labels = harness.resplit_dataset(data, labels, seed=0, trial=0)
         assert out_labels.count(LABEL_OUTLIER) == 6
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "only 6 outliers" in caplog.text

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, PooledDataset
-from .errors import InputError, SingularSystem, SolverFailure
-from .graph import nearest, pairwise_sq_dists
+from .errors import InputError, SingularSystem, SolverFailure, check_number
+from .graph import check_neighbors, nearest, pairwise_sq_dists
 from .scores import EXP_CLAMP, ScoreSet, ratio_from_logit
+from .synth import check_seed
 
 SCORE_FLOOR = 1e-12
 DIST_FLOOR = 1e-12
@@ -57,13 +58,15 @@ def gauss_design(query: np.ndarray, centers: np.ndarray, sigma2: float) -> np.nd
 def check_kernel_width(name: str, sigma: float) -> None:
     """Raise InputError naming the width unless sigma > 0 and the kernel's divisor
     2 sigma**2 is normal and finite (subnormal at 1e-160, inf at 1e154)."""
+    check_number(name, sigma, 0, math.inf, open_low=True, open_high=True)
     divisor = 2.0 * (float(sigma) * float(sigma))  # Python floats overflow to inf without a warning
-    if not (sigma > 0 and sys.float_info.min <= divisor < math.inf):
-        raise InputError(f"{name} must be positive with a normal, finite 2 sigma**2, got {sigma}")
+    if not sys.float_info.min <= divisor < math.inf:
+        raise InputError(f"{name} must give a normal, finite 2 sigma**2, got {sigma!r}")
 
 
 def _subsample_centers(samples: np.ndarray, seed: int) -> np.ndarray:
     """DEFAULT_BASIS columns drawn by a PCG64 generator, or all if fewer."""
+    check_seed(seed)
     m = samples.shape[1]
     if DEFAULT_BASIS >= m:
         return samples
@@ -96,14 +99,6 @@ def kde_fit_score(inliers: Dataset, query: Dataset, sigma: float) -> ScoreSet:
 # ---------------------------------------------------------------------------
 # LOF
 
-def check_lof_k(K: int, m: float = math.inf) -> None:
-    """Raise InputError unless 1 <= K < m, the number of reference samples."""
-    if not 1 <= K < m:
-        raise InputError(
-            f"lof K must be at least 1 and below the number of reference samples, got {K}"
-        )
-
-
 def lof_score(reference: Dataset, query: Dataset, K: int) -> ScoreSet:
     """Inverted local outlier factor (1/LOF, higher = more inlier).
 
@@ -111,7 +106,7 @@ def lof_score(reference: Dataset, query: Dataset, K: int) -> ScoreSet:
     neighbors (self excluded for reference points); LOF averages the
     neighbors' g over the query's own g.
     """
-    check_lof_k(K, reference.m)
+    check_neighbors("lof K", K, reference.m)
     if reference.d != query.d:
         raise InputError("reference and query dimensions differ")
     ref = reference.features
@@ -176,9 +171,7 @@ def project_box_simplex(v: np.ndarray, c: float) -> np.ndarray:
 
 
 def check_osvm_nu(nu: float) -> None:
-    # written so that NaN fails it
-    if not 0 < nu <= 1:
-        raise InputError(f"osvm nu must lie in (0, 1], got {nu}")
+    check_number("osvm nu", nu, 0, 1, open_low=True)
 
 
 def osvm_fit(samples: Dataset, nu: float, sigma: float) -> KernelModel:
@@ -249,9 +242,7 @@ def l1lr_subgrad_residual(w: np.ndarray, grad: np.ndarray, lam: float) -> float:
 
 
 def check_l1lr_lambda(lam: float) -> None:
-    # written so that NaN and infinity fail it
-    if not 0 <= lam < math.inf:
-        raise InputError(f"l1lr lambda must be a nonnegative finite number, got {lam}")
+    check_number("l1lr lambda", lam, 0, math.inf, open_high=True)
 
 
 def l1lr_fit(pooled: PooledDataset, lam: float) -> LinearModel:
@@ -363,11 +354,8 @@ def kliep_constraint_value(model: KernelModel, test: Dataset) -> float:
 # uLSIF / RuLSIF
 
 def check_rulsif(beta: float, nu: float) -> None:
-    # written so that NaN and infinity fail them
-    if not 0 <= beta <= 1:
-        raise InputError(f"rulsif beta must lie in [0, 1], got {beta}")
-    if not 0 <= nu < math.inf:
-        raise InputError(f"ulsif/rulsif nu must be a nonnegative finite number, got {nu}")
+    check_number("rulsif beta", beta, 0, 1)
+    check_number("ulsif/rulsif nu", nu, 0, math.inf, open_high=True)
 
 
 def rulsif_fit(

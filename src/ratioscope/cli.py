@@ -98,8 +98,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_score(args) -> int:
-    if args.explain_top is not None and args.explain_top < 1:
-        raise InputError(f"--explain-top must be at least 1, got {args.explain_top}")
     model = llr.load_model(args.model)
     intercept = model["feature_names"][-1:] == [CONST_FEATURE]
     inliers, test, test_labels = _load_pair(args, intercept)
@@ -122,7 +120,7 @@ def cmd_score(args) -> int:
     labels = tuple(test_labels) if (test_labels and args.which == "test") else None
     scores = ratio_score(weights, pooled, which=args.which, labels=labels)
     decisions = detect(scores, args.tau) if args.tau is not None else None
-    save_scores_csv(args.out, scores, decisions=decisions)
+    # explained before the scores are written, so that a bad top_k writes nothing
     if args.explain_top is not None:
         flagged = (
             [sid for sid, dec in zip(scores.sample_ids, decisions) if dec == "outlier"]
@@ -133,6 +131,7 @@ def cmd_score(args) -> int:
         out = args.explain_out or (os.path.splitext(args.out)[0] + "_explanations.json")
         save_explanations_json(out, explanations)
         print(f"wrote {len(explanations)} explanations to {out}")
+    save_scores_csv(args.out, scores, decisions=decisions)
     print(f"wrote {len(scores.sample_ids)} scores to {args.out}")
     return EXIT_OK
 

@@ -24,6 +24,17 @@ LABEL_OUTLIER = "outlier"
 CONST_FEATURE = "__const__"
 
 
+def as_matrix(values, what: str = "features") -> np.ndarray:
+    """``values`` as a finite float d x m array with d, m >= 1, or
+    InputError naming ``what``: its shape, or that it is not finite."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise InputError(f"{what} must be a d x m matrix with d, m >= 1, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{what} must be finite, got NaN or infinite entries")
+    return arr
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A d x m matrix of samples with feature names and sample ids."""
@@ -33,13 +44,7 @@ class Dataset:
     sample_ids: tuple[str, ...]
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
-        if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
-            raise InputError(
-                f"features must be a d x m matrix with d, m >= 1, got shape {feats.shape}"
-            )
-        if not np.all(np.isfinite(feats)):
-            raise InputError("features contain NaN or infinite entries")
+        feats = as_matrix(self.features)
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))

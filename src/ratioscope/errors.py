@@ -1,6 +1,9 @@
 """Exceptions: bad input raises InputError (the CLI exits 2), a
 numerical failure a SolverFailure (the CLI exits 1)."""
 
+import math
+import numbers
+
 
 class RatioscopeError(Exception):
     """Base class for all errors raised by ratioscope."""
@@ -25,3 +28,17 @@ class NonDecrease(SolverFailure):
 
 class SingularSystem(SolverFailure):
     """Unregularized linear system is rank-deficient."""
+
+
+def check_number(name, value, low, high, *, integer=False, open_low=False, open_high=False):
+    """Raise InputError naming ``name`` unless ``value`` is a real number,
+    an integer if ``integer``, from ``low`` to ``high``; each end is
+    included unless its ``open_*`` flag is set.  numpy scalars pass, a
+    bool never does, and NaN lies in no range."""
+    kind = numbers.Integral if integer else numbers.Real
+    if not (isinstance(value, kind) and not isinstance(value, bool)
+            and (low < value if open_low else low <= value)
+            and (value < high if open_high else value <= high)):
+        right = ")" if open_high or (integer and high == math.inf) else "]"  # no integer is inf
+        raise InputError(f"{name} must be {'an integer' if integer else 'a number'} in "
+                         f"{'(' if open_low else '['}{low}, {high}{right}, got {value!r}")

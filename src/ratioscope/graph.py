@@ -8,7 +8,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InputError
+from .data import as_matrix
+from .errors import InputError, check_number
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -119,7 +120,7 @@ def _median_dist(d2: np.ndarray) -> float:
 
 def median_heuristic(data: np.ndarray) -> float:
     """Median pairwise Euclidean distance over distinct unordered pairs."""
-    data = np.asarray(data, dtype=float)
+    data = as_matrix(data, "data")
     if data.shape[1] < 2:
         raise InputError("median heuristic needs at least 2 samples")
     return _median_dist(pairwise_sq_dists(data, data))
@@ -140,6 +141,15 @@ def nearest(d2: np.ndarray, K: int) -> np.ndarray:
     return order
 
 
+def check_neighbors(name: str, K, m=math.inf) -> None:
+    check_number(name, K, 1, m, integer=True, open_high=True)  # K neighbors among m samples
+
+
+def check_sigma2(sigma2) -> None:
+    if not (isinstance(sigma2, str) and sigma2 == SIGMA2_AUTO):
+        check_number("sigma2", sigma2, 0, math.inf, open_low=True, open_high=True)
+
+
 def knn_graph(data: np.ndarray, K: int, sigma2: float | str) -> SimilarityGraph:
     """Symmetrized K-nearest-neighbor Gaussian similarity graph.
 
@@ -151,12 +161,10 @@ def knn_graph(data: np.ndarray, K: int, sigma2: float | str) -> SimilarityGraph:
     """
     import scipy.sparse as sp
 
-    data = np.asarray(data, dtype=float)
+    data = as_matrix(data, "data")
     m = data.shape[1]
-    if K <= 0 or K >= m:
-        raise InputError(f"K must satisfy 1 <= K < m, got K={K}, m={m}")
-    if sigma2 != SIGMA2_AUTO and not 0 < sigma2 < math.inf:
-        raise InputError(f"sigma2 must be a positive finite number, got {sigma2}")
+    check_neighbors("K", K, m)
+    check_sigma2(sigma2)
     d2 = pairwise_sq_dists(data, data)
     if sigma2 == SIGMA2_AUTO:
         sigma2 = _median_dist(d2) ** 2
@@ -164,9 +172,10 @@ def knn_graph(data: np.ndarray, K: int, sigma2: float | str) -> SimilarityGraph:
     order = nearest(d2, K)
     rows = np.repeat(np.arange(m), K)
     cols = order.ravel()
-    vals = np.exp(-d2[rows, cols] / (2.0 * sigma2))
+    with np.errstate(over="ignore"):  # a tiny sigma2 takes -d2 / (2 sigma2) to -inf, weight 0
+        vals = np.exp(-d2[rows, cols] / (2.0 * sigma2))
     w = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
     # no point is its own neighbor, so the diagonal stays empty
     w = (w + w.T) * 0.5
     w.eliminate_zeros()
-    return SimilarityGraph(weights=w.tocsr(), k_neighbors=K, sigma2=float(sigma2))
+    return SimilarityGraph(weights=w.tocsr(), k_neighbors=int(K), sigma2=float(sigma2))

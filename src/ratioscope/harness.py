@@ -10,6 +10,7 @@ pair), so the output is independent of scheduling.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import numpy as np
 
@@ -26,11 +27,11 @@ from .data import (
     fit_standardizer,
     pool,
 )
-from .errors import InputError
+from .errors import InputError, check_number
 from .evaluation import auc, welch_ttest
-from .graph import median_heuristic
+from .graph import check_neighbors, median_heuristic
 from .scores import ScoreSet, ratio_score, save_scores_csv
-from .synth import ROLE_RESPLIT, SynthSpec, generate, trial_stream
+from .synth import ROLE_RESPLIT, SynthSpec, check_seed, generate, trial_stream
 
 _log = logging.getLogger(__name__)
 
@@ -142,8 +143,7 @@ def default_thread_count(requested: int | None) -> int:
     """``requested`` pool threads, or min(8, CPU count) when None."""
     if requested is None:
         return min(8, os.cpu_count() or 1)
-    if requested < 1:
-        raise InputError(f"thread count must be at least 1, got {requested}")
+    check_number("threads", requested, 1, math.inf, integer=True)
     return requested
 
 
@@ -168,14 +168,14 @@ def run_bench(
     for method in methods:
         if method not in METHODS:
             raise InputError(f"unknown method {method!r}; choose from {METHODS}")
-    if trials < 1 or not dims or not methods:
-        raise InputError("a bench run needs at least one trial, dimension and method")
-    if seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
+    if not dims or not methods:
+        raise InputError("a bench run needs at least one dimension and method")
+    check_number("trials", trials, 1, math.inf, integer=True)
+    check_seed(seed)
     params = {**DEFAULT_PARAMS, **(params or {})}
     # the checks the fits themselves run, once for the whole sweep
     llr.LlrHyperparams(**{name: params[name] for name in LLR_PARAMS})
-    baselines.check_lof_k(params["lof_k"])
+    check_neighbors("lof K", params["lof_k"])
     baselines.check_osvm_nu(params["osvm_nu"])
     baselines.check_l1lr_lambda(params["l1lr_lambda"])
     baselines.check_rulsif(params["rulsif_beta"], params["ulsif_nu"])

@@ -73,11 +73,12 @@ try:  # np.einsum without `optimize` returns this call, from behind two Python l
 except ImportError:  # numpy 1.x
     _einsum = np.einsum
 
-from .data import PooledDataset, StandardizationStats, read_json_object
-from .errors import InputError, LineSearchFailure, NonDecrease
+from .data import PooledDataset, StandardizationStats, as_matrix, read_json_object
+from .errors import InputError, LineSearchFailure, NonDecrease, check_number
+from .graph import SIGMA2_AUTO, SimilarityGraph, check_neighbors, check_sigma2, edge_list, knn_graph
 # median_heuristic is unused here but stays importable as
 # llr.median_heuristic, where ratiobench's tracer looks it up
-from .graph import SIGMA2_AUTO, SimilarityGraph, edge_list, knn_graph, median_heuristic  # noqa: F401
+from .graph import median_heuristic  # noqa: F401
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -109,11 +110,7 @@ class WeightMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise InputError("weight matrix must be 2-D")
-        if not np.all(np.isfinite(values)):
-            raise InputError("weight matrix entries must be finite")
+        values = as_matrix(self.values, "weights")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -137,24 +134,16 @@ class LlrHyperparams:
     outer_rel_tol: float = 1e-6
 
     def __post_init__(self):
-        # written so that NaN and infinity fail every test
-        if not (0 <= self.lambda1 < math.inf and 0 <= self.lambda2 < math.inf):
-            raise InputError("regularization parameters must be nonnegative finite numbers")
-        # a column's smoothed l1 norm is at least d sqrt(eps); at eps = 1e-4 the
-        # smoothing is already 2.6% of the final J at d = 10, and grows as d^2
-        if not 0 < self.epsilon <= 1e-4:
-            raise InputError("epsilon must be a positive finite number at most 1e-4;"
-                             " a larger one swamps the objective with smoothing")
-        if not 0 < self.outer_rel_tol < math.inf:
-            raise InputError("outer_rel_tol must be a positive finite number")
-        if self.outer_max_iters < 1:
-            raise InputError("outer_max_iters must be at least 1")
-        if self.k_neighbors < 1:
-            raise InputError("k_neighbors must be at least 1")
-        if self.sigma2 != SIGMA2_AUTO and not (
-            isinstance(self.sigma2, (int, float)) and 0 < self.sigma2 < math.inf
-        ):
-            raise InputError("sigma2 must be a positive finite number or 'auto'")
+        check_number("lambda1", self.lambda1, 0, math.inf, open_high=True)
+        check_number("lambda2", self.lambda2, 0, math.inf, open_high=True)
+        # a column's smoothed l1 norm is at least d sqrt(eps): at eps = 1e-4 the smoothing
+        # is already 2.6% of the final J at d = 10, and a larger eps swamps the objective
+        check_number("epsilon", self.epsilon, 0, 1e-4, open_low=True)
+        check_number("outer_rel_tol", self.outer_rel_tol, 0, math.inf,
+                     open_low=True, open_high=True)
+        check_number("outer_max_iters", self.outer_max_iters, 1, math.inf, integer=True)
+        check_neighbors("k_neighbors", self.k_neighbors)
+        check_sigma2(self.sigma2)
 
 
 @dataclass(frozen=True)
@@ -220,16 +209,14 @@ def objective_J(A: Anchor, pooled: PooledDataset, hp: LlrHyperparams) -> float:
 def majorizer_Cg(A: Anchor) -> sp.csr_matrix:
     """Reweighted graph Laplacian B0^T diag(a) B0, a_ij = r_ij / s_ij,
     assembled on the graph's fixed sparsity pattern."""
-    if A.epsilon <= 0:
-        raise InputError("epsilon must be positive")
+    check_number("epsilon", A.epsilon, 0, math.inf, open_low=True)
     _, r = A.graph.edges
     return A.graph.laplacian(r / A.edge_dists)
 
 
 def majorizer_Ce(A: Anchor) -> np.ndarray:
     """Entrywise reweighting ||w_j||_{1,eps} / sqrt(W_kj^2 + eps)."""
-    if A.epsilon <= 0:
-        raise InputError("epsilon must be positive")
+    check_number("epsilon", A.epsilon, 0, math.inf, open_low=True)
     return A.smooth.sum(axis=0)[None, :] / A.smooth
 
 
@@ -244,8 +231,7 @@ def majorization_constant(A: Anchor, hp: LlrHyperparams) -> float:
     lambda2 * eps * sum_j ||w_j||_{1,eps} sum_k 1/sqrt(w_kj^2 + eps).
     """
     eps = A.epsilon
-    if eps <= 0:
-        raise InputError("epsilon must be positive")
+    check_number("epsilon", eps, 0, math.inf, open_low=True)
     _, r = A.graph.edges
     s, smooth = A.edge_dists, A.smooth
     cross = float(np.sum(smooth.sum(axis=0) * np.sum(1.0 / smooth, axis=0)))

@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import CONST_FEATURE, LABEL_INLIER, LABEL_OUTLIER, PooledDataset
 from .data import parse_float, parse_label, read_csv_rows
-from .errors import InputError
+from .errors import InputError, check_number
 
 if TYPE_CHECKING:
     from .llr import WeightMatrix
@@ -97,8 +97,7 @@ def ratio_score(
 
 def detect(scores: ScoreSet, tau: float) -> tuple[str, ...]:
     """Flag samples with score <= tau as outliers."""
-    if not tau >= 0:  # NaN fails this test too
-        raise InputError(f"tau must be nonnegative, got {tau}")
+    check_number("tau", tau, 0, math.inf)
     return tuple(
         LABEL_OUTLIER if s <= tau else LABEL_INLIER for s in scores.scores
     )
@@ -114,8 +113,7 @@ def explain(
     top-k features of the sample's column ranked by |weight|, ties
     broken by feature index.  The CONST_FEATURE intercept is not a
     feature to explain and is never ranked."""
-    if top_k < 1:
-        raise InputError("top_k must be at least 1")
+    check_number("top_k", top_k, 1, math.inf, integer=True)
     column = {sid: col for col, sid in enumerate(pooled.sample_ids)}
     try:
         cols = np.array([column[sid] for sid in sample_ids], dtype=int)

@@ -3,12 +3,13 @@ shifted-mean outlier cluster on the first two features."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LABEL_INLIER, LABEL_OUTLIER, Dataset
-from .errors import InputError
+from .errors import check_number
 
 ROLE_INLIER = 0
 ROLE_TEST_INLIER = 1
@@ -25,14 +26,18 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise InputError(f"seed must be non-negative, got {self.seed}")
-        if self.d < 2:
-            raise InputError("d must be at least 2 (the mean shift uses two features)")
-        if min(self.n_inlier, self.n_test_inlier, self.n_test_outlier) < 1:
-            raise InputError("all sample counts must be at least 1")
-        if (size := self.d * (self.n_inlier + self.n_test_inlier + self.n_test_outlier)) > 2**31:
-            raise InputError(f"d times the total sample count must be at most 2**31, got {size}")
+        check_seed(self.seed)
+        check_number("d", self.d, 2, math.inf, integer=True)  # the mean shift uses two features
+        counts = ("n_inlier", "n_test_inlier", "n_test_outlier")
+        for name in counts:
+            check_number(name, getattr(self, name), 1, math.inf, integer=True)
+        # in Python ints: a product of numpy integers could wrap around
+        size = int(self.d) * sum(int(getattr(self, name)) for name in counts)
+        check_number("d * (n_inlier + n_test_inlier + n_test_outlier)", size, 1, 2**31)
+
+
+def check_seed(seed) -> None:
+    check_number("seed", seed, 0, math.inf, integer=True)
 
 
 def trial_stream(seed: int, role: int, trial: int) -> np.random.Generator:
@@ -58,8 +63,7 @@ def generate(spec: SynthSpec, trial: int = 0):
     with mu = (3, -2, 0, ..., 0).  Output is fully determined by
     (spec.seed, trial).
     """
-    if trial < 0:
-        raise InputError(f"trial must be non-negative, got {trial}")
+    check_number("trial", trial, 0, math.inf, integer=True)
     names = tuple(f"f{k + 1}" for k in range(spec.d))
     mu = np.zeros(spec.d)
     mu[0], mu[1] = 3.0, -2.0

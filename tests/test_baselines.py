@@ -688,7 +688,7 @@ class TestKernelWidth:
         rng = np.random.default_rng(20)
         a = make_dataset(rng.normal(size=(2, 20)), "a")
         b = make_dataset(rng.normal(size=(2, 20)), "b")
-        with pytest.raises(InputError, match=f"^{name} must be positive"):
+        with pytest.raises(InputError, match=f"^{name} must (be a number in|give a normal)"):
             self.FITS[name](a, b, sigma)
 
 

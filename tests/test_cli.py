@@ -26,6 +26,13 @@ from ratioscope.synth import SynthSpec
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
+# synth's integer flags, and texts for them: small sizes, negatives,
+# fractions, non-numbers and counts past the 2**31-value bound
+SYNTH_INT_FLAGS = ["--d", "--n-inlier", "--n-test-inlier", "--n-outlier", "--seed", "--trial"]
+SYNTH_INT_TEXTS = st.integers(-3, 12).map(str) | st.sampled_from(
+    ["2.5", "x", "", "1e3", "nan", "inf", "-0", " 3", "0x10", "true", str(10**19)])
+
+
 def read_lines(path):
     with open(path, encoding="utf-8") as fh:
         return fh.read().splitlines()
@@ -87,7 +94,7 @@ class TestSynth:
         # a count past numpy's array limit used to reach main as numpy's ValueError
         argv = ["synth", flag, str(10**19), "--out-dir", str(tmp_path)]
         assert cli.main(argv) == cli.EXIT_USAGE
-        assert_one_error(capsys, "must be at most 2**31")
+        assert_one_error(capsys, "must be a number in [1, 2147483648]")
         assert list(tmp_path.iterdir()) == []
 
     def test_same_seed_identical_files(self, tmp_path):
@@ -111,7 +118,27 @@ class TestSynth:
     def test_negative_seed_or_trial_exit2(self, tmp_path, capsys, argv, name):
         # each used to exit 2 as "expected non-negative integer", from numpy
         assert cli.main(argv + [str(tmp_path / "out")]) == cli.EXIT_USAGE
-        assert_one_error(capsys, f"{name} must be non-negative", "-1")
+        assert_one_error(capsys, f"{name} must be an integer in [0, inf), got -1")
+
+    @settings(max_examples=60, deadline=None)
+    @given(flags=st.dictionaries(st.sampled_from(SYNTH_INT_FLAGS), SYNTH_INT_TEXTS, max_size=4))
+    @example(flags={"--d": "1", "--trial": "-1"})
+    @example(flags={"--n-inlier": str(10**19), "--seed": str(10**19)})
+    @example(flags={"--seed": str(10**19), "--trial": str(10**19), "--d": "2"})
+    def test_fuzzed_integer_flags_exit_0_or_one_error_line(self, tmp_path_factory, flags):
+        # sizes are drawn small or past the 2**31-value bound, so a run writes a few KB
+        out = tmp_path_factory.mktemp("synth") / "out"
+        argv = ["synth", *(t for flag, text in flags.items() for t in (flag, text))]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--out-dir", str(out)])
+        lines = err.getvalue().splitlines()
+        if code == cli.EXIT_OK:
+            assert lines == [] and len(list(out.iterdir())) == 2, flags
+        else:
+            assert code == cli.EXIT_USAGE and len(lines) == 1, (code, lines, flags)
+            assert lines[0].startswith("error: "), lines
+            assert not out.exists(), flags
 
     def test_test_csv_has_label_column(self, tmp_path):
         cli.main(["synth", "--d", "4", "--out-dir", str(tmp_path)])
@@ -236,7 +263,7 @@ class TestFit:
             "--test", str(workspace / "test.csv"), "--out", str(out), flag, "inf",
         ])
         assert code == cli.EXIT_USAGE
-        assert_one_error(capsys, "finite")
+        assert_one_error(capsys, "got inf")
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["1e300", str(float(np.nextafter(1e-4, 1.0)))])
@@ -249,7 +276,7 @@ class TestFit:
             "--test", str(workspace / "test.csv"), "--out", str(out), "--epsilon", value,
         ])
         assert code == cli.EXIT_USAGE
-        assert_one_error(capsys, "epsilon", "1e-4")
+        assert_one_error(capsys, "epsilon must be a number in (0, 0.0001]", repr(float(value)))
         assert not out.exists()
 
     def test_overflowing_lambda_one_solver_failure_line(self, tmp_path, capsys):
@@ -490,7 +517,7 @@ class TestScore:
             "--out", str(out), "--explain-out", str(explained), *flags,
         ])
         assert code == cli.EXIT_USAGE
-        assert_one_error(capsys, "--explain-top", flags[-1])
+        assert_one_error(capsys, "top_k must be an integer in [1, inf)", flags[-1])
         assert not out.exists() and not explained.exists()
 
     def test_feature_name_mismatch_exit2(self, workspace, tmp_path, capsys):
@@ -833,7 +860,7 @@ class TestBench:
         code = cli.main(["bench", "--methods", "kde", "--dims", "4,1", "--trials", "1",
                          "--out", str(out)])
         assert code == cli.EXIT_USAGE
-        assert_one_error(capsys, "d must be at least 2")
+        assert_one_error(capsys, "d must be an integer in [2, inf), got 1")
         assert calls == [] and not out.exists()
 
     @pytest.mark.parametrize("failing", [False, True])

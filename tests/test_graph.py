@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -66,6 +68,16 @@ class TestMedianHeuristic:
     def test_degenerate(self):
         with pytest.raises(InputError, match="coincide"):
             median_heuristic(np.ones((2, 4)))
+
+    @pytest.mark.parametrize("shape", [(20,), (2, 3, 4), ()])
+    def test_data_not_2d_is_named_by_shape(self, shape):
+        # a 1-D array used to raise a bare IndexError from shape[1]
+        data = np.arange(float(np.prod(shape))).reshape(shape)
+        expected = rf"data must be a d x m matrix with d, m >= 1, got shape {re.escape(str(shape))}"
+        with pytest.raises(InputError, match=expected):
+            median_heuristic(data)
+        with pytest.raises(InputError, match=expected):
+            knn_graph(data, 3, SIGMA2_AUTO)
 
 
 class TestKnnGraph:
@@ -159,7 +171,7 @@ class TestKnnGraph:
     def test_invalid_sigma2(self, sigma2):
         # NaN used to pass the check and give all-NaN weights
         X = np.random.default_rng(0).normal(size=(3, 20))
-        with pytest.raises(InputError, match="sigma2 must be a positive finite number"):
+        with pytest.raises(InputError, match=r"sigma2 must be a number in \(0, inf\)"):
             knn_graph(X, 3, sigma2)
 
     def test_auto_sigma2_is_the_squared_median_heuristic(self):

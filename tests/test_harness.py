@@ -188,7 +188,7 @@ class TestRunBench:
         # used to fail inside a pool thread, in numpy's SeedSequence
         calls = []
         monkeypatch.setattr(harness, "generate", lambda *a, **k: calls.append(a))
-        with pytest.raises(InputError, match="seed must be non-negative, got -1"):
+        with pytest.raises(InputError, match=r"seed must be an integer in \[0, inf\), got -1"):
             harness.run_bench(dims=[4], trials=2, methods=["kde"], seed=-1,
                               params=small_params(), threads=1)
         assert calls == []
@@ -197,7 +197,7 @@ class TestRunBench:
         # the d=4 trial used to run before the d=1 trial's SynthSpec raised
         calls = []
         monkeypatch.setattr(harness, "generate", lambda *a, **k: calls.append(a))
-        with pytest.raises(InputError, match="d must be at least 2"):
+        with pytest.raises(InputError, match=r"d must be an integer in \[2, inf\), got 1"):
             harness.run_bench(dims=[4, 1], trials=1, methods=["kde"], seed=0,
                               params=small_params(), threads=1)
         assert calls == []

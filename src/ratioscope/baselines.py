@@ -58,7 +58,7 @@ def gauss_design(query: np.ndarray, centers: np.ndarray, sigma2: float) -> np.nd
 def check_kernel_width(name: str, sigma: float) -> None:
     """Raise InputError naming the width unless sigma > 0 and the kernel's divisor
     2 sigma**2 is normal and finite (subnormal at 1e-160, inf at 1e154)."""
-    check_number(name, sigma, 0, math.inf, open_low=True, open_high=True)
+    check_number(name, sigma, 0, open_low=True, open_high=True)
     divisor = 2.0 * (float(sigma) * float(sigma))  # Python floats overflow to inf without a warning
     if not sys.float_info.min <= divisor < math.inf:
         raise InputError(f"{name} must give a normal, finite 2 sigma**2, got {sigma!r}")
@@ -242,7 +242,7 @@ def l1lr_subgrad_residual(w: np.ndarray, grad: np.ndarray, lam: float) -> float:
 
 
 def check_l1lr_lambda(lam: float) -> None:
-    check_number("l1lr lambda", lam, 0, math.inf, open_high=True)
+    check_number("l1lr lambda", lam, 0, open_high=True)
 
 
 def l1lr_fit(pooled: PooledDataset, lam: float) -> LinearModel:
@@ -355,7 +355,7 @@ def kliep_constraint_value(model: KernelModel, test: Dataset) -> float:
 
 def check_rulsif(beta: float, nu: float) -> None:
     check_number("rulsif beta", beta, 0, 1)
-    check_number("ulsif/rulsif nu", nu, 0, math.inf, open_high=True)
+    check_number("ulsif/rulsif nu", nu, 0, open_high=True)
 
 
 def rulsif_fit(

@@ -28,6 +28,7 @@ from .data import (
 from .errors import InputError, SolverFailure
 from .evaluation import auc, roc_curve
 from .scores import (
+    check_top_k,
     detect,
     explain,
     load_scores_csv,
@@ -98,6 +99,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_score(args) -> int:
+    if args.explain_top is not None:
+        check_top_k(args.explain_top, "--explain-top")
     model = llr.load_model(args.model)
     intercept = model["feature_names"][-1:] == [CONST_FEATURE]
     inliers, test, test_labels = _load_pair(args, intercept)
@@ -120,7 +123,7 @@ def cmd_score(args) -> int:
     labels = tuple(test_labels) if (test_labels and args.which == "test") else None
     scores = ratio_score(weights, pooled, which=args.which, labels=labels)
     decisions = detect(scores, args.tau) if args.tau is not None else None
-    # explained before the scores are written, so that a bad top_k writes nothing
+    save_scores_csv(args.out, scores, decisions=decisions)
     if args.explain_top is not None:
         flagged = (
             [sid for sid, dec in zip(scores.sample_ids, decisions) if dec == "outlier"]
@@ -131,7 +134,6 @@ def cmd_score(args) -> int:
         out = args.explain_out or (os.path.splitext(args.out)[0] + "_explanations.json")
         save_explanations_json(out, explanations)
         print(f"wrote {len(explanations)} explanations to {out}")
-    save_scores_csv(args.out, scores, decisions=decisions)
     print(f"wrote {len(scores.sample_ids)} scores to {args.out}")
     return EXIT_OK
 

@@ -27,7 +27,10 @@ CONST_FEATURE = "__const__"
 def as_matrix(values, what: str = "features") -> np.ndarray:
     """``values`` as a finite float d x m array with d, m >= 1, or
     InputError naming ``what``: its shape, or that it is not finite."""
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # not numbers, ragged rows, an int past 1e308
+        raise InputError(f"{what} must be a d x m matrix of numbers") from None
     if arr.ndim != 2 or 0 in arr.shape:
         raise InputError(f"{what} must be a d x m matrix with d, m >= 1, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

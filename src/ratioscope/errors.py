@@ -30,14 +30,14 @@ class SingularSystem(SolverFailure):
     """Unregularized linear system is rank-deficient."""
 
 
-def check_number(name, value, low, high, *, integer=False, open_low=False, open_high=False):
-    """Raise InputError naming ``name`` unless ``value`` is a real number,
-    an integer if ``integer``, from ``low`` to ``high``; each end is
-    included unless its ``open_*`` flag is set.  numpy scalars pass, a
-    bool never does, and NaN lies in no range."""
-    kind = numbers.Integral if integer else numbers.Real
-    if not (isinstance(value, kind) and not isinstance(value, bool)
-            and (low < value if open_low else low <= value)
+def check_number(name, value, low, high=math.inf, *, integer=False, open_low=False,
+                 open_high=False):
+    """Raise InputError naming ``name`` unless ``value`` is a real number (an
+    integer if ``integer``; numpy scalars pass, a bool never does) from ``low``
+    to ``high``, each end included unless its ``open_*`` flag is set."""
+    if not (isinstance(value, numbers.Integral if integer else numbers.Real)
+            and not isinstance(value, bool)
+            and (low < value if open_low else low <= value)  # NaN lies in no range
             and (value < high if open_high else value <= high)):
         right = ")" if open_high or (integer and high == math.inf) else "]"  # no integer is inf
         raise InputError(f"{name} must be {'an integer' if integer else 'a number'} in "

@@ -147,7 +147,7 @@ def check_neighbors(name: str, K, m=math.inf) -> None:
 
 def check_sigma2(sigma2) -> None:
     if not (isinstance(sigma2, str) and sigma2 == SIGMA2_AUTO):
-        check_number("sigma2", sigma2, 0, math.inf, open_low=True, open_high=True)
+        check_number("sigma2", sigma2, 0, open_low=True, open_high=True)
 
 
 def knn_graph(data: np.ndarray, K: int, sigma2: float | str) -> SimilarityGraph:

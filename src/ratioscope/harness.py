@@ -10,7 +10,6 @@ pair), so the output is independent of scheduling.
 from __future__ import annotations
 
 import logging
-import math
 import os
 import numpy as np
 
@@ -143,7 +142,7 @@ def default_thread_count(requested: int | None) -> int:
     """``requested`` pool threads, or min(8, CPU count) when None."""
     if requested is None:
         return min(8, os.cpu_count() or 1)
-    check_number("threads", requested, 1, math.inf, integer=True)
+    check_number("threads", requested, 1, integer=True)
     return requested
 
 
@@ -170,7 +169,7 @@ def run_bench(
             raise InputError(f"unknown method {method!r}; choose from {METHODS}")
     if not dims or not methods:
         raise InputError("a bench run needs at least one dimension and method")
-    check_number("trials", trials, 1, math.inf, integer=True)
+    check_number("trials", trials, 1, integer=True)
     check_seed(seed)
     params = {**DEFAULT_PARAMS, **(params or {})}
     # the checks the fits themselves run, once for the whole sweep

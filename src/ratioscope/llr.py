@@ -134,14 +134,13 @@ class LlrHyperparams:
     outer_rel_tol: float = 1e-6
 
     def __post_init__(self):
-        check_number("lambda1", self.lambda1, 0, math.inf, open_high=True)
-        check_number("lambda2", self.lambda2, 0, math.inf, open_high=True)
+        check_number("lambda1", self.lambda1, 0, open_high=True)
+        check_number("lambda2", self.lambda2, 0, open_high=True)
         # a column's smoothed l1 norm is at least d sqrt(eps): at eps = 1e-4 the smoothing
         # is already 2.6% of the final J at d = 10, and a larger eps swamps the objective
         check_number("epsilon", self.epsilon, 0, 1e-4, open_low=True)
-        check_number("outer_rel_tol", self.outer_rel_tol, 0, math.inf,
-                     open_low=True, open_high=True)
-        check_number("outer_max_iters", self.outer_max_iters, 1, math.inf, integer=True)
+        check_number("outer_rel_tol", self.outer_rel_tol, 0, open_low=True, open_high=True)
+        check_number("outer_max_iters", self.outer_max_iters, 1, integer=True)
         check_neighbors("k_neighbors", self.k_neighbors)
         check_sigma2(self.sigma2)
 
@@ -209,14 +208,14 @@ def objective_J(A: Anchor, pooled: PooledDataset, hp: LlrHyperparams) -> float:
 def majorizer_Cg(A: Anchor) -> sp.csr_matrix:
     """Reweighted graph Laplacian B0^T diag(a) B0, a_ij = r_ij / s_ij,
     assembled on the graph's fixed sparsity pattern."""
-    check_number("epsilon", A.epsilon, 0, math.inf, open_low=True)
+    check_number("epsilon", A.epsilon, 0, open_low=True)
     _, r = A.graph.edges
     return A.graph.laplacian(r / A.edge_dists)
 
 
 def majorizer_Ce(A: Anchor) -> np.ndarray:
     """Entrywise reweighting ||w_j||_{1,eps} / sqrt(W_kj^2 + eps)."""
-    check_number("epsilon", A.epsilon, 0, math.inf, open_low=True)
+    check_number("epsilon", A.epsilon, 0, open_low=True)
     return A.smooth.sum(axis=0)[None, :] / A.smooth
 
 
@@ -231,7 +230,7 @@ def majorization_constant(A: Anchor, hp: LlrHyperparams) -> float:
     lambda2 * eps * sum_j ||w_j||_{1,eps} sum_k 1/sqrt(w_kj^2 + eps).
     """
     eps = A.epsilon
-    check_number("epsilon", eps, 0, math.inf, open_low=True)
+    check_number("epsilon", eps, 0, open_low=True)
     _, r = A.graph.edges
     s, smooth = A.edge_dists, A.smooth
     cross = float(np.sum(smooth.sum(axis=0) * np.sum(1.0 / smooth, axis=0)))

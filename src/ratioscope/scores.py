@@ -95,12 +95,14 @@ def ratio_score(
     return ScoreSet(sample_ids=ids, scores=scores, labels=labels)
 
 
+def check_top_k(top_k, name: str = "top_k") -> None:
+    check_number(name, top_k, 1, integer=True)
+
+
 def detect(scores: ScoreSet, tau: float) -> tuple[str, ...]:
     """Flag samples with score <= tau as outliers."""
-    check_number("tau", tau, 0, math.inf)
-    return tuple(
-        LABEL_OUTLIER if s <= tau else LABEL_INLIER for s in scores.scores
-    )
+    check_number("tau", tau, 0)
+    return tuple(LABEL_OUTLIER if s <= tau else LABEL_INLIER for s in scores.scores)
 
 
 def explain(
@@ -113,7 +115,7 @@ def explain(
     top-k features of the sample's column ranked by |weight|, ties
     broken by feature index.  The CONST_FEATURE intercept is not a
     feature to explain and is never ranked."""
-    check_number("top_k", top_k, 1, math.inf, integer=True)
+    check_top_k(top_k)
     column = {sid: col for col, sid in enumerate(pooled.sample_ids)}
     try:
         cols = np.array([column[sid] for sid in sample_ids], dtype=int)

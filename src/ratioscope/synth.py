@@ -3,7 +3,6 @@ shifted-mean outlier cluster on the first two features."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,17 +26,15 @@ class SynthSpec:
 
     def __post_init__(self):
         check_seed(self.seed)
-        check_number("d", self.d, 2, math.inf, integer=True)  # the mean shift uses two features
-        counts = ("n_inlier", "n_test_inlier", "n_test_outlier")
-        for name in counts:
-            check_number(name, getattr(self, name), 1, math.inf, integer=True)
-        # in Python ints: a product of numpy integers could wrap around
-        size = int(self.d) * sum(int(getattr(self, name)) for name in counts)
+        check_number("d", self.d, 2, integer=True)  # the mean shift uses two features
+        for name in ("n_inlier", "n_test_inlier", "n_test_outlier"):
+            check_number(name, getattr(self, name), 1, integer=True)
+        size = int(self.d) * sum(map(int, (self.n_inlier, self.n_test_inlier, self.n_test_outlier)))
         check_number("d * (n_inlier + n_test_inlier + n_test_outlier)", size, 1, 2**31)
 
 
 def check_seed(seed) -> None:
-    check_number("seed", seed, 0, math.inf, integer=True)
+    check_number("seed", seed, 0, integer=True)
 
 
 def trial_stream(seed: int, role: int, trial: int) -> np.random.Generator:
@@ -63,7 +60,7 @@ def generate(spec: SynthSpec, trial: int = 0):
     with mu = (3, -2, 0, ..., 0).  Output is fully determined by
     (spec.seed, trial).
     """
-    check_number("trial", trial, 0, math.inf, integer=True)
+    check_number("trial", trial, 0, integer=True)
     names = tuple(f"f{k + 1}" for k in range(spec.d))
     mu = np.zeros(spec.d)
     mu[0], mu[1] = 3.0, -2.0

@@ -117,6 +117,7 @@ BAD_VALUES = st.sampled_from([
 BAD_ARRAYS = st.sampled_from([
     np.zeros(12), np.zeros((2, 3, 4)), np.float64(1.0), None, np.zeros((3, 0)),
     np.zeros((0, 5)), np.full((2, 6), np.nan), np.array([[1.0, math.inf], [0.0, 1.0]]),
+    "x", [[1.0], [1.0, 2.0]], [[1.0, 10**400]],
 ])
 
 
@@ -129,6 +130,8 @@ BAD_ARRAYS = st.sampled_from([
 @example(target="knn_graph.K", value=2.5, data=None)
 @example(target="knn_graph.data", value=np.zeros(12), data=None)
 @example(target="median_heuristic.data", value=np.zeros(12), data=None)
+@example(target="knn_graph.data", value="x", data=None)
+@example(target="median_heuristic.data", value=[[1.0], [1.0, 2.0]], data=None)
 @example(target="explain.top_k", value=1.5, data=None)
 @example(target="detect.tau", value="x", data=None)
 @example(target="SynthSpec.d", value=2.5, data=None)

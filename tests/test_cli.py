@@ -517,7 +517,7 @@ class TestScore:
             "--out", str(out), "--explain-out", str(explained), *flags,
         ])
         assert code == cli.EXIT_USAGE
-        assert_one_error(capsys, "top_k must be an integer in [1, inf)", flags[-1])
+        assert_one_error(capsys, "--explain-top", flags[-1])
         assert not out.exists() and not explained.exists()
 
     def test_feature_name_mismatch_exit2(self, workspace, tmp_path, capsys):

@@ -1,20 +1,23 @@
 """Record a benchmark comparison as a committed BENCH_<n>.json.
 
     python tools/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \
-        --parent-commit SHA --seed 3101 --pairs 10 --out BENCH_31.json
+        --parent-commit SHA --seed 3101 --out BENCH_31.json
 
 PARENT_DIR and CHANGE_DIR are two source checkouts (for example made
-with ``git archive``), each holding its own ratiobench/.  For every
-workload the script runs ``ratiobench/run.py --seconds 5 --trace 0``
-in both, ``--pairs`` times, alternating which side runs first, with
-seeds counting up from ``--seed`` (a new block of ``--pairs`` seeds per
-workload).  Each run's seed and the JSON object it printed are kept
-verbatim.  The file also records the machine (CPU count, Python,
-numpy, scipy and the BLAS build, as tests/digests.py reports them),
-the medians and quartiles of each end-to-end metric per side, the
-number of pairs in which the change's run was the better one, and
-tier-1's pass count and wall time in CHANGE_DIR.  Running it again on
-the same inputs writes a file of the same layout.
+with ``git archive``), each holding its own ratiobench/.  The benchmark's
+definition is read from CHANGE_DIR's BENCHMARK.json: the run length
+(``run_seconds``), the workload names and each end-to-end metric with
+the direction in which it is better.  For every workload the script runs
+``ratiobench/run.py --seconds RUN_SECONDS --trace 0`` in both checkouts,
+PAIRS times, alternating which side runs first, with seeds counting up
+from ``--seed`` (a new block of PAIRS seeds per workload).  Each run's
+seed and the JSON object it printed are kept verbatim.  The file also
+records the machine (CPU count, Python, numpy, scipy and the BLAS build,
+as tests/digests.py reports them), the medians and quartiles of each
+end-to-end metric per side, the number of pairs in which the change's
+run was the better one, and tier-1's pass count and wall time in
+CHANGE_DIR.  Running it again on the same inputs writes a file of the
+same layout.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ import sys
 import time
 from pathlib import Path
 
-WORKLOADS = ("llr-d10", "llr-d100", "sweep")
-# each end-to-end metric, with +1 where higher is better and -1 where lower is
-METRICS = {"setup_s": -1, "fits_per_s": 1, "peak_rss_mb": -1, "llr_auc": 1}
+PAIRS = 10
+# a pair counts for the change only if its value is better by more than this
+# fraction, so that last-bit float noise (0.92675 against 0.9267500000000001) ties
+NOISE = 1e-9
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -46,23 +50,25 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> str:
     return proc.stdout.strip().splitlines()[-1]
 
 
-def summary(lines: list[str]) -> dict:
+def summary(lines: list[str], metrics: dict) -> dict:
     """Median and quartiles of each end-to-end metric over the runs' lines."""
     out = {}
-    for name in METRICS:
+    for name in metrics:
         values = [json.loads(line)["metrics"][name]["value"] for line in lines]
         q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
         out[name] = {"median": statistics.median(values), "q1": q1, "q3": q3}
     return out
 
 
-def better_pairs(pairs: list[dict]) -> dict:
-    """Per metric, the pairs in which the change's run read better; ties count for neither."""
-    def value(line, name):
-        return json.loads(line)["metrics"][name]["value"]
-    return {name: sum(sign * (value(p["change"], name) - value(p["parent"], name)) > 0
-                      for p in pairs)
-            for name, sign in METRICS.items()}
+def better_pairs(pairs: list[dict], metrics: dict) -> dict:
+    """Per metric, the pairs in which the change's run read better by more
+    than NOISE; the others count for neither side."""
+    def gain(pair, name, better):
+        change, parent = (json.loads(pair[side])["metrics"][name]["value"]
+                          for side in ("change", "parent"))
+        return (change - parent) * (1 if better == "higher" else -1), max(abs(change), abs(parent))
+    return {name: sum(diff > NOISE * scale for diff, scale in (gain(p, name, better) for p in pairs))
+            for name, better in metrics.items()}
 
 
 def machine(checkout: Path) -> dict:
@@ -94,35 +100,35 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--parent-commit", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=5.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = bench["run_seconds"]
+    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     doc = {
         "parent_commit": args.parent_commit,
         "change": "the commit that adds this file",
-        "command": f"ratiobench/run.py --workload W --seed S --seconds {args.seconds:g} "
-                   "--trace 0",
+        "command": f"ratiobench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "machine": machine(sides["change"]),
         "workloads": {},
     }
     seed = args.seed
-    for workload in WORKLOADS:
+    for workload in (w["name"] for w in bench["workloads"]):
         pairs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(sides[side], workload, seed, args.seconds)
+                pair[side] = run_once(sides[side], workload, seed, seconds)
                 print(f"{workload} seed {seed} {side}: {pair[side]}", file=sys.stderr)
             pairs.append(pair)
             seed += 1
         doc["workloads"][workload] = {
             "pairs": pairs,
-            **{side: summary([p[side] for p in pairs]) for side in sides},
-            "change_better_pairs": better_pairs(pairs),
+            **{side: summary([p[side] for p in pairs], metrics) for side in sides},
+            "change_better_pairs": better_pairs(pairs, metrics),
         }
     doc["tier1"] = tier1(sides["change"])
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

@@ -102,7 +102,9 @@ def check_top_k(top_k, name: str = "top_k") -> None:
 def detect(scores: ScoreSet, tau: float) -> tuple[str, ...]:
     """Flag samples with score <= tau as outliers."""
     check_number("tau", tau, 0)
-    return tuple(LABEL_OUTLIER if s <= tau else LABEL_INLIER for s in scores.scores)
+    return tuple(
+        LABEL_OUTLIER if s <= tau else LABEL_INLIER for s in scores.scores
+    )
 
 
 def explain(

@@ -29,6 +29,7 @@ class SynthSpec:
         check_number("d", self.d, 2, integer=True)  # the mean shift uses two features
         for name in ("n_inlier", "n_test_inlier", "n_test_outlier"):
             check_number(name, getattr(self, name), 1, integer=True)
+        # in Python ints: a product of numpy integers could wrap around
         size = int(self.d) * sum(map(int, (self.n_inlier, self.n_test_inlier, self.n_test_outlier)))
         check_number("d * (n_inlier + n_test_inlier + n_test_outlier)", size, 1, 2**31)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_number
 
 SCALE_FLOOR = 1e-8
 
@@ -94,6 +94,8 @@ class PooledDataset(Dataset):
 
     def __post_init__(self):
         super().__post_init__()
+        for name in ("n_inlier", "n_test"):
+            check_number(name, getattr(self, name), 0, integer=True)
         if self.m != self.n_inlier + self.n_test:
             raise InputError("pooled features and sample counts inconsistent")
         labels = np.repeat([1, -1], [self.n_inlier, self.n_test])

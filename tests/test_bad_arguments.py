@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import make_dataset
 from ratioscope import (
     LlrHyperparams,
+    PooledDataset,
     SynthSpec,
     detect,
     explain,
@@ -61,6 +62,14 @@ def bench(**kwargs):
             pass
 
 
+def pooled_with_n_inlier(v):
+    """POOLED's columns as v inliers and the rest test samples, so that the
+    two counts add up to the column count whenever v is a number."""
+    n_test = POOLED.m - v if type(v) in (int, float) else 0
+    return PooledDataset(features=POOLED.features, feature_names=POOLED.feature_names,
+                         sample_ids=POOLED.sample_ids, n_inlier=v, n_test=n_test)
+
+
 def bench_param(name):
     return lambda v: bench(params={name: v})
 
@@ -71,6 +80,7 @@ TARGETS = {
         lambda v, field=field: generate(SynthSpec(**{**SMALL_SPEC, field: v})), field)
        for field in ("d", "n_inlier", "n_test_inlier", "n_test_outlier", "seed")},
     "generate.trial": (lambda v: generate(SynthSpec(**SMALL_SPEC), trial=v), "trial"),
+    "PooledDataset.n_inlier": (pooled_with_n_inlier, "n_inlier"),
     **{f"LlrHyperparams.{field}": (
         lambda v, field=field: fit_pooled(POOLED, LlrHyperparams(**{field: v})), field)
        for field in ("lambda1", "lambda2", "k_neighbors", "sigma2", "epsilon",
@@ -143,6 +153,8 @@ BAD_ARRAYS = st.sampled_from([
 @example(target="rulsif_fit.beta", value="x", data=None)
 # ran without complaint
 @example(target="run_bench.threads", value=1.5, data=None)
+# built labels one short of the 32 samples
+@example(target="PooledDataset.n_inlier", value=2.5, data=None)
 def test_bad_argument_succeeds_or_names_itself(target, value, data):
     call, name = TARGETS[target]
     if target in DATA_TARGETS and data is not None:

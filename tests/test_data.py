@@ -10,6 +10,7 @@ from conftest import CSV_ROWS, csv_texts
 from ratioscope.data import (
     CONST_FEATURE,
     Dataset,
+    PooledDataset,
     apply_standardizer,
     fit_standardizer,
     load_csv,
@@ -84,6 +85,12 @@ class TestPool:
         assert list(pooled.labels) == [1, 1, -1]
         assert pooled.m == 3
         assert pooled.n_inlier == 2 and pooled.n_test == 1
+
+    def test_fractional_counts_rejected(self):
+        # 2.5 + 1.5 inliers and test samples used to build labels [1, 1, -1] for 4 samples
+        with pytest.raises(InputError, match=r"^n_inlier must be an integer in \[0, inf\), got 2.5"):
+            PooledDataset(features=np.zeros((2, 4)), feature_names=("a", "b"),
+                          sample_ids=("w", "x", "y", "z"), n_inlier=2.5, n_test=1.5)
 
     def test_dimension_mismatch(self):
         inliers = make_dataset(np.ones((3, 2)))

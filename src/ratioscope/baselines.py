@@ -52,7 +52,9 @@ class LinearModel:
 
 def gauss_design(query: np.ndarray, centers: np.ndarray, sigma2: float) -> np.ndarray:
     """Design matrix Phi[i, l] = kernel(query_i, center_l)."""
-    return np.exp(-pairwise_sq_dists(query, centers) / (2.0 * sigma2))
+    d2 = pairwise_sq_dists(query, centers)
+    with np.errstate(over="ignore"):  # a tiny sigma2 takes -d2 / (2 sigma2) to -inf, entry 0
+        return np.exp(-d2 / (2.0 * sigma2))
 
 
 def check_kernel_width(name: str, sigma: float) -> None:
@@ -87,8 +89,10 @@ def kde_fit_score(inliers: Dataset, query: Dataset, sigma: float) -> ScoreSet:
         raise InputError("inlier and query dimensions differ")
     d, n = inliers.d, inliers.m
     d2 = pairwise_sq_dists(query.features, inliers.features)
+    with np.errstate(over="ignore"):  # as in gauss_design: -inf, kernel entry 0
+        log_k = -d2 / (2.0 * sigma**2)
     logp = (
-        logsumexp(-d2 / (2.0 * sigma**2), axis=1)
+        logsumexp(log_k, axis=1)
         - np.log(n)
         - 0.5 * d * np.log(2.0 * np.pi * sigma**2)
     )

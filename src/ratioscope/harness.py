@@ -178,8 +178,11 @@ def run_bench(
     baselines.check_osvm_nu(params["osvm_nu"])
     baselines.check_l1lr_lambda(params["l1lr_lambda"])
     baselines.check_rulsif(params["rulsif_beta"], params["ulsif_nu"])
-    # each SynthSpec checks its dimension here rather than in a trial
+    # each SynthSpec checks its dimension here rather than in a trial; with a
+    # dataset the dims only label the results and key the trial seeds
     specs = {dim: SynthSpec(d=dim, seed=seed) for dim in dims} if dataset is None else {}
+    for dim in dims:
+        check_number("dims", dim, 1, integer=True)
     if dump_scores_dir is not None:
         os.makedirs(dump_scores_dir, exist_ok=True)
     tasks = [(dim, trial) for dim in dims for trial in range(trials)]

@@ -637,7 +637,7 @@ def save_model(
         else {"mean": stats.mean.tolist(), "scale": stats.scale.tolist()},
     }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))
+        fh.write(json.dumps(doc, default=np.generic.item))  # numpy scalars as Python's
 
 
 def load_model(path) -> dict:

@@ -3,6 +3,7 @@ shifted-mean outlier cluster on the first two features."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,14 +45,76 @@ def trial_stream(seed: int, role: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed=ss))
 
 
+# Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989), the code behind scipy.special.ndtri, in its evaluation
+# order so that every variate keeps its bits.
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+# central, exp(-2) < p <= 1 - exp(-2), on (p - 0.5)**2; each Q's leading 1 is left out
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+# tails with x = sqrt(-2 log y) in [2, 8)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+# tails with x >= 8, that is y < exp(-32)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _horner(x, coeffs, monic=False):
+    """Cephes polevl, or p1evl if monic: coeffs then leave out the leading 1."""
+    a = x + coeffs[0] if monic else coeffs[0]
+    for c in coeffs[1:]:
+        a = a * x + c
+    return a
+
+
+def _ratio(x, p, q):
+    """x * P(x) / Q(x), rounded as the C expression is."""
+    return (x * _horner(x, p)) / _horner(x, q, monic=True)
+
+
+def _log(a: np.ndarray) -> np.ndarray:
+    """libm's log, element by element: np.log can differ in the last bit."""
+    return np.fromiter(map(math.log, a.tolist()), float, a.size)
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """The inverse standard normal CDF of every entry of p, all in (0, 1)."""
+    upper = p > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - p, p)
+    out = np.empty_like(y)
+    mid = y > _EXP_M2
+    c = y[mid] - 0.5
+    out[mid] = (c + c * _ratio(c * c, _P0, _Q0)) * _S2PI
+    tail = ~mid
+    x = np.sqrt(-2.0 * _log(y[tail]))
+    z = 1.0 / x
+    x1 = np.where(x < 8.0, _ratio(z, _P1, _Q1), _ratio(z, _P2, _Q2))
+    x = (x - _log(x) / x) - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
 def _normals(shape, seed: int, role: int, trial: int) -> np.ndarray:
     """Standard normals from trial_stream(seed, role, trial); variates
-    via the inverse Gaussian CDF."""
-    from scipy.special import ndtri
-
+    via the inverse Gaussian CDF, _ndtri, a numpy port of Cephes ndtri
+    that gives scipy.special.ndtri's bits without importing scipy. Its
+    logarithms go through math.log, as the C code's go through libm."""
     u = trial_stream(seed, role, trial).random(size=shape)
     tiny = 2.0**-53
-    return ndtri(np.clip(u, tiny, 1.0 - tiny))
+    return _ndtri(np.clip(u, tiny, 1.0 - tiny))
 
 
 def generate(spec: SynthSpec, trial: int = 0):

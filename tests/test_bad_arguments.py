@@ -107,6 +107,8 @@ TARGETS = {
                         "seed"),
     "kde_fit_score.sigma": (lambda v: baselines.kde_fit_score(INLIERS, TEST, v), "kde sigma"),
     "run_bench.dims": (lambda v: bench(dims=[3, v]), "d"),
+    "run_bench.dims with a dataset": (
+        lambda v: bench(dims=[3, v], dataset=POOLED, dataset_labels=POOLED.labels), "dims"),
     "run_bench.trials": (lambda v: bench(trials=v), "trials"),
     "run_bench.seed": (lambda v: bench(seed=v), "seed"),
     "run_bench.threads": (lambda v: bench(threads=v), "threads"),
@@ -153,6 +155,7 @@ BAD_ARRAYS = st.sampled_from([
 @example(target="rulsif_fit.beta", value="x", data=None)
 # ran without complaint
 @example(target="run_bench.threads", value=1.5, data=None)
+@example(target="run_bench.dims with a dataset", value=1.5, data=None)
 # built labels one short of the 32 samples
 @example(target="PooledDataset.n_inlier", value=2.5, data=None)
 def test_bad_argument_succeeds_or_names_itself(target, value, data):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import bisect, minimize
@@ -690,6 +692,22 @@ class TestKernelWidth:
         b = make_dataset(rng.normal(size=(2, 20)), "b")
         with pytest.raises(InputError, match=f"^{name} must (be a number in|give a normal)"):
             self.FITS[name](a, b, sigma)
+
+    @pytest.mark.parametrize("name", list(FITS))
+    def test_tiny_width_overflows_to_a_zero_kernel_without_a_warning(self, name):
+        # 2 sigma**2 = 4.5e-308 is normal, but -d2 / (2 sigma**2) overflowed
+        # and numpy's "overflow encountered in divide" reached the caller
+        rng = np.random.default_rng(0)
+        a = make_dataset(rng.normal(size=(3, 20)), "a")
+        b = make_dataset(rng.normal(size=(3, 20)), "b")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                fitted = self.FITS[name](a, b, 1.5e-154)
+            except (InputError, SolverFailure):
+                return
+            scores = fitted if name == "kde sigma" else kernel_model_score(fitted, b)
+        assert np.isfinite(scores.scores).all()
 
 
 class TestKernelModelScore:

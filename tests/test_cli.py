@@ -1347,21 +1347,23 @@ class TestTopLevel:
                              text=True, check=True, cwd=cwd).stdout
         return json.loads(out)
 
-    def test_import_score_and_eval_load_no_scipy(self, workspace, tmp_path):
+    def test_import_synth_score_and_eval_load_no_scipy(self, workspace, tmp_path):
         # scipy.special alone costs every command that loads it ~0.12 s
         # of start-up, and scipy.optimize and scipy.stats ~0.5 s; only
-        # synth, fit and bench call scipy
+        # fit and bench call scipy
         ws = workspace
         pair = ["--inliers", str(ws / "inliers.csv"), "--test", str(ws / "test.csv")]
         seen = self.run_fresh([
+            ["synth", "--d", "10", "--out-dir", "synth"],
             ["score", "--model", str(ws / "model.json"), *pair, "--out", "scores.csv",
              "--explain-top", "2"],
             ["eval", "--scores", "scores.csv", "--out", "roc.csv"],
             ["fit", *pair, "--out", "model.json", "--max-outer", "30"],
         ], cwd=tmp_path)
-        assert seen[:4] == [[], [], [cli.EXIT_OK, []], [cli.EXIT_OK, []]]
+        assert seen[:5] == [[], [], [cli.EXIT_OK, []], [cli.EXIT_OK, []], [cli.EXIT_OK, []]]
+        assert (tmp_path / "synth" / "test.csv").is_file()
         assert (tmp_path / "scores_explanations.json").is_file()
-        code, fit_loaded = seen[4]
+        code, fit_loaded = seen[5]
         assert code == cli.EXIT_OK
         assert {"scipy.sparse", "scipy.special"} <= set(fit_loaded)
 

@@ -9,7 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import bench_failures
+from conftest import bench_failures, make_dataset
 from ratioscope import baselines, harness, llr
 from ratioscope.data import LABEL_INLIER, LABEL_OUTLIER, Dataset, load_csv
 from ratioscope.errors import InputError
@@ -200,6 +200,21 @@ class TestRunBench:
         with pytest.raises(InputError, match=r"d must be an integer in \[2, inf\), got 1"):
             harness.run_bench(dims=[4, 1], trials=1, methods=["kde"], seed=0,
                               params=small_params(), threads=1)
+        assert calls == []
+
+    @pytest.mark.parametrize("dim", [1.5, 0, "4"])
+    def test_bad_dim_with_a_dataset_raises_before_any_trial(self, monkeypatch, dim):
+        # with a dataset the dims went unchecked: 1.5 ran KDE, and then
+        # KLIEP failed on a fractional trial seed
+        rng = np.random.default_rng(0)
+        data = make_dataset(rng.normal(size=(3, 30)), "c")
+        labels = [LABEL_INLIER] * 24 + [LABEL_OUTLIER] * 6
+        calls = []
+        monkeypatch.setattr(harness, "resplit_dataset", lambda *a: calls.append(a))
+        with pytest.raises(InputError, match=r"^dims must be an integer in \[1, inf\), got "):
+            harness.run_bench(dims=[4, dim], trials=1, methods=["kde", "kliep"], seed=0,
+                              params=small_params(), dataset=data, dataset_labels=labels,
+                              threads=1)
         assert calls == []
 
     def test_failure_records_null_and_continues(self, caplog):

@@ -1002,6 +1002,20 @@ class TestFit:
         assert text == json.dumps(raw)
         assert raw["weights"] == [float(v) for v in result.weights.values.ravel()]
 
+    @pytest.mark.parametrize("name, value", [
+        ("lambda1", np.float32(0.1)), ("lambda2", np.int64(1)), ("epsilon", np.float32(1e-10)),
+        ("k_neighbors", np.int64(3)), ("sigma2", np.float32(2.5))])
+    def test_numpy_hyperparameter_saved_as_its_python_value(self, tmp_path, name, value):
+        # the range checks accept numpy scalars, but json.dumps raised
+        # "Object of type float32 is not JSON serializable"
+        pooled = pool(make_dataset([[0.0, 1.0, 2.0]], "a"), make_dataset([[0.5, 3.0]], "b"))
+        hp = LlrHyperparams(outer_max_iters=2, **{name: value})
+        result = fit_pooled(pooled, hp)
+        save_model(tmp_path / "m.json", result, pooled, hp, None)
+        doc = load_model(tmp_path / "m.json")
+        assert doc[name] == value.item() and type(doc[name]) is type(value.item())
+        assert np.array_equal(doc["weights"], result.weights.values)
+
     def test_hyperparam_validation(self):
         with pytest.raises(ValueError):
             LlrHyperparams(lambda1=-0.1)

@@ -6,6 +6,8 @@ with probability ~6e-5 per feature, and the sample variance (chi-square
 concentration) is within 0.06 of 1 with similar slack.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,39 @@ from ratioscope.data import LABEL_INLIER, LABEL_OUTLIER
 from ratioscope import synth
 from ratioscope.errors import InputError
 from ratioscope.synth import SynthSpec, generate
+
+
+class TestNdtri:
+    # synth's numpy port must give scipy.special.ndtri's bits, or every
+    # synthetic data set, and each result built on one, would move
+    TINY = 2.0**-53  # synth clips its uniforms to [TINY, 1 - TINY]
+
+    def assert_bit_equal(self, p):
+        from scipy.special import ndtri
+
+        p = np.clip(p, self.TINY, 1.0 - self.TINY)
+        got, want = synth._ndtri(p).view(np.int64), ndtri(p).view(np.int64)
+        assert np.array_equal(got, want), p[got != want][:5]
+
+    def test_branch_edges(self):
+        # the central/tail split at exp(-2) and its mirror, the x < 8 split
+        # at y = exp(-32), and the clipped ends
+        edges = [math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0),
+                 1.0 - math.exp(-32.0), self.TINY, 1.0 - self.TINY, 0.5]
+        near = []
+        for edge in edges:
+            lo = hi = edge
+            for _ in range(8):
+                lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 1.0)
+                near += [lo, hi]
+        self.assert_bit_equal(np.array(edges + near))
+
+    def test_seeded_sample(self):
+        # 1.2e6 values: uniforms as synth draws them, plus log-uniform tails
+        # on both sides, which reach the y < exp(-32) branch
+        rng = np.random.default_rng(32)
+        tails = np.exp(-rng.random(200_000) * 53.0 * math.log(2.0))
+        self.assert_bit_equal(np.concatenate([rng.random(1_000_000), tails, 1.0 - tails[::2]]))
 
 
 class TestSpecValidation:

@@ -9,9 +9,11 @@ definition is read from CHANGE_DIR's BENCHMARK.json: the run length
 (``run_seconds``), the workload names and each end-to-end metric with
 the direction in which it is better.  For every workload the script runs
 ``ratiobench/run.py --seconds RUN_SECONDS --trace 0`` in both checkouts,
-PAIRS times, alternating which side runs first, with seeds counting up
-from ``--seed`` (a new block of PAIRS seeds per workload).  Each run's
-seed and the JSON object it printed are kept verbatim.  The file also
+PAIRS times, alternating which side runs first, and then once per side
+at ``--trace 1``, whose JSON object holds the per-layer times in place of
+the end-to-end metrics.  Seeds count up from ``--seed``, PAIRS + 1 per
+workload, the last for the traced runs.  Each run's seed and the JSON
+object it printed are kept verbatim.  The file also
 records the machine (CPU count, Python, numpy, scipy and the BLAS build,
 as tests/digests.py reports them), the medians and quartiles of each
 end-to-end metric per side, the number of pairs in which the change's
@@ -40,11 +42,11 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
          "-p", "no:cacheprovider"]
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> str:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> str:
     """The last standard-output line of one benchmark run: its JSON object."""
     proc = subprocess.run(
         [sys.executable, "ratiobench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     return proc.stdout.strip().splitlines()[-1]
@@ -110,7 +112,7 @@ def main(argv=None) -> int:
     doc = {
         "parent_commit": args.parent_commit,
         "change": "the commit that adds this file",
-        "command": f"ratiobench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
+        "command": f"ratiobench/run.py --workload W --seed S --seconds {seconds:g} --trace T",
         "machine": machine(sides["change"]),
         "workloads": {},
     }
@@ -125,8 +127,14 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: {pair[side]}", file=sys.stderr)
             pairs.append(pair)
             seed += 1
+        traced = {"seed": seed}
+        for side in sides:
+            traced[side] = run_once(sides[side], workload, seed, seconds, trace=1)
+            print(f"{workload} seed {seed} {side} traced: {traced[side]}", file=sys.stderr)
+        seed += 1
         doc["workloads"][workload] = {
             "pairs": pairs,
+            "traced": traced,
             **{side: summary([p[side] for p in pairs], metrics) for side in sides},
             "change_better_pairs": better_pairs(pairs, metrics),
         }

@@ -1,9 +1,9 @@
 """Reference detectors sharing the ScoreSet contract.
 
 All methods emit scores with the same orientation as the ratio
-detector: higher = more inlier-like.  Density methods return densities,
-LOF returns the inverse factor, ratio methods return the estimated
-inlier/test ratio.
+detector: higher = more inlier-like.  KDE returns the mean Gaussian
+kernel over the inliers, LOF the inverse factor, and the ratio methods
+the estimated inlier/test ratio.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, PooledDataset
 from .errors import InputError, SingularSystem, SolverFailure, check_number
-from .graph import check_neighbors, nearest, pairwise_sq_dists
+from .graph import check_neighbors, log_gauss, nearest, pairwise_sq_dists
 from .scores import EXP_CLAMP, ScoreSet, ratio_from_logit
 from .synth import check_seed
 
@@ -52,9 +52,7 @@ class LinearModel:
 
 def gauss_design(query: np.ndarray, centers: np.ndarray, sigma2: float) -> np.ndarray:
     """Design matrix Phi[i, l] = kernel(query_i, center_l)."""
-    d2 = pairwise_sq_dists(query, centers)
-    with np.errstate(over="ignore"):  # a tiny sigma2 takes -d2 / (2 sigma2) to -inf, entry 0
-        return np.exp(-d2 / (2.0 * sigma2))
+    return np.exp(log_gauss(pairwise_sq_dists(query, centers), sigma2))
 
 
 def check_kernel_width(name: str, sigma: float) -> None:
@@ -81,21 +79,16 @@ def _subsample_centers(samples: np.ndarray, seed: int) -> np.ndarray:
 # KDE
 
 def kde_fit_score(inliers: Dataset, query: Dataset, sigma: float) -> ScoreSet:
-    """Gaussian kernel density of each query point under the inliers."""
+    """Mean Gaussian kernel of each query point over the inliers: the
+    density estimate without its factor (2 pi sigma**2)**(-d/2), which is
+    the same for every query and would clamp every score at high d."""
     from scipy.special import logsumexp
 
     check_kernel_width("kde sigma", sigma)
     if inliers.d != query.d:
         raise InputError("inlier and query dimensions differ")
-    d, n = inliers.d, inliers.m
     d2 = pairwise_sq_dists(query.features, inliers.features)
-    with np.errstate(over="ignore"):  # as in gauss_design: -inf, kernel entry 0
-        log_k = -d2 / (2.0 * sigma**2)
-    logp = (
-        logsumexp(log_k, axis=1)
-        - np.log(n)
-        - 0.5 * d * np.log(2.0 * np.pi * sigma**2)
-    )
+    logp = logsumexp(log_gauss(d2, sigma**2), axis=1) - np.log(inliers.m)
     scores = np.exp(np.clip(logp, -EXP_CLAMP, EXP_CLAMP))
     return ScoreSet(sample_ids=query.sample_ids, scores=scores)
 

@@ -144,8 +144,6 @@ def cmd_bench(args) -> int:
     dataset_name = "synthetic"
     if args.dataset:
         dataset, dataset_labels = load_csv(args.dataset)
-        if dataset_labels is None:
-            raise InputError("benchmark dataset CSV needs a label column")
         dataset_name = args.dataset
     params = {**_params(args, _BENCH_FLAG_PARAMS), "standardize": not args.no_standardize}
     doc = harness.run_bench(

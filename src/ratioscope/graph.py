@@ -99,6 +99,13 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
+def log_gauss(d2: np.ndarray, sigma2: float) -> np.ndarray:
+    """Log Gaussian kernel -d2 / (2 sigma2); where a tiny sigma2 overflows
+    the quotient it is -inf, a kernel entry of 0, with no warning."""
+    with np.errstate(over="ignore"):
+        return -d2 / (2.0 * sigma2)
+
+
 def _median_dist(d2: np.ndarray) -> float:
     """Median of sqrt(d2) over the pairs i < j of a squared-distance
     matrix, np.median(np.sqrt(...)) bit for bit.  sqrt is monotone and
@@ -172,8 +179,7 @@ def knn_graph(data: np.ndarray, K: int, sigma2: float | str) -> SimilarityGraph:
     order = nearest(d2, K)
     rows = np.repeat(np.arange(m), K)
     cols = order.ravel()
-    with np.errstate(over="ignore"):  # a tiny sigma2 takes -d2 / (2 sigma2) to -inf, weight 0
-        vals = np.exp(-d2[rows, cols] / (2.0 * sigma2))
+    vals = np.exp(log_gauss(d2[rows, cols], sigma2))
     w = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
     # no point is its own neighbor, so the diagonal stays empty
     w = (w + w.T) * 0.5

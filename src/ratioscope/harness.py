@@ -138,6 +138,24 @@ def resplit_dataset(data: Dataset, labels, seed: int, trial: int):
     return data.columns(model_idx), data.columns(test_idx), test_labels
 
 
+def check_dataset_labels(dataset: Dataset, labels) -> None:
+    """Raise InputError unless ``labels`` holds one inlier or outlier label
+    per sample of ``dataset``, as a CSV's label column does."""
+    if labels is None:
+        raise InputError("dataset_labels must be given: a bench dataset needs a label column")
+    try:
+        bad = [v for v in labels if not (isinstance(v, str) and v in (LABEL_INLIER, LABEL_OUTLIER))]
+        count = len(labels)
+    except TypeError:  # not a sized iterable
+        raise InputError(f"dataset_labels must be a sequence of labels, got {labels!r}") from None
+    if bad:
+        raise InputError(f"dataset_labels must be {LABEL_INLIER!r} or {LABEL_OUTLIER!r}, "
+                         f"got {bad[0]!r}")
+    if count != dataset.m:
+        raise InputError(f"dataset_labels must hold one label per dataset sample, "
+                         f"got {count} labels for {dataset.m} samples")
+
+
 def default_thread_count(requested: int | None) -> int:
     """``requested`` pool threads, or min(8, CPU count) when None."""
     if requested is None:
@@ -183,6 +201,11 @@ def run_bench(
     specs = {dim: SynthSpec(d=dim, seed=seed) for dim in dims} if dataset is None else {}
     for dim in dims:
         check_number("dims", dim, 1, integer=True)
+    for name, values in (("dims", dims), ("methods", methods)):
+        if len(set(values)) < len(values):
+            raise InputError(f"{name} must not repeat, got {list(values)}")
+    if dataset is not None:
+        check_dataset_labels(dataset, dataset_labels)
     if dump_scores_dir is not None:
         os.makedirs(dump_scores_dir, exist_ok=True)
     tasks = [(dim, trial) for dim in dims for trial in range(trials)]

@@ -6,8 +6,11 @@ fractional floats, strings, None, bools, NaN, infinities, negatives and
 small numbers, some of which are valid; the data arrays are drawn in
 bad shapes or with non-finite entries.  A valid value may still give a
 numerical failure, a SolverFailure (as a KLIEP width too small for any
-test sample to carry kernel mass does), never a raw error.  Valid sizes
-stay small, so no call builds or fits more than a few hundred values."""
+test sample to carry kernel mass does), never a raw error.  run_bench
+runs for real, serially, on the methods that read the drawn value, and
+a run its checks let start must score every trial or fail it with a
+SolverFailure.  Valid sizes stay small, so no call builds more than a
+few thousand values."""
 
 import math
 
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import bench_failures, make_dataset
 from ratioscope import (
     LlrHyperparams,
     PooledDataset,
@@ -31,6 +34,7 @@ from ratioscope import (
     ratio_score,
 )
 from ratioscope import baselines, harness
+from ratioscope.data import LABEL_INLIER, LABEL_OUTLIER
 from ratioscope.errors import InputError, SolverFailure
 
 RNG = np.random.default_rng(31)
@@ -42,24 +46,39 @@ SCORES = ratio_score(FIT.weights, POOLED)
 SMALL_SPEC = {"d": 3, "n_inlier": 5, "n_test_inlier": 4, "n_test_outlier": 2}
 
 
-class PoolStarted(Exception):
-    """Raised in place of starting run_bench's thread pool."""
+# run_bench's data: POOLED's samples as a labeled dataset, each trial
+# resplitting its 20 inliers and drawing 10 of its 12 outliers
+DATASET = make_dataset(POOLED.features, "c")
+DATASET_LABELS = [LABEL_INLIER] * INLIERS.m + [LABEL_OUTLIER] * TEST.m
 
 
-def stop_at_pool(max_workers):
-    raise PoolStarted
+class TrialRaised(BaseException):
+    """A bench trial's error other than SolverFailure, raised past
+    run_bench's per-method catch, which takes only Exceptions."""
 
 
-def bench(**kwargs):
-    """run_bench up to its thread pool, with kwargs over a small valid run."""
-    args = {"dims": [3], "trials": 1, "methods": list(harness.METHODS), "seed": 0,
-            "threads": 1, **kwargs}
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "ThreadPoolExecutor", stop_at_pool)
+def bench(methods, **kwargs):
+    """run_bench run for real on ``methods``, with kwargs over a small valid
+    serial run on DATASET.  If the run starts, every trial must score, or
+    fail with a SolverFailure."""
+    args = {"dims": [3], "trials": 1, "methods": methods, "seed": 0, "threads": 1,
+            "dataset": DATASET, "dataset_labels": DATASET_LABELS, **kwargs}
+    run_method, solver_failures = harness.run_method, []
+
+    def checked_run_method(*a):
         try:
-            harness.run_bench(**args)
-        except PoolStarted:
-            pass
+            return run_method(*a)
+        except SolverFailure as exc:
+            solver_failures.append(exc)
+            raise
+        except Exception as exc:
+            raise TrialRaised(args) from exc
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "run_method", checked_run_method)
+        doc = harness.run_bench(**args)
+    # a trial can fail outside run_method too, as in the pooled median heuristic
+    assert bench_failures(doc) == len(solver_failures), (args, doc)
 
 
 def pooled_with_n_inlier(v):
@@ -70,8 +89,8 @@ def pooled_with_n_inlier(v):
                          sample_ids=POOLED.sample_ids, n_inlier=v, n_test=n_test)
 
 
-def bench_param(name):
-    return lambda v: bench(params={name: v})
+def bench_param(name, methods):
+    return lambda v: bench(methods, params={name: v})
 
 
 # target -> (call with the drawn value, the name its message starts with)
@@ -106,24 +125,29 @@ TARGETS = {
     "rulsif_fit.seed": (lambda v: baselines.rulsif_fit(INLIERS, TEST, 0.5, 0.1, 1.0, seed=v),
                         "seed"),
     "kde_fit_score.sigma": (lambda v: baselines.kde_fit_score(INLIERS, TEST, v), "kde sigma"),
-    "run_bench.dims": (lambda v: bench(dims=[3, v]), "d"),
-    "run_bench.dims with a dataset": (
-        lambda v: bench(dims=[3, v], dataset=POOLED, dataset_labels=POOLED.labels), "dims"),
-    "run_bench.trials": (lambda v: bench(trials=v), "trials"),
-    "run_bench.seed": (lambda v: bench(seed=v), "seed"),
-    "run_bench.threads": (lambda v: bench(threads=v), "threads"),
-    **{f"run_bench.{name}": (bench_param(name), message) for name, message in (
-        ("lambda1", "lambda1"), ("lambda2", "lambda2"), ("k_neighbors", "k_neighbors"),
-        ("epsilon", "epsilon"), ("outer_max_iters", "outer_max_iters"),
-        ("outer_rel_tol", "outer_rel_tol"), ("lof_k", "lof K"), ("osvm_nu", "osvm nu"),
-        ("l1lr_lambda", "l1lr lambda"), ("ulsif_nu", "ulsif/rulsif nu"),
-        ("rulsif_beta", "rulsif beta"))},
+    # KLIEP's trial seed is built from the dim, and from the seed
+    "run_bench.dims": (lambda v: bench(["kliep"], dims=[v], dataset=None), "d"),
+    "run_bench.dims with a dataset": (lambda v: bench(["kliep"], dims=[3, v]), "dims"),
+    "run_bench.trials": (lambda v: bench(["kde"], trials=v), "trials"),
+    "run_bench.seed": (lambda v: bench(["kliep"], seed=v), "seed"),
+    "run_bench.threads": (lambda v: bench(["kde"], threads=v), "threads"),
+    "run_bench.dataset_labels": (
+        lambda v: bench(["kde"], dataset_labels=[*DATASET_LABELS[:-1], v]), "dataset_labels"),
+    **{f"run_bench.{name}": (bench_param(name, methods), message)
+       for name, message, methods in (
+           ("lambda1", "lambda1", ["llr"]), ("lambda2", "lambda2", ["llr"]),
+           ("k_neighbors", "k_neighbors", ["llr"]), ("epsilon", "epsilon", ["llr"]),
+           ("outer_max_iters", "outer_max_iters", ["llr"]),
+           ("outer_rel_tol", "outer_rel_tol", ["llr"]), ("lof_k", "lof K", ["lof"]),
+           ("osvm_nu", "osvm nu", ["osvm"]), ("l1lr_lambda", "l1lr lambda", ["l1lr"]),
+           ("ulsif_nu", "ulsif/rulsif nu", ["ulsif", "rulsif"]),
+           ("rulsif_beta", "rulsif beta", ["rulsif"]))},
 }
 # the data parameters are drawn from BAD_ARRAYS instead
 DATA_TARGETS = ("knn_graph.data", "median_heuristic.data")
 
 BAD_VALUES = st.sampled_from([
-    2.5, 0.5, -0.5, 1e-3, -1, 0, "1", "x", "auto", "", None, True, False,
+    2.5, 0.5, -0.5, 1e-3, -1, 0, "1", "x", "auto", "", "outlier", None, True, False,
     math.nan, math.inf, -math.inf, np.float64(2.5), np.int64(-2), [3], (),
 ]) | st.integers(-3, 12) | st.floats(-3.0, 12.0)
 BAD_ARRAYS = st.sampled_from([
@@ -156,6 +180,10 @@ BAD_ARRAYS = st.sampled_from([
 # ran without complaint
 @example(target="run_bench.threads", value=1.5, data=None)
 @example(target="run_bench.dims with a dataset", value=1.5, data=None)
+@example(target="run_bench.dims with a dataset", value=3, data=None)
+# ran on 31 of the 32 samples, or dropped one and failed every trial
+@example(target="run_bench.dataset_labels", value=None, data=None)
+@example(target="run_bench.dataset_labels", value="x", data=None)
 # built labels one short of the 32 samples
 @example(target="PooledDataset.n_inlier", value=2.5, data=None)
 def test_bad_argument_succeeds_or_names_itself(target, value, data):

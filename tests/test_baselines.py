@@ -24,22 +24,30 @@ from ratioscope.baselines import (
 from ratioscope import baselines, harness
 from ratioscope.data import PooledDataset, fit_standardizer, pool
 from ratioscope.errors import InputError, SingularSystem, SolverFailure
+from ratioscope.evaluation import auc
 from ratioscope.graph import median_heuristic, pairwise_sq_dists
 from ratioscope.llr import WeightMatrix
-from ratioscope.scores import ratio_score
+from ratioscope.scores import ScoreSet, ratio_score
 from ratioscope.synth import SynthSpec, generate
+
+
+def kde_density(inliers, query, sigma):
+    """kde_fit_score times the factor (2 pi sigma**2)**(-d/2) it leaves out:
+    the Gaussian kernel density estimate."""
+    scores = kde_fit_score(inliers, query, sigma).scores
+    return scores * (2.0 * np.pi * sigma**2) ** (-0.5 * inliers.d)
 
 
 class TestKde:
     def test_standard_normal_peak(self):
         inl = make_dataset([[0.0]])
-        s = kde_fit_score(inl, make_dataset([[0.0]], "q"), sigma=1.0)
-        assert s.scores[0] == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), rel=1e-12)
+        density = kde_density(inl, make_dataset([[0.0]], "q"), sigma=1.0)
+        assert density[0] == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), rel=1e-12)
 
     def test_multivariate_normalization(self):
         inl = make_dataset(np.zeros((2, 1)))
-        s = kde_fit_score(inl, make_dataset(np.zeros((2, 1)), "q"), sigma=0.5)
-        assert s.scores[0] == pytest.approx(1.0 / (2.0 * np.pi * 0.25), rel=1e-12)
+        density = kde_density(inl, make_dataset(np.zeros((2, 1)), "q"), sigma=0.5)
+        assert density[0] == pytest.approx(1.0 / (2.0 * np.pi * 0.25), rel=1e-12)
 
     def test_far_query_decays(self):
         inl = make_dataset([[0.0, 1.0]])
@@ -49,9 +57,18 @@ class TestKde:
     def test_density_integrates_to_one(self):
         inl = make_dataset([[-1.0, 0.0, 2.0]])
         grid = np.linspace(-12.0, 14.0, 4001)
-        s = kde_fit_score(inl, make_dataset(grid[None, :], "q"), sigma=0.8)
-        integral = np.trapezoid(s.scores, grid)
+        density = kde_density(inl, make_dataset(grid[None, :], "q"), sigma=0.8)
+        integral = np.trapezoid(density, grid)
         assert integral == pytest.approx(1.0, abs=0.02)
+
+    def test_ranks_points_at_high_dimension(self):
+        # the density factor (2 pi sigma**2)**(-d/2) used to take every
+        # score under the clamp from about d = 135, so all tied at AUC 0.5
+        inliers, test, labels = generate(SynthSpec(d=140, seed=0), trial=0)
+        inliers, test = harness.standardized(inliers, test, fit_standardizer(inliers))
+        s = kde_fit_score(inliers, test, median_heuristic(inliers.features))
+        assert len(set(s.scores.tolist())) > 1
+        assert auc(ScoreSet(s.sample_ids, s.scores, tuple(labels))) > 0.5
 
     def test_bad_sigma(self):
         inl = make_dataset([[0.0, 1.0]])

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CSV_ROWS, csv_texts
+from conftest import CSV_ROWS, PoolStarted, csv_texts, stop_at_pool
 from ratioscope import cli, harness, llr
 from ratioscope.evaluation import auc
 from ratioscope.scores import load_scores_csv
@@ -846,6 +846,25 @@ class TestBench:
         assert_one_error(capsys, named)
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize("argv,named", [
+        # the two repeats used to exit 0, running every repeated (dim, trial) twice
+        (["--methods", "kde,kde", "--dims", "4"], "methods must not repeat"),
+        (["--methods", "kde", "--dims", "4,4"], "dims must not repeat"),
+        (["--methods", "kde", "--dims", "2", "--dataset", "nolabels.csv"],
+         "dataset_labels must be given: a bench dataset needs a label column"),
+    ])
+    def test_repeat_or_unlabeled_dataset_exit2_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, argv, named
+    ):
+        (tmp_path / "nolabels.csv").write_text("f1,f2\n" + "0.5,1.5\n1.0,-2.0\n" * 10)
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        monkeypatch.setattr(harness, "run_method", lambda *a: calls.append(a))
+        code = cli.main(["bench", "--trials", "2", "--out", "r.json", *argv])
+        assert code == cli.EXIT_USAGE
+        assert_one_error(capsys, named)
+        assert calls == [] and not (tmp_path / "r.json").exists()
+
     def test_bad_dims_names_the_flag(self, tmp_path, capsys):
         # used to print only "invalid literal for int() with base 10: '1x'"
         code = cli.main(["bench", "--dims", "4,1x", "--out", str(tmp_path / "r.json")])
@@ -1004,14 +1023,6 @@ BENCH_CONFIG_KEYS = st.sampled_from(sorted(
 # values most of bench's flags accept, so that some runs pass every check
 NUMBERS = st.integers(-2, 60) | st.floats(-1.0, 2.0)
 COUNT_VALUES = st.integers(-3, 1000) | st.sampled_from(["0", "2", "x", "1e3", 2.5, None, True])
-
-
-class PoolStarted(Exception):
-    """Raised in place of starting bench's thread pool."""
-
-
-def stop_at_pool(max_workers):
-    raise PoolStarted
 
 
 def assert_config_run_exits_0_or_one_error_line(ws, doc, argv):

@@ -217,6 +217,40 @@ class TestRunBench:
                               threads=1)
         assert calls == []
 
+    @pytest.mark.parametrize("dims,methods", [([4, 4], ["kde"]), ([4], ["kde", "kde"]),
+                                              ([4, 6, 4], ["kde", "lof"])])
+    def test_repeated_dim_or_method_raises_before_any_trial(self, monkeypatch, dims, methods):
+        # used to run every repeated (dim, trial) again and write the copies
+        calls = []
+        monkeypatch.setattr(harness, "generate", lambda *a, **k: calls.append(a))
+        name = "dims" if len(set(dims)) < len(dims) else "methods"
+        with pytest.raises(InputError, match=rf"^{name} must not repeat, got "):
+            harness.run_bench(dims=dims, trials=2, methods=methods, seed=0,
+                              params=small_params(), threads=1)
+        assert calls == []
+
+    @pytest.mark.parametrize("labels,message", [
+        # 35 labels for 40 samples used to run on the first 35 samples
+        ([LABEL_INLIER] * 30 + [LABEL_OUTLIER] * 5, "got 35 labels for 40 samples"),
+        ([LABEL_INLIER] * 30 + [LABEL_OUTLIER] * 12, "got 42 labels for 40 samples"),
+        # a label of neither class used to drop its samples and fail every trial
+        ([LABEL_INLIER] * 29 + ["bogus"] + [LABEL_OUTLIER] * 10, "got 'bogus'"),
+        ([1] * 30 + [-1] * 10, "got 1"),
+        (None, "needs a label column"),
+        (3, "got 3"),
+    ])
+    def test_bad_dataset_labels_raise_before_any_trial(self, monkeypatch, labels, message):
+        data = make_dataset(np.random.default_rng(0).normal(size=(3, 40)), "c")
+        calls = []
+        monkeypatch.setattr(harness, "resplit_dataset", lambda *a: calls.append(a))
+        with pytest.raises(InputError) as info:
+            harness.run_bench(dims=[3], trials=2, methods=["kde"], seed=0,
+                              params=small_params(), dataset=data, dataset_labels=labels,
+                              threads=1)
+        assert str(info.value).startswith("dataset_labels must ")
+        assert str(info.value).endswith(message)
+        assert calls == []
+
     def test_failure_records_null_and_continues(self, caplog):
         # constant features make the median distance heuristic degenerate,
         # so kde fails per-trial while lof (pure ranks of zero distances) may too;

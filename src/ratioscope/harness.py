@@ -154,6 +154,11 @@ def check_dataset_labels(dataset: Dataset, labels) -> None:
     if count != dataset.m:
         raise InputError(f"dataset_labels must hold one label per dataset sample, "
                          f"got {count} labels for {dataset.m} samples")
+    # resplit_dataset puts half the inliers in each role and needs an outlier
+    n_outliers = list(labels).count(LABEL_OUTLIER)
+    if n_outliers < 1 or count - n_outliers < 2:
+        raise InputError(f"dataset_labels must hold at least 2 {LABEL_INLIER!r} and 1 "
+                         f"{LABEL_OUTLIER!r} labels, got {count - n_outliers} and {n_outliers}")
 
 
 def default_thread_count(requested: int | None) -> int:

@@ -1,7 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import bisect, minimize
 
 from conftest import make_dataset, standardized_pool
@@ -191,10 +194,23 @@ def bisection_projection(v, c):
 
 
 def assert_matches_oracle(v, c):
-    a = project_box_simplex(v, c)
+    a, _ = project_box_simplex(v, c)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(v))))
     assert np.max(np.abs(a - bisection_projection(v, c))) <= tol
     return a
+
+
+def count_calls(monkeypatch, name):
+    """Wrap baselines.<name> so that each call appends its arguments to the
+    returned list."""
+    calls, original = [], getattr(baselines, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(baselines, name, counted)
+    return calls
 
 
 def projected_gradient_osvm(data, nu, sigma, iters=5000):
@@ -204,9 +220,9 @@ def projected_gradient_osvm(data, nu, sigma, iters=5000):
     c = 1.0 / (n * nu)
     K = gauss_design(data.features, data.features, sigma**2)
     step = 1.0 / float(np.linalg.eigvalsh(K)[-1])
-    alpha = project_box_simplex(np.full(n, 1.0 / n), c)
+    alpha, _ = project_box_simplex(np.full(n, 1.0 / n), c)
     for _ in range(iters):
-        alpha = project_box_simplex(alpha - step * (K @ alpha), c)
+        alpha, _ = project_box_simplex(alpha - step * (K @ alpha), c)
     return KernelModel(centers=data.features, alphas=alpha, sigma2=sigma**2)
 
 
@@ -246,13 +262,13 @@ class TestProjection:
         for _ in range(50):
             n = int(rng.integers(2, 20))
             c = 1.0 / (n * rng.uniform(0.05, 1.0))
-            a = project_box_simplex(rng.normal(size=n), c)
+            a, _ = project_box_simplex(rng.normal(size=n), c)
             assert abs(a.sum() - 1.0) <= 1e-10
             assert np.all(a >= -1e-12) and np.all(a <= c + 1e-12)
 
     def test_idempotent_on_feasible(self):
         a = np.array([0.2, 0.3, 0.5])
-        assert project_box_simplex(a, 0.6) == pytest.approx(a, abs=1e-10)
+        assert project_box_simplex(a, 0.6)[0] == pytest.approx(a, abs=1e-10)
 
     def test_infeasible_cap(self):
         with pytest.raises(InputError, match="box cap too small"):
@@ -311,7 +327,8 @@ class TestProjection:
             c = 1.0 / (n * rng.uniform(0.05, 1.0))
             v = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
             theta = box_simplex_threshold(v, c)
-            a = project_box_simplex(v, c)
+            a, returned = project_box_simplex(v, c)
+            assert returned == theta
             tol = 1e-12 * max(1.0, float(np.max(np.abs(v))))
             zero, capped = v <= theta, v >= theta + c
             free = ~(zero | capped)
@@ -319,6 +336,35 @@ class TestProjection:
             assert np.all(np.abs(a[capped] - c) <= tol)
             assert np.all(np.abs(a[free] - (v[free] - theta)) <= tol)
             assert abs(a.sum() - 1.0) <= 1e-12 * n
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(1, 400), scale=st.floats(1e-3, 1e3), decimals=st.sampled_from([None, 0, 1]),
+           cap=st.sampled_from(["c n = 1", "c n just above 1", "nu", "c >= 1"]),
+           nu=st.floats(0.01, 1.0), offset=st.sampled_from([0.0, 1e-12, -1e-9, 1e-3, -0.1, 10.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_guess_gives_the_unguessed_threshold(self, n, scale, decimals, cap, nu, offset, seed):
+        # rounded values tie; the offsets put the guess on theta, near it or
+        # far from it, in units of the spread of v
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=n)
+        v = scale * (v if decimals is None else np.round(v, decimals))
+        c = {"c n = 1": 1.0 / n, "c n just above 1": (1.0 + 1e-12) / n,
+             "nu": 1.0 / (n * nu), "c >= 1": 1.0 + nu}[cap]
+        theta = box_simplex_threshold(v, c)
+        guess = theta + offset * scale
+        assert np.float64(box_simplex_threshold(v, c, guess)).tobytes() == np.float64(theta).tobytes()
+
+    def test_threshold_on_a_breakpoint_runs_the_full_scan(self, monkeypatch):
+        # f(1) = (2 - 1) + 0 + 0 = 1 exactly at the breakpoint v_1 = 1, so no
+        # margin certifies the walk's segment and the scan must decide
+        v, c = np.array([2.0, 1.0, 0.0]), 5.0
+        scans = count_calls(monkeypatch, "_scan_breakpoint")
+        assert box_simplex_threshold(v, c) == 1.0
+        assert len(scans) == 1
+        for guess in (1.0, 0.9, 1.5):
+            scans.clear()
+            assert box_simplex_threshold(v, c, guess) == 1.0
+            assert len(scans) == 1
 
 
 class TestOsvm:
@@ -372,7 +418,7 @@ class TestOsvm:
         best = np.inf
         for _ in range(10):
             a0 = rng.dirichlet(np.ones(n))
-            a0 = project_box_simplex(a0, c)
+            a0, _ = project_box_simplex(a0, c)
             res = minimize(
                 obj,
                 a0,
@@ -385,13 +431,18 @@ class TestOsvm:
             best = min(best, res.fun)
         assert osvm_dual_objective(model) == pytest.approx(best, abs=1e-6)
 
-    def test_sweep_fit_converges_before_cap(self):
-        # 420 FISTA steps at d=10 and 387 at d=100.  Each bound is about
-        # 1.2 times the count; a change that lowers a count tightens it
-        for d, bound in ((10, 504), (100, 465)):
+    def test_sweep_fit_converges_before_cap(self, monkeypatch):
+        # 420 FISTA steps at d=10 and 387 at d=100, and 2 full scans in each
+        # fit: the unguessed start and the first step's long walk.  Each
+        # bound is about 1.2 times the count; a change that lowers a count
+        # tightens it
+        scans = count_calls(monkeypatch, "_scan_breakpoint")
+        for d, bound, scan_bound in ((10, 504, 2), (100, 465, 2)):
             data, sigma = sweep_osvm_data(d)
+            scans.clear()
             model = osvm_fit(data, nu=0.1, sigma=sigma)
             assert model.converged and model.iterations <= bound
+            assert len(scans) <= scan_bound
             assert osvm_kkt_residual(model, 0.1) <= 1e-5
 
     def test_sweep_fit_no_worse_than_plain_projected_gradient(self):
@@ -417,10 +468,20 @@ class TestOsvm:
     def test_sweep_fit_matches_bisection_oracle(self, monkeypatch):
         data, sigma = sweep_osvm_data(10)
         model = osvm_fit(data, nu=0.1, sigma=sigma)
+        guesses = []
+
+        def oracle_projection(v, c, guess=None):
+            # osvm_fit passes its previous threshold and reads the next one
+            # back; the bisection needs no guess, so it hands back NaN
+            guesses.append(guess)
+            return bisection_projection(v, c), math.nan
+
         # osvm_fit looks the projection up by its module-level name
-        monkeypatch.setattr(baselines, "project_box_simplex", bisection_projection)
+        monkeypatch.setattr(baselines, "project_box_simplex", oracle_projection)
         oracle = osvm_fit(data, nu=0.1, sigma=sigma)
         assert oracle.iterations == model.iterations
+        # one projection at the start and one per FISTA step
+        assert len(guesses) == oracle.iterations + 1
         assert np.max(np.abs(model.alphas - oracle.alphas)) <= 1e-12
 
     def test_bad_nu(self):

@@ -852,11 +852,22 @@ class TestBench:
         (["--methods", "kde", "--dims", "4,4"], "dims must not repeat"),
         (["--methods", "kde", "--dims", "2", "--dataset", "nolabels.csv"],
          "dataset_labels must be given: a bench dataset needs a label column"),
+        # these two used to fail every trial and exit 1
+        (["--methods", "kde", "--dims", "2", "--dataset", "inliers.csv"],
+         "dataset_labels must hold at least 2 'inlier' and 1 'outlier' labels, got 20 and 0"),
+        (["--methods", "kde", "--dims", "2", "--dataset", "one_inlier.csv"],
+         "dataset_labels must hold at least 2 'inlier' and 1 'outlier' labels, got 1 and 19"),
     ])
     def test_repeat_or_unlabeled_dataset_exit2_before_any_trial(
         self, tmp_path, capsys, monkeypatch, argv, named
     ):
         (tmp_path / "nolabels.csv").write_text("f1,f2\n" + "0.5,1.5\n1.0,-2.0\n" * 10)
+        rows = [f"{0.1 * i},{-0.2 * i}" for i in range(20)]
+        (tmp_path / "inliers.csv").write_text(
+            "f1,f2,label\n" + "".join(f"{row},inlier\n" for row in rows))
+        (tmp_path / "one_inlier.csv").write_text(
+            "f1,f2,label\n" + "".join(f"{row},{'outlier' if i else 'inlier'}\n"
+                                      for i, row in enumerate(rows)))
         monkeypatch.chdir(tmp_path)
         calls = []
         monkeypatch.setattr(harness, "run_method", lambda *a: calls.append(a))

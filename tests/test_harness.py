@@ -238,6 +238,10 @@ class TestRunBench:
         ([1] * 30 + [-1] * 10, "got 1"),
         (None, "needs a label column"),
         (3, "got 3"),
+        # with no outlier, or one inlier for the two halves, every trial used
+        # to fail and the run exited as a numerical failure
+        ([LABEL_INLIER] * 40, "got 40 and 0"),
+        ([LABEL_INLIER] + [LABEL_OUTLIER] * 39, "got 1 and 39"),
     ])
     def test_bad_dataset_labels_raise_before_any_trial(self, monkeypatch, labels, message):
         data = make_dataset(np.random.default_rng(0).normal(size=(3, 40)), "c")

@@ -2,8 +2,12 @@
 density-ratio estimation, with per-sample feature attribution.
 
 Every scipy import sits in the function that calls it, so importing the
-package loads numpy alone, and the CLI's ``score`` and ``eval`` never
-load scipy."""
+package loads numpy alone.  The CLI's ``synth``, ``score`` and ``eval``
+load no scipy, and ``fit`` loads ``scipy.sparse`` alone: synth's normal
+quantiles and the fit's sigmoids give scipy.special's bits through
+``libm``, which calls the C library's functions as scipy does.  Only
+``bench`` loads scipy.special (KDE, l1lr, Welch's test) and
+scipy.linalg (RuLSIF)."""
 
 from .data import (
     Dataset,

@@ -154,10 +154,12 @@ def check_dataset_labels(dataset: Dataset, labels) -> None:
     if count != dataset.m:
         raise InputError(f"dataset_labels must hold one label per dataset sample, "
                          f"got {count} labels for {dataset.m} samples")
-    # resplit_dataset puts half the inliers in each role and needs an outlier
+    # resplit_dataset puts half the inliers, rounded down, in the reference
+    # set, where standardization, KDE's median heuristic and LOF each need
+    # 2, and it needs an outlier for the test set
     n_outliers = list(labels).count(LABEL_OUTLIER)
-    if n_outliers < 1 or count - n_outliers < 2:
-        raise InputError(f"dataset_labels must hold at least 2 {LABEL_INLIER!r} and 1 "
+    if n_outliers < 1 or count - n_outliers < 4:
+        raise InputError(f"dataset_labels must hold at least 4 {LABEL_INLIER!r} and 1 "
                          f"{LABEL_OUTLIER!r} labels, got {count - n_outliers} and {n_outliers}")
 
 

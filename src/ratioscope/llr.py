@@ -79,6 +79,9 @@ from .graph import SIGMA2_AUTO, SimilarityGraph, check_neighbors, check_sigma2, 
 # median_heuristic is unused here but stays importable as
 # llr.median_heuristic, where ratiobench's tracer looks it up
 from .graph import median_heuristic  # noqa: F401
+# scipy.special's bits without its import: the fit's one scipy
+# subpackage is scipy.sparse, loaded by _start and the graph
+from .libm import expit, log_expit
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -281,8 +284,6 @@ def _penalty_hessp(V, Cg, Ce2, hp):
 def _surrogate_grad(X, y, z, g_pen):
     """(gradient, sigma(-z)) of the surrogate at W from z_i = y_i x_i.w_i
     and the penalty gradient g_pen = P W."""
-    from scipy.special import expit
-
     sig = expit(-z)
     return (-y * sig)[:, None] * X + g_pen, sig
 
@@ -332,8 +333,6 @@ def _logistic_change(z, sig, tdz):
     terms = np.log1p(np.maximum(u, -0.5))
     far = u < -0.5
     if far.any():
-        from scipy.special import log_expit
-
         zf = z[far]
         terms[far] = np.logaddexp(log_expit(zf), log_expit(-zf) - tdz[far])
     return float(np.sum(terms))

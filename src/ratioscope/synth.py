@@ -3,13 +3,13 @@ shifted-mean outlier cluster on the first two features."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LABEL_INLIER, LABEL_OUTLIER, Dataset
 from .errors import check_number
+from .libm import log
 
 ROLE_INLIER = 0
 ROLE_TEST_INLIER = 1
@@ -85,11 +85,6 @@ def _ratio(x, p, q):
     return (x * _horner(x, p)) / _horner(x, q, monic=True)
 
 
-def _log(a: np.ndarray) -> np.ndarray:
-    """libm's log, element by element: np.log can differ in the last bit."""
-    return np.fromiter(map(math.log, a.tolist()), float, a.size)
-
-
 def _ndtri(p: np.ndarray) -> np.ndarray:
     """The inverse standard normal CDF of every entry of p, all in (0, 1)."""
     upper = p > 1.0 - _EXP_M2
@@ -99,10 +94,10 @@ def _ndtri(p: np.ndarray) -> np.ndarray:
     c = y[mid] - 0.5
     out[mid] = (c + c * _ratio(c * c, _P0, _Q0)) * _S2PI
     tail = ~mid
-    x = np.sqrt(-2.0 * _log(y[tail]))
+    x = np.sqrt(-2.0 * log(y[tail]))
     z = 1.0 / x
     x1 = np.where(x < 8.0, _ratio(z, _P1, _Q1), _ratio(z, _P2, _Q2))
-    x = (x - _log(x) / x) - x1
+    x = (x - log(x) / x) - x1
     out[tail] = np.where(upper[tail], x, -x)
     return out
 
@@ -111,7 +106,7 @@ def _normals(shape, seed: int, role: int, trial: int) -> np.ndarray:
     """Standard normals from trial_stream(seed, role, trial); variates
     via the inverse Gaussian CDF, _ndtri, a numpy port of Cephes ndtri
     that gives scipy.special.ndtri's bits without importing scipy. Its
-    logarithms go through math.log, as the C code's go through libm."""
+    logarithms go through libm.log, as the C code's go through libm."""
     u = trial_stream(seed, role, trial).random(size=shape)
     tiny = 2.0**-53
     return _ndtri(np.clip(u, tiny, 1.0 - tiny))

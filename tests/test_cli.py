@@ -854,9 +854,12 @@ class TestBench:
          "dataset_labels must be given: a bench dataset needs a label column"),
         # these two used to fail every trial and exit 1
         (["--methods", "kde", "--dims", "2", "--dataset", "inliers.csv"],
-         "dataset_labels must hold at least 2 'inlier' and 1 'outlier' labels, got 20 and 0"),
+         "dataset_labels must hold at least 4 'inlier' and 1 'outlier' labels, got 20 and 0"),
         (["--methods", "kde", "--dims", "2", "--dataset", "one_inlier.csv"],
-         "dataset_labels must hold at least 2 'inlier' and 1 'outlier' labels, got 1 and 19"),
+         "dataset_labels must hold at least 4 'inlier' and 1 'outlier' labels, got 1 and 19"),
+        # standardization used to fail inside the first trial
+        (["--methods", "kde", "--dims", "2", "--dataset", "three_inliers.csv"],
+         "dataset_labels must hold at least 4 'inlier' and 1 'outlier' labels, got 3 and 17"),
     ])
     def test_repeat_or_unlabeled_dataset_exit2_before_any_trial(
         self, tmp_path, capsys, monkeypatch, argv, named
@@ -865,9 +868,10 @@ class TestBench:
         rows = [f"{0.1 * i},{-0.2 * i}" for i in range(20)]
         (tmp_path / "inliers.csv").write_text(
             "f1,f2,label\n" + "".join(f"{row},inlier\n" for row in rows))
-        (tmp_path / "one_inlier.csv").write_text(
-            "f1,f2,label\n" + "".join(f"{row},{'outlier' if i else 'inlier'}\n"
-                                      for i, row in enumerate(rows)))
+        for name, n_inliers in (("one_inlier.csv", 1), ("three_inliers.csv", 3)):
+            (tmp_path / name).write_text(
+                "f1,f2,label\n" + "".join(f"{row},{'inlier' if i < n_inliers else 'outlier'}\n"
+                                          for i, row in enumerate(rows)))
         monkeypatch.chdir(tmp_path)
         calls = []
         monkeypatch.setattr(harness, "run_method", lambda *a: calls.append(a))
@@ -875,6 +879,23 @@ class TestBench:
         assert code == cli.EXIT_USAGE
         assert_one_error(capsys, named)
         assert calls == [] and not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("standardize", [[], ["--no-standardize"]], ids=["std", "raw"])
+    def test_four_inlier_dataset_runs_every_method(self, tmp_path, standardize):
+        # the fewest inliers bench accepts: two in each half of every trial
+        rng = np.random.default_rng(35)
+        rows = [(*rng.normal(size=2).tolist(), "inlier") for _ in range(4)]
+        rows += [(*rng.normal(3.0, 1.0, size=2).tolist(), "outlier") for _ in range(10)]
+        data = tmp_path / "four.csv"
+        data.write_text("f1,f2,label\n" + "".join(f"{a!r},{b!r},{c}\n" for a, b, c in rows))
+        out = tmp_path / "r.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["bench", "--dataset", str(data), "--methods", ",".join(harness.METHODS),
+                             "--dims", "2", "--trials", "2", "--out", str(out), *standardize])
+        assert code == cli.EXIT_OK
+        methods = json.loads(out.read_text())["per_dim"][0]["methods"]
+        assert len(methods) == 8
+        assert all(None not in m["auc_values"] for m in methods)
 
     def test_bad_dims_names_the_flag(self, tmp_path, capsys):
         # used to print only "invalid literal for int() with base 10: '1x'"
@@ -1372,7 +1393,8 @@ class TestTopLevel:
     def test_import_synth_score_and_eval_load_no_scipy(self, workspace, tmp_path):
         # scipy.special alone costs every command that loads it ~0.12 s
         # of start-up, and scipy.optimize and scipy.stats ~0.5 s; only
-        # fit and bench call scipy
+        # fit and bench call scipy, and fit only scipy.sparse: its
+        # sigmoids come from ratioscope.libm
         ws = workspace
         pair = ["--inliers", str(ws / "inliers.csv"), "--test", str(ws / "test.csv")]
         seen = self.run_fresh([
@@ -1387,7 +1409,8 @@ class TestTopLevel:
         assert (tmp_path / "scores_explanations.json").is_file()
         code, fit_loaded = seen[5]
         assert code == cli.EXIT_OK
-        assert {"scipy.sparse", "scipy.special"} <= set(fit_loaded)
+        assert "scipy.sparse" in fit_loaded
+        assert "scipy.special" not in fit_loaded
 
     def test_first_scipy_imports_in_bench_threads_give_the_same_bytes(self, tmp_path):
         # in a fresh interpreter the pool threads import scipy themselves,

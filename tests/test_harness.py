@@ -242,6 +242,10 @@ class TestRunBench:
         # to fail and the run exited as a numerical failure
         ([LABEL_INLIER] * 40, "got 40 and 0"),
         ([LABEL_INLIER] + [LABEL_OUTLIER] * 39, "got 1 and 39"),
+        # three inliers leave one in the reference half: standardization
+        # used to fail inside the first trial, and without it KDE and LOF
+        # failed every trial
+        ([LABEL_INLIER] * 3 + [LABEL_OUTLIER] * 37, "got 3 and 37"),
     ])
     def test_bad_dataset_labels_raise_before_any_trial(self, monkeypatch, labels, message):
         data = make_dataset(np.random.default_rng(0).normal(size=(3, 40)), "c")

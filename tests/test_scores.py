@@ -154,6 +154,49 @@ class TestExplain:
                          for e in explain(weights, pooled, outliers, top_k=2))
         assert found >= floor, found
 
+    @pytest.mark.parametrize("axis", ["test", "features"])
+    def test_ranking_survives_permutations_beyond_the_fit_tolerance(self, axis):
+        # reordering test samples or features reorders float sums, so a fit
+        # can stop a step earlier or later and move W by up to 4.4e-2 of
+        # max |w|; only pairs of fits with equal MM step counts are compared.
+        # Over 1800 random instances per axis (d 1-20, 3-39 inliers, 2-20
+        # test samples) such pairs differed by at most 3.6e-2 of max |w|, so
+        # two features whose |w| differ by more than TOL max |w| keep their order
+        TOL = 0.1
+        rng = np.random.default_rng(35)
+        compared = 0
+        for _ in range(16):
+            d, n_inlier, n_test = rng.integers(2, 21), rng.integers(3, 40), rng.integers(2, 21)
+            names = tuple(f"f{k}" for k in range(d))
+            inl_ids = tuple(f"a{i}" for i in range(n_inlier))
+            test_ids = tuple(f"b{i}" for i in range(n_test))
+            inliers, test = rng.normal(size=(d, n_inlier)), rng.normal(size=(d, n_test))
+            pooled = pool(Dataset(inliers, names, inl_ids), Dataset(test, names, test_ids))
+            if axis == "test":
+                p = rng.permutation(n_test)
+                moved_pooled = pool(Dataset(inliers, names, inl_ids),
+                                    Dataset(test[:, p], names, tuple(test_ids[i] for i in p)))
+            else:
+                p = rng.permutation(d)
+                moved_names = tuple(names[k] for k in p)
+                moved_pooled = pool(Dataset(inliers[p], moved_names, inl_ids),
+                                    Dataset(test[p], moved_names, test_ids))
+            plain, moved = (fit_pooled(x, LlrHyperparams()) for x in (pooled, moved_pooled))
+            if plain.iterations != moved.iterations:
+                continue
+            tol = TOL * np.max(np.abs(plain.weights.values))
+            ids = [*inl_ids, *test_ids]
+            for e, e_moved in zip(explain(plain.weights, pooled, ids, d),
+                                  explain(moved.weights, moved_pooled, ids, d)):
+                size = {name: abs(w) for name, w in e.ranked_features}
+                place = {name: i for i, (name, _) in enumerate(e_moved.ranked_features)}
+                for hi in size:
+                    for lo in size:
+                        if size[hi] - size[lo] > tol:
+                            assert place[hi] < place[lo], (e, e_moved)
+                            compared += 1
+        assert compared > 1000
+
     def test_ranked_by_magnitude(self):
         pooled = pooled_with(1, 1, d=3)
         values = np.zeros((3, 2))

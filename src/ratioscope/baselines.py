@@ -26,14 +26,11 @@ DIST_FLOOR = 1e-12
 DEFAULT_BASIS = 100
 # iteration caps and stopping tolerances of the iterative fits
 _OSVM_MAX_ITERS = 5000
-_OSVM_STEP_TOL = 1e-6
+_OSVM_GAP_TOL = 1e-9
 _L1LR_MAX_ITERS = 20000
 _L1LR_TOL = 1e-5
 _KLIEP_MAX_ITERS = 2000
 _KLIEP_TOL = 1e-7
-# breakpoints the projection's warm-started walk may cross before it runs
-# the full scan instead, which bounds the cost of a poor guess
-_WALK_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -132,7 +129,7 @@ def lof_score(reference: Dataset, query: Dataset, K: int) -> ScoreSet:
 # ---------------------------------------------------------------------------
 # One-class SVM
 
-def box_simplex_threshold(v: np.ndarray, c: float, guess: float | None = None) -> float:
+def box_simplex_threshold(v: np.ndarray, c: float) -> float:
     """Threshold theta with sum(clip(v - theta, 0, c)) = 1, exactly.
 
     f(theta) = sum(clip(v - theta, 0, c)) is piecewise linear and
@@ -142,9 +139,9 @@ def box_simplex_threshold(v: np.ndarray, c: float, guess: float | None = None) -
     the free entries (theta < v_i < theta + c) are fixed and
     theta = (sum_free v_i + c * n_capped - 1) / n_free.  O(n log n).
 
-    ``guess``, a threshold near theta (OSVM passes its previous step's),
-    lets _walk_breakpoint find that segment by walking from it; the
-    result is the same float with or without it.
+    osvm_fit no longer projects; this, _scan_breakpoint and
+    project_box_simplex stay only while the benchmark traces
+    project_box_simplex by name, and ROADMAP item 8 deletes them.
     """
     n = len(v)
     if c * n < 1.0 - 1e-12:
@@ -152,12 +149,10 @@ def box_simplex_threshold(v: np.ndarray, c: float, guess: float | None = None) -
     s = np.sort(v)
     s_c = s - c
     prefix = np.concatenate(([0.0], np.cumsum(s)))
-    b = None if guess is None else _walk_breakpoint(s, s_c, prefix, c, guess)
+    b = _scan_breakpoint(s, s_c, prefix, c)
     if b is None:
-        b = _scan_breakpoint(s, s_c, prefix, c)
-        if b is None:
-            # c * n = 1 up to rounding: the box meets the simplex at a = c
-            return float(s[0] - 2.0 * c)
+        # c * n = 1 up to rounding: the box meets the simplex at a = c
+        return float(s[0] - 2.0 * c)
     lo = int(s.searchsorted(b, "right"))
     hi = int(s_c.searchsorted(b, "right"))
     return float((np.sum(s[lo:hi]) + c * (n - hi) - 1.0) / (hi - lo))
@@ -179,61 +174,10 @@ def _scan_breakpoint(s: np.ndarray, s_c: np.ndarray, prefix: np.ndarray, c: floa
     return None if k < 0 else bps[k]
 
 
-def _walk_breakpoint(s: np.ndarray, s_c: np.ndarray, prefix: np.ndarray, c: float, guess: float):
-    """_scan_breakpoint's answer, found by walking from ``guess`` over
-    the breakpoints one at a time, or None when the walk leaves the
-    breakpoints, takes more than _WALK_STEPS steps, or rounding could
-    make the scan choose another breakpoint.
-
-    f is computed with the scan's expression in the scan's order, so at
-    every breakpoint b both compute the same float.  Let F be f in exact
-    arithmetic, u = 2**-53 and W = |s_0| + |s_(n-1)| + c >= max|s| + c.
-    Each prefix sum is off by at most gamma_n * n * W (sequential sums,
-    Higham 2002, eq. 4.4; gamma_n = n u / (1 - n u)).  Rounding s - c can
-    put an entry on the wrong side of b, which moves f by at most u * W
-    per entry.  The expression's two products and three additions round
-    results of size at most nW, nW, nW, 2nW and 3nW.  So
-    |f(b) - F(b)| <= 2 gamma_n n W + 9 n u W + O(u**2), below 0.7 E for
-    E = 3 (n + 5) n u W whenever n u < 0.01; the rest of E covers the
-    rounding of E and of the test.  F is nonincreasing, so if
-    f(lo) >= 1 + 2E, every breakpoint up to lo has F >= 1 + E and f >= 1;
-    if also f(hi) < 1 at the next breakpoint hi, the scan stops at hi
-    and answers lo.
-    """
-    if s.dtype != np.float64:  # E assumes double rounding
-        return None
-    n, c = len(s), float(c)
-    err = 3.0 * (n + 5) * n * 2.0**-53 * (abs(s.item(0)) + abs(s.item(-1)) + c)
-
-    def f(b):  # on Python ints and floats, which cost less than numpy scalars
-        n_zero, n_low = int(s.searchsorted(b, "right")), int(s_c.searchsorted(b, "left"))
-        return prefix.item(n_low) - prefix.item(n_zero) - (n_low - n_zero) * b + c * (n - n_low)
-
-    def segment(b):  # the greatest breakpoint at or below b and the least above it
-        i, j = int(s.searchsorted(b, "right")), int(s_c.searchsorted(b, "right"))
-        return (max(s.item(i - 1) if i else -math.inf, s_c.item(j - 1) if j else -math.inf),
-                min(s.item(i) if i < n else math.inf, s_c.item(j) if j < n else math.inf))
-
-    lo, hi = segment(guess)
-    f_lo = f_hi = None
-    for _ in range(_WALK_STEPS):
-        if lo == -math.inf or hi == math.inf:
-            return None
-        f_lo = f(lo) if f_lo is None else f_lo
-        f_hi = f(hi) if f_hi is None else f_hi
-        if f_hi >= 1.0:  # f crosses 1 above hi
-            lo, f_lo, hi, f_hi = hi, f_hi, segment(hi)[1], None
-        elif f_lo < 1.0:  # f crosses 1 below lo
-            lo, f_lo, hi, f_hi = segment(math.nextafter(lo, -math.inf))[0], None, lo, f_lo
-        else:
-            return lo if f_lo - 1.0 >= 2.0 * err else None
-    return None
-
-
-def project_box_simplex(v: np.ndarray, c: float, guess: float | None = None):
+def project_box_simplex(v: np.ndarray, c: float):
     """Euclidean projection onto {0 <= a <= c, sum(a) = 1} and its
-    threshold theta; ``guess`` as for box_simplex_threshold."""
-    theta = box_simplex_threshold(v, c, guess)
+    threshold theta (see box_simplex_threshold)."""
+    theta = box_simplex_threshold(v, c)
     return np.clip(v - theta, 0.0, c), theta
 
 
@@ -242,14 +186,20 @@ def check_osvm_nu(nu: float) -> None:
 
 
 def osvm_fit(samples: Dataset, nu: float, sigma: float) -> KernelModel:
-    """Solve the one-class SVM dual by accelerated projected gradient
-    (FISTA, Beck & Teboulle 2009) with gradient-based adaptive restart
-    (O'Donoghue & Candes 2015); the model's kernel_model_score is the
-    decision value without offset.
+    """Solve the one-class SVM dual, min alpha^T K alpha / 2 over
+    {0 <= alpha <= 1/(n nu), sum(alpha) = 1}, by SMO (Schoelkopf et al.
+    2001) with second-order working-set selection (Fan, Chen & Lin 2005,
+    as in LIBSVM); the model's kernel_model_score is the decision value
+    without offset.
 
-    Each step projects from the extrapolated point y.  Stops when that
-    step moves no alpha by more than _OSVM_STEP_TOL * step from y;
-    ``converged`` is False when it stops at _OSVM_MAX_ITERS instead.
+    With G = K alpha, each step takes i with the least G among the
+    entries below the cap and, among the entries above 0 with a larger
+    G, the j whose pair step lowers the objective most; it moves mass
+    from j to i by the clipped Newton step.  Stops once the maximal
+    violating pair's gap, max G over alpha > 0 minus G_i, is at most
+    _OSVM_GAP_TOL * max(1, |G_i|); ``converged`` is False when it stops
+    at _OSVM_MAX_ITERS instead.  ``iterations`` counts the pair
+    selections, the last of which finds the gap closed.
     """
     check_osvm_nu(nu)
     check_kernel_width("osvm sigma", sigma)
@@ -260,27 +210,26 @@ def osvm_fit(samples: Dataset, nu: float, sigma: float) -> KernelModel:
         # the box meets the simplex at the single point alpha = 1/n
         return KernelModel(centers=X, alphas=np.full(n, c), sigma2=sigma**2)
     K = gauss_design(X, X, sigma**2)
-    L = float(np.linalg.eigvalsh(K)[-1])
-    step = 1.0 / max(L, 1e-12)
-    alpha, theta = project_box_simplex(np.full(n, 1.0 / n), c)
-    y, t = alpha, 1.0
+    diag = K.diagonal()
+    alpha = np.full(n, 1.0 / n)
+    G = K @ alpha
     converged = False
     iterations = 0
     for iterations in range(1, _OSVM_MAX_ITERS + 1):
-        alpha_new, theta = project_box_simplex(y - step * (K @ y), c, theta)
-        from_y, move = alpha_new - y, alpha_new - alpha
-        converged = bool(np.max(np.abs(from_y)) <= _OSVM_STEP_TOL * step)
-        if from_y @ move < 0:
-            # restart: the move alpha -> alpha_new went uphill along the
-            # gradient mapping (y - alpha_new) / step
-            y, t = alpha_new, 1.0
-        else:
-            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            y = alpha_new + ((t - 1.0) / t_new) * move
-            t = t_new
-        alpha = alpha_new
-        if converged:
+        i = int(np.argmin(np.where(alpha < c, G, np.inf)))
+        low = alpha > 0.0
+        if np.max(G[low]) - G[i] <= _OSVM_GAP_TOL * max(1.0, abs(G[i])):
+            converged = True
             break
+        gain = G - G[i]
+        curv = np.maximum(diag[i] + diag - 2.0 * K[i], 1e-12)
+        j = int(np.argmax(np.where(low & (gain > 0.0), gain * gain / curv, -np.inf)))
+        room = c - alpha[i]
+        delta = min(gain[j] / curv[j], room, alpha[j])
+        # a step clipped at a bound lands on it exactly
+        alpha[i] = c if delta == room else alpha[i] + delta
+        alpha[j] -= delta
+        G += delta * (K[i] - K[j])  # K is symmetric: rows are columns
     return KernelModel(
         centers=X, alphas=alpha, sigma2=sigma**2,
         converged=converged, iterations=iterations,

@@ -1,10 +1,7 @@
-import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.optimize import bisect, minimize
 
 from conftest import make_dataset, standardized_pool
@@ -337,34 +334,12 @@ class TestProjection:
             assert np.all(np.abs(a[free] - (v[free] - theta)) <= tol)
             assert abs(a.sum() - 1.0) <= 1e-12 * n
 
-    @settings(max_examples=120, deadline=None)
-    @given(n=st.integers(1, 400), scale=st.floats(1e-3, 1e3), decimals=st.sampled_from([None, 0, 1]),
-           cap=st.sampled_from(["c n = 1", "c n just above 1", "nu", "c >= 1"]),
-           nu=st.floats(0.01, 1.0), offset=st.sampled_from([0.0, 1e-12, -1e-9, 1e-3, -0.1, 10.0]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_guess_gives_the_unguessed_threshold(self, n, scale, decimals, cap, nu, offset, seed):
-        # rounded values tie; the offsets put the guess on theta, near it or
-        # far from it, in units of the spread of v
-        rng = np.random.default_rng(seed)
-        v = rng.normal(size=n)
-        v = scale * (v if decimals is None else np.round(v, decimals))
-        c = {"c n = 1": 1.0 / n, "c n just above 1": (1.0 + 1e-12) / n,
-             "nu": 1.0 / (n * nu), "c >= 1": 1.0 + nu}[cap]
-        theta = box_simplex_threshold(v, c)
-        guess = theta + offset * scale
-        assert np.float64(box_simplex_threshold(v, c, guess)).tobytes() == np.float64(theta).tobytes()
-
     def test_threshold_on_a_breakpoint_runs_the_full_scan(self, monkeypatch):
-        # f(1) = (2 - 1) + 0 + 0 = 1 exactly at the breakpoint v_1 = 1, so no
-        # margin certifies the walk's segment and the scan must decide
+        # f(1) = (2 - 1) + 0 + 0 = 1 exactly at the breakpoint v_1 = 1
         v, c = np.array([2.0, 1.0, 0.0]), 5.0
         scans = count_calls(monkeypatch, "_scan_breakpoint")
         assert box_simplex_threshold(v, c) == 1.0
         assert len(scans) == 1
-        for guess in (1.0, 0.9, 1.5):
-            scans.clear()
-            assert box_simplex_threshold(v, c, guess) == 1.0
-            assert len(scans) == 1
 
 
 class TestOsvm:
@@ -431,19 +406,14 @@ class TestOsvm:
             best = min(best, res.fun)
         assert osvm_dual_objective(model) == pytest.approx(best, abs=1e-6)
 
-    def test_sweep_fit_converges_before_cap(self, monkeypatch):
-        # 420 FISTA steps at d=10 and 387 at d=100, and 2 full scans in each
-        # fit: the unguessed start and the first step's long walk.  Each
-        # bound is about 1.2 times the count; a change that lowers a count
-        # tightens it
-        scans = count_calls(monkeypatch, "_scan_breakpoint")
-        for d, bound, scan_bound in ((10, 504, 2), (100, 465, 2)):
+    def test_sweep_fit_converges_before_cap(self):
+        # 368 SMO pair selections at d=10 and 441 at d=100.  Each bound is
+        # about 1.2 times the count; a change that lowers a count tightens it
+        for d, bound in ((10, 442), (100, 529)):
             data, sigma = sweep_osvm_data(d)
-            scans.clear()
             model = osvm_fit(data, nu=0.1, sigma=sigma)
             assert model.converged and model.iterations <= bound
-            assert len(scans) <= scan_bound
-            assert osvm_kkt_residual(model, 0.1) <= 1e-5
+            assert osvm_kkt_residual(model, 0.1) <= 1e-8
 
     def test_sweep_fit_no_worse_than_plain_projected_gradient(self):
         data, sigma = sweep_osvm_data(10)
@@ -456,7 +426,16 @@ class TestOsvm:
         data, sigma = sweep_osvm_data(10)
         model = osvm_fit(data, nu=nu, sigma=sigma)
         assert model.converged
-        assert osvm_kkt_residual(model, nu) <= 1e-5
+        assert osvm_kkt_residual(model, nu) <= 1e-8
+
+    def test_converges_at_wide_kernel(self):
+        # at 10 times the median-heuristic width K is nearly rank one, so
+        # the objective is nearly flat along most feasible directions
+        for d in (10, 100):
+            data, sigma = sweep_osvm_data(d)
+            model = osvm_fit(data, nu=0.05, sigma=10.0 * sigma)
+            assert model.converged
+            assert osvm_kkt_residual(model, 0.05) <= 1e-8
 
     def test_stops_unconverged_at_cap(self, monkeypatch):
         data, sigma = sweep_osvm_data(10)
@@ -464,25 +443,6 @@ class TestOsvm:
         model = osvm_fit(data, nu=0.1, sigma=sigma)
         assert not model.converged
         assert model.iterations == 3
-
-    def test_sweep_fit_matches_bisection_oracle(self, monkeypatch):
-        data, sigma = sweep_osvm_data(10)
-        model = osvm_fit(data, nu=0.1, sigma=sigma)
-        guesses = []
-
-        def oracle_projection(v, c, guess=None):
-            # osvm_fit passes its previous threshold and reads the next one
-            # back; the bisection needs no guess, so it hands back NaN
-            guesses.append(guess)
-            return bisection_projection(v, c), math.nan
-
-        # osvm_fit looks the projection up by its module-level name
-        monkeypatch.setattr(baselines, "project_box_simplex", oracle_projection)
-        oracle = osvm_fit(data, nu=0.1, sigma=sigma)
-        assert oracle.iterations == model.iterations
-        # one projection at the start and one per FISTA step
-        assert len(guesses) == oracle.iterations + 1
-        assert np.max(np.abs(model.alphas - oracle.alphas)) <= 1e-12
 
     def test_bad_nu(self):
         data = make_dataset([[0.0, 1.0]])

@@ -17,9 +17,10 @@ object it printed are kept verbatim.  The file also
 records the machine (CPU count, Python, numpy, scipy and the BLAS build,
 as tests/digests.py reports them), the medians and quartiles of each
 end-to-end metric per side, the number of pairs in which the change's
-run was the better one, and tier-1's pass count and wall time in
-CHANGE_DIR.  Running it again on the same inputs writes a file of the
-same layout.
+run was the better one, each side's src/ratioscope line count (so the
+change's net line change sits beside its timings), and tier-1's pass
+count and wall time in CHANGE_DIR.  Running it again on the same inputs
+writes a file of the same layout.
 """
 
 from __future__ import annotations
@@ -83,6 +84,12 @@ def machine(checkout: Path) -> dict:
             **json.loads(proc.stdout)}
 
 
+def source_lines(checkout: Path) -> int:
+    """Lines in src/ratioscope/*.py, counted as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "ratioscope").glob("*.py"))
+
+
 def tier1(checkout: Path) -> dict:
     """Tier-1's pass count, failure count and wall time in ``checkout``."""
     t0 = time.monotonic()
@@ -114,6 +121,7 @@ def main(argv=None) -> int:
         "change": "the commit that adds this file",
         "command": f"ratiobench/run.py --workload W --seed S --seconds {seconds:g} --trace T",
         "machine": machine(sides["change"]),
+        "source_lines": {side: source_lines(path) for side, path in sides.items()},
         "workloads": {},
     }
     seed = args.seed

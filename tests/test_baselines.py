@@ -437,6 +437,23 @@ class TestOsvm:
             assert model.converged
             assert osvm_kkt_residual(model, 0.05) <= 1e-8
 
+    @pytest.mark.parametrize("d", [10, 100])
+    def test_clipped_steps_land_on_bounds_exactly(self, d):
+        # SMO moves mass in pairs, so alpha stays in the box and on the
+        # simplex; a clipped step sets its entry to 0 or c exactly rather
+        # than a rounding error away, and the nu-property follows
+        data, sigma = sweep_osvm_data(d)
+        nu, n = 0.1, data.m
+        c = 1.0 / (n * nu)
+        a = osvm_fit(data, nu=nu, sigma=sigma).alphas
+        assert np.all((a >= 0.0) & (a <= c))
+        assert abs(a.sum() - 1.0) <= 1e-12
+        at_zero, at_cap = a == 0.0, a == c
+        assert at_zero.any() and at_cap.any()
+        free = a[~(at_zero | at_cap)]
+        assert np.all((free > 1e-9 * c) & (free < c - 1e-9 * c))
+        assert at_cap.sum() <= nu * n <= (a > 0.0).sum()
+
     def test_stops_unconverged_at_cap(self, monkeypatch):
         data, sigma = sweep_osvm_data(10)
         monkeypatch.setattr(baselines, "_OSVM_MAX_ITERS", 3)

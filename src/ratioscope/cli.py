@@ -18,6 +18,7 @@ from . import harness, llr
 from .data import apply_standardizer  # noqa: F401
 from .data import (
     CONST_FEATURE,
+    LABEL_OUTLIER,
     fit_standardizer,
     load_csv,
     pool,
@@ -126,7 +127,7 @@ def cmd_score(args) -> int:
     save_scores_csv(args.out, scores, decisions=decisions)
     if args.explain_top is not None:
         flagged = (
-            [sid for sid, dec in zip(scores.sample_ids, decisions) if dec == "outlier"]
+            [sid for sid, dec in zip(scores.sample_ids, decisions) if dec == LABEL_OUTLIER]
             if decisions is not None
             else list(scores.sample_ids)
         )
@@ -255,7 +256,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--out", default="scores.csv")
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--which", choices=["test", "inlier", "all"], default="test")
+    p.add_argument("--which", default="test", help="test, inlier or all (scores.SELECTORS)")
     p.add_argument("--explain-top", type=int, default=None)
     p.add_argument("--explain-out", default=None)
 

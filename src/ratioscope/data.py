@@ -13,12 +13,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InputError, check_number
+from .errors import InputError, check_choice, check_number
 
 SCALE_FLOOR = 1e-8
 
 LABEL_INLIER = "inlier"
 LABEL_OUTLIER = "outlier"
+LABELS = (LABEL_INLIER, LABEL_OUTLIER)  # CSV label cells and detect's decisions
 # name of the constant feature that `fit --intercept` appends; reserved
 # in CSV headers, never standardized and never explained
 CONST_FEATURE = "__const__"
@@ -187,14 +188,24 @@ def parse_float(path, line: int, column: str, text: str) -> float:
         ) from None
 
 
-def parse_label(path, line: int, text: str) -> str:
-    """``text`` stripped, or InputError naming the file and line unless
-    it is one of the two labels."""
-    label = text.strip()
-    if label not in (LABEL_INLIER, LABEL_OUTLIER):
-        raise InputError(f"{path}: row {line} has label {label!r}, "
-                         f"expected {LABEL_INLIER!r} or {LABEL_OUTLIER!r}")
-    return label
+def check_labels(labels, m: int, name: str) -> tuple[str, ...]:
+    """``labels`` as a tuple, or InputError naming ``name`` unless it holds
+    one of LABELS for each of ``m`` samples."""
+    try:
+        labels = tuple(labels)
+    except TypeError:  # not iterable
+        raise InputError(f"{name} must be a sequence of labels, got {labels!r}") from None
+    for label in labels:
+        check_choice(name, label, LABELS)
+    if len(labels) != m:
+        raise InputError(f"{name} must hold one label per sample, "
+                         f"got {len(labels)} labels for {m} samples")
+    return labels
+
+
+def parse_label(path, line: int, text: str, name: str = "label") -> str:
+    """``text`` stripped, or InputError naming the file and row unless in LABELS."""
+    return check_choice(f"{path}: row {line}: {name}", text.strip(), LABELS)
 
 
 def read_csv_rows(path) -> list[tuple[int, list[str]]]:
@@ -277,13 +288,7 @@ def save_csv(path, data: Dataset, labels=None) -> None:
     """Write a dataset as CSV, one sample per row, optional label column
     of one inlier/outlier label per sample."""
     if labels is not None:
-        if len(labels) != data.m:
-            raise InputError(f"{len(labels)} labels for {data.m} samples")
-        for label in labels:
-            if label not in (LABEL_INLIER, LABEL_OUTLIER):
-                raise InputError(
-                    f"label {label!r}, expected {LABEL_INLIER!r} or {LABEL_OUTLIER!r}"
-                )
+        labels = check_labels(labels, data.m, "labels")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         header = list(data.feature_names) + (["label"] if labels is not None else [])
         csv.writer(fh).writerow(header)

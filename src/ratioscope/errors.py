@@ -42,3 +42,10 @@ def check_number(name, value, low, high=math.inf, *, integer=False, open_low=Fal
         right = ")" if open_high or (integer and high == math.inf) else "]"  # no integer is inf
         raise InputError(f"{name} must be {'an integer' if integer else 'a number'} in "
                          f"{'(' if open_low else '['}{low}, {high}{right}, got {value!r}")
+
+
+def check_choice(name, value, choices):
+    """``value``, or InputError naming ``name`` unless it is a str in ``choices``."""
+    if not (isinstance(value, str) and value in choices):
+        raise InputError(f"{name} must be one of {', '.join(map(repr, choices))}, got {value!r}")
+    return value

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import LABEL_INLIER, LABEL_OUTLIER
+from .data import LABEL_INLIER
 from .errors import InputError
 from .scores import ScoreSet
 
@@ -14,9 +14,8 @@ def _split_scores(scores: ScoreSet):
     if scores.labels is None:
         raise InputError("scores carry no ground-truth labels")
     s = scores.scores
-    labels = np.asarray(scores.labels)
-    inl = s[labels == LABEL_INLIER]
-    out = s[labels == LABEL_OUTLIER]
+    inlier = np.asarray(scores.labels) == LABEL_INLIER  # ScoreSet holds only LABELS
+    inl, out = s[inlier], s[~inlier]
     if len(inl) == 0 or len(out) == 0:
         raise InputError("both inlier and outlier labels are required")
     return inl, out

@@ -23,10 +23,11 @@ from .data import (
     Dataset,
     StandardizationStats,
     apply_standardizer,
+    check_labels,
     fit_standardizer,
     pool,
 )
-from .errors import InputError, check_number
+from .errors import InputError, check_choice, check_number
 from .evaluation import auc, welch_ttest
 from .graph import check_neighbors, median_heuristic
 from .scores import ScoreSet, ratio_score, save_scores_csv
@@ -75,6 +76,7 @@ def run_method(
     ``sigma`` is the median heuristic of the pooled set, which the
     POOLED_SIGMA_METHODS use as kernel width; None computes it.
     """
+    check_choice("method", method, METHODS)
     pooled = pool(inliers, test)
     model = None
     if method == "llr":
@@ -89,7 +91,7 @@ def run_method(
     elif method == "l1lr":
         model = baselines.l1lr_fit(pooled, params["l1lr_lambda"])
         s = baselines.l1lr_score(model, test, pooled.n_test, pooled.n_inlier)
-    elif method in POOLED_SIGMA_METHODS:
+    else:  # one of POOLED_SIGMA_METHODS
         if sigma is None:
             sigma = median_heuristic(pooled.features)
         if method == "osvm":
@@ -102,11 +104,9 @@ def run_method(
                 inliers, test, beta, params["ulsif_nu"], sigma, seed=seed
             )
         s = baselines.kernel_model_score(model, test)
-    else:
-        raise InputError(f"unknown method {method!r}")
     if model is not None and not model.converged:
         _log.warning("warning: %s stopped at its iteration cap without converging", method)
-    return ScoreSet(s.sample_ids, s.scores, tuple(labels))
+    return ScoreSet(s.sample_ids, s.scores, labels)
 
 
 def standardized(inliers: Dataset, test: Dataset, stats: StandardizationStats | None):
@@ -120,7 +120,7 @@ def standardized(inliers: Dataset, test: Dataset, stats: StandardizationStats | 
 def resplit_dataset(data: Dataset, labels, seed: int, trial: int):
     """Real-data protocol: half the inlier class as model samples, the
     remaining inliers plus up to RESPLIT_OUTLIERS sampled outliers as test."""
-    labels = np.asarray(labels)
+    labels = np.asarray(check_dataset_labels(data, labels, "labels"))
     inl_idx = np.flatnonzero(labels == LABEL_INLIER)
     out_idx = np.flatnonzero(labels == LABEL_OUTLIER)
     rng = trial_stream(seed, ROLE_RESPLIT, trial)
@@ -138,29 +138,20 @@ def resplit_dataset(data: Dataset, labels, seed: int, trial: int):
     return data.columns(model_idx), data.columns(test_idx), test_labels
 
 
-def check_dataset_labels(dataset: Dataset, labels) -> None:
-    """Raise InputError unless ``labels`` holds one inlier or outlier label
-    per sample of ``dataset``, as a CSV's label column does."""
+def check_dataset_labels(dataset: Dataset, labels, name: str = "dataset_labels") -> tuple[str, ...]:
+    """``labels`` as a tuple, or InputError naming ``name`` unless it holds one
+    inlier or outlier label per sample of ``dataset``, and enough to resplit."""
     if labels is None:
-        raise InputError("dataset_labels must be given: a bench dataset needs a label column")
-    try:
-        bad = [v for v in labels if not (isinstance(v, str) and v in (LABEL_INLIER, LABEL_OUTLIER))]
-        count = len(labels)
-    except TypeError:  # not a sized iterable
-        raise InputError(f"dataset_labels must be a sequence of labels, got {labels!r}") from None
-    if bad:
-        raise InputError(f"dataset_labels must be {LABEL_INLIER!r} or {LABEL_OUTLIER!r}, "
-                         f"got {bad[0]!r}")
-    if count != dataset.m:
-        raise InputError(f"dataset_labels must hold one label per dataset sample, "
-                         f"got {count} labels for {dataset.m} samples")
+        raise InputError(f"{name} must be given: a bench dataset needs a label column")
+    labels = check_labels(labels, dataset.m, name)
     # resplit_dataset puts half the inliers, rounded down, in the reference
     # set, where standardization, KDE's median heuristic and LOF each need
     # 2, and it needs an outlier for the test set
-    n_outliers = list(labels).count(LABEL_OUTLIER)
-    if n_outliers < 1 or count - n_outliers < 4:
-        raise InputError(f"dataset_labels must hold at least 4 {LABEL_INLIER!r} and 1 "
-                         f"{LABEL_OUTLIER!r} labels, got {count - n_outliers} and {n_outliers}")
+    n_inliers, n_outliers = labels.count(LABEL_INLIER), labels.count(LABEL_OUTLIER)
+    if n_inliers < 4 or n_outliers < 1:
+        raise InputError(f"{name} must hold at least 4 {LABEL_INLIER!r} and 1 "
+                         f"{LABEL_OUTLIER!r} labels, got {n_inliers} and {n_outliers}")
+    return labels
 
 
 def default_thread_count(requested: int | None) -> int:
@@ -189,11 +180,13 @@ def run_bench(
     trial runs; a method failing on a trial records null for that AUC
     and processing continues.
     """
-    for method in methods:
-        if method not in METHODS:
-            raise InputError(f"unknown method {method!r}; choose from {METHODS}")
     if not dims or not methods:
-        raise InputError("a bench run needs at least one dimension and method")
+        name, value = ("methods", methods) if dims else ("dims", dims)
+        raise InputError(f"{name} must hold at least one entry, got {value!r}")
+    for method in methods:
+        check_choice("methods", method, METHODS)
+    for name in params or {}:
+        check_choice("params", name, DEFAULT_PARAMS)
     check_number("trials", trials, 1, integer=True)
     check_seed(seed)
     params = {**DEFAULT_PARAMS, **(params or {})}

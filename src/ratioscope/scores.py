@@ -11,13 +11,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .data import CONST_FEATURE, LABEL_INLIER, LABEL_OUTLIER, PooledDataset
-from .data import parse_float, parse_label, read_csv_rows
-from .errors import InputError, check_number
+from .data import check_labels, parse_float, parse_label, read_csv_rows
+from .errors import InputError, check_choice, check_number
 
 if TYPE_CHECKING:
     from .llr import WeightMatrix
 
 EXP_CLAMP = 500.0
+SELECTORS = ("test", "inlier", "all")  # ratio_score's choices of pooled columns
 
 
 @dataclass(frozen=True)
@@ -33,14 +34,12 @@ class ScoreSet:
         scores.setflags(write=False)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != len(self.sample_ids):
-                raise InputError("labels and sample ids differ in length")
         if scores.shape != (len(self.sample_ids),):
             raise InputError("scores and sample ids differ in length")
         if not np.all(np.isfinite(scores)) or np.any(scores <= 0):
             raise InputError("scores must be strictly positive and finite")
+        if self.labels is not None:
+            object.__setattr__(self, "labels", check_labels(self.labels, len(scores), "labels"))
 
 
 @dataclass(frozen=True)
@@ -66,30 +65,23 @@ def _logits(weights: WeightMatrix, pooled: PooledDataset, idx) -> np.ndarray:
     return np.einsum("ki,ki->i", weights.values[:, idx], pooled.features[:, idx])
 
 
-def _column_indices(pooled: PooledDataset, which: str) -> np.ndarray:
-    if which == "test":
-        return np.arange(pooled.n_inlier, pooled.m)
-    if which == "inlier":
-        return np.arange(pooled.n_inlier)
-    if which == "all":
-        return np.arange(pooled.m)
-    raise InputError(f"unknown sample selector {which!r}")
-
-
 def ratio_score(
     weights: WeightMatrix,
     pooled: PooledDataset,
     which: str = "test",
     labels=None,
 ) -> ScoreSet:
-    """Score ratio_from_logit(w_i . x_i) for the selected pooled columns.
+    """Score ratio_from_logit(w_i . x_i) for the pooled columns ``which``
+    selects (one of SELECTORS).
 
     ``labels`` (inlier/outlier strings aligned with the selection) are
     attached when given.
     """
+    check_choice("which", which, SELECTORS)
     if weights.values.shape != pooled.features.shape:
         raise InputError("weights do not align with pooled columns")
-    idx = _column_indices(pooled, which)
+    idx = np.arange(pooled.n_inlier if which == "test" else 0,
+                    pooled.n_inlier if which == "inlier" else pooled.m)
     scores = ratio_from_logit(_logits(weights, pooled, idx), pooled.n_inlier, pooled.n_test)
     ids = tuple(pooled.sample_ids[i] for i in idx)
     return ScoreSet(sample_ids=ids, scores=scores, labels=labels)
@@ -141,6 +133,10 @@ def explain(
 
 
 def save_scores_csv(path, scores: ScoreSet, decisions=None) -> None:
+    """Write one row per sample: id, score, and when given its decision
+    (checked before the file opens) and label."""
+    if decisions is not None:
+        decisions = check_labels(decisions, len(scores.sample_ids), "decisions")
     columns = {"sample_id": scores.sample_ids, "score": map(repr, scores.scores.tolist()),
                "decision": decisions, "label": scores.labels}
     columns = {name: column for name, column in columns.items() if column is not None}
@@ -170,10 +166,9 @@ def load_scores_csv(path) -> tuple[ScoreSet, tuple[str, ...] | None]:
         if not 0 < score < math.inf:
             raise InputError(f"{path}: line {line}: score {score!r} is not positive and finite")
         scores.append(score)
-        if "label" in cols:
-            labels.append(parse_label(path, line, row[cols["label"]]))
-        if "decision" in cols:
-            decisions.append(row[cols["decision"]])
+        for name, cells in (("label", labels), ("decision", decisions)):
+            if name in cols:
+                cells.append(parse_label(path, line, row[cols[name]], name))
     return (
         ScoreSet(
             sample_ids=tuple(ids),

@@ -10,7 +10,14 @@ test sample to carry kernel mass does), never a raw error.  run_bench
 runs for real, serially, on the methods that read the drawn value, and
 a run its checks let start must score every trial or fail it with a
 SolverFailure.  Valid sizes stay small, so no call builds more than a
-few thousand values."""
+few thousand values.
+
+The categorical arguments (labels, decisions, method and parameter names,
+ratio_score's selector) fail by name the same way: label and decision
+sequences are drawn wrong-case, unknown, not strings, None or of the
+wrong length, and names unknown or not strings.  A call that runs must
+have been given a valid value, and a file writer that raises leaves no
+file."""
 
 import math
 
@@ -23,6 +30,7 @@ from conftest import bench_failures, make_dataset
 from ratioscope import (
     LlrHyperparams,
     PooledDataset,
+    ScoreSet,
     SynthSpec,
     detect,
     explain,
@@ -34,8 +42,9 @@ from ratioscope import (
     ratio_score,
 )
 from ratioscope import baselines, harness
-from ratioscope.data import LABEL_INLIER, LABEL_OUTLIER
+from ratioscope.data import LABEL_INLIER, LABEL_OUTLIER, LABELS, save_csv
 from ratioscope.errors import InputError, SolverFailure
+from ratioscope.scores import SELECTORS, save_scores_csv
 
 RNG = np.random.default_rng(31)
 INLIERS = make_dataset(RNG.normal(size=(3, 20)), "a")
@@ -196,3 +205,107 @@ def test_bad_argument_succeeds_or_names_itself(target, value, data):
         pass
     except InputError as exc:
         assert str(exc).startswith(f"{name} must "), (target, value, str(exc))
+
+
+LABEL_CELLS = st.sampled_from([
+    "Outlier", "INLIER", " inlier", "maybe", "", "test", None, 1, -1, True, 0.5, b"inlier",
+    ("inlier",), np.str_(LABEL_OUTLIER),
+])
+METHOD_NAMES = st.sampled_from([*harness.METHODS, "LLR", "Kde", "knn", "svm", "", " lof", None,
+                                1, ("llr",)])
+PARAM_NAMES = st.sampled_from([*harness.DEFAULT_PARAMS, "l1lr_lamda", "lambda", "Lambda1",
+                               "sigma2", "lof_K", "k", "", None, 1])
+SELECTOR_NAMES = st.sampled_from([*SELECTORS, "Test", "tests", "outlier", "", None, 0, b"all"])
+
+
+def label_sequences(m):
+    """Sequences meant to hold m labels: all valid, some cells bad, of
+    another length, or no sequence of labels at all."""
+    return st.one_of(
+        st.lists(st.sampled_from(LABELS), min_size=m, max_size=m),
+        st.lists(st.sampled_from(LABELS) | LABEL_CELLS, min_size=m, max_size=m).map(tuple),
+        st.lists(st.sampled_from(LABELS), max_size=m + 3).filter(lambda v: len(v) != m),
+        st.sampled_from([None, 3, 2.5, "inlier", np.array([LABEL_INLIER] * m)]),
+    )
+
+
+def labels_of(m, optional):
+    """Whether a value holds one of LABELS for each of m samples (or is
+    None, where the labels are ``optional``)."""
+    return lambda v: (v is None and optional) or (
+        isinstance(v, (list, tuple, np.ndarray)) and len(v) == m
+        and all(isinstance(x, str) and x in LABELS for x in v))
+
+
+def one_of(choices):
+    return lambda v: isinstance(v, str) and v in choices
+
+
+def run_method_named(v):
+    return harness.run_method(v, INLIERS, TEST, DATASET_LABELS[INLIERS.m:],
+                              dict(harness.DEFAULT_PARAMS), 0)
+
+
+# target -> (call with the drawn value and a path to write, the name its
+# message starts with, the values to draw, the values the call may accept)
+CHOICE_TARGETS = {
+    "ScoreSet.labels": (lambda v, _: ScoreSet(SCORES.sample_ids, SCORES.scores, labels=v),
+                        "labels", label_sequences(TEST.m), labels_of(TEST.m, True)),
+    "ratio_score.labels": (lambda v, _: ratio_score(FIT.weights, POOLED, labels=v),
+                           "labels", label_sequences(TEST.m), labels_of(TEST.m, True)),
+    "ratio_score.which": (lambda v, _: ratio_score(FIT.weights, POOLED, which=v),
+                          "which", SELECTOR_NAMES, one_of(SELECTORS)),
+    "save_csv.labels": (lambda v, path: save_csv(path, TEST, labels=v),
+                        "labels", label_sequences(TEST.m), labels_of(TEST.m, True)),
+    "save_scores_csv.decisions": (lambda v, path: save_scores_csv(path, SCORES, decisions=v),
+                                  "decisions", label_sequences(TEST.m), labels_of(TEST.m, True)),
+    "resplit_dataset.labels": (lambda v, _: harness.resplit_dataset(DATASET, v, 0, 0),
+                               "labels", label_sequences(DATASET.m), labels_of(DATASET.m, False)),
+    "run_method.method": (lambda v, _: run_method_named(v), "method", METHOD_NAMES,
+                          one_of(harness.METHODS)),
+    "run_bench.methods": (lambda v, _: bench(v), "methods",
+                          st.lists(METHOD_NAMES, max_size=2),
+                          lambda v: all(map(one_of(harness.METHODS), v)) and len(set(v)) == len(v)
+                          and len(v) > 0),
+    "run_bench.params": (
+        lambda v, _: bench(["kde"], params={v: harness.DEFAULT_PARAMS.get(v, 1.0)}),
+        "params", PARAM_NAMES, one_of(harness.DEFAULT_PARAMS)),
+    "run_bench.dataset_labels sequence": (lambda v, _: bench(["kde"], dataset_labels=v),
+                                          "dataset_labels", label_sequences(DATASET.m),
+                                          labels_of(DATASET.m, False)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(sorted(CHOICE_TARGETS)).flatmap(
+    lambda target: st.tuples(st.just(target), CHOICE_TARGETS[target][2])))
+# counted as neither class, dropped from the AUC without a word
+@example(case=("ScoreSet.labels", ("Outlier",) + (LABEL_OUTLIER,) * (TEST.m - 1)))
+# raised zip's ValueError after writing a row, or wrote "maybe"
+@example(case=("save_scores_csv.decisions", (LABEL_INLIER,)))
+@example(case=("save_scores_csv.decisions", ("maybe",) + (LABEL_INLIER,) * (TEST.m - 1)))
+# split anyway, logging "only 0 outliers available"
+@example(case=("resplit_dataset.labels", [LABEL_INLIER] * 30 + ["Outlier", "x"]))
+# ran with the misspelt or unused parameter ignored
+@example(case=("run_bench.params", "l1lr_lamda"))
+@example(case=("run_bench.params", "sigma2"))
+# raised "a bench run needs at least one dimension and method"
+@example(case=("run_bench.methods", []))
+# pooled the data, then raised "unknown method 'x'", naming no argument
+@example(case=("run_method.method", "x"))
+@example(case=("ratio_score.which", "x"))
+def test_bad_choice_succeeds_or_names_itself(tmp_path_factory, case):
+    target, value = case
+    call, name, _, accepts = CHOICE_TARGETS[target]
+    path = tmp_path_factory.getbasetemp() / "choice_fuzz.csv"
+    path.unlink(missing_ok=True)
+    try:
+        call(value, path)
+    except InputError as exc:
+        assert str(exc).startswith(f"{name} must "), (target, value, str(exc))
+        assert not path.exists(), (target, value)
+        return
+    except SolverFailure:
+        pass
+    # a call that ran took a valid value
+    assert accepts(value), (target, value)

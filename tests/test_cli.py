@@ -430,6 +430,19 @@ class TestScore:
             assert code == cli.EXIT_USAGE and len(lines) == 1, lines
             assert lines[0].startswith("error:"), lines
 
+    def test_unknown_selector_exit2(self, workspace, tmp_path, capsys):
+        # ratio_score checks --which, as it checks a library caller's which
+        out = tmp_path / "scores.csv"
+        code = cli.main([
+            "score", "--model", str(workspace / "model.json"),
+            "--inliers", str(workspace / "inliers.csv"), "--test", str(workspace / "test.csv"),
+            "--out", str(out), "--which", "Test",
+        ])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "error: which must be one of 'test', 'inlier', 'all', got 'Test'"]
+        assert not out.exists()
+
     def test_tau_zero_flags_nothing(self, workspace, tmp_path):
         out = tmp_path / "scores.csv"
         code = cli.main([
@@ -709,6 +722,9 @@ class TestEval:
                      "field limit", id="huge-cell"),
         # the row used to be left out of the AUC without a word
         ("sample_id,score,label\ns0,1.0,inlier\ns1,2.0,outlier\ns2,3.0,Outlier\n", "row 4"),
+        # a decision cell was read back unchecked
+        ("sample_id,score,decision,label\ns0,1.0,inlier,inlier\ns1,0.5,maybe,outlier\n",
+         "row 3: decision must be one of 'inlier', 'outlier', got 'maybe'"),
     ])
     def test_malformed_scores_exit2(self, tmp_path, capsys, text, where):
         # the first three used to end in a KeyError/IndexError traceback

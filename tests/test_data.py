@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -285,13 +286,15 @@ class TestCsv:
     @pytest.mark.parametrize("label", ["Outlier", "in,lier", 1])
     def test_save_csv_unknown_label(self, tmp_path, label):
         # used to write a file that load_csv rejects
-        with pytest.raises(InputError, match=f"label {label!r}, expected 'inlier' or 'outlier'"):
+        message = f"labels must be one of 'inlier', 'outlier', got {label!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             save_csv(tmp_path / "d.csv", make_dataset([[1.0, 2.0]]), labels=["inlier", label])
 
     def test_unknown_label_names_file_row_and_value(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,label\n1.0,inlier\n2.0, outlier \n3.0,Outlier\n")
-        with pytest.raises(InputError, match=r"d\.csv: row 4 has label 'Outlier'"):
+        with pytest.raises(InputError, match=r"d\.csv: row 4: label must be one of 'inlier', "
+                                             r"'outlier', got 'Outlier'$"):
             load_csv(path)
 
     @pytest.mark.parametrize("cell", ["inf", "-Infinity", "nan", "1e400"])
@@ -319,7 +322,7 @@ class TestCsv:
         # rows are numbered as lines of the file, blank lines included
         path = tmp_path / "d.csv"
         path.write_text("f0,label\n\n1.0,inlier\n\n2.0,Outlier\n3.0\n")
-        with pytest.raises(InputError, match="row 5 has label"):
+        with pytest.raises(InputError, match="row 5: label must be one of"):
             load_csv(path)
         path.write_text("f0,label\n\n1.0,inlier\n\n3.0\n")
         with pytest.raises(InputError, match="row 5 has 1 fields"):

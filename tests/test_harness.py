@@ -3,6 +3,7 @@ thread invariance, and the partial-failure policy."""
 
 import json
 import os
+import re
 import threading
 from dataclasses import fields
 
@@ -91,6 +92,19 @@ class TestResplit:
         assert out_labels.count(LABEL_OUTLIER) == 6
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "only 6 outliers" in caplog.text
+
+    @pytest.mark.parametrize("labels, message", [
+        # used to log "only 0 outliers available" and split anyway
+        (["inlier"] * 4 + ["Outlier", "x"], "must be one of 'inlier', 'outlier', got 'Outlier'"),
+        # an empty model set used to fail as "features must be a d x m matrix ..."
+        (["inlier"] + ["outlier"] * 5, "must hold at least 4 'inlier' and 1 'outlier' labels, "
+                                       "got 1 and 5"),
+    ], ids=["unknown", "one-inlier"])
+    def test_bad_labels_raise_by_name(self, caplog, labels, message):
+        data = make_dataset(np.zeros((2, 6)), "c")
+        with pytest.raises(InputError, match=f"^labels {message}$"):
+            harness.resplit_dataset(data, labels, seed=0, trial=0)
+        assert caplog.records == []
 
 
 class TestThreadCount:
@@ -215,6 +229,24 @@ class TestRunBench:
             harness.run_bench(dims=[4, dim], trials=1, methods=["kde", "kliep"], seed=0,
                               params=small_params(), dataset=data, dataset_labels=labels,
                               threads=1)
+        assert calls == []
+
+    @pytest.mark.parametrize("dims, methods", [([], ["kde"]), ([4], []), ([4], None)])
+    def test_empty_dims_or_methods_name_themselves(self, dims, methods):
+        # used to raise "a bench run needs at least one dimension and method"
+        name, value = ("dims", dims) if not dims else ("methods", methods)
+        message = f"{name} must hold at least one entry, got {value!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            harness.run_bench(dims=dims, trials=1, methods=methods, seed=0, threads=1)
+
+    def test_misspelt_param_raises_before_any_trial(self, monkeypatch):
+        # used to run l1lr at its default lambda and ignore the misspelt one
+        calls = []
+        monkeypatch.setattr(harness, "generate", lambda *a, **k: calls.append(a))
+        with pytest.raises(InputError, match=r"^params must be one of 'lambda1', .*, "
+                                             r"got 'l1lr_lamda'$"):
+            harness.run_bench(dims=[4], trials=1, methods=["l1lr"], seed=0,
+                              params={"l1lr_lamda": 1e9}, threads=1)
         assert calls == []
 
     @pytest.mark.parametrize("dims,methods", [([4, 4], ["kde"]), ([4], ["kde", "kde"]),
@@ -364,6 +396,15 @@ class TestRunBench:
         inliers, test, labels = generate(SynthSpec(d=3, n_inlier=10, n_test_inlier=5, n_test_outlier=1))
         with pytest.raises(ValueError):
             harness.run_method("bogus", inliers, test, labels, dict(harness.DEFAULT_PARAMS), 0)
+
+    def test_unknown_method_names_itself_before_pooling(self, monkeypatch):
+        # used to pool both sets first, then raise "unknown method 'x'"
+        calls = []
+        monkeypatch.setattr(harness, "pool", lambda *a: calls.append(a))
+        data = make_dataset(np.zeros((2, 3)), "c")
+        with pytest.raises(InputError, match=r"^method must be one of 'llr', .*, got 'x'$"):
+            harness.run_method("x", data, data, ["inlier"] * 3, dict(harness.DEFAULT_PARAMS), 0)
+        assert calls == []
 
 
 class TestFormatTable:

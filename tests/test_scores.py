@@ -43,8 +43,16 @@ class TestScoreSet:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(InputError, match="scores and sample ids differ"):
             ScoreSet(("a", "b"), np.array([1.0]))
-        with pytest.raises(InputError, match="labels and sample ids differ"):
+        with pytest.raises(InputError, match="^labels must hold one label per sample, "
+                                             "got 2 labels for 1 samples$"):
             ScoreSet(("a",), np.array([1.0]), labels=("inlier", "outlier"))
+
+    def test_rejects_a_label_of_neither_class(self):
+        # an "Outlier" sample used to count as neither class, and auc ran on the other three
+        with pytest.raises(InputError, match="^labels must be one of 'inlier', 'outlier', "
+                                             "got 'Outlier'$"):
+            ScoreSet(("a", "b", "c", "d"), [1.0, 2.0, 3.0, 4.0],
+                     labels=("inlier", "outlier", "Outlier", "inlier"))
 
 
 class TestRatioScore:
@@ -91,6 +99,13 @@ class TestRatioScore:
         assert all_.sample_ids == pooled.sample_ids
         with pytest.raises(ValueError):
             ratio_score(W, pooled, which="bogus")
+
+    def test_unknown_selector_names_which(self):
+        # used to read "unknown sample selector 'x'", naming no argument
+        W = WeightMatrix(values=np.zeros((1, 5)))
+        with pytest.raises(InputError, match="^which must be one of 'test', 'inlier', 'all', "
+                                             "got 'x'$"):
+            ratio_score(W, pooled_with(3, 2), which="x")
 
     def test_dimension_guard(self):
         pooled = pooled_with(2, 2)
@@ -320,6 +335,25 @@ class TestScoresIo:
         assert np.array_equal(loaded.scores, s.scores)  # bit-exact via repr
         assert loaded.labels == s.labels
         assert dec == decisions
+
+    @pytest.mark.parametrize("decisions, message", [
+        # a short tuple used to write the header and a row, then raise zip's ValueError
+        (("inlier",), "^decisions must hold one label per sample, got 1 labels for 2 samples$"),
+        # an unknown decision used to be written, and eval read it back
+        (("inlier", "maybe"), "^decisions must be one of 'inlier', 'outlier', got 'maybe'$"),
+    ], ids=["short", "unknown"])
+    def test_bad_decisions_raise_before_the_file_opens(self, tmp_path, decisions, message):
+        path = tmp_path / "scores.csv"
+        with pytest.raises(InputError, match=message):
+            save_scores_csv(path, ScoreSet(("a", "b"), [1.0, 2.0]), decisions)
+        assert not path.exists()
+
+    def test_unknown_decision_cell_names_file_row_and_value(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("sample_id,score,decision\na,1.0,inlier\n\nb,2.0,maybe\n")
+        with pytest.raises(InputError, match=r"s\.csv: row 4: decision must be one of 'inlier', "
+                                             r"'outlier', got 'maybe'$"):
+            load_scores_csv(path)
 
     def test_roundtrip_without_optionals(self, tmp_path):
         s = ScoreSet(("x", "y"), np.array([1.5, 2.5]))

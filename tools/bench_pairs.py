@@ -19,8 +19,9 @@ as tests/digests.py reports them), the medians and quartiles of each
 end-to-end metric per side, the number of pairs in which the change's
 run was the better one, each side's src/ratioscope line count (so the
 change's net line change sits beside its timings), and tier-1's pass
-count and wall time in CHANGE_DIR.  Running it again on the same inputs
-writes a file of the same layout.
+and failure counts and wall time in each checkout, run one after the
+other once the benchmark runs are done.  Running it again on the same
+inputs writes a file of the same layout.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def main(argv=None) -> int:
             **{side: summary([p[side] for p in pairs], metrics) for side in sides},
             "change_better_pairs": better_pairs(pairs, metrics),
         }
-    doc["tier1"] = tier1(sides["change"])
+    doc["tier1"] = {side: tier1(path) for side, path in sides.items()}
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 

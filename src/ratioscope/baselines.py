@@ -17,6 +17,7 @@ import numpy as np
 from .data import Dataset, PooledDataset
 from .errors import InputError, SingularSystem, SolverFailure, check_number
 from .graph import check_neighbors, log_gauss, nearest, pairwise_sq_dists
+from .libm import expit, logsumexp
 from .scores import EXP_CLAMP, ScoreSet, ratio_from_logit
 from .synth import check_seed
 
@@ -82,13 +83,11 @@ def kde_fit_score(inliers: Dataset, query: Dataset, sigma: float) -> ScoreSet:
     """Mean Gaussian kernel of each query point over the inliers: the
     density estimate without its factor (2 pi sigma**2)**(-d/2), which is
     the same for every query and would clamp every score at high d."""
-    from scipy.special import logsumexp
-
     check_kernel_width("kde sigma", sigma)
     if inliers.d != query.d:
         raise InputError("inlier and query dimensions differ")
     d2 = pairwise_sq_dists(query.features, inliers.features)
-    logp = logsumexp(log_gauss(d2, sigma**2), axis=1) - np.log(inliers.m)
+    logp = logsumexp(log_gauss(d2, sigma**2)) - np.log(inliers.m)
     scores = np.exp(np.clip(logp, -EXP_CLAMP, EXP_CLAMP))
     return ScoreSet(sample_ids=query.sample_ids, scores=scores)
 
@@ -240,8 +239,6 @@ def osvm_fit(samples: Dataset, nu: float, sigma: float) -> KernelModel:
 # l1-regularized logistic regression
 
 def _lr_loss_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray):
-    from scipy.special import expit
-
     z = y * (X.T @ w)
     loss = float(np.sum(np.logaddexp(0.0, -z)))
     grad = X @ (-y * expit(-z))
@@ -399,13 +396,10 @@ def rulsif_fit(
     )
     h = phi_in.mean(axis=0)
     A = H + nu * np.eye(H.shape[0])
-    # before the try, so that sla.LinAlgError is bound in the except
-    import scipy.linalg as sla
-
-    try:
-        factor = sla.cho_factor(A)
-        alpha = sla.cho_solve(factor, h)
-    except sla.LinAlgError as exc:
+    try:  # Cholesky raises unless A is positive definite
+        L = np.linalg.cholesky(A)
+        alpha = np.linalg.solve(L.T, np.linalg.solve(L, h))
+    except np.linalg.LinAlgError as exc:
         raise SingularSystem(
             "kernel Gram matrix is rank-deficient; use nu > 0"
         ) from exc

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InputError, check_choice, check_number
+from .errors import InputError, check_choice, check_number, check_sequence
 
 SCALE_FLOOR = 1e-8
 
@@ -191,10 +191,7 @@ def parse_float(path, line: int, column: str, text: str) -> float:
 def check_labels(labels, m: int, name: str) -> tuple[str, ...]:
     """``labels`` as a tuple, or InputError naming ``name`` unless it holds
     one of LABELS for each of ``m`` samples."""
-    try:
-        labels = tuple(labels)
-    except TypeError:  # not iterable
-        raise InputError(f"{name} must be a sequence of labels, got {labels!r}") from None
+    labels = check_sequence(name, labels, "labels")
     for label in labels:
         check_choice(name, label, LABELS)
     if len(labels) != m:

@@ -49,3 +49,11 @@ def check_choice(name, value, choices):
     if not (isinstance(value, str) and value in choices):
         raise InputError(f"{name} must be one of {', '.join(map(repr, choices))}, got {value!r}")
     return value
+
+
+def check_sequence(name, values, what):
+    """``values`` as a tuple, or InputError naming ``name`` unless it is iterable."""
+    try:
+        return tuple(values)
+    except TypeError:  # not iterable
+        raise InputError(f"{name} must be a sequence of {what}, got {values!r}") from None

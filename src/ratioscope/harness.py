@@ -13,6 +13,7 @@ import logging
 import os
 import numpy as np
 
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
@@ -27,7 +28,7 @@ from .data import (
     fit_standardizer,
     pool,
 )
-from .errors import InputError, check_choice, check_number
+from .errors import InputError, check_choice, check_number, check_sequence
 from .evaluation import auc, welch_ttest
 from .graph import check_neighbors, median_heuristic
 from .scores import ScoreSet, ratio_score, save_scores_csv
@@ -183,6 +184,10 @@ def run_bench(
     if not dims or not methods:
         name, value = ("methods", methods) if dims else ("dims", dims)
         raise InputError(f"{name} must hold at least one entry, got {value!r}")
+    dims = check_sequence("dims", dims, "dimensions")
+    methods = check_sequence("methods", methods, "method names")
+    if params is not None and not isinstance(params, Mapping):
+        raise InputError(f"params must be a mapping of parameter names to values, got {params!r}")
     for method in methods:
         check_choice("methods", method, METHODS)
     for name in params or {}:

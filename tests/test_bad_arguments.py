@@ -15,9 +15,10 @@ few thousand values.
 The categorical arguments (labels, decisions, method and parameter names,
 ratio_score's selector) fail by name the same way: label and decision
 sequences are drawn wrong-case, unknown, not strings, None or of the
-wrong length, and names unknown or not strings.  A call that runs must
-have been given a valid value, and a file writer that raises leaves no
-file."""
+wrong length, and names unknown or not strings; run_bench's dims,
+methods and params are drawn as scalars, strings and other values that
+are no sequence or no mapping.  A call that runs must have been given a
+valid value, and a file writer that raises leaves no file."""
 
 import math
 
@@ -241,6 +242,12 @@ def one_of(choices):
     return lambda v: isinstance(v, str) and v in choices
 
 
+# run_bench's containers drawn as scalars, strings, None and falsy values,
+# beside a valid value of each
+NOT_SEQUENCES = [5, 2.5, True, False, 0, None, ""]
+NOT_MAPPINGS = [["lof_k"], [("lof_k", 10)], "lof_k", 5, 2.5, True, False, 0, [], ""]
+
+
 def run_method_named(v):
     return harness.run_method(v, INLIERS, TEST, DATASET_LABELS[INLIERS.m:],
                               dict(harness.DEFAULT_PARAMS), 0)
@@ -270,6 +277,15 @@ CHOICE_TARGETS = {
     "run_bench.params": (
         lambda v, _: bench(["kde"], params={v: harness.DEFAULT_PARAMS.get(v, 1.0)}),
         "params", PARAM_NAMES, one_of(harness.DEFAULT_PARAMS)),
+    "run_bench.dims container": (lambda v, _: bench(["kde"], dims=v), "dims",
+                                 st.sampled_from([*NOT_SEQUENCES, "3", [3], (3, 4)]),
+                                 lambda v: isinstance(v, (list, tuple))),
+    "run_bench.methods container": (lambda v, _: bench(v), "methods",
+                                    st.sampled_from([*NOT_SEQUENCES, "kde", ("kde", "lof")]),
+                                    lambda v: isinstance(v, (list, tuple))),
+    "run_bench.params container": (lambda v, _: bench(["lof"], params=v), "params",
+                                   st.sampled_from([*NOT_MAPPINGS, None, {}, {"lof_k": 3}]),
+                                   lambda v: v is None or isinstance(v, dict)),
     "run_bench.dataset_labels sequence": (lambda v, _: bench(["kde"], dataset_labels=v),
                                           "dataset_labels", label_sequences(DATASET.m),
                                           labels_of(DATASET.m, False)),
@@ -291,6 +307,13 @@ CHOICE_TARGETS = {
 @example(case=("run_bench.params", "sigma2"))
 # raised "a bench run needs at least one dimension and method"
 @example(case=("run_bench.methods", []))
+# raised a raw TypeError: "'list' object is not a mapping", "'int' object is not iterable"
+@example(case=("run_bench.params container", ["lof_k"]))
+@example(case=("run_bench.params container", 5))
+@example(case=("run_bench.methods container", 5))
+@example(case=("run_bench.dims container", 5))
+# ran with the default parameters
+@example(case=("run_bench.params container", []))
 # pooled the data, then raised "unknown method 'x'", naming no argument
 @example(case=("run_method.method", "x"))
 @example(case=("ratio_score.which", "x"))

@@ -6,6 +6,7 @@ from scipy.optimize import bisect, minimize
 
 from conftest import make_dataset, standardized_pool
 from ratioscope.baselines import (
+    DEFAULT_BASIS,
     KernelModel,
     box_simplex_threshold,
     gauss_design,
@@ -703,6 +704,24 @@ class TestRulsif:
         h = phi_in.mean(axis=0)
         A = H + nu * np.eye(H.shape[0])
         assert np.linalg.norm(A @ model.alphas - h) <= 1e-8 * np.linalg.norm(h)
+
+    @pytest.mark.parametrize("beta, nu", [(1.0, 0.1), (0.5, 0.1), (0.5, 0.01)])
+    def test_alphas_match_scipy_cho_solve(self, beta, nu):
+        # the solve moved from scipy.linalg's cho_factor and cho_solve to
+        # numpy.linalg; the alphas agree to rounding on a 100-center basis
+        from scipy.linalg import cho_factor, cho_solve
+
+        rng = np.random.default_rng(38)
+        inl = make_dataset(rng.normal(size=(5, 150)), "a")
+        test = make_dataset(rng.normal(size=(5, 120)) + 0.3, "b")
+        model = rulsif_fit(inl, test, beta, nu, sigma=2.0, seed=4)
+        assert model.centers.shape[1] == DEFAULT_BASIS
+        phi_in = gauss_design(inl.features, model.centers, model.sigma2)
+        phi_te = gauss_design(test.features, model.centers, model.sigma2)
+        A = ((1 - beta) / inl.m * (phi_in.T @ phi_in) + beta / test.m * (phi_te.T @ phi_te)
+             + nu * np.eye(DEFAULT_BASIS))
+        want = cho_solve(cho_factor(A), phi_in.mean(axis=0))
+        assert np.max(np.abs(model.alphas - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_singular_without_ridge(self):
         dup = make_dataset(np.zeros((1, 3)), "a")

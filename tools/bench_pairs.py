@@ -1,27 +1,34 @@
 """Record a benchmark comparison as a committed BENCH_<n>.json.
 
     python tools/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \
-        --parent-commit SHA --seed 3101 --out BENCH_31.json
+        --parent-commit SHA --anchor ANCHOR_DIR --anchor-commit b795905 \
+        --seed 3101 --out BENCH_31.json
 
-PARENT_DIR and CHANGE_DIR are two source checkouts (for example made
-with ``git archive``), each holding its own ratiobench/.  The benchmark's
-definition is read from CHANGE_DIR's BENCHMARK.json: the run length
-(``run_seconds``), the workload names and each end-to-end metric with
-the direction in which it is better.  For every workload the script runs
-``ratiobench/run.py --seconds RUN_SECONDS --trace 0`` in both checkouts,
-PAIRS times, alternating which side runs first, and then once per side
-at ``--trace 1``, whose JSON object holds the per-layer times in place of
-the end-to-end metrics.  Seeds count up from ``--seed``, PAIRS + 1 per
-workload, the last for the traced runs.  Each run's seed and the JSON
-object it printed are kept verbatim.  The file also
-records the machine (CPU count, Python, numpy, scipy and the BLAS build,
-as tests/digests.py reports them), the medians and quartiles of each
-end-to-end metric per side, the number of pairs in which the change's
-run was the better one, each side's src/ratioscope line count (so the
-change's net line change sits beside its timings), and tier-1's pass
-and failure counts and wall time in each checkout, run one after the
-other once the benchmark runs are done.  Running it again on the same
-inputs writes a file of the same layout.
+PARENT_DIR, CHANGE_DIR and ANCHOR_DIR are three source checkouts (for
+example made with ``git archive``), each holding its own ratiobench/.
+The anchor is a fixed commit, the same from one BENCH file to the next,
+so that the files read as a trajectory although the host's speed drifts
+between them.  The benchmark's definition is read from CHANGE_DIR's
+BENCHMARK.json: the run length (``run_seconds``), the workload names and
+each end-to-end metric with the direction in which it is better.  For
+every workload the script runs ``ratiobench/run.py --seconds RUN_SECONDS
+--trace 0`` in both checkouts, PAIRS times, alternating which side runs
+first, and then once per side at ``--trace 1``, whose JSON object holds
+the per-layer times in place of the end-to-end metrics.  Seeds count up
+from ``--seed``, PAIRS + 1 per workload, the last for the traced runs.
+On every other pair (the first, third, ...) the anchor runs too, after
+both sides and on the pair's seed: half as many runs as each side, a
+quarter more untraced runs in all.  Each run's seed and the JSON object
+it printed are kept verbatim.  The file also records the machine (CPU
+count, Python, numpy, scipy and the BLAS build, as tests/digests.py
+reports them), the medians and quartiles of each end-to-end metric per
+side and for the anchor, each side's median as a ratio to the anchor's,
+the number of pairs in which the change's run was the better one, each
+checkout's src/ratioscope line count (so the change's net line change
+sits beside its timings), and tier-1's pass and failure counts and wall
+time in each checkout, run one after the other once the benchmark runs
+are done.  Running it again on the same inputs writes a file of the
+same layout.
 """
 
 from __future__ import annotations
@@ -109,6 +116,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--parent-commit", required=True)
+    parser.add_argument("--anchor", type=Path, required=True)
+    parser.add_argument("--anchor-commit", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -117,12 +126,16 @@ def main(argv=None) -> int:
     bench = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    anchor = args.anchor.resolve()
+    checkouts = {**sides, "anchor": anchor}
     doc = {
         "parent_commit": args.parent_commit,
         "change": "the commit that adds this file",
+        "anchor_commit": args.anchor_commit,
+        "anchor_pairs": "every other pair, from the first",
         "command": f"ratiobench/run.py --workload W --seed S --seconds {seconds:g} --trace T",
         "machine": machine(sides["change"]),
-        "source_lines": {side: source_lines(path) for side, path in sides.items()},
+        "source_lines": {side: source_lines(path) for side, path in checkouts.items()},
         "workloads": {},
     }
     seed = args.seed
@@ -134,6 +147,9 @@ def main(argv=None) -> int:
             for side in order:
                 pair[side] = run_once(sides[side], workload, seed, seconds)
                 print(f"{workload} seed {seed} {side}: {pair[side]}", file=sys.stderr)
+            if i % 2 == 0:
+                pair["anchor"] = run_once(anchor, workload, seed, seconds)
+                print(f"{workload} seed {seed} anchor: {pair['anchor']}", file=sys.stderr)
             pairs.append(pair)
             seed += 1
         traced = {"seed": seed}
@@ -141,13 +157,19 @@ def main(argv=None) -> int:
             traced[side] = run_once(sides[side], workload, seed, seconds, trace=1)
             print(f"{workload} seed {seed} {side} traced: {traced[side]}", file=sys.stderr)
         seed += 1
+        medians = {side: summary([p[side] for p in pairs if side in p], metrics)
+                   for side in checkouts}
         doc["workloads"][workload] = {
             "pairs": pairs,
             "traced": traced,
-            **{side: summary([p[side] for p in pairs], metrics) for side in sides},
+            **medians,
+            "ratio_to_anchor": {
+                side: {name: medians[side][name]["median"] / medians["anchor"][name]["median"]
+                       for name in metrics}
+                for side in sides},
             "change_better_pairs": better_pairs(pairs, metrics),
         }
-    doc["tier1"] = {side: tier1(path) for side, path in sides.items()}
+    doc["tier1"] = {side: tier1(path) for side, path in checkouts.items()}
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -238,11 +238,14 @@ def osvm_fit(samples: Dataset, nu: float, sigma: float) -> KernelModel:
 # ---------------------------------------------------------------------------
 # l1-regularized logistic regression
 
-def _lr_loss_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray):
+def _lr_loss(w: np.ndarray, X: np.ndarray, y: np.ndarray):
+    """The logistic loss at w, and its margins y * (X^T w) for _lr_grad."""
     z = y * (X.T @ w)
-    loss = float(np.sum(np.logaddexp(0.0, -z)))
-    grad = X @ (-y * expit(-z))
-    return loss, grad
+    return float(np.sum(np.logaddexp(0.0, -z))), z
+
+
+def _lr_grad(z: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return X @ (-y * expit(-z))
 
 
 def l1lr_subgrad_residual(w: np.ndarray, grad: np.ndarray, lam: float) -> float:
@@ -266,10 +269,11 @@ def l1lr_fit(pooled: PooledDataset, lam: float) -> LinearModel:
     X = pooled.features
     y = pooled.labels.astype(float)
     w = np.zeros(pooled.d)
-    loss, grad = _lr_loss_grad(w, X, y)
+    loss, z = _lr_loss(w, X, y)
     L = 1.0
     converged = False
     for _ in range(_L1LR_MAX_ITERS):
+        grad = _lr_grad(z, X, y)  # only at accepted steps: backtracking needs the loss alone
         if l1lr_subgrad_residual(w, grad, lam) <= _L1LR_TOL:
             converged = True
             break
@@ -277,11 +281,11 @@ def l1lr_fit(pooled: PooledDataset, lam: float) -> LinearModel:
             w_new = w - grad / L
             w_new = np.sign(w_new) * np.maximum(np.abs(w_new) - lam / L, 0.0)
             delta = w_new - w
-            loss_new, grad_new = _lr_loss_grad(w_new, X, y)
+            loss_new, z_new = _lr_loss(w_new, X, y)
             if loss_new <= loss + grad @ delta + 0.5 * L * float(delta @ delta) + 1e-12:
                 break
             L *= 2.0
-        w, loss, grad = w_new, loss_new, grad_new
+        w, loss, z = w_new, loss_new, z_new
         L = max(L * 0.9, 1e-6)  # allow the estimate to shrink again
     return LinearModel(w=w, converged=converged)
 

@@ -25,15 +25,19 @@ LABELS = (LABEL_INLIER, LABEL_OUTLIER)  # CSV label cells and detect's decisions
 CONST_FEATURE = "__const__"
 
 
-def as_matrix(values, what: str = "features") -> np.ndarray:
-    """``values`` as a finite float d x m array with d, m >= 1, or
-    InputError naming ``what``: its shape, or that it is not finite."""
+def as_matrix(values, what: str = "features", ndim: int = 2, n: int | None = None) -> np.ndarray:
+    """``values`` as a finite float array (itself if a float64 array), or
+    InputError naming ``what``: its shape, or that it is not finite.  The
+    array is d x m with d, m >= 1, or with ``ndim`` 1 a vector of ``n``
+    entries (of at least one if ``n`` is None)."""
+    form = "a d x m matrix" if ndim == 2 else "a vector"
     try:
         arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError):  # not numbers, ragged rows, an int past 1e308
-        raise InputError(f"{what} must be a d x m matrix of numbers") from None
-    if arr.ndim != 2 or 0 in arr.shape:
-        raise InputError(f"{what} must be a d x m matrix with d, m >= 1, got shape {arr.shape}")
+        raise InputError(f"{what} must be {form} of numbers") from None
+    if arr.ndim != ndim or (0 in arr.shape if n is None else arr.shape != (n,)):
+        size = "with d, m >= 1" if ndim == 2 else f"of length {'>= 1' if n is None else n}"
+        raise InputError(f"{what} must be {form} {size}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InputError(f"{what} must be finite, got NaN or infinite entries")
     return arr
@@ -112,16 +116,13 @@ class StandardizationStats:
     scale: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        scale = np.asarray(self.scale, dtype=float)
-        mean.setflags(write=False)
-        scale.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "scale", scale)
-        if mean.shape != scale.shape or mean.ndim != 1:
-            raise InputError("mean and scale must be equal-length vectors")
+        mean = as_matrix(self.mean, "mean", ndim=1)
+        scale = as_matrix(self.scale, "scale", ndim=1, n=len(mean))
+        for name, arr in (("mean", mean), ("scale", scale)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if np.any(scale <= 0):
-            raise InputError("scale entries must be positive")
+            raise InputError("scale must have positive entries")
 
     @property
     def d(self) -> int:
@@ -154,8 +155,13 @@ def fit_standardizer(inliers: Dataset) -> StandardizationStats:
     if inliers.m < 2:
         raise InputError("standardization needs at least 2 inlier samples")
     const = np.array([name == CONST_FEATURE for name in inliers.feature_names])
-    mean = np.where(const, 0.0, inliers.features.mean(axis=1))
-    std = inliers.features.std(axis=1)  # population std, divisor m
+    with np.errstate(over="ignore", invalid="ignore"):  # entries near 1e154 square past 1e308
+        mean = np.where(const, 0.0, inliers.features.mean(axis=1))
+        std = inliers.features.std(axis=1)  # population std, divisor m
+    finite = np.isfinite(mean) & np.isfinite(std)
+    if not finite.all():
+        raise InputError(f"standardizing feature {inliers.feature_names[np.argmin(finite)]!r} "
+                         "overflows computing its mean or std")
     scale = np.where(const, 1.0, np.maximum(std, SCALE_FLOOR))
     return StandardizationStats(mean=mean, scale=scale)
 

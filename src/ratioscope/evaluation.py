@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import LABEL_INLIER
+from .data import LABEL_INLIER, as_matrix
 from .errors import InputError
 from .scores import ScoreSet
 
@@ -64,12 +64,10 @@ def welch_ttest(a, b) -> float:
     """Two-sided p-value of Welch's t-test (Welch-Satterthwaite df)."""
     from scipy.special import betainc
 
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = as_matrix(a, "a", ndim=1), as_matrix(b, "b", ndim=1)
     if len(a) < 2 or len(b) < 2:
-        raise InputError("t-test needs at least 2 values per sample")
-    va = a.var(ddof=1)
-    vb = b.var(ddof=1)
+        raise InputError(f"{'a' if len(a) < 2 else 'b'} must hold at least 2 values for a t-test")
+    va, vb = a.var(ddof=1), b.var(ddof=1)
     if va == 0 and vb == 0:
         return 1.0 if a.mean() == b.mean() else 0.0
     se2 = va / len(a) + vb / len(b)

@@ -59,8 +59,8 @@ DEFAULT_PARAMS = {
 
 
 def _trial_seed(seed: int, dim: int, trial: int) -> int:
-    # stable scalar key for basis subsampling inside baselines
-    return (seed * 1000003 + dim * 1009 + trial) % (2**63)
+    # stable scalar key for basis subsampling inside baselines, in Python ints: no int64 overflow
+    return (int(seed) * 1000003 + int(dim) * 1009 + trial) % (2**63)
 
 
 def run_method(
@@ -181,11 +181,11 @@ def run_bench(
     trial runs; a method failing on a trial records null for that AUC
     and processing continues.
     """
-    if not dims or not methods:
-        name, value = ("methods", methods) if dims else ("dims", dims)
-        raise InputError(f"{name} must hold at least one entry, got {value!r}")
     dims = check_sequence("dims", dims, "dimensions")
     methods = check_sequence("methods", methods, "method names")
+    if not dims or not methods:
+        name, value = ("methods", methods) if dims else ("dims", dims)
+        raise InputError(f"{name} must hold at least one entry, got {list(value)!r}")
     if params is not None and not isinstance(params, Mapping):
         raise InputError(f"params must be a mapping of parameter names to values, got {params!r}")
     for method in methods:

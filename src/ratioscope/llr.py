@@ -648,16 +648,11 @@ def load_model(path) -> dict:
 
     def vector(value, n, key):
         # numpy alone would also read true, null and "1.5" as numbers
-        ok = isinstance(value, list) and len(value) == n and set(map(type, value)) <= {int, float}
-        try:
-            arr = np.asarray(value, dtype=float) if ok else None
-        except OverflowError:  # an int past 1e308
-            arr = None
-        if arr is None:
+        if not (isinstance(value, list) and len(value) == n
+                and set(map(type, value)) <= {int, float}):
             raise bad(f"{key} must be a list of {n} numbers")
-        if not np.all(np.isfinite(arr)):  # json reads NaN, Infinity and 1e400
-            raise bad(f"{key} entries must be finite")
-        return arr
+        # json reads NaN, Infinity, 1e400 and ints past 1e308
+        return as_matrix(value, f"model file {path}: {key}", ndim=1)
 
     doc = read_json_object(path, "model file")
     keys = ("feature_names", "n_inlier", "n_test", "weights")
@@ -672,8 +667,7 @@ def load_model(path) -> dict:
     std = doc.get("standardizer")
     if std is not None:
         std = std if isinstance(std, dict) else {}
-        mean = vector(std.get("mean"), d, "standardizer mean")
-        scale = vector(std.get("scale"), d, "standardizer scale")
+        mean, scale = (vector(std.get(k), d, f"standardizer {k}") for k in ("mean", "scale"))
         if np.any(scale <= 0):
             raise bad("standardizer scale entries must be positive")
         doc["standardizer"] = StandardizationStats(mean=mean, scale=scale)

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .data import CONST_FEATURE, LABEL_INLIER, LABEL_OUTLIER, PooledDataset
-from .data import check_labels, parse_float, parse_label, read_csv_rows
+from .data import as_matrix, check_labels, parse_float, parse_label, read_csv_rows
 from .errors import InputError, check_choice, check_number
 
 if TYPE_CHECKING:
@@ -30,13 +30,11 @@ class ScoreSet:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=float)
+        object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
+        scores = as_matrix(self.scores, "scores", ndim=1, n=len(self.sample_ids))
         scores.setflags(write=False)
         object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
-        if scores.shape != (len(self.sample_ids),):
-            raise InputError("scores and sample ids differ in length")
-        if not np.all(np.isfinite(scores)) or np.any(scores <= 0):
+        if np.any(scores <= 0):
             raise InputError("scores must be strictly positive and finite")
         if self.labels is not None:
             object.__setattr__(self, "labels", check_labels(self.labels, len(scores), "labels"))

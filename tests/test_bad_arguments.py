@@ -4,7 +4,10 @@ succeeds or raises an InputError whose message starts with the
 parameter's name.  The values are the kinds a caller gets wrong:
 fractional floats, strings, None, bools, NaN, infinities, negatives and
 small numbers, some of which are valid; the data arrays are drawn in
-bad shapes or with non-finite entries.  A valid value may still give a
+bad shapes or with non-finite entries, and the data vectors (a
+standardizer's mean and scale, a ScoreSet's scores, a t-test sample)
+with NaN or infinite entries, empty, of the wrong length, 2-D, as
+strings or None.  A valid value may still give a
 numerical failure, a SolverFailure (as a KLIEP width too small for any
 test sample to carry kernel mass does), never a raw error.  run_bench
 runs for real, serially, on the methods that read the drawn value, and
@@ -41,9 +44,10 @@ from ratioscope import (
     median_heuristic,
     pool,
     ratio_score,
+    welch_ttest,
 )
 from ratioscope import baselines, harness
-from ratioscope.data import LABEL_INLIER, LABEL_OUTLIER, LABELS, save_csv
+from ratioscope.data import LABEL_INLIER, LABEL_OUTLIER, LABELS, StandardizationStats, save_csv
 from ratioscope.errors import InputError, SolverFailure
 from ratioscope.scores import SELECTORS, save_scores_csv
 
@@ -208,6 +212,77 @@ def test_bad_argument_succeeds_or_names_itself(target, value, data):
         assert str(exc).startswith(f"{name} must "), (target, value, str(exc))
 
 
+def stats_with_mean(v):
+    """StandardizationStats of mean v and a unit scale of v's length, so
+    that a length mismatch, which names the scale, hides no fault of v."""
+    try:
+        d = len(v)
+    except TypeError:
+        d = 3
+    return StandardizationStats(v, np.ones(d))
+
+
+def bad_vectors(n):
+    """Vectors meant to hold n numbers: valid, with one NaN or infinite
+    entry, empty, of another length, 2-D, negative, strings, None, a
+    scalar, ragged or past the float range."""
+    good = np.linspace(1.0, 2.0, n)
+    return st.sampled_from([
+        good, good.tolist(), np.zeros(0), [], good[:-1], np.append(good, 1.0), good[None, :],
+        good[:, None], -good, "x" * n, ["x"] * n, None, np.float64(1.0), [[1.0], [1.0, 2.0]],
+        [10**400] * n,
+    ]) | st.builds(lambda k, bad: np.where(np.arange(n) == k, bad, good),
+                   st.integers(0, n - 1), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+def finite_entries(v):
+    """v as a float array if it is a 1-D float array or a list of floats,
+    all finite; else None."""
+    if (isinstance(v, np.ndarray) and v.ndim == 1
+            or isinstance(v, list) and all(isinstance(x, float) for x in v)):
+        arr = np.asarray(v, dtype=float)
+        return arr if np.isfinite(arr).all() else None
+    return None
+
+
+# target -> (call with the drawn vector, the name its message starts with,
+# the length of the vectors drawn, whether the call may accept finite entries)
+VECTOR_TARGETS = {
+    "StandardizationStats.mean": (stats_with_mean, "mean", 3, lambda a: a.size >= 1),
+    "StandardizationStats.scale": (lambda v: StandardizationStats(np.zeros(3), v), "scale", 3,
+                                   lambda a: a.size == 3 and (a > 0).all()),
+    "ScoreSet.scores": (lambda v: ScoreSet(SCORES.sample_ids, v), "scores", TEST.m,
+                        lambda a: a.size == TEST.m and (a > 0).all()),
+    "welch_ttest.a": (lambda v: welch_ttest(v, [0.5, 0.7, 0.9]), "a", 3, lambda a: a.size >= 2),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(sorted(VECTOR_TARGETS)).flatmap(
+    lambda target: st.tuples(st.just(target), bad_vectors(VECTOR_TARGETS[target][2]))))
+# these constructed a record, or returned a p-value, from NaN, infinite or 2-D entries
+@example(case=("StandardizationStats.mean", np.array([math.nan, 1.0, 1.0])))
+@example(case=("StandardizationStats.scale", np.array([1.0, math.inf, 1.0])))
+@example(case=("StandardizationStats.mean", np.zeros(0)))
+@example(case=("welch_ttest.a", np.array([1.0, math.nan, 2.0])))
+@example(case=("welch_ttest.a", np.ones((2, 3))))
+# these raised numpy's ValueError or a TypeError
+@example(case=("StandardizationStats.mean", "xxx"))
+@example(case=("ScoreSet.scores", "x" * TEST.m))
+@example(case=("welch_ttest.a", None))
+def test_bad_vector_succeeds_or_names_itself(case):
+    target, value = case
+    call, name, _, accepts = VECTOR_TARGETS[target]
+    try:
+        call(value)
+    except InputError as exc:
+        assert str(exc).startswith(f"{name} must "), (target, value, str(exc))
+        return
+    # a call that ran took a valid vector
+    entries = finite_entries(value)
+    assert entries is not None and accepts(entries), (target, value)
+
+
 LABEL_CELLS = st.sampled_from([
     "Outlier", "INLIER", " inlier", "maybe", "", "test", None, 1, -1, True, 0.5, b"inlier",
     ("inlier",), np.str_(LABEL_OUTLIER),
@@ -278,11 +353,13 @@ CHOICE_TARGETS = {
         lambda v, _: bench(["kde"], params={v: harness.DEFAULT_PARAMS.get(v, 1.0)}),
         "params", PARAM_NAMES, one_of(harness.DEFAULT_PARAMS)),
     "run_bench.dims container": (lambda v, _: bench(["kde"], dims=v), "dims",
-                                 st.sampled_from([*NOT_SEQUENCES, "3", [3], (3, 4)]),
-                                 lambda v: isinstance(v, (list, tuple))),
+                                 st.sampled_from([*NOT_SEQUENCES, "3", [3], (3, 4),
+                                                  np.array([3, 4])]),
+                                 lambda v: isinstance(v, (list, tuple, np.ndarray))),
     "run_bench.methods container": (lambda v, _: bench(v), "methods",
-                                    st.sampled_from([*NOT_SEQUENCES, "kde", ("kde", "lof")]),
-                                    lambda v: isinstance(v, (list, tuple))),
+                                    st.sampled_from([*NOT_SEQUENCES, "kde", ("kde", "lof"),
+                                                     np.array(["kde", "lof"])]),
+                                    lambda v: isinstance(v, (list, tuple, np.ndarray))),
     "run_bench.params container": (lambda v, _: bench(["lof"], params=v), "params",
                                    st.sampled_from([*NOT_MAPPINGS, None, {}, {"lof_k": 3}]),
                                    lambda v: v is None or isinstance(v, dict)),
@@ -312,6 +389,9 @@ CHOICE_TARGETS = {
 @example(case=("run_bench.params container", 5))
 @example(case=("run_bench.methods container", 5))
 @example(case=("run_bench.dims container", 5))
+# raised numpy's "truth value of an array ... is ambiguous"
+@example(case=("run_bench.dims container", np.array([3, 4])))
+@example(case=("run_bench.methods container", np.array(["kde", "lof"])))
 # ran with the default parameters
 @example(case=("run_bench.params container", []))
 # pooled the data, then raised "unknown method 'x'", naming no argument

@@ -173,6 +173,24 @@ class TestFit:
     def test_bad_flag_exit2(self):
         assert cli.main(["fit", "--inliers", "x.csv"]) == cli.EXIT_USAGE
 
+    def test_overflowing_feature_exit2(self, tmp_path, capsys):
+        # a feature of N(0, 1) * 1e200 used to exit 0 after numpy's overflow
+        # warning, saving a scale of Infinity that score then refused
+        rng = np.random.default_rng(0)
+        for name, m in (("inliers", 20), ("test", 10)):
+            rows = "".join(f"{rng.normal()!r},{rng.normal() * 1e200!r}\n" for _ in range(m))
+            (tmp_path / f"{name}.csv").write_text("a,b\n" + rows)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([
+                "fit", "--inliers", str(tmp_path / "inliers.csv"),
+                "--test", str(tmp_path / "test.csv"), "--out", str(tmp_path / "m.json"),
+            ])
+        assert code == cli.EXIT_USAGE
+        assert [str(w.message) for w in caught] == []
+        assert_one_error(capsys, "standardizing feature 'b' overflows")
+        assert not (tmp_path / "m.json").exists()
+
     def test_unknown_label_exit2(self, workspace, tmp_path, capsys):
         # a label of "Outlier" used to count as neither class
         lines = read_lines(workspace / "test.csv")
@@ -587,16 +605,17 @@ class TestScore:
         (lambda doc: "{", "not JSON"),
         (lambda doc: b"\xff{}", "not JSON"),  # used to name no file
         # an int past the float range used to end in an OverflowError traceback
-        (lambda doc: {**doc, "weights": [10**400] + doc["weights"][1:]}, "weights must be a list"),
+        (lambda doc: {**doc, "weights": [10**400] + doc["weights"][1:]},
+         "weights must be a vector of numbers"),
         # these four exited 2 with a message naming no file
-        (lambda doc: {**doc, "weights": [math.nan] + doc["weights"][1:]}, "weights entries"),
-        (lambda doc: {**doc, "weights": [math.inf] + doc["weights"][1:]}, "weights entries"),
+        (lambda doc: {**doc, "weights": [math.nan] + doc["weights"][1:]}, "weights must be finite"),
+        (lambda doc: {**doc, "weights": [math.inf] + doc["weights"][1:]}, "weights must be finite"),
         (lambda doc: json.dumps({**doc, "weights": ["x"] + doc["weights"][1:]}).replace(
-            '"x"', "1e400"), "weights entries"),
+            '"x"', "1e400"), "weights must be finite"),
         (lambda doc: {**doc, "standardizer": {**doc["standardizer"], "scale": [0.0] * 5}},
          "scale entries must be positive"),
         (lambda doc: {**doc, "standardizer": {**doc["standardizer"], "mean": [math.nan] * 5}},
-         "mean entries must be finite"),
+         "standardizer mean must be finite"),
     ])
     def test_malformed_model_exit2(self, workspace, tmp_path, capsys, edit, where):
         doc = edit(json.loads((workspace / "model.json").read_text()))

@@ -1,6 +1,7 @@
 import csv
 import io
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ratioscope.data import (
     CONST_FEATURE,
     Dataset,
     PooledDataset,
+    StandardizationStats,
     apply_standardizer,
     fit_standardizer,
     load_csv,
@@ -152,6 +154,37 @@ class TestStandardizer:
         with pytest.raises(InputError, match="at least 2 inlier samples"):
             fit_standardizer(make_dataset([[1.0]]))
 
+    @pytest.mark.parametrize("big", [1e200, 1e307])
+    def test_overflowing_std_names_the_feature(self, big):
+        # a feature of N(0, 1) * 1e200 used to warn "overflow encountered in
+        # square" and fit an infinite scale, a model that score refused
+        X = np.random.default_rng(6).normal(size=(2, 20))
+        X[1] *= big
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=r"^standardizing feature 'f1' overflows "
+                                                 r"computing its mean or std$"):
+                fit_standardizer(make_dataset(X))
+
+    def test_stats_freeze_their_arrays_in_place(self):
+        mean, scale = np.zeros(3), np.ones(3)
+        stats = StandardizationStats(mean=mean, scale=scale)
+        assert stats.mean is mean and stats.scale is scale
+        assert not mean.flags.writeable and not scale.flags.writeable
+
+    @pytest.mark.parametrize("mean, scale, message", [
+        # these four constructed stats, or raised numpy's ValueError
+        ([np.nan], [np.nan], "mean must be finite, got NaN or infinite entries"),
+        ([np.inf], [np.inf], "mean must be finite, got NaN or infinite entries"),
+        ([], [], "mean must be a vector of length >= 1, got shape (0,)"),
+        ("ab", "ab", "mean must be a vector of numbers"),
+        ([0.0, 0.0], [1.0], "scale must be a vector of length 2, got shape (1,)"),
+        ([0.0], [0.0], "scale must have positive entries"),
+    ])
+    def test_bad_stats_name_the_vector(self, mean, scale, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            StandardizationStats(mean=mean, scale=scale)
+
     def test_apply_zeroes_the_mean(self):
         rng = np.random.default_rng(4)
         data = make_dataset(rng.normal(size=(2, 5)))
@@ -163,8 +196,6 @@ class TestStandardizer:
 
     def test_identity_stats(self):
         data = make_dataset([[1.0, -2.0], [0.5, 4.0]])
-        from ratioscope.data import StandardizationStats
-
         stats = StandardizationStats(mean=np.zeros(2), scale=np.ones(2))
         out = apply_standardizer(data, stats)
         assert np.array_equal(out.features, data.features)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -175,3 +177,17 @@ class TestWelch:
     def test_too_few(self):
         with pytest.raises(InputError, match="at least 2 values"):
             welch_ttest([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("a, message", [
+        # returned NaN, warned, returned 0.69 and raised a TypeError
+        ([1.0, np.nan, 2.0], "a must be finite, got NaN or infinite entries"),
+        ([1.0, np.inf, 2.0], "a must be finite, got NaN or infinite entries"),
+        (np.ones((2, 3)), "a must be a vector of length >= 1, got shape (2, 3)"),
+        (None, "a must be a vector of length >= 1, got shape ()"),
+        ([1.0], "a must hold at least 2 values for a t-test"),
+    ])
+    def test_bad_sample_names_itself(self, a, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            welch_ttest(a, [1.0, 2.0, 4.0])
+        with pytest.raises(InputError, match=f"^b{re.escape(message[1:])}$"):
+            welch_ttest([1.0, 2.0, 4.0], a)

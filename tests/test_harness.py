@@ -235,7 +235,8 @@ class TestRunBench:
     def test_empty_dims_or_methods_name_themselves(self, dims, methods):
         # used to raise "a bench run needs at least one dimension and method"
         name, value = ("dims", dims) if not dims else ("methods", methods)
-        message = f"{name} must hold at least one entry, got {value!r}"
+        message = (f"{name} must hold at least one entry, got {value!r}" if value is not None
+                   else "methods must be a sequence of method names, got None")
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             harness.run_bench(dims=dims, trials=1, methods=methods, seed=0, threads=1)
 

@@ -37,11 +37,12 @@ class TestScoreSet:
             ScoreSet(("a",), np.array([0.0]))
         with pytest.raises(InputError, match="strictly positive and finite"):
             ScoreSet(("a",), np.array([-1.0]))
-        with pytest.raises(InputError, match="strictly positive and finite"):
+        with pytest.raises(InputError, match="^scores must be finite"):
             ScoreSet(("a",), np.array([np.inf]))
 
     def test_rejects_mismatched_lengths(self):
-        with pytest.raises(InputError, match="scores and sample ids differ"):
+        with pytest.raises(InputError, match=r"^scores must be a vector of length 2, "
+                                             r"got shape \(1,\)$"):
             ScoreSet(("a", "b"), np.array([1.0]))
         with pytest.raises(InputError, match="^labels must hold one label per sample, "
                                              "got 2 labels for 1 samples$"):

@@ -2,40 +2,85 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
+import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from importlib.machinery import PathFinder
 
 import numpy as np
 
 from .data import as_matrix
 from .errors import InputError, check_number
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 # knn_graph's sigma2 value for the squared median pairwise distance
 SIGMA2_AUTO = "auto"
 
 
-def edge_list(M: sp.spmatrix):
-    """(B0, v) over the nonzeros i < j of the symmetric m x m matrix M:
-    the E x m signed incidence matrix B0, +1 at i and -1 at j, and the
-    entries v = M_ij.  Every ordered-pair sum over a symmetric graph is
-    twice the sum over these edges."""
-    import scipy.sparse as sp
-
-    upper = sp.triu(M, k=1, format="coo")
-    E = upper.nnz
-    B0 = sp.csr_matrix(
-        (np.tile([1.0, -1.0], E), np.column_stack([upper.row, upper.col]).ravel(),
-         np.arange(0, 2 * E + 1, 2)),
-        shape=(E, M.shape[0]),
-    )
-    return B0, upper.data
+_KERNEL_LOCK = threading.Lock()
+_kernel_module = None
 
 
-def laplacian_pattern(B0: sp.csr_matrix):
+def _kernel():
+    """scipy's compiled CSR routines, loaded once from the file
+    scipy/sparse/_sparsetools*.so alone, running neither scipy's nor
+    scipy.sparse's __init__, as ratioscope._sparsetools: under scipy's
+    name, a later ``import scipy.sparse`` would lose its _sparsetools."""
+    global _kernel_module
+    with _KERNEL_LOCK:  # the bench pool's threads may both get here first
+        if _kernel_module is None:
+            scipy = importlib.util.find_spec("scipy").submodule_search_locations
+            path = PathFinder.find_spec("_sparsetools", [d + "/sparse" for d in scipy]).origin
+            spec = importlib.util.spec_from_file_location("ratioscope._sparsetools", path)
+            _kernel_module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(_kernel_module)
+        return _kernel_module
+
+
+@dataclass(frozen=True)
+class Csr:
+    """A matrix as CSR arrays, multiplied by scipy's compiled kernel in
+    the calls scipy.sparse's csr_matrix makes, so every bit is scipy's."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    def __matmul__(self, other: np.ndarray) -> np.ndarray:
+        """self @ other as scipy's _matmul_multivector: csr_matvecs into
+        zeros on other.ravel(), a C-order copy of an F-order other (for
+        one column scipy's csr_matvec makes the same sums in order)."""
+        (M, N), n_vecs = self.shape, other.shape[1]
+        if other.shape[0] != N:
+            raise InputError(f"matmul: {self.shape} @ {other.shape} dimension mismatch")
+        out = np.zeros((M, n_vecs), np.result_type(self.data.dtype, other.dtype))
+        _kernel().csr_matvecs(M, N, n_vecs, self.indptr, self.indices, self.data, other.ravel(),
+                              out.ravel())
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        out = np.empty(min(self.shape), self.data.dtype)
+        _kernel().csr_diagonal(0, *self.shape, self.indptr, self.indices, self.data, out)
+        return out
+
+
+def edge_list(M):
+    """(B0, v) over the stored entries i < j of the symmetric m x m CSR
+    matrix M (a Csr or a scipy CSR matrix), as scipy.sparse.triu(M, 1)
+    orders them: the E x m signed incidence matrix B0, +1 at i and -1 at
+    j, and the entries v = M_ij.  Every ordered-pair sum over a
+    symmetric graph is twice the sum over these edges."""
+    rows = np.repeat(np.arange(M.shape[0], dtype=M.indices.dtype), np.diff(M.indptr))
+    upper = M.indices > rows
+    E = np.count_nonzero(upper)
+    B0 = Csr(np.tile([1.0, -1.0], E), np.column_stack([rows[upper], M.indices[upper]]).ravel(),
+             np.arange(0, 2 * E + 1, 2, dtype=M.indices.dtype), (E, M.shape[0]))
+    return B0, M.data[upper]
+
+
+def laplacian_pattern(B0: Csr):
     """(indices, indptr, slots) for the incidence matrix B0 of
     ``edge_list``: the CSR pattern of B0^T B0, rows sorted, and the
     positions in that pattern of every edge's entry (j, j), then every
@@ -61,7 +106,7 @@ class SimilarityGraph:
     of the graph shares; both are built once when the graph is created.
     """
 
-    weights: sp.csr_matrix
+    weights: Csr
     k_neighbors: int
     sigma2: float
     edges: tuple = field(init=False, repr=False, compare=False)
@@ -71,7 +116,7 @@ class SimilarityGraph:
         object.__setattr__(self, "edges", edge_list(self.weights))
         object.__setattr__(self, "pattern", laplacian_pattern(self.edges[0]))
 
-    def laplacian(self, a: np.ndarray) -> sp.csr_matrix:
+    def laplacian(self, a: np.ndarray) -> Csr:
         """B0^T diag(a) B0 for edge weights a over ``edges``, scattered
         into ``pattern`` with no sparse product: +a at (j, j) and (i, i),
         -a at (i, j) and (j, i).  Edges run row-major (i < j), so at each
@@ -79,12 +124,10 @@ class SimilarityGraph:
         slot blocks as in the product B0^T (diag(a) B0): bincount adds
         each diagonal sum in the product's order, so the arrays are that
         product's bit for bit."""
-        import scipy.sparse as sp
-
         indices, indptr, slots = self.pattern
         data = np.bincount(slots, weights=np.concatenate((a, a, -a, -a)),
                            minlength=len(indices))
-        return sp.csr_matrix((data, indices, indptr), shape=(self.m, self.m))
+        return Csr(data, indices, indptr, (self.m, self.m))
 
     @property
     def m(self) -> int:
@@ -166,8 +209,6 @@ def knn_graph(data: np.ndarray, K: int, sigma2: float | str) -> SimilarityGraph:
     sigma2 = SIGMA2_AUTO takes median_heuristic(data) ** 2 from the
     distances the graph is built from; the graph records the value.
     """
-    import scipy.sparse as sp
-
     data = as_matrix(data, "data")
     m = data.shape[1]
     check_neighbors("K", K, m)
@@ -180,8 +221,13 @@ def knn_graph(data: np.ndarray, K: int, sigma2: float | str) -> SimilarityGraph:
     rows = np.repeat(np.arange(m), K)
     cols = order.ravel()
     vals = np.exp(log_gauss(d2[rows, cols], sigma2))
-    w = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
-    # no point is its own neighbor, so the diagonal stays empty
-    w = (w + w.T) * 0.5
-    w.eliminate_zeros()
-    return SimilarityGraph(weights=w.tocsr(), k_neighbors=int(K), sigma2=float(sigma2))
+    # (w + w^T) / 2 in d2's buffer, diagonal empty: its nonzeros in row-major
+    # order are scipy's (w + w.T) * 0.5 after eliminate_zeros, bit for bit
+    d2.fill(0.0)
+    d2[rows, cols] = vals
+    d2 += d2.T
+    d2 *= 0.5
+    i, j = np.nonzero(d2)
+    indptr = np.searchsorted(i, np.arange(m + 1)).astype(np.int32)
+    w = Csr(d2[i, j], j.astype(np.int32), indptr, (m, m))
+    return SimilarityGraph(weights=w, k_neighbors=int(K), sigma2=float(sigma2))

@@ -206,11 +206,20 @@ def run_bench(
     specs = {dim: SynthSpec(d=dim, seed=seed) for dim in dims} if dataset is None else {}
     for dim in dims:
         check_number("dims", dim, 1, integer=True)
+    # the results document holds Python ints and strs, whatever numpy
+    # scalars a caller passed, so that json can write it
+    dims, methods = tuple(map(int, dims)), tuple(map(str, methods))
+    trials, seed = int(trials), int(seed)
     for name, values in (("dims", dims), ("methods", methods)):
         if len(set(values)) < len(values):
             raise InputError(f"{name} must not repeat, got {list(values)}")
     if dataset is not None:
-        check_dataset_labels(dataset, dataset_labels)
+        inlier = np.array(check_dataset_labels(dataset, dataset_labels)) == LABEL_INLIER
+        if params["standardize"]:
+            # each trial standardizes by half the inlier class; a feature
+            # whose mean or std overflows over the whole class is
+            # reported here, before any trial (or its warnings) starts
+            fit_standardizer(dataset.columns(np.flatnonzero(inlier)))
     if dump_scores_dir is not None:
         os.makedirs(dump_scores_dir, exist_ok=True)
     tasks = [(dim, trial) for dim in dims for trial in range(trials)]

@@ -29,14 +29,16 @@ Every fused-term quantity comes from one signed incidence matrix B0
 over the graph's edges i < j, built once with the graph: the edge
 distances are the row norms of B0 W^T, and Cg = B0^T diag(a) B0 for
 edge weights a, assembled on the graph's fixed sparsity pattern
-(``SimilarityGraph.laplacian``) with no sparse product.  ``anchor`` is
-the one place the smoothed edge distances s_ij and sqrt(W^2 + eps) are
-formed; objective_J, both majorizers and majorization_constant read
-them from its record.  One MM step F of ``fit_pooled`` is
-majorizer_Cg(A), majorizer_Ce(A), solve_inner from A.weights,
-A = anchor(W, graph, eps) and objective_J(A, ...).  solve_inner carries
-its penalty products through each Newton step, so it multiplies by Cg
-once per solve plus once per CG step.
+(``SimilarityGraph.laplacian``) with no sparse product.  Both are
+``graph.Csr`` records; solve_inner, surrogate_Jtilde and grad_Jtilde
+also take a scipy CSR matrix as Cg.  ``anchor`` is the one place the
+smoothed edge distances s_ij and sqrt(W^2 + eps) are formed;
+objective_J, both majorizers and majorization_constant read them from
+its record.  One MM step F of ``fit_pooled`` is majorizer_Cg(A),
+majorizer_Ce(A), solve_inner from A.weights, A = anchor(W, graph, eps)
+and objective_J(A, ...).  solve_inner carries its penalty products
+through each Newton step, so it multiplies by Cg once per solve plus
+once per CG step.
 
 The loop starts at the minimizer of the surrogate at W = 0 without its
 fused term.  At W = 0 every edge distance is sqrt(eps), so the fused
@@ -64,7 +66,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -75,16 +76,13 @@ except ImportError:  # numpy 1.x
 
 from .data import PooledDataset, StandardizationStats, as_matrix, read_json_object
 from .errors import InputError, LineSearchFailure, NonDecrease, check_number
-from .graph import SIGMA2_AUTO, SimilarityGraph, check_neighbors, check_sigma2, edge_list, knn_graph
+from .graph import SIGMA2_AUTO, Csr, SimilarityGraph, check_neighbors, check_sigma2, edge_list, knn_graph
 # median_heuristic is unused here but stays importable as
 # llr.median_heuristic, where ratiobench's tracer looks it up
 from .graph import median_heuristic  # noqa: F401
-# scipy.special's bits without its import: the fit's one scipy
-# subpackage is scipy.sparse, loaded by _start and the graph
+# scipy.special's bits without its import: the fit imports no scipy
+# module, only scipy's compiled CSR kernel (graph.Csr)
 from .libm import expit, log_expit
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 # fit_pooled's inner solves stop at this fraction of the anchor's
 # surrogate gradient norm.  Relative gap of the final J above a tight
@@ -170,7 +168,7 @@ def _logistic_loss(W: np.ndarray, pooled: PooledDataset) -> float:
     return float(np.sum(np.logaddexp(0.0, -z)))
 
 
-def _edge_sq_dists(Wv: np.ndarray, B0: sp.csr_matrix) -> np.ndarray:
+def _edge_sq_dists(Wv: np.ndarray, B0: Csr) -> np.ndarray:
     """Squared column distances ||w_i - w_j||^2 per edge."""
     diff = B0 @ Wv.T
     return _einsum("ek,ek->e", diff, diff)
@@ -208,7 +206,7 @@ def objective_J(A: Anchor, pooled: PooledDataset, hp: LlrHyperparams) -> float:
             + hp.lambda2 * float(np.sum(l1 * l1)))
 
 
-def majorizer_Cg(A: Anchor) -> sp.csr_matrix:
+def majorizer_Cg(A: Anchor) -> Csr:
     """Reweighted graph Laplacian B0^T diag(a) B0, a_ij = r_ij / s_ij,
     assembled on the graph's fixed sparsity pattern."""
     check_number("epsilon", A.epsilon, 0, open_low=True)
@@ -242,7 +240,7 @@ def majorization_constant(A: Anchor, hp: LlrHyperparams) -> float:
 
 def surrogate_Jtilde(
     W: WeightMatrix,
-    Cg: sp.spmatrix,
+    Cg: Csr,
     Ce: np.ndarray,
     pooled: PooledDataset,
     hp: LlrHyperparams,
@@ -340,7 +338,7 @@ def _logistic_change(z, sig, tdz):
 
 def grad_Jtilde(
     W: WeightMatrix,
-    Cg: sp.spmatrix,
+    Cg: Csr,
     Ce: np.ndarray,
     pooled: PooledDataset,
     hp: LlrHyperparams,
@@ -358,7 +356,7 @@ def grad_Jtilde(
 @np.errstate(over="ignore", invalid="ignore")
 def solve_inner(
     pooled: PooledDataset,
-    Cg: sp.spmatrix,
+    Cg: Csr,
     Ce: np.ndarray,
     hp: LlrHyperparams,
     W0: WeightMatrix,
@@ -532,13 +530,12 @@ def _start(pooled: PooledDataset, hp: LlrHyperparams, graph: SimilarityGraph):
     point comes from one exact solve_inner from W = 0 with a zero
     Laplacian and majorizer_Ce at W = 0, through the module attributes
     that a tracer wraps."""
-    import scipy.sparse as sp
-
+    m = pooled.m
     A = anchor(WeightMatrix(values=np.zeros_like(pooled.features)), graph, hp.epsilon)
     J = objective_J(A, pooled, hp)
     if hp.lambda2 > 0:
-        W = solve_inner(pooled, sp.csr_matrix((pooled.m, pooled.m)), majorizer_Ce(A), hp,
-                        A.weights)
+        zero = Csr(np.zeros(0), np.zeros(0, np.int32), np.zeros(m + 1, np.int32), (m, m))
+        W = solve_inner(pooled, zero, majorizer_Ce(A), hp, A.weights)
         A_W = anchor(W, graph, hp.epsilon)
         J_W = objective_J(A_W, pooled, hp)
         if J_W < J:

@@ -49,6 +49,15 @@ def standardized_pool(spec, trial=0):
     return pool(*standardized(inliers, test, fit_standardizer(inliers)))
 
 
+def as_scipy(M):
+    """A graph.Csr record (or a scipy CSR matrix) as a scipy.sparse
+    csr_matrix over the same arrays, for the checks that call scipy's
+    methods on it."""
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape)
+
+
 def random_instance(rng, d=None, n_inlier=None, n_test=None, K=None, sigma2=None):
     """Random pooled dataset plus similarity graph for solver tests."""
     d = d or int(rng.integers(2, 8))

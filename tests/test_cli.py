@@ -915,6 +915,23 @@ class TestBench:
         assert_one_error(capsys, named)
         assert calls == [] and not (tmp_path / "r.json").exists()
 
+    def test_overflowing_dataset_feature_exit2_before_any_trial(self, tmp_path, capsys, caplog):
+        # a feature of N(0, 1) * 1e200 overflows every trial's
+        # standardization; bench used to start the trials, print their
+        # "only 6 outliers" warnings and only then exit 2
+        rng = np.random.default_rng(0)
+        labels = ["inlier"] * 24 + ["outlier"] * 6
+        (tmp_path / "big.csv").write_text("a,b,label\n" + "".join(
+            f"{rng.normal()!r},{rng.normal() * 1e200!r},{label}\n" for label in labels))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["bench", "--dataset", str(tmp_path / "big.csv"), "--dims", "1",
+                             "--trials", "2", "--methods", "kde", "--out", str(tmp_path / "r.json")])
+        assert code == cli.EXIT_USAGE
+        assert [str(w.message) for w in caught] == [] and caplog.records == []
+        assert_one_error(capsys, "standardizing feature 'b' overflows")
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("standardize", [[], ["--no-standardize"]], ids=["std", "raw"])
     def test_four_inlier_dataset_runs_every_method(self, tmp_path, standardize):
         # the fewest inliers bench accepts: two in each half of every trial
@@ -1408,12 +1425,13 @@ class TestTopLevel:
     def run_fresh(steps, cwd):
         """Run each argv list through cli.main in one fresh interpreter,
         after importing ratioscope and then ratioscope.cli; the scipy
-        modules loaded after each import, and the exit code and scipy
-        modules after each step."""
+        modules, and scipy's CSR kernel as graph loads it, loaded after
+        each import, and the exit code and those modules after each step."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         code = (
             f"import contextlib, io, json, sys; sys.path.insert(0, {src!r})\n"
-            "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "def loaded(): return sorted(m for m in sys.modules\n"
+            "                            if m.split('.')[0] == 'scipy' or m == 'ratioscope._sparsetools')\n"
             "import ratioscope; seen = [loaded()]\n"
             "from ratioscope import cli; seen.append(loaded())\n"
             f"for argv in {steps!r}:\n"
@@ -1427,9 +1445,11 @@ class TestTopLevel:
 
     def test_import_synth_score_and_eval_load_no_scipy(self, workspace, tmp_path):
         # scipy.special alone costs every command that loads it ~0.12 s
-        # of start-up, and scipy.optimize and scipy.stats ~0.5 s; only
-        # fit and bench call scipy, and fit only scipy.sparse: its
-        # sigmoids come from ratioscope.libm
+        # of start-up, scipy.sparse ~0.14 s, and scipy.optimize and
+        # scipy.stats ~0.5 s; of scipy, fit loads only the compiled CSR
+        # kernel, from its file (graph.Csr), and synth, score and eval
+        # not even that: their normals and fit's sigmoids come from
+        # ratioscope's numpy ports
         ws = workspace
         pair = ["--inliers", str(ws / "inliers.csv"), "--test", str(ws / "test.csv")]
         seen = self.run_fresh([
@@ -1442,27 +1462,22 @@ class TestTopLevel:
         assert seen[:5] == [[], [], [cli.EXIT_OK, []], [cli.EXIT_OK, []], [cli.EXIT_OK, []]]
         assert (tmp_path / "synth" / "test.csv").is_file()
         assert (tmp_path / "scores_explanations.json").is_file()
-        code, fit_loaded = seen[5]
-        assert code == cli.EXIT_OK
-        assert "scipy.sparse" in fit_loaded
-        assert "scipy.special" not in fit_loaded
+        assert seen[5] == [cli.EXIT_OK, ["ratioscope._sparsetools"]]
 
     def test_first_scipy_imports_in_bench_threads_give_the_same_bytes(self, tmp_path):
         # in a fresh interpreter the pool threads import scipy themselves,
         # which criterion 12 (scipy already loaded) never exercises.  Of
-        # scipy, the fits load scipy.sparse (llr) alone: KDE, l1lr, uLSIF
-        # and RuLSIF take theirs from libm and numpy.linalg; with two trials
-        # aggregation loads scipy.special for Welch's test
+        # scipy, the fits load only the CSR kernel (llr), both threads
+        # racing to load it first: KDE, l1lr, uLSIF and RuLSIF take theirs
+        # from libm and numpy.linalg; with two trials aggregation loads
+        # scipy.special for Welch's test
         bench = ["bench", "--methods", "llr,kde,lof,osvm,l1lr,kliep,ulsif,rulsif",
                  "--dims", "10", "--trials", "1"]
         seen = self.run_fresh([bench + ["--threads", "2", "--out", "fresh.json"],
                                bench[:-1] + ["2", "--threads", "2", "--out", "two.json"]],
                               cwd=tmp_path)
         assert seen[1] == []
-        code, bench_loaded = seen[2]
-        assert code == cli.EXIT_OK
-        assert "scipy.sparse" in bench_loaded
-        assert not {"scipy.linalg", "scipy.special"} & set(bench_loaded)
+        assert seen[2] == [cli.EXIT_OK, ["ratioscope._sparsetools"]]
         code, two_trials_loaded = seen[3]
         assert code == cli.EXIT_OK
         assert "scipy.special" in two_trials_loaded

@@ -165,6 +165,14 @@ class TestRunBench:
         b = harness.run_bench(**kwargs)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    def test_numpy_arguments_give_a_json_document(self):
+        # numpy dims, methods and seed used to land in the document as
+        # np.int64 and np.str_, which json.dumps refuses
+        doc = harness.run_bench(dims=np.array([3, 4]), trials=1, methods=np.array(["kde", "lof"]),
+                                seed=np.int64(0), threads=1)
+        plain = harness.run_bench(dims=[3, 4], trials=1, methods=["kde", "lof"], seed=0, threads=1)
+        assert json.dumps(doc) == json.dumps(plain)
+
     def test_thread_invariance(self):
         kwargs = dict(dims=[4], trials=4, methods=["kde", "lof", "ulsif"], seed=0,
                       params=small_params())

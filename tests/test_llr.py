@@ -12,7 +12,7 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import expit
 from scipy.stats import spearmanr
 
-from conftest import make_dataset, random_instance, standardized_pool
+from conftest import as_scipy, make_dataset, random_instance, standardized_pool
 from ratioscope import graph as graph_module
 from ratioscope import harness, llr
 from ratioscope.data import PooledDataset, pool
@@ -96,7 +96,7 @@ class TestObjective:
 class TestMajorizerCg:
     def test_two_sample_unit(self):
         W = WeightMatrix(values=np.zeros((2, 2)))
-        Cg = majorizer_Cg(llr.anchor(W, two_node_graph(), 1.0)).toarray()
+        Cg = as_scipy(majorizer_Cg(llr.anchor(W, two_node_graph(), 1.0))).toarray()
         assert np.allclose(Cg, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
 
     def test_row_sums_zero(self):
@@ -104,7 +104,7 @@ class TestMajorizerCg:
         for _ in range(10):
             pooled, graph = random_instance(rng)
             W = WeightMatrix(values=rng.normal(size=pooled.features.shape))
-            Cg = majorizer_Cg(llr.anchor(W, graph, 1e-10))
+            Cg = as_scipy(majorizer_Cg(llr.anchor(W, graph, 1e-10)))
             sums = np.asarray(Cg.sum(axis=1)).ravel()
             assert np.max(np.abs(sums)) <= 1e-12
 
@@ -116,6 +116,7 @@ class TestMajorizerCg:
         for _ in range(40):
             pooled, graph = random_instance(rng)
             B0, r = graph.edges
+            B0 = as_scipy(B0)
             for scale, eps in itertools.product((0.0, 1e-3, 1.0, 30.0), (1e-10, 1e-4, 0.3)):
                 W = WeightMatrix(values=scale * rng.normal(size=pooled.features.shape))
                 diff = B0 @ W.values.T
@@ -141,7 +142,7 @@ class TestMajorizerCg:
         rng = np.random.default_rng(2)
         pooled, graph = random_instance(rng, d=3, n_inlier=3, n_test=2)
         W = WeightMatrix(values=rng.normal(size=pooled.features.shape))
-        Cg = majorizer_Cg(llr.anchor(W, graph, 1e-8)).toarray()
+        Cg = as_scipy(majorizer_Cg(llr.anchor(W, graph, 1e-8))).toarray()
         assert np.array_equal(Cg, Cg.T)
         assert np.linalg.eigvalsh(Cg).min() >= -1e-10
 
@@ -245,7 +246,7 @@ class TestSurrogate:
         base = 100.0 + rng.normal(size=(pooled.d, 1))
         anchor = WeightMatrix(values=base + 1e-4 * rng.normal(size=pooled.features.shape))
         Cg = majorizer_Cg(llr.anchor(anchor, graph, 1e-10))
-        dense = Cg.toarray()
+        dense = as_scipy(Cg).toarray()
         assert 1e3 <= -dense.min() <= 1e5
         W = WeightMatrix(values=base + 1e-3 * rng.normal(size=pooled.features.shape))
         Ce = np.ones_like(W.values)
@@ -422,7 +423,7 @@ class TestSolveInner:
                 pooled, graph = random_instance(rng)
                 W0 = WeightMatrix(values=rng.normal(size=pooled.features.shape))
                 A = llr.anchor(W0, graph, hp.epsilon)
-                Cg = CountingCsr(majorizer_Cg(A))
+                Cg = CountingCsr(as_scipy(majorizer_Cg(A)))
                 Cg.products = 0
                 cg_steps.clear()
                 solve_inner(pooled, Cg, majorizer_Ce(A), hp, W0, rel_tol=rel_tol)

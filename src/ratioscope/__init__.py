@@ -6,11 +6,10 @@ package loads numpy alone.  The CLI's ``synth``, ``score`` and ``eval``
 load no scipy, and ``fit`` and every ``bench`` fit load no scipy module
 either: the LLR graph's products run on scipy's compiled CSR kernel,
 which ``graph`` loads from its file alone as ``ratioscope._sparsetools``
-on first use; synth's normal quantiles, the fit's sigmoids, KDE's
-logsumexp and l1lr's sigmoid give scipy.special's bits through ``libm``,
-which calls the C library's functions as scipy does, and uLSIF and
-RuLSIF solve with numpy.linalg.  Only a ``bench`` of two or more trials
-imports scipy, scipy.special for Welch's test."""
+on first use; synth's normal quantiles and the fit's sigmoids, which
+reach saved files, keep scipy.special's bits through ``libm``, and the
+baselines compute with numpy alone.  Only a ``bench`` of two or more
+trials imports scipy, scipy.special for Welch's test."""
 
 from .data import (
     Dataset,

@@ -17,7 +17,6 @@ import numpy as np
 from .data import Dataset, PooledDataset
 from .errors import InputError, SingularSystem, SolverFailure, check_number
 from .graph import check_neighbors, log_gauss, nearest, pairwise_sq_dists
-from .libm import expit, logsumexp
 from .scores import EXP_CLAMP, ScoreSet, ratio_from_logit
 from .synth import check_seed
 
@@ -86,8 +85,13 @@ def kde_fit_score(inliers: Dataset, query: Dataset, sigma: float) -> ScoreSet:
     check_kernel_width("kde sigma", sigma)
     if inliers.d != query.d:
         raise InputError("inlier and query dimensions differ")
-    d2 = pairwise_sq_dists(query.features, inliers.features)
-    logp = logsumexp(log_gauss(d2, sigma**2)) - np.log(inliers.m)
+    a = log_gauss(pairwise_sq_dists(query.features, inliers.features), sigma**2)
+    # log-sum shifted by each row's maximum, less log m; a row whose kernel is
+    # 0 at every inlier keeps a shift of 0, so its log is -inf and the clamp holds
+    top = a.max(axis=1)
+    top[top == -np.inf] = 0.0
+    with np.errstate(divide="ignore"):
+        logp = np.log(np.exp(a - top[:, None]).sum(axis=1)) + top - np.log(inliers.m)
     scores = np.exp(np.clip(logp, -EXP_CLAMP, EXP_CLAMP))
     return ScoreSet(sample_ids=query.sample_ids, scores=scores)
 
@@ -245,7 +249,8 @@ def _lr_loss(w: np.ndarray, X: np.ndarray, y: np.ndarray):
 
 
 def _lr_grad(z: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return X @ (-y * expit(-z))
+    # -y sigma(-z), with sigma(-z) = exp(-log(1 + exp(z))) finite at any margin
+    return X @ (-y * np.exp(-np.logaddexp(0.0, z)))
 
 
 def l1lr_subgrad_residual(w: np.ndarray, grad: np.ndarray, lam: float) -> float:

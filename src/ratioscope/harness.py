@@ -195,6 +195,8 @@ def run_bench(
     check_number("trials", trials, 1, integer=True)
     check_seed(seed)
     params = {**DEFAULT_PARAMS, **(params or {})}
+    if not isinstance(params["standardize"], (bool, np.bool_)):
+        raise InputError(f"params standardize must be a bool, got {params['standardize']!r}")
     # the checks the fits themselves run, once for the whole sweep
     llr.LlrHyperparams(**{name: params[name] for name in LLR_PARAMS})
     check_neighbors("lof K", params["lof_k"])

@@ -1,4 +1,7 @@
-"""Element-by-element libm functions on 1-D float64 arrays.
+"""Element-by-element libm functions on 1-D float64 arrays, for the two
+computations whose bits reach a saved result: synth's normal variates
+(the CSVs) and the LLR fit's sigmoids (model.json).  Only synth and llr
+import it; the baselines compute with numpy's ufuncs.
 
 numpy's own exp and log take SIMD paths that can differ from the C
 library in the last bit (np.exp does on 4.6% of N(0, 1) draws on an
@@ -6,7 +9,7 @@ AVX-512 CPU), while scipy.special's ufuncs and the Cephes code behind
 them call libm.  Python's math module calls libm too, so these helpers
 give scipy's bits without importing scipy.special: each maps a math
 function over the entries and does the rest in IEEE float64 arithmetic,
-as the C code does.  logsumexp repeats scipy's steps in numpy's ufuncs."""
+as the C code does."""
 
 from __future__ import annotations
 
@@ -44,15 +47,3 @@ def log_expit(x: np.ndarray) -> np.ndarray:
     neg = x < 0
     t = _each(math.log1p, _exp(np.where(neg, x, -x)))
     return np.where(neg, x - t, -t)
-
-
-def logsumexp(a: np.ndarray) -> np.ndarray:
-    """scipy.special.logsumexp(a, axis=1) by scipy 1.17's steps: each row's maximum,
-    plus log(m) for its m maxima and log1p(s / m) for the sum s of the others'
-    exp(a - max), or log(sum(exp(a))) where that is not finite."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = a.max(axis=1, keepdims=True)
-        m = np.sum(a == top, axis=1, keepdims=True, dtype=float)
-        s = np.sum(np.exp(np.where(a == top, -np.inf, a) - top), axis=1, keepdims=True)
-        out = (np.log1p(s / m) + np.log(m) + top)[:, 0]
-        return np.where(np.isfinite(out), out, np.log(np.sum(np.exp(a), axis=1)))

@@ -28,7 +28,7 @@ from ratioscope.errors import InputError, SingularSystem, SolverFailure
 from ratioscope.evaluation import auc
 from ratioscope.graph import median_heuristic, pairwise_sq_dists
 from ratioscope.llr import WeightMatrix
-from ratioscope.scores import ScoreSet, ratio_score
+from ratioscope.scores import EXP_CLAMP, ScoreSet, ratio_score
 from ratioscope.synth import SynthSpec, generate
 
 
@@ -54,6 +54,14 @@ class TestKde:
         inl = make_dataset([[0.0, 1.0]])
         s = kde_fit_score(inl, make_dataset([[1e4]], "q"), sigma=1.0)
         assert s.scores[0] < 1e-100
+
+    def test_kernel_zero_at_every_inlier_scores_the_clamp(self):
+        # -1e10 / (2 sigma**2) overflows to -inf: the kernel is 0 at both inliers
+        inl = make_dataset([[0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = kde_fit_score(inl, make_dataset([[1e5]], "q"), sigma=1e-150)
+        assert s.scores[0] == np.exp(-EXP_CLAMP)
 
     def test_density_integrates_to_one(self):
         inl = make_dataset([[-1.0, 0.0, 2.0]])
@@ -544,6 +552,14 @@ class TestL1lr:
             assert l1lr_subgrad_residual(model.w, grad, lam) <= 1e-5
             zero = model.w == 0.0
             assert np.all(np.abs(grad[zero]) <= lam + 1e-5)
+
+    def test_gradient_exact_at_extreme_margins(self):
+        # -y sigma(-z) at z = 800 and -800, where sigma(-800) rounds to 0 and sigma(800) to 1
+        X, y = np.eye(2), np.array([1.0, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grad = baselines._lr_grad(np.array([800.0, -800.0]), X, y)
+        assert grad.tolist() == [0.0, 1.0]  # -1 * sigma(-800) and 1 * sigma(800)
 
     def test_negative_lambda(self):
         pooled = small_pooled([1.0, -1.0], [1, -1])

@@ -1398,29 +1398,6 @@ class TestTopLevel:
         with pytest.raises(ValueError, match="a bug"):
             cli.main(["eval", "--scores", "scores.csv"])
 
-    def test_import_skips_scipy_optimize_and_stats(self):
-        # each costs every command about half a second of start-up
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        code = (
-            f"import sys; sys.path.insert(0, {src!r}); "
-            "import ratioscope.cli, ratioscope.harness; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))"
-        )
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True).stdout
-        assert out.strip() == "[]"
-
-    def test_import_skips_scipy_linalg(self):
-        # only rulsif_fit needs it, and it costs every command ~30 ms of start-up
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        code = (
-            f"import sys; sys.path.insert(0, {src!r}); "
-            "import ratioscope.cli; print('scipy.linalg' in sys.modules)"
-        )
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True).stdout
-        assert out.strip() == "False"
-
     @staticmethod
     def run_fresh(steps, cwd):
         """Run each argv list through cli.main in one fresh interpreter,
@@ -1468,9 +1445,9 @@ class TestTopLevel:
         # in a fresh interpreter the pool threads import scipy themselves,
         # which criterion 12 (scipy already loaded) never exercises.  Of
         # scipy, the fits load only the CSR kernel (llr), both threads
-        # racing to load it first: KDE, l1lr, uLSIF and RuLSIF take theirs
-        # from libm and numpy.linalg; with two trials aggregation loads
-        # scipy.special for Welch's test
+        # racing to load it first: KDE and l1lr compute with numpy's
+        # ufuncs, uLSIF and RuLSIF with numpy.linalg; with two trials
+        # aggregation loads scipy.special for Welch's test
         bench = ["bench", "--methods", "llr,kde,lof,osvm,l1lr,kliep,ulsif,rulsif",
                  "--dims", "10", "--trials", "1"]
         seen = self.run_fresh([bench + ["--threads", "2", "--out", "fresh.json"],

@@ -196,6 +196,7 @@ class TestRunBench:
     @pytest.mark.parametrize("bad", [
         {"lof_k": 0}, {"osvm_nu": 2.0}, {"l1lr_lambda": float("nan")},
         {"ulsif_nu": -1.0}, {"rulsif_beta": float("nan")}, {"lambda1": float("inf")},
+        {"standardize": "false"}, {"standardize": None},
     ])
     def test_bad_param_raises_before_any_trial(self, monkeypatch, bad):
         # each used to fail every trial, one warning per trial
@@ -205,6 +206,16 @@ class TestRunBench:
             harness.run_bench(dims=[4], trials=2, methods=["kde"], seed=0,
                               params=small_params(**bad), threads=1)
         assert calls == []
+
+    def test_standardize_takes_a_numpy_bool(self):
+        # any other value used to be read by its truth value: "false" standardized
+        runs = [harness.run_bench(dims=[3], trials=1, methods=["kde"], seed=0,
+                                  params={"standardize": flag}, threads=1)
+                for flag in (False, np.False_)]
+        assert runs[0] == runs[1]
+        with pytest.raises(InputError, match=r"^params standardize must be a bool, got 0$"):
+            harness.run_bench(dims=[3], trials=1, methods=["kde"], seed=0,
+                              params={"standardize": 0}, threads=1)
 
     def test_negative_seed_raises_before_any_trial(self, monkeypatch):
         # used to fail inside a pool thread, in numpy's SeedSequence

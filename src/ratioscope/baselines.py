@@ -267,31 +267,37 @@ def check_l1lr_lambda(lam: float) -> None:
     check_number("l1lr lambda", lam, 0, open_high=True)
 
 
+# a trial step whose logits overflow has a non-finite loss and is rejected
+@np.errstate(over="ignore", invalid="ignore")
 def l1lr_fit(pooled: PooledDataset, lam: float) -> LinearModel:
     """Proximal gradient (soft-thresholding) with backtracking on the
-    smooth-part Lipschitz estimate."""
+    smooth-part Lipschitz estimate L: each pass either accepts its trial
+    step, shrinking L by 0.9, or doubles L, and every pass counts against
+    _L1LR_MAX_ITERS.  Raises SolverFailure once L overflows."""
     check_l1lr_lambda(lam)
     X = pooled.features
     y = pooled.labels.astype(float)
     w = np.zeros(pooled.d)
     loss, z = _lr_loss(w, X, y)
+    grad = _lr_grad(z, X, y)
     L = 1.0
     converged = False
     for _ in range(_L1LR_MAX_ITERS):
-        grad = _lr_grad(z, X, y)  # only at accepted steps: backtracking needs the loss alone
         if l1lr_subgrad_residual(w, grad, lam) <= _L1LR_TOL:
             converged = True
             break
-        while True:
-            w_new = w - grad / L
-            w_new = np.sign(w_new) * np.maximum(np.abs(w_new) - lam / L, 0.0)
-            delta = w_new - w
-            loss_new, z_new = _lr_loss(w_new, X, y)
-            if loss_new <= loss + grad @ delta + 0.5 * L * float(delta @ delta) + 1e-12:
-                break
+        w_new = w - grad / L
+        w_new = np.sign(w_new) * np.maximum(np.abs(w_new) - lam / L, 0.0)
+        delta = w_new - w
+        loss_new, z_new = _lr_loss(w_new, X, y)
+        if loss_new <= loss + grad @ delta + 0.5 * L * float(delta @ delta) + 1e-12:
+            w, loss, z = w_new, loss_new, z_new
+            grad = _lr_grad(z, X, y)  # only here: backtracking needs the loss alone
+            L = max(L * 0.9, 1e-6)  # allow the estimate to shrink again
+        else:
             L *= 2.0
-        w, loss, z = w_new, loss_new, z_new
-        L = max(L * 0.9, 1e-6)  # allow the estimate to shrink again
+            if L == math.inf:
+                raise SolverFailure("l1lr step-size estimate overflows (features too large?)")
     return LinearModel(w=w, converged=converged)
 
 

@@ -135,10 +135,14 @@ class SimilarityGraph:
 
 
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between columns of a and b."""
-    a2 = np.sum(a * a, axis=0)
-    b2 = np.sum(b * b, axis=0)
-    d2 = a2[:, None] + b2[None, :] - 2.0 * (a.T @ b)
+    """Squared Euclidean distances between columns of a and b.  Raises
+    InputError when any of them overflows, as at features near 1e154."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2 = np.sum(a * a, axis=0)
+        b2 = np.sum(b * b, axis=0)
+        d2 = a2[:, None] + b2[None, :] - 2.0 * (a.T @ b)
+    if not np.isfinite(d2).all():
+        raise InputError("squared pairwise distances overflow (features too large?)")
     return np.maximum(d2, 0.0)
 
 
@@ -154,15 +158,14 @@ def _median_dist(d2: np.ndarray) -> float:
     matrix, np.median(np.sqrt(...)) bit for bit.  sqrt is monotone and
     correctly rounded, so the middle order statistics of the squared
     distances are the roots of the distances' middle ones, and only those
-    are rooted.  As in np.median, an even count averages the middle two
-    and any NaN distance, which sorts last, gives NaN.  One partition
-    point: np.partition at several is about ten times slower."""
+    are rooted.  As in np.median, an even count averages the middle two.
+    One partition point: np.partition at several is about ten times slower."""
     idx = np.arange(d2.shape[0])
     sq = d2[idx[:, None] < idx]
     half = sq.size // 2
     part = np.partition(sq, half)
     mid = [part[half]] if sq.size % 2 else [part[:half].max(), part[half]]
-    med = float("nan") if np.isnan(part[half:].max()) else float(np.sqrt(mid).mean())
+    med = float(np.sqrt(mid).mean())
     if med == 0.0:
         raise InputError("median pairwise distance is zero (all points coincide)")
     return med

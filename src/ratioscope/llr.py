@@ -116,10 +116,6 @@ class WeightMatrix:
         object.__setattr__(self, "values", values)
 
     @property
-    def d(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def m(self) -> int:
         return self.values.shape[1]
 
@@ -443,10 +439,12 @@ def solve_inner(
         r = -g
         q = precond(r)
         rq = _dot(r, q)
-        for _ in range(_INNER_MAX_ITERS):
+        for k in range(_INNER_MAX_ITERS):
             Hq, Pq = _hessp(q, X, c, Cg, Ce2, hp)
             qHq = _dot(q, Hq)
-            if not qHq > 0:
+            if not 0 < qHq < math.inf:  # no finite positive curvature along q
+                if k == 0:  # CG made no step: take q = M^-1 (-g) itself
+                    p, Pp = q, Pq
                 break
             alpha = rq / qHq
             p += alpha * q
@@ -461,10 +459,6 @@ def solve_inner(
             q *= rpr / rq
             q += pr
             rq = rpr
-        if not p.any():
-            p = precond(-g)
-            Pp = _penalty_hessp(p, Cg, Ce2, hp)
-
         # Armijo backtracking on the surrogate change along p,
         #   (loss change, _logistic_change) + t lin + t^2 quad,
         # the penalties being quadratic with gradient g_pen at W
@@ -512,16 +506,15 @@ def _mm_step(A: Anchor, J: float | None, pooled: PooledDataset, hp: LlrHyperpara
     return A_new, J_new
 
 
-def _extrapolate(W0: np.ndarray, W1: np.ndarray, W2: np.ndarray) -> WeightMatrix | None:
+def _extrapolate(W0: np.ndarray, W1: np.ndarray, W2: np.ndarray) -> WeightMatrix:
     """SQUAREM's point W0 - 2 alpha r + alpha^2 v from two MM steps
     W1 = F(W0) and W2 = F(W1), with r = W1 - W0, v = W2 - 2 W1 + W0 and
-    alpha = min(-||r|| / ||v||, -1); None when v = 0."""
+    alpha = min(-||r|| / ||v||, -1); at v = 0, alpha = -1 gives
+    W0 + 2 r = W2, no extrapolation."""
     r = W1 - W0
     v = W2 - W1 - r
     vv = _dot(v, v)
-    if vv == 0:
-        return None
-    alpha = min(-math.sqrt(_dot(r, r) / vv), -1.0)
+    alpha = min(-math.sqrt(_dot(r, r) / vv), -1.0) if vv else -1.0
     return WeightMatrix(values=W0 - 2.0 * alpha * r + alpha * alpha * v)
 
 
@@ -562,8 +555,8 @@ def fit_pooled(
     r = W1 - W0 and v = W2 - 2 W1 + W0 to
     W' = W0 - 2 alpha r + alpha^2 v, alpha = min(-||r|| / ||v||, -1),
     and takes one MM step from there.  F(W') is kept only if its J is at
-    most J(W2); else the next cycle starts from W2.  A cycle with v = 0
-    skips the extrapolation.
+    most J(W2); else the next cycle starts from W2.  At v = 0, alpha = -1
+    puts W' at W2.
 
     Every MM step, the one from W' included, goes through
     majorizer_Cg, majorizer_Ce, solve_inner, anchor and objective_J,
@@ -594,8 +587,6 @@ def fit_pooled(
         if len(trace) > cap:
             break
         W = _extrapolate(W0, W1, A.weights.values)
-        if W is None:
-            continue
         # keep F(W') if its J is at most J(W2): min returns the first of
         # equals, and binds no name that would keep a third anchor alive
         A, J = min(_mm_step(anchor(W, graph, hp.epsilon), None, pooled, hp), (A, J),

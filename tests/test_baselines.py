@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -54,6 +55,10 @@ class TestKde:
         inl = make_dataset([[0.0, 1.0]])
         s = kde_fit_score(inl, make_dataset([[1e4]], "q"), sigma=1.0)
         assert s.scores[0] < 1e-100
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(InputError, match="inlier and query dimensions differ"):
+            kde_fit_score(make_dataset(np.zeros((2, 3))), make_dataset(np.zeros((3, 2)), "q"), 1.0)
 
     def test_kernel_zero_at_every_inlier_scores_the_clamp(self):
         # -1e10 / (2 sigma**2) overflows to -inf: the kernel is 0 at both inliers
@@ -146,6 +151,11 @@ class TestLof:
         ref = make_dataset(rng.normal(scale=0.5, size=(2, 10)))
         s = lof_score(ref, make_dataset([[50.0], [50.0]], "q"), K=3)
         assert 1.0 / s.scores[0] > 2.0  # LOF > 2
+
+    def test_dimension_mismatch(self):
+        ref = make_dataset(np.random.default_rng(0).normal(size=(2, 5)))
+        with pytest.raises(InputError, match="reference and query dimensions differ"):
+            lof_score(ref, make_dataset(np.zeros((3, 2)), "q"), K=2)
 
     def test_cluster_member_not_flagged(self):
         # query sits on a point in the middle of a uniform 5x5 grid
@@ -575,6 +585,28 @@ class TestL1lr:
             l1lr_fit(pooled, lam=lam)
 
 
+    def test_every_trial_step_counts_against_the_cap(self, monkeypatch):
+        # the step search used to run outside the cap: five passes
+        # tried 5 accepted steps plus every rejected one.  Here each of
+        # the five tries one step, after the loss at w = 0
+        calls, real = [], baselines._lr_loss
+        monkeypatch.setattr(baselines, "_L1LR_MAX_ITERS", 5)
+        monkeypatch.setattr(baselines, "_lr_loss", lambda *a: calls.append(1) or real(*a))
+        pooled = standardized_pool(SynthSpec(d=5, n_inlier=30, n_test_inlier=15,
+                                             n_test_outlier=3, seed=0))
+        assert not l1lr_fit(pooled, 0.1).converged
+        assert len(calls) == 1 + 5
+
+    def test_overflowing_trial_logits_raise_a_named_failure(self):
+        # every trial step's logits overflowed, so L doubled to inf, where
+        # 0.5 * L * (delta @ delta) is inf * 0 = nan: the fit never returned
+        pooled = pool(make_dataset([[1e200, -2e200, 5e199]], "a"),
+                      make_dataset([[3e200, -1e200]], "b"))
+        start = time.perf_counter()
+        with pytest.raises(SolverFailure, match=r"^l1lr step-size estimate overflows"):
+            l1lr_fit(pooled, 0.1)
+        assert time.perf_counter() - start < 1.0
+
 class TestL1lrScore:
     def test_zero_weights_prior(self):
         rng = np.random.default_rng(10)
@@ -676,6 +708,12 @@ class TestKliep:
         data = make_dataset(np.random.default_rng(0).normal(size=(2, 20)))
         with pytest.raises(SolverFailure, match=f"kliep tau {tau}: an inlier sample has no"):
             kliep_fit(data, data, tau)
+
+    def test_test_samples_beyond_every_kernel_fail(self):
+        inliers = make_dataset([[0.0, 0.5, 1.0]], "a")
+        test = make_dataset([[100.0, 100.5]], "b")
+        with pytest.raises(SolverFailure, match=r"^projection annihilated alpha \(degenerate width\)"):
+            kliep_fit(inliers, test, tau=1.0)
 
 
 class TestRulsif:

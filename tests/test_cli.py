@@ -46,6 +46,18 @@ def assert_one_error(capsys, *fragments):
         assert fragment in err[0], err
 
 
+def write_overflowing_pair(tmp_path):
+    """inliers.csv of 8 rows and test.csv of 5 labelled rows, the first an
+    outlier, of three features drawn as N(0, 1) * 1e200: every squared
+    distance between two rows overflows."""
+    for name, labels in (("inliers", [None] * 8), ("test", ["outlier"] + ["inlier"] * 4)):
+        rows = np.random.default_rng(0).normal(size=(len(labels), 3)) * 1e200
+        header = "f1,f2,f3" if labels[0] is None else "f1,f2,f3,label"
+        (tmp_path / f"{name}.csv").write_text(header + "\n" + "".join(
+            ",".join([*map(repr, row.tolist()), *([label] if label else [])]) + "\n"
+            for row, label in zip(rows, labels)))
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Small synthetic pair plus a fitted model, shared across tests."""
@@ -190,6 +202,22 @@ class TestFit:
         assert [str(w.message) for w in caught] == []
         assert_one_error(capsys, "standardizing feature 'b' overflows")
         assert not (tmp_path / "m.json").exists()
+
+    def test_overflowing_distances_exit2_unstandardized(self, tmp_path, capsys):
+        # the graph's squared distances overflow; fit used to print numpy's
+        # RuntimeWarning and exit 1 with "surrogate gradient is not finite"
+        write_overflowing_pair(tmp_path)
+        out = tmp_path / "m.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([
+                "fit", "--inliers", str(tmp_path / "inliers.csv"),
+                "--test", str(tmp_path / "test.csv"), "--out", str(out), "--no-standardize",
+            ])
+        assert code == cli.EXIT_USAGE
+        assert [str(w.message) for w in caught] == []
+        assert_one_error(capsys, "squared pairwise distances overflow")
+        assert not out.exists()
 
     def test_unknown_label_exit2(self, workspace, tmp_path, capsys):
         # a label of "Outlier" used to count as neither class
@@ -931,6 +959,25 @@ class TestBench:
         assert [str(w.message) for w in caught] == [] and caplog.records == []
         assert_one_error(capsys, "standardizing feature 'b' overflows")
         assert not (tmp_path / "r.json").exists()
+
+    def test_overflowing_distances_fail_every_method_by_name(self, tmp_path, capsys, caplog):
+        # unstandardized: kde, osvm, kliep and ulsif used to fail on a nan
+        # width, lof on non-finite scores and llr on a non-finite gradient,
+        # each after raw RuntimeWarnings, and l1lr never returned
+        write_overflowing_pair(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["bench", "--dataset", str(tmp_path / "test.csv"), "--no-standardize",
+                             "--methods", ",".join(harness.METHODS), "--dims", "3",
+                             "--trials", "1", "--out", str(tmp_path / "r.json")])
+        assert code == cli.EXIT_FAILURE
+        assert [str(w.message) for w in caught] == []
+        why = dict.fromkeys(harness.METHODS, "squared pairwise distances overflow")
+        why["l1lr"] = "l1lr step-size estimate overflows"
+        assert [r.getMessage() for r in caplog.records if " failed on " in r.getMessage()] == [
+            f"warning: {m} failed on dim=3 trial=0: {why[m]} (features too large?)"
+            for m in harness.METHODS]
+        assert capsys.readouterr().err.splitlines() == ["8 trial/method runs failed"]
 
     @pytest.mark.parametrize("standardize", [[], ["--no-standardize"]], ids=["std", "raw"])
     def test_four_inlier_dataset_runs_every_method(self, tmp_path, standardize):

@@ -46,6 +46,10 @@ class TestDataset:
                 sample_ids=("s0", "s1"),
             )
 
+    def test_rejects_bad_id_count(self):
+        with pytest.raises(InputError, match="2 sample ids for 3 samples"):
+            Dataset(features=np.ones((1, 3)), feature_names=("a",), sample_ids=("s0", "s1"))
+
     def test_rejects_duplicate_ids(self):
         with pytest.raises(InputError, match="sample ids must be unique"):
             Dataset(
@@ -94,6 +98,11 @@ class TestPool:
         with pytest.raises(InputError, match=r"^n_inlier must be an integer in \[0, inf\), got 2.5"):
             PooledDataset(features=np.zeros((2, 4)), feature_names=("a", "b"),
                           sample_ids=("w", "x", "y", "z"), n_inlier=2.5, n_test=1.5)
+
+    def test_counts_must_add_up_to_the_columns(self):
+        with pytest.raises(InputError, match="pooled features and sample counts inconsistent"):
+            PooledDataset(features=np.zeros((1, 3)), feature_names=("a",),
+                          sample_ids=("x", "y", "z"), n_inlier=1, n_test=1)
 
     def test_dimension_mismatch(self):
         inliers = make_dataset(np.ones((3, 2)))

@@ -64,16 +64,18 @@ class TestMedianHeuristic:
             else:
                 assert graph_module._median_dist(d2).hex() == expected.hex()
 
-    def test_median_dist_of_a_nan_distance_is_nan(self):
-        X = np.array([[0.0, 1.0, 3.0, 4.0]])
-        d2 = pairwise_sq_dists(X, X)
-        d2[0, 3] = np.nan
-        assert np.isnan(np.median(np.sqrt(d2[np.triu_indices(4, k=1)])))
-        assert np.isnan(graph_module._median_dist(d2))
-
     def test_degenerate(self):
         with pytest.raises(InputError, match="coincide"):
             median_heuristic(np.ones((2, 4)))
+
+    def test_one_sample(self):
+        with pytest.raises(InputError, match="median heuristic needs at least 2 samples"):
+            median_heuristic(np.ones((2, 1)))
+
+    def test_overflowing_distances_raise(self):
+        # used to return nan after three raw RuntimeWarnings
+        with pytest.raises(InputError, match=r"^squared pairwise distances overflow"):
+            median_heuristic(np.array([[1e200, -1e200, 3e199]]))
 
     @pytest.mark.parametrize("shape", [(20,), (2, 3, 4), ()])
     def test_data_not_2d_is_named_by_shape(self, shape):

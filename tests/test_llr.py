@@ -16,7 +16,7 @@ from conftest import as_scipy, make_dataset, random_instance, standardized_pool
 from ratioscope import graph as graph_module
 from ratioscope import harness, llr
 from ratioscope.data import PooledDataset, pool
-from ratioscope.errors import NonDecrease
+from ratioscope.errors import InputError, LineSearchFailure, NonDecrease
 from ratioscope.evaluation import auc
 from ratioscope.graph import SimilarityGraph, knn_graph, median_heuristic
 from ratioscope.llr import (
@@ -92,6 +92,12 @@ class TestObjective:
         J = objective_J(A, pooled, hp)
         assert J - logistic == pytest.approx(8.0, abs=1e-12)
 
+
+    def test_weights_must_match_the_pooled_features(self):
+        pooled, graph = random_instance(np.random.default_rng(0), d=3, n_inlier=5, n_test=4)
+        A = llr.anchor(WeightMatrix(values=np.zeros((4, 9))), graph, 1e-10)
+        with pytest.raises(InputError, match=r"weights \(4, 9\) do not match pooled features \(3, 9\)"):
+            objective_J(A, pooled, LlrHyperparams())
 
 class TestMajorizerCg:
     def test_two_sample_unit(self):
@@ -430,6 +436,46 @@ class TestSolveInner:
                 assert Cg.products == 1 + len(cg_steps)
                 if cap == 1:
                     assert Cg.products == 2  # 3 when each step re-formed P W
+
+    def test_no_curvature_at_the_first_cg_step(self, monkeypatch):
+        # unpenalized, with every margin at +900 or -60: sigma(-z) rounds
+        # to 0 or 1 and every logistic curvature is 0, so CG stops before
+        # its first step.  The Newton step is then q = M^-1 (-g) with the
+        # penalty product CG formed for it; a third product, re-forming
+        # both after CG, used to follow
+        monkeypatch.setattr(llr, "_INNER_MAX_ITERS", 1)
+        X = np.random.default_rng(5).normal(size=(3, 10))
+        pooled = pool(make_dataset(X[:, :6], "a"), make_dataset(X[:, 6:], "b"))
+        margins = np.where(np.arange(10) % 2 == 0, 900.0, -60.0)
+        W0 = WeightMatrix(values=X * (pooled.labels * margins / np.sum(X * X, axis=0)))
+        hp = LlrHyperparams(lambda1=0.0, lambda2=0.0, k_neighbors=2)
+        A = llr.anchor(W0, knn_graph(pooled.features, 2, 1.0), hp.epsilon)
+        Cg, Ce = majorizer_Cg(A), majorizer_Ce(A)
+        products, original = [], llr._penalty_hessp
+        monkeypatch.setattr(llr, "_penalty_hessp", lambda *a: products.append(1) or original(*a))
+        W = solve_inner(pooled, Cg, Ce, hp, W0)
+        assert len(products) == 2
+        step = (W.values - W0.values).ravel()
+        g = grad_Jtilde(W0, Cg, Ce, pooled, hp).ravel()
+        assert -(step @ g) / (np.linalg.norm(step) * np.linalg.norm(g)) >= 1.0 - 1e-15
+        assert surrogate_Jtilde(W0, Cg, Ce, pooled, hp) == pytest.approx(300.0, rel=1e-15)
+        assert surrogate_Jtilde(W, Cg, Ce, pooled, hp) < 1e-12
+
+    def test_overflowing_curvature_ends_cg_at_once(self, monkeypatch):
+        # features near 1e100 overflow q.Hq to inf, so alpha = rq / inf = 0:
+        # CG used to run all 500 steps without moving p before taking
+        # q = M^-1 (-g), which it now takes after its first product
+        inliers, test = (make_dataset(np.random.default_rng(0).normal(size=(m, 3)).T * 1e100, p)
+                         for m, p in ((8, "a"), (5, "b")))
+        pooled = pool(inliers, test)
+        hp = LlrHyperparams()
+        m = pooled.m
+        A = llr.anchor(zero_weights(pooled), trivial_graph(m), hp.epsilon)
+        products, original = [], llr._hessp
+        monkeypatch.setattr(llr, "_hessp", lambda *a: products.append(1) or original(*a))
+        with pytest.raises(LineSearchFailure, match="no decreasing step at machine precision"):
+            solve_inner(pooled, sp.csr_matrix((m, m)), majorizer_Ce(A), hp, A.weights)
+        assert len(products) == 1
 
     def test_regularization_dominated(self):
         rng = np.random.default_rng(12)
@@ -893,6 +939,12 @@ class TestFit:
             else:  # the next cycle starts from W2
                 assert np.array_equal(steps[3], two.weights.values)
             assert trace[-1] == self.J_of(result.weights, pooled, graph, hp)
+
+    def test_extrapolation_without_curvature_lands_on_W2(self):
+        # at v = W2 - 2 W1 + W0 = 0, alpha = -1 gives W0 + 2 r = W2; no
+        # point used to be returned
+        W0 = np.arange(6.0).reshape(2, 3)
+        assert np.array_equal(llr._extrapolate(W0, W0 + 0.5, W0 + 1.0).values, W0 + 1.0)
 
     def test_extrapolated_step_guarded_against_its_own_start(self, monkeypatch):
         # an extrapolated point may have a higher J than W2; the step from
